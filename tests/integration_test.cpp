@@ -3,6 +3,9 @@
 // (preplaced / prerouted), option parsing, and the writers on real output.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "bench_util.hpp"
 #include "core/generator.hpp"
 #include "core/options.hpp"
 #include "gen/chain.hpp"
@@ -155,6 +158,51 @@ TEST(Pipeline, FileFormatsEndToEnd) {
   EXPECT_GT(to_svg(dia).size(), 1000u);
   EXPECT_GT(to_ascii(dia).size(), 200u);
   EXPECT_GT(to_escher_diagram(dia, "ctrl16").size(), 1000u);
+}
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Pipeline, PaperFiguresMatchPinnedDigests) {
+  // The golden-diagram contract: figures 6.1-6.7 at their published
+  // options must keep producing these exact ESCHER bytes.  A digest change
+  // means the generator's output changed, not just its speed.
+  struct Figure {
+    const char* name;
+    Network net;
+    GeneratorOptions opt;
+    bool hand_placed;
+    std::uint64_t digest;
+  };
+  const Figure figures[] = {
+      {"fig6.1", gen::chain_network({}), bench::fig61_options(), false,
+       0x12def294230c821cull},
+      {"fig6.2", gen::controller_network(), bench::fig62_options(), false,
+       0x7dca7bdd22d7cd63ull},
+      {"fig6.3", gen::controller_network(), bench::fig63_options(), false,
+       0xf43346cbe98ab8b9ull},
+      {"fig6.4", gen::controller_network(), bench::fig64_options(), false,
+       0x34266b4a3306af68ull},
+      {"fig6.6", gen::life_network(), bench::life_router_options(), true,
+       0xcb339a3978477db7ull},
+      {"fig6.7", gen::life_network(), bench::fig67_options(), false,
+       0xf28118672dc7bf95ull},
+  };
+  for (const Figure& f : figures) {
+    Diagram dia(f.net);
+    if (f.hand_placed) gen::life_hand_placement(dia);
+    const GeneratorResult result = generate(dia, f.opt);
+    const std::uint64_t digest = fnv1a(to_escher_diagram(dia, f.name));
+    EXPECT_EQ(digest, f.digest) << f.name << std::hex << " digest 0x" << digest;
+    if (f.hand_placed) EXPECT_EQ(result.route.total_expansions, 2886282);
+  }
 }
 
 TEST(Options, PabloFlags) {
