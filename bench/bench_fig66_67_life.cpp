@@ -13,9 +13,8 @@
 // crossings and longer wire than the hand placement.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
-#include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "place/placer.hpp"
@@ -115,54 +114,26 @@ int main(int argc, char** argv) {
     print_row("fig 6.7 (netlist order)", r.stats);
   }
 
-  // Sequential vs speculative-parallel routing on the hand placement (the
-  // fig 6.6 workload), best of three runs each; the parallel thread counts
-  // run both with the default re-speculation budget and with re-speculation
-  // disabled (respec=0) so the JSON records isolate its effect.
+  // Routing time of the hand placement (the fig 6.6 workload), best of
+  // three runs, as one machine-readable record.
   {
     Diagram placed(life());
     gen::life_hand_placement(placed);
-    GeneratorOptions opt = life_router_options();
-    const int default_respec = opt.router.respec_budget;
-    for (int threads : {1, 2, 4}) {
-      std::vector<int> budgets = {default_respec};
-      if (threads > 1) budgets.push_back(0);  // isolate re-speculation's effect
-      for (int respec : budgets) {
-        opt.router.threads = threads;
-        opt.router.respec_budget = respec;
-        double best = 1e18;
-        long expansions = 0;
-        ParallelRouteStats spec;
-        for (int rep = 0; rep < 3; ++rep) {
-          Diagram dia = placed;
-          const auto t0 = std::chrono::steady_clock::now();
-          const RouteReport r = route_all(dia, opt.router, &spec);
-          const auto t1 = std::chrono::steady_clock::now();
-          const double ms =
-              std::chrono::duration<double, std::milli>(t1 - t0).count();
-          if (ms < best) best = ms;
-          expansions = r.total_expansions;
-        }
-        std::string config = "threads=" + std::to_string(threads);
-        if (threads > 1 && respec != default_respec) {
-          config += ",respec=" + std::to_string(respec);
-        }
-        std::vector<bench::BenchField> extra;
-        if (threads > 1) {
-          extra = {{"nets_respeculated", spec.nets_respeculated},
-                   {"respec_hits", spec.respec_hits},
-                   {"respec_stale", spec.respec_stale},
-                   {"reroutes", spec.reroutes}};
-        }
-        std::printf(
-            "    fig 6.6 route %s: %.0fms (%ld expansions, %d respeculated, "
-            "%d hits)\n",
-            config.c_str(), best, expansions, spec.nets_respeculated,
-            spec.respec_hits);
-        bench_json_add("fig66_67_life", config, best, expansions,
-                       std::move(extra));
-      }
+    const GeneratorOptions opt = life_router_options();
+    double best = 1e18;
+    long expansions = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      Diagram dia = placed;
+      const auto t0 = std::chrono::steady_clock::now();
+      const RouteReport r = route_all(dia, opt.router);
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best,
+                      std::chrono::duration<double, std::milli>(t1 - t0).count());
+      expansions = r.total_expansions;
     }
+    std::printf("    fig 6.6 route threads=1: %.0fms (%ld expansions)\n", best,
+                expansions);
+    bench_json_add("fig66_67_life", "threads=1", best, expansions);
   }
   bench_json_write();
 

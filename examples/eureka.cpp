@@ -59,18 +59,9 @@ int main(int argc, char** argv) {
     Diagram dia = parse_escher_diagram(net, slurp(files[0]));
 
     obs::obs_begin(obs);
-    ParallelRouteStats spec;
-    const RouteReport report = route_all(dia, opt.router, &spec);
+    const RouteReport report = route_all(dia, opt.router);
     for (NetId n : report.failed_nets) {
       std::cerr << "warning: net '" << net.net(n).name << "' unroutable\n";
-    }
-    if (spec.nets_speculated > 0) {
-      std::cout << "speculation: " << spec.nets_speculated << " speculated ("
-                << spec.commits_clean << " clean, " << spec.reroutes
-                << " rerouted), " << spec.nets_gated << " gated, "
-                << spec.nets_respeculated << " respeculated ("
-                << spec.respec_hits << " hits, " << spec.respec_stale
-                << " stale)\n";
     }
     const DiagramStats stats = compute_stats(dia);
     std::cout << stats.summary() << '\n';
@@ -80,7 +71,6 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry reg;
     obs::absorb(reg, report);
-    obs::absorb(reg, spec);
     obs::absorb(reg, stats);
     if (!obs::obs_finish(obs, reg)) return 1;
   } catch (const std::exception& e) {

@@ -5,7 +5,7 @@
 // reports the routing statistics the paper quotes ("there are 222 nets and
 // only two nets were routed unsuccessfully").
 //
-//   $ ./life_game [out_dir] [--threads n] [--trace file] [--stats text|json|off]
+//   $ ./life_game [out_dir] [--trace file] [--stats text|json|off]
 //
 // With --stats json the emission holds both figures' counters under the
 // fig66./fig67. prefixes — the breakdown behind the paper's Table 6.1.
@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace na;
   obs::ObsOptions obs;
-  GeneratorOptions cli;  // only --threads/--respec are forwarded to the runs
+  GeneratorOptions cli;  // the figures keep their published options
   std::string out_dir = ".";
   try {
     std::vector<std::string> args(argv + 1, argv + argc);
@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
                  const char* prefix) {
     Diagram dia(net);
     GeneratorOptions opt;
-    opt.router.threads = cli.router.threads;
-    opt.router.respec_budget = cli.router.respec_budget;
     if (hand_placed) {
       gen::life_hand_placement(dia);
     } else {

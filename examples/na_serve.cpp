@@ -1,7 +1,7 @@
 // na_serve — the schematic-as-a-service daemon (DESIGN §10).
 //
 // Serves line-delimited JSON over TCP: many named RegenSessions, edits
-// dispatched onto one work-stealing pool, per-session ordering, graceful
+// dispatched onto one worker pool, per-session ordering, graceful
 // SIGINT/SIGTERM shutdown that saves dirty sessions and flushes traces.
 //
 //   na_serve --port 0 --threads 4 --state-dir /tmp/na-state \
@@ -29,7 +29,6 @@ void usage(const char* argv0) {
       "  --threads N       edit-dispatch pool workers (default 4)\n"
       "  --io-threads N    event-loop I/O threads of the connection plane\n"
       "                    (default 2)\n"
-      "  --router-threads N  router workers inside one edit (default 1)\n"
       "  --state-dir PATH  session save/restore directory (default: off)\n"
       "  --max-line N      request line cap in bytes (default 1 MiB)\n"
       "  --max-in-flight N pipelined-request cap per connection "
@@ -74,7 +73,6 @@ int main(int argc, char** argv) {
   serve::ServerOptions opt;
   std::string port_file;
   obs::ObsOptions obs_opt;
-  long router_threads = 1;
   long flight_events = 0;
   std::string slow_log_path;
 
@@ -108,10 +106,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr || !int_arg(s, "--io-threads", 1, 64, &v)) return 2;
       opt.io_threads = static_cast<int>(v);
-    } else if (flag == "--router-threads") {
-      const char* s = next();
-      if (s == nullptr || !int_arg(s, "--router-threads", 1, 256, &v)) return 2;
-      router_threads = v;
     } else if (flag == "--state-dir") {
       const char* s = next();
       if (s == nullptr) return 2;
@@ -185,7 +179,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  opt.host.regen.generator.router.threads = static_cast<int>(router_threads);
 
   // The two always-on tracing modes are mutually exclusive: a streaming
   // flush drains the very ring the flight recorder exists to retain.

@@ -115,13 +115,6 @@ int main(int argc, char** argv) {
     GeneratorResult result;
     const Diagram dia = generate_diagram(net, opt, &result);
     std::cout << result.stats.summary() << '\n';
-    if (const ParallelRouteStats& s = result.speculation; s.nets_speculated > 0) {
-      std::cout << "speculation: " << s.nets_speculated << " speculated ("
-                << s.commits_clean << " clean, " << s.reroutes << " rerouted), "
-                << s.nets_gated << " gated, " << s.nets_respeculated
-                << " respeculated (" << s.respec_hits << " hits, "
-                << s.respec_stale << " stale)\n";
-    }
     for (NetId n : result.route.failed_nets) {
       std::cout << "warning: net '" << net.net(n).name << "' unroutable\n";
     }

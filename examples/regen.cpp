@@ -6,14 +6,14 @@
 // routing actually recomputed.  This example walks a datapath through
 // three edits and prints what each update really cost.
 //
-//   $ ./regen [--threads <n>] [--validate region|full|off]
-//           [--trace <file>] [--stats text|json|off]
+//   $ ./regen [--validate region|full|off] [--trace <file>]
+//           [--stats text|json|off]
 //
-// --threads sets the patch router's worker count; --validate picks how each
-// patched diagram is checked: "region" (default) validates only the dirty
-// hull and escalates on any issue, "full" forces the pre-region whole-
-// diagram check, "off" skips the check entirely.  --trace records the
-// regen.* stage spans of every update; --stats emits the session totals.
+// --validate picks how each patched diagram is checked: "region"
+// (default) validates only the dirty hull and escalates on any issue,
+// "full" forces the pre-region whole-diagram check, "off" skips the check
+// entirely.  --trace records the regen.* stage spans of every update;
+// --stats emits the session totals.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -30,8 +30,8 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: regen [--threads <n>] [--validate region|full|off]\n"
-    "             [--trace <file>] [--stats text|json|off]\n";
+    "usage: regen [--validate region|full|off] [--trace <file>]\n"
+    "             [--stats text|json|off]\n";
 
 void parse_args(int argc, char** argv, na::RegenOptions& opt,
                 na::obs::ObsOptions& obs) {
@@ -41,9 +41,7 @@ void parse_args(int argc, char** argv, na::RegenOptions& opt,
       if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
       return argv[++i];
     };
-    if (arg == "--threads") {
-      opt.generator.router.threads = na::parse_int_arg(value(), "--threads", 1);
-    } else if (arg == "--trace") {
+    if (arg == "--trace") {
       obs.trace_path = value();
     } else if (arg == "--stats") {
       obs.stats = na::obs::parse_stats_mode(value());
@@ -137,7 +135,6 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry reg;
   obs::absorb(reg, t);
-  obs::absorb(reg, session.speculation());
   obs::absorb(reg, compute_stats(session.diagram()));
   if (!obs::obs_finish(obs, reg)) return 1;
   return t.incremental >= 3 ? 0 : 1;

@@ -25,7 +25,7 @@ GeneratorResult generate(Diagram& dia, const GeneratorOptions& opt) {
   {
     NA_TRACE_SPAN(span, "route");
     const auto t0 = std::chrono::steady_clock::now();
-    result.route = route_all(dia, opt.router, &result.speculation);
+    result.route = route_all(dia, opt.router);
     result.route_seconds = seconds_since(t0);
     span.arg("nets_routed", result.route.nets_routed);
     span.arg("nets_failed", result.route.nets_failed);

@@ -22,10 +22,6 @@ struct GeneratorOptions {
 struct GeneratorResult {
   PlacementInfo placement;
   RouteReport route;
-  /// Speculation-effectiveness counters of the parallel routing driver
-  /// (all zero when routing ran sequentially).  Not part of RouteReport:
-  /// the report is byte-identical across thread counts, these are not.
-  ParallelRouteStats speculation;
   DiagramStats stats;
   double place_seconds = 0.0;
   double route_seconds = 0.0;

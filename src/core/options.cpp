@@ -74,15 +74,6 @@ std::vector<std::string> parse_generator_args(const std::vector<std::string>& ar
       opt.router.engine = Engine::SegmentExpansion;
     } else if (a == "-m") {
       opt.router.margin = next_int(i, a);
-    } else if (a == "--threads" || a == "-threads") {
-      // Routing threads (PR-1 speculative parallel driver): 1 = sequential
-      // (default), 0 = hardware concurrency.  Any value produces a
-      // byte-identical diagram and report.
-      opt.router.threads = next_int(i, a);
-    } else if (a == "--respec" || a == "-respec") {
-      // Re-speculation budget of the parallel driver (0 = speculate once,
-      // serialize on miss).  Also byte-identical for any value.
-      opt.router.respec_budget = next_int(i, a);
     } else if (obs != nullptr && a == "--trace") {
       obs->trace_path = next_str(i, a);
     } else if (obs != nullptr && a == "--stats") {
@@ -101,8 +92,7 @@ std::string generator_usage() {
   return "options: -p <part-size> -b <box-size> -c <max-conns> -e <part-space>\n"
          "         -i <box-space> -s <module-space|length-first> -m <margin>\n"
          "         -L (Lee) -H (Hightower) -S (segment expansion) -noclaim\n"
-         "         -noretry -u -d -l -r --threads <n (0 = all cores, default 1)>\n"
-         "         --respec <retries (re-speculations per invalidated net, default 2)>\n"
+         "         -noretry -u -d -l -r\n"
          "         " +
          std::string(obs::obs_usage());
 }

@@ -20,7 +20,6 @@ std::uint64_t steady_ns() {
 
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
-  queues_.resize(n);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -36,14 +35,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-ThreadPool::Task ThreadPool::make_task(std::function<void()> fn) const {
-  Task t{std::move(fn), 0};
-  if (wait_hist_.load(std::memory_order_relaxed) != nullptr) {
-    t.enqueue_ns = steady_ns();
-  }
-  return t;
-}
-
 void ThreadPool::sample_wait(const Task& task) const {
   if (task.enqueue_ns == 0) return;
   obs::Histogram* h = wait_hist_.load(std::memory_order_relaxed);
@@ -54,25 +45,16 @@ void ThreadPool::sample_wait(const Task& task) const {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    queues_[next_queue_].push_back(make_task(std::move(task)));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++queued_;
-    stats_.peak_queued = std::max(stats_.peak_queued, queued_);
-    NA_TRACE_COUNTER("pool.queue", "queued", queued_);
+  Task t{std::move(task), 0};
+  if (wait_hist_.load(std::memory_order_relaxed) != nullptr) {
+    t.enqueue_ns = steady_ns();
   }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::submit_urgent(std::function<void()> task) {
   {
     std::lock_guard lock(mu_);
-    urgent_.push_back(make_task(std::move(task)));
-    ++queued_;
-    stats_.peak_queued = std::max(stats_.peak_queued, queued_);
-    ++stats_.urgent_submitted;
-    NA_TRACE_COUNTER("pool.queue", "queued", queued_);
+    queue_.push_back(std::move(t));
+    const int queued = static_cast<int>(queue_.size());
+    stats_.peak_queued = std::max(stats_.peak_queued, queued);
+    NA_TRACE_COUNTER("pool.queue", "queued", queued);
   }
   work_cv_.notify_one();
 }
@@ -88,7 +70,7 @@ void ThreadPool::set_queue_wait_histogram(obs::Histogram* h) {
 
 int ThreadPool::queue_depth() const {
   std::lock_guard lock(mu_);
-  return queued_;
+  return static_cast<int>(queue_.size());
 }
 
 int ThreadPool::worker_index() { return tl_worker_index; }
@@ -97,35 +79,17 @@ void ThreadPool::worker_loop(int index) {
   tl_worker_index = index;
   std::unique_lock lock(mu_);
   for (;;) {
-    Task task;
-    if (!urgent_.empty()) {
-      task = std::move(urgent_.front());
-      urgent_.pop_front();
-      ++stats_.urgent_drained;
-    } else if (!queues_[index].empty()) {
-      task = std::move(queues_[index].front());
-      queues_[index].pop_front();
-    } else {
-      // Steal the oldest task of the first non-empty neighbour.
-      for (size_t j = 1; j < queues_.size(); ++j) {
-        auto& q = queues_[(index + j) % queues_.size()];
-        if (!q.empty()) {
-          task = std::move(q.front());
-          q.pop_front();
-          break;
-        }
-      }
-    }
-    if (task.fn) {
+    if (!queue_.empty()) {
+      Task task = std::move(queue_.front());
+      queue_.pop_front();
       sample_wait(task);
-      --queued_;
-      NA_TRACE_COUNTER("pool.queue", "queued", queued_);
+      NA_TRACE_COUNTER("pool.queue", "queued", queue_.size());
       ++active_;
       lock.unlock();
       task.fn();
       lock.lock();
       --active_;
-      if (queued_ == 0 && active_ == 0) idle_cv_.notify_all();
+      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
       continue;
     }
     if (stop_) break;
@@ -135,7 +99,7 @@ void ThreadPool::worker_loop(int index) {
 
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [&] { return queued_ == 0 && active_ == 0; });
+  idle_cv_.wait(lock, [&] { return queue_.empty() && active_ == 0; });
 }
 
 }  // namespace na

@@ -1,16 +1,10 @@
-// A small work-stealing thread pool for the routing subsystem.
+// A small FIFO thread pool: the parallel placement jobs, the sharded
+// router's shard jobs and the daemon's session work.
 //
-// Each worker owns a deque; submit() deals tasks round-robin, a worker
-// drains its own deque front-first and steals the oldest task of a
-// neighbour when it runs dry.  Oldest-first stealing matters here: the
-// speculative router submits net tasks in commit order, and the closer the
-// execution order tracks it, the fewer commits a speculation races with.
-// A shared urgent lane (submit_urgent) jumps every per-worker queue: the
-// router uses it for re-speculations of invalidated nets, which sit on the
-// committer's critical path and must not wait behind far-future tasks.
+// Workers take tasks from one shared queue in submission order.
 // Synchronisation is one mutex + condition variables — the tasks this pool
-// exists for (net routings) run for milliseconds, so queue contention is
-// noise and the simple scheme stays ThreadSanitizer-clean.
+// exists for run for milliseconds, so queue contention is noise and the
+// simple scheme stays ThreadSanitizer-clean.
 #pragma once
 
 #include <atomic>
@@ -40,21 +34,14 @@ class ThreadPool {
   /// Enqueues a task.  Tasks must not throw.
   void submit(std::function<void()> task);
 
-  /// Enqueues a task on the urgent lane: the next free worker runs it
-  /// before anything submitted with submit(), in submission order among
-  /// urgent tasks.  Tasks must not throw.
-  void submit_urgent(std::function<void()> task);
-
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  /// Scheduling counters for the metrics registry: how deep the queues
-  /// got and how much the urgent lane was used.  Snapshot under the pool
-  /// lock — callable at any time, cheap enough to read once per run.
+  /// Scheduling counters for the metrics registry: how deep the queue
+  /// got.  Snapshot under the pool lock — callable at any time, cheap
+  /// enough to read once per run.
   struct Stats {
-    int peak_queued = 0;           ///< high-water mark of waiting tasks
-    long long urgent_submitted = 0;
-    long long urgent_drained = 0;  ///< urgent tasks run by pool workers
+    int peak_queued = 0;  ///< high-water mark of waiting tasks
   };
   Stats stats() const;
 
@@ -66,8 +53,8 @@ class ThreadPool {
   /// contention beyond the two steady_clock reads.
   void set_queue_wait_histogram(obs::Histogram* h);
 
-  /// Tasks currently waiting across the urgent lane and every per-worker
-  /// queue — the live gauge the daemon's watchdog samples.
+  /// Tasks currently waiting in the queue — the live gauge the daemon's
+  /// watchdog samples.
   int queue_depth() const;
 
   int size() const { return static_cast<int>(workers_.size()); }
@@ -85,18 +72,14 @@ class ThreadPool {
   };
 
   void worker_loop(int index);
-  Task make_task(std::function<void()> fn) const;
   void sample_wait(const Task& task) const;
 
-  std::vector<std::deque<Task>> queues_;
-  std::deque<Task> urgent_;
+  std::deque<Task> queue_;
   std::atomic<obs::Histogram*> wait_hist_{nullptr};
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::vector<std::thread> workers_;
-  size_t next_queue_ = 0;
-  int queued_ = 0;
   int active_ = 0;
   bool stop_ = false;
   Stats stats_;

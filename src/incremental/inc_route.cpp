@@ -282,7 +282,7 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
   result.cells_scrubbed = old_cells - kept_cells;
 
   // ----- route everything still open against the preserved plane -------------
-  result.report = route_all(dia, opt, &result.speculation);
+  result.report = route_all(dia, opt);
   for (NetId n = 0; n < net.net_count(); ++n) {
     if (kept[n] || dia.route(n).polylines.empty()) continue;
     ++result.nets_rerouted;

@@ -15,9 +15,8 @@
 //
 // The actual searching is the ordinary route_all driver (rip-up semantics
 // of route/ripup.cpp: surviving geometry acts as obstacles and as join
-// targets for its own net), so the patch pass inherits claimpoints, the
-// section-5.7 retry pass, and — via RouterOptions::threads — the PR-1
-// speculative parallel driver unchanged.
+// targets for its own net), so the patch pass inherits claimpoints and the
+// section-5.7 retry pass unchanged.
 #pragma once
 
 #include "incremental/netlist_diff.hpp"
@@ -30,8 +29,6 @@ struct PatchRouteResult {
   /// `nets_routed` counts kept nets too (they end the pass fully
   /// connected); the patch-specific counters below separate the work.
   RouteReport report;
-  /// Speculation counters of that pass (all zero when it ran sequentially).
-  ParallelRouteStats speculation;
   int nets_kept = 0;      ///< clean nets whose geometry survived verbatim
   int nets_rerouted = 0;  ///< nets (re)routed by this pass
   int nets_extended = 0;  ///< rerouted nets that kept partial geometry

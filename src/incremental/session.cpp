@@ -1,6 +1,5 @@
 #include "incremental/session.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <sstream>
@@ -304,7 +303,6 @@ void RegenSession::restore(std::string_view text) {
   dia_ = std::move(dia);
   totals_ = {};
   last_ = {};
-  spec_totals_ = {};
 }
 
 RegenSession::RegenSession(RegenOptions opt) : opt_(std::move(opt)) {}
@@ -341,19 +339,6 @@ void RegenSession::account(const RegenCounters& one) {
   totals_.dirty_region = totals_.dirty_region.hull(one.dirty_region);
 }
 
-void RegenSession::account_speculation(const ParallelRouteStats& one) {
-  spec_totals_.nets_speculated += one.nets_speculated;
-  spec_totals_.commits_clean += one.commits_clean;
-  spec_totals_.reroutes += one.reroutes;
-  spec_totals_.nets_gated += one.nets_gated;
-  spec_totals_.nets_respeculated += one.nets_respeculated;
-  spec_totals_.respec_hits += one.respec_hits;
-  spec_totals_.respec_stale += one.respec_stale;
-  spec_totals_.pool_peak_queued =
-      std::max(spec_totals_.pool_peak_queued, one.pool_peak_queued);
-  spec_totals_.pool_urgent_drains += one.pool_urgent_drains;
-}
-
 void RegenSession::full_regen(const Network& next) {
   NA_TRACE_SPAN(span, "regen.full_regen");
   span.arg("modules", next.module_count());
@@ -371,7 +356,6 @@ void RegenSession::full_regen(const Network& next) {
   one.nets_rerouted = result.route.nets_routed;
   one.route_expansions = result.route.total_expansions;
   account(one);
-  account_speculation(result.speculation);
 }
 
 void RegenSession::adopt(const Network& net, const Diagram& dia) {
@@ -490,7 +474,6 @@ const Diagram& RegenSession::update(const Network& next) {
   one.validate_ms = validate_ms;
   one.dirty_region = routed.dirty_region;
   account(one);
-  account_speculation(routed.speculation);
   return *dia_;
 }
 

@@ -107,14 +107,10 @@ class RegenSession {
   const RegenCounters& totals() const { return totals_; }
   /// Counters of the most recent update() only.
   const RegenCounters& last() const { return last_; }
-  /// Session-lifetime speculation counters of the routing passes behind
-  /// every update (all zero when the router ran sequentially).
-  const ParallelRouteStats& speculation() const { return spec_totals_; }
 
  private:
   void full_regen(const Network& next);
   void account(const RegenCounters& one);
-  void account_speculation(const ParallelRouteStats& one);
 
   RegenOptions opt_;
   std::unique_ptr<Network> net_;  ///< owned copy; dia_ points into it
@@ -122,7 +118,6 @@ class RegenSession {
   PlacementInfo info_;
   RegenCounters totals_;
   RegenCounters last_;
-  ParallelRouteStats spec_totals_;
 };
 
 }  // namespace na

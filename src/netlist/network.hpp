@@ -70,7 +70,7 @@ struct Net {
 
 /// An immutable-after-build electrical network.
 ///
-/// Ids are dense indices (0..count-1) into the respective vectors, so
+/// Ids are dense indices (0..count-1) into the per-kind vectors, so
 /// algorithms can use plain vectors keyed by id.
 class Network {
  public:

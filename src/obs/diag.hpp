@@ -1,7 +1,7 @@
 // Structured diagnostics: the stderr channel for warnings and debug
 // traces from parallel code.
 //
-// Raw fprintf from worker/committer threads interleaves garbage on stderr
+// Raw fprintf from pool worker threads interleaves garbage on stderr
 // the moment two threads emit at once.  diagf() instead formats the whole
 // line into a private buffer and hands it to the stream in a single write,
 // prefixed "na[<category>] " so downstream log scrapers can filter by

@@ -1,8 +1,8 @@
 // Named-counter/timer registry and the one JSON emitter the CLIs, benches
 // and tests share.
 //
-// The registry replaces the three independent, hand-printed stats structs
-// (ParallelRouteStats, RegenCounters, DiagramStats) with a single ordered
+// The registry replaces the independent, hand-printed stats structs
+// (RouteReport, RegenCounters, DiagramStats) with a single ordered
 // name -> value table that can be emitted as an aligned text block or a
 // JSON object — one `--stats json` run yields every pipeline counter the
 // paper's Table 6.1-style breakdowns need.  Absorbers that translate the

@@ -27,18 +27,6 @@ inline void absorb(MetricsRegistry& reg, const RouteReport& r) {
   reg.set("route.total_expansions", r.total_expansions);
 }
 
-inline void absorb(MetricsRegistry& reg, const ParallelRouteStats& s) {
-  reg.set("route.spec.nets_speculated", s.nets_speculated);
-  reg.set("route.spec.commits_clean", s.commits_clean);
-  reg.set("route.spec.reroutes", s.reroutes);
-  reg.set("route.spec.nets_gated", s.nets_gated);
-  reg.set("route.spec.nets_respeculated", s.nets_respeculated);
-  reg.set("route.spec.respec_hits", s.respec_hits);
-  reg.set("route.spec.respec_stale", s.respec_stale);
-  reg.set("route.pool.peak_queued", s.pool_peak_queued);
-  reg.set("route.pool.urgent_drains", s.pool_urgent_drains);
-}
-
 inline void absorb(MetricsRegistry& reg, const DiagramStats& s) {
   reg.set("diagram.modules", s.modules);
   reg.set("diagram.nets", s.nets);
@@ -75,7 +63,6 @@ inline void absorb(MetricsRegistry& reg, const GeneratorResult& r) {
   reg.set("generate.place_ms", r.place_seconds * 1e3);
   reg.set("generate.route_ms", r.route_seconds * 1e3);
   absorb(reg, r.route);
-  absorb(reg, r.speculation);
   absorb(reg, r.stats);
 }
 

@@ -254,7 +254,7 @@ class TraceSpan {
 #define NA_TRACE_SPAN(var, name) ::na::obs::TraceSpan var(name)
 
 /// Instant event with optional TraceArg-style arguments:
-///   NA_TRACE_INSTANT("route.respec", {"pos", q}, {"net", (long long)n});
+///   NA_TRACE_INSTANT("route.stitch", {"net", (long long)n}, {"shard", s});
 #define NA_TRACE_INSTANT(name, ...)                                     \
   do {                                                                  \
     if (::na::obs::detail::on()) {                                      \

@@ -28,7 +28,7 @@ struct PlacerOptions {
   int module_spacing = 0;     ///< -s: extra tracks around each module
   /// Placement threads: after partitioning, box formation / module
   /// placement / box placement of each partition are independent jobs;
-  /// N > 1 runs them on a work-stealing pool, 0 uses the hardware
+  /// N > 1 runs them on a worker pool, 0 uses the hardware
   /// concurrency.  Any thread count produces a byte-identical placement —
   /// per-partition results are deterministic and are assembled in
   /// partition order.

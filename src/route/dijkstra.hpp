@@ -27,11 +27,9 @@ enum class CostMode {
 /// Runs the search; returns std::nullopt when no path exists (or the
 /// expansion budget is exhausted).  With a workspace the search reuses its
 /// scratch arrays instead of allocating per call (identical results either
-/// way); with an observation mask it records every examined cell for the
-/// speculative parallel driver's commit-time validation.
+/// way).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
-                                        SearchWorkspace* ws = nullptr,
-                                        ObservedMask* observed = nullptr);
+                                        SearchWorkspace* ws = nullptr);
 
 }  // namespace na::detail

@@ -57,13 +57,13 @@ struct HeapAfter {
 
 }  // namespace
 
-// Deliberately one function with runtime checks for the window and the
-// observation mask: specializing the hot loop per feature combination
-// multiplies its inlining call sites, at which point GCC stops inlining
-// the heap sift and key packing (~25% slower on the LIFE workload).
+// Deliberately one function with a runtime check for the window:
+// specializing the hot loop per feature multiplies its inlining call
+// sites, at which point GCC stops inlining the heap sift and key packing
+// (~25% slower on the LIFE workload).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
-                                        SearchWorkspace* ws, ObservedMask* observed) {
+                                        SearchWorkspace* ws) {
   if (prob.starts.empty()) return std::nullopt;
   if (!prob.target && !prob.join_own_net) {
     throw std::invalid_argument("search problem without destination");
@@ -106,7 +106,6 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
 
   for (const SearchStart& s : prob.starts) {
     if (windowed && !win.contains(s.p)) continue;
-    if (observed) observed->mark(s.p);
     // The start point becomes a node of this net as well.
     if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
     if (s.dir) {
@@ -132,13 +131,11 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
     const NetId net = prob.net;
-    if (observed) observed->mark(p);
 
     // Straight step: extend the escape line one track.
     {
       const geom::Point q = p + geom::delta(d);
       if (!windowed || win.contains(q)) {
-        if (observed) observed->mark(q);  // q's grid state is read below
         const bool horiz = geom::is_horizontal(d);
         SearchCosts c = e.costs;
         c.length += 1;

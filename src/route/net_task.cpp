@@ -50,57 +50,28 @@ std::vector<ScoredPair> pairs_by_distance(const Diagram& dia,
   return pairs;
 }
 
-/// Engine dispatch with workspace/observation support for the grid-search
-/// engines (the baselines allocate internally and cannot be observed, so
-/// the parallel driver never runs them speculatively).
+/// Engine dispatch with workspace reuse for the grid-search engines (the
+/// baselines allocate internally).
 std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
                                          const SearchProblem& prob,
-                                         SearchWorkspace& ws, ObservedMask* observed) {
+                                         SearchWorkspace& ws) {
   switch (e) {
     case Engine::LineExpansion:
       return grid_search(grid, prob,
                          prob.order == CostOrder::BendsLengthCrossings
                              ? CostMode::BendsLengthCrossings
                              : CostMode::BendsCrossingsLength,
-                         &ws, observed);
+                         &ws);
     case Engine::Lee:
-      return grid_search(grid, prob, CostMode::LengthOnly, &ws, observed);
+      return grid_search(grid, prob, CostMode::LengthOnly, &ws);
     default:
       return find_path(e, grid, prob);
   }
 }
 
-}  // namespace
-
-void apply_ops(RoutingGrid& grid, const std::vector<CellOp>& ops) {
-  for (const CellOp& op : ops) {
-    switch (op.kind) {
-      case CellOp::kSetH: grid.set_track(op.p, true, op.net); break;
-      case CellOp::kSetV: grid.set_track(op.p, false, op.net); break;
-      case CellOp::kSetClaim: grid.set_claim(op.p, op.net); break;
-      case CellOp::kClearClaim: grid.clear_claim(op.p); break;
-    }
-  }
-}
-
-bool speculation_exact(const ObservedMask& observed,
-                       const std::vector<std::vector<CellOp>>& journal,
-                       int from, int to) {
-  for (int i = from; i < to; ++i) {
-    for (const CellOp& op : journal[i]) {
-      if (observed.covers(op.p)) return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
 NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId n,
                                     std::vector<TermId> todo, const RouterOptions& opt,
-                                    bool has_geometry, SearchWorkspace& ws,
-                                    ObservedMask* observed,
-                                    std::vector<RoutingGrid::TrackWrite>* occupancy) {
+                                    bool has_geometry, SearchWorkspace& ws) {
   NetTaskResult out;
   if (todo.empty()) return out;
 
@@ -116,7 +87,7 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
   }
 
   auto commit = [&](SearchResult res) {
-    grid.occupy_polyline(n, res.path, occupancy);
+    grid.occupy_polyline(n, res.path);
     for (geom::Point p : res.path) net_bbox = net_bbox.hull(p);
     out.connections.push_back(std::move(res));
     has_geometry = true;
@@ -131,12 +102,12 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
       const geom::Rect win = focus.expanded(opt.window_slack);
       if (!win.contains(grid.area())) {
         prob.window = win;
-        auto r = find_path_ws(opt.engine, grid, prob, ws, observed);
+        auto r = find_path_ws(opt.engine, grid, prob, ws);
         prob.window.reset();
         if (r) return r;
       }
     }
-    return find_path_ws(opt.engine, grid, prob, ws, observed);
+    return find_path_ws(opt.engine, grid, prob, ws);
   };
 
   // ----- initiation: first point-to-point connection --------------------
@@ -160,7 +131,6 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
       const geom::Point pb = prob.target->p;
       std::optional<SearchResult> res;
       if (pa != pb && (pa.x == pb.x || pa.y == pb.y)) {
-        if (observed) observed->mark_segment(pa, pb);
         res = straight_line(grid, n, prob.starts[0], *prob.target);
       }
       if (!res) res = engine_search(prob, geom::Rect{pa, pa}.hull(pb));
@@ -229,19 +199,14 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
 
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
-                               bool has_geometry, SearchWorkspace& ws,
-                               ObservedMask* observed,
-                               std::vector<RoutingGrid::TrackWrite>* occupancy) {
-  // Per-net telemetry span shared by every driver: the sequential pass,
-  // the speculative workers (worker >= 0, speculative = 1) and the
-  // committer's serial re-routes all funnel through here.
+                               bool has_geometry, SearchWorkspace& ws) {
+  // Per-net telemetry span shared by every driver: route_all, the shard
+  // jobs (worker >= 0) and the stitch pass all funnel through here.
   NA_TRACE_SPAN(span, "route.net");
-  NetTaskResult out =
-      route_single_net_impl(grid, dia, n, std::move(todo), opt, has_geometry,
-                            ws, observed, occupancy);
+  NetTaskResult out = route_single_net_impl(grid, dia, n, std::move(todo), opt,
+                                            has_geometry, ws);
   span.arg("net", n);
   span.arg("worker", ThreadPool::worker_index());
-  span.arg("speculative", observed != nullptr ? 1 : 0);
   long long expansions = 0;
   for (const SearchResult& c : out.connections) expansions += c.expansions;
   span.arg("expansions", expansions);
@@ -257,25 +222,23 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
   return out;
 }
 
-void DriverSetup::release_claims(NetId n, std::vector<CellOp>* ops) {
+void DriverSetup::release_claims(NetId n) {
   for (auto& [cell, owner] : claims) {
     if (owner == n) {
       grid.clear_claim(cell);
-      if (ops) ops->push_back({cell, CellOp::kClearClaim, kNone});
       owner = kNone;
     }
   }
 }
 
 void DriverSetup::restore_claim(const Diagram& dia, const RouterOptions& opt,
-                                TermId t, NetId n, std::vector<CellOp>* ops) {
+                                TermId t, NetId n) {
   if (!opt.use_claimpoints || dia.network().term(t).is_system()) return;
   const geom::Point cell = dia.term_pos(t) + geom::delta(dia.term_facing(t));
   if (grid.in_bounds(cell) && !grid.blocked(cell) &&
       grid.claim_owner(cell) == kNone && grid.h_net(cell) == kNone &&
       grid.v_net(cell) == kNone) {
     grid.set_claim(cell, n);
-    if (ops) ops->push_back({cell, CellOp::kSetClaim, n});
     claims.emplace_back(cell, n);
   }
 }
@@ -349,6 +312,21 @@ void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
     setup.has_geometry[n] = true;
     ++report.connections_made;
     report.total_expansions += c.expansions;
+  }
+}
+
+void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
+                const std::vector<NetId>& nets, RouteReport& report,
+                SearchWorkspace& ws) {
+  for (NetId n : nets) {
+    if (setup.pending[n].empty()) continue;
+    setup.release_claims(n);
+    NetTaskResult res =
+        route_single_net(setup.grid, dia, n, std::move(setup.pending[n]), opt,
+                         setup.has_geometry[n], ws);
+    commit_connections(dia, n, res, setup, report);
+    setup.pending[n] = std::move(res.failed);
+    for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
   }
 }
 

@@ -1,50 +1,25 @@
-// Per-net routing, factored out of the route_all driver so the sequential
-// and the speculative parallel drivers share one implementation.
+// Per-net routing and the pass-1 loop, factored out of the route_all
+// driver so the sharded driver shares one implementation.
 //
 // route_single_net reproduces the paper's per-net procedure exactly
 // (initiation by nearest terminal pairs, then one expansion per remaining
 // terminal toward the grown net) but against *any* RoutingGrid — the live
-// one for the sequential driver and the committer's re-routes, a private
-// clone for the speculative workers.  It occupies its own paths on that
-// grid as it goes and never touches the Diagram; committing the polylines
-// to the diagram (and the claimpoint bookkeeping around the call) stays
-// with the drivers.
+// one for route_all and the stitch pass, a clipped copy for a shard job.
+// It occupies its own paths on that grid as it goes and never touches the
+// Diagram; committing the polylines to the diagram (and the claimpoint
+// bookkeeping around the call) stays with the drivers.
 //
 // DriverSetup is the state both drivers build before routing: the routing
 // plane, the pending-terminal lists, and the claimpoint table of paper
 // section 5.7.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "route/router.hpp"
 #include "route/search_workspace.hpp"
 
 namespace na::detail {
-
-/// One cell-level grid mutation a net's commit performed.  The committer
-/// journals these so speculative workers can replay commits onto their
-/// private grids, and so commit-time validation knows which cells changed.
-struct CellOp {
-  enum Kind : std::uint8_t { kSetH, kSetV, kSetClaim, kClearClaim };
-  geom::Point p;
-  Kind kind;
-  NetId net;
-};
-
-void apply_ops(RoutingGrid& grid, const std::vector<CellOp>& ops);
-
-/// Exactness check of the speculative drivers: true iff no commit in
-/// journal[from..to) touched a cell the speculation's searches read.  A
-/// speculation routed after replaying journal[0..e) must be validated
-/// over [e, p) before committing at position p; a re-speculation may have
-/// had a prefix validated incrementally, in which case `from` is the
-/// position it was already cleared against — it must never exceed the
-/// entries actually checked, or a stale path could be committed.
-bool speculation_exact(const ObservedMask& observed,
-                       const std::vector<std::vector<CellOp>>& journal,
-                       int from, int to);
 
 /// What routing one net produced: the connections committed to the grid
 /// (in order — their paths become the diagram polylines) and the terminals
@@ -55,16 +30,12 @@ struct NetTaskResult {
 };
 
 /// Routes as much of net `n` as possible on `grid`, starting from the
-/// `todo` terminals.  Occupies every found path on `grid` (journalling the
-/// slot writes into `occupancy` when given, so a speculative worker can
-/// undo them); marks every examined cell into `observed` when given.
+/// `todo` terminals.  Occupies every found path on `grid`.
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
-                               bool has_geometry, SearchWorkspace& ws,
-                               ObservedMask* observed = nullptr,
-                               std::vector<RoutingGrid::TrackWrite>* occupancy = nullptr);
+                               bool has_geometry, SearchWorkspace& ws);
 
-/// Driver state shared by the sequential and parallel route_all.
+/// Driver state shared by route_all and the sharded driver.
 struct DriverSetup {
   RoutingGrid grid;  ///< the live routing plane
   std::vector<std::vector<TermId>> pending;  ///< per net, terminals to connect
@@ -74,11 +45,11 @@ struct DriverSetup {
   explicit DriverSetup(RoutingGrid g) : grid(std::move(g)) {}
 
   /// Releases net `n`'s remaining claimpoints (done when its routing
-  /// starts); journals the clears when `ops` is given.
-  void release_claims(NetId n, std::vector<CellOp>* ops = nullptr);
+  /// starts).
+  void release_claims(NetId n);
   /// Re-claims the escape track of a terminal that stayed unconnected.
   void restore_claim(const Diagram& dia, const RouterOptions& opt, TermId t,
-                     NetId n, std::vector<CellOp>* ops = nullptr);
+                     NetId n);
 };
 
 /// Builds the routing plane, the pending lists and the claimpoint table
@@ -94,9 +65,15 @@ std::vector<NetId> ordered_nets(const Diagram& dia, const RouterOptions& opt);
 void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
                         DriverSetup& setup, RouteReport& report);
 
+/// The pass-1 loop: routes `nets` one at a time, in order, on the live
+/// plane.  Each net's claims are released when its routing starts and the
+/// escape tracks of its still-unconnected terminals are re-claimed after.
+void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
+                const std::vector<NetId>& nets, RouteReport& report,
+                SearchWorkspace& ws);
+
 /// The section-5.7 retry pass: all remaining claims released, failed nets
-/// re-tried in order.  Runs on the live grid (sequentially in both
-/// drivers; the retry set is small by construction).
+/// re-tried in order on the live plane.
 void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& order, RouteReport& report,
                 SearchWorkspace& ws);

@@ -93,40 +93,11 @@ struct RouterOptions {
   /// the criterion — used by the repair loop to give previously failed
   /// nets first pick of the freed tracks.
   std::vector<NetId> route_first;
-  /// Routing threads: 1 routes sequentially (the exact historical
-  /// behaviour), 0 uses the hardware concurrency, N > 1 routes nets
-  /// speculatively in parallel with an in-order committer.  Any thread
-  /// count produces a byte-identical diagram and report.
-  int threads = 1;
   /// >= 0 enables windowed searches: each connection first searches inside
   /// the hull of its endpoints (or of the net's geometry) inflated by this
   /// many tracks, falling back to the full plane when that fails.  Faster
   /// on large grids but may pick window-local optima, so off by default.
   int window_slack = -1;
-  /// Parallel mode only: how many times an invalidated speculation is
-  /// re-dispatched as a fresh speculation against the newest published
-  /// epoch before the committer re-routes it serially.  0 restores the
-  /// PR-1 "speculate once, serialize on miss" behaviour.  Re-speculation
-  /// only changes which thread routes a net and when — any budget produces
-  /// the same byte-identical diagram and report as threads=1.
-  int respec_budget = 2;
-};
-
-/// Effectiveness counters of the speculative parallel driver (kept out of
-/// RouteReport — the report must be identical across thread counts).  All
-/// zero when routing ran sequentially.
-struct ParallelRouteStats {
-  int nets_speculated = 0;   ///< pass-1 nets routed by workers
-  int commits_clean = 0;     ///< speculations committed without re-routing
-  int reroutes = 0;          ///< speculated nets the committer re-routed
-  int nets_gated = 0;        ///< plane-spanning nets routed by the committer only
-  int nets_respeculated = 0; ///< re-speculation dispatches after invalidation
-  int respec_hits = 0;       ///< nets whose committed result came from a re-speculation
-  int respec_stale = 0;      ///< re-speculated nets that still validated stale
-  /// Scheduling counters of the worker pool behind the run (obs layer):
-  /// deepest the queues got, and urgent-lane tasks drained by workers.
-  int pool_peak_queued = 0;
-  int pool_urgent_drains = 0;
 };
 
 struct RouteReport {
@@ -139,11 +110,8 @@ struct RouteReport {
   std::vector<NetId> failed_nets;
 };
 
-/// Routes every unrouted net of a placed diagram in place.  When
-/// `spec_stats` is given and the parallel driver runs, it receives the
-/// speculation-effectiveness counters (zeroed otherwise).
-RouteReport route_all(Diagram& dia, const RouterOptions& opt = {},
-                      ParallelRouteStats* spec_stats = nullptr);
+/// Routes every unrouted net of a placed diagram in place.
+RouteReport route_all(Diagram& dia, const RouterOptions& opt = {});
 
 /// Single-connection searches (exposed for tests and benches).
 std::optional<SearchResult> line_expansion_search(const RoutingGrid& grid,

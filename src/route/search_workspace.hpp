@@ -6,24 +6,14 @@
 // alive across searches and invalidates them in O(1) with a generation
 // stamp: a slot's contents are only meaningful when its stamp equals the
 // workspace's current generation, so "clearing" the arrays is a counter
-// increment.  One workspace serves one thread; the parallel driver keeps
-// one per worker.
-//
-// ObservedMask records exactly which grid cells a search batch read (every
-// grid query in the search core is single-cell, so the searches mark each
-// queried point).  The speculative parallel router uses it to decide
-// whether a net routed against a stale grid is still exact: if no later
-// commit touched a queried cell, re-running the searches on the live grid
-// would read identical state and take identical decisions at every step,
-// so the speculative result can be committed as-is.
+// increment.  One workspace serves one thread; the sharded driver keeps
+// one per shard job.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
-
-#include "geom/rect.hpp"
 
 namespace na::detail {
 
@@ -108,51 +98,6 @@ class SearchWorkspace {
   std::vector<std::int32_t> parent_;
   std::vector<HeapEntry> heap_;
   std::uint32_t stamp_ = 0;
-};
-
-/// Set of grid cells examined by the searches of one net-routing task.
-class ObservedMask {
- public:
-  void reset(geom::Rect area) {
-    area_ = area;
-    width_ = area.width() + 1;
-    bits_.assign(static_cast<size_t>(width_) * (area.height() + 1), 0);
-  }
-
-  void mark(geom::Point p) {
-    if (area_.contains(p)) bits_[index(p)] = 1;
-  }
-
-  /// Marks every cell of an axis-parallel segment (both endpoints included).
-  void mark_segment(geom::Point a, geom::Point b) {
-    const geom::Point step = {a.x == b.x ? 0 : (b.x > a.x ? 1 : -1),
-                              a.y == b.y ? 0 : (b.y > a.y ? 1 : -1)};
-    for (geom::Point p = a;; p += step) {
-      mark(p);
-      if (p == b) break;
-    }
-  }
-
-  /// Was `p` queried by any of the task's searches?  A commit at a cell
-  /// for which this returns false cannot have influenced the task.
-  bool covers(geom::Point p) const { return test(p); }
-
-  /// Number of marked cells (diagnostics / tests).
-  int marked_count() const {
-    return static_cast<int>(std::count(bits_.begin(), bits_.end(), 1));
-  }
-
- private:
-  bool test(geom::Point p) const {
-    return area_.contains(p) && bits_[index(p)] != 0;
-  }
-  size_t index(geom::Point p) const {
-    return static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x);
-  }
-
-  geom::Rect area_;
-  int width_ = 0;
-  std::vector<std::uint8_t> bits_;
 };
 
 }  // namespace na::detail

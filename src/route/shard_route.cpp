@@ -75,23 +75,6 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
   }
 }
 
-/// The exact sequential route_all pass-1 body, shared by the shards<=1
-/// degenerate path and the stitch pass (which only differs in options).
-void sequential_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
-                     const std::vector<NetId>& nets, RouteReport& report,
-                     detail::SearchWorkspace& ws) {
-  for (NetId n : nets) {
-    if (setup.pending[n].empty()) continue;
-    setup.release_claims(n);
-    NetTaskResult res =
-        detail::route_single_net(setup.grid, dia, n, std::move(setup.pending[n]),
-                                 opt, setup.has_geometry[n], ws);
-    detail::commit_connections(dia, n, res, setup, report);
-    setup.pending[n] = std::move(res.failed);
-    for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
-  }
-}
-
 }  // namespace
 
 std::vector<geom::Rect> shard_regions(geom::Rect area, int shards) {
@@ -128,10 +111,11 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
       stats->shard_nets = {assigned};
       stats->nets_intra = assigned;
     }
-    NA_TRACE_SPAN(span, "route.pass1");
-    span.arg("threads", 1);
-    span.arg("nets", static_cast<long long>(order.size()));
-    sequential_pass(dia, opt, setup, order, report, ws);
+    {
+      NA_TRACE_SPAN(span, "route.pass1");
+      span.arg("nets", static_cast<long long>(order.size()));
+      detail::route_nets(dia, opt, setup, order, report, ws);
+    }
     detail::retry_pass(dia, opt, setup, order, report, ws);
     detail::finish_report(dia, setup, report);
     return report;
@@ -212,7 +196,7 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
     span.arg("nets", static_cast<long long>(stitch.size()));
     RouterOptions stitch_opt = opt;
     stitch_opt.window_slack = std::max(sopt.halo, opt.window_slack);
-    sequential_pass(dia, stitch_opt, setup, stitch, report, ws);
+    detail::route_nets(dia, stitch_opt, setup, stitch, report, ws);
   }
 
   if (stats) {

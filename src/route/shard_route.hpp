@@ -5,7 +5,7 @@
 // for its claimpoints) fit inside one shard is routed against a *clipped*
 // copy of that shard only — the clip boundary acts blocked, so per-shard
 // searches touch O(shard) state instead of O(plane), and two shards can
-// never write the same cell.  Shard jobs run on the work-stealing pool;
+// never write the same cell.  Shard jobs run on the worker pool;
 // their results are journalled and merged into the live plane in shard
 // index order, so any thread count produces a byte-identical diagram and
 // report for a fixed shard count.

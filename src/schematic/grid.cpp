@@ -101,8 +101,7 @@ bool RoutingGrid::node_free(geom::Point p, NetId n) const {
   return (c.h == kNone || c.h == n) && (c.v == kNone || c.v == n);
 }
 
-void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts,
-                                  std::vector<TrackWrite>* journal) {
+void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts) {
   auto take = [&](geom::Point p, bool horizontal) {
     Cell& c = at(p);
     NetId& slot = horizontal ? c.h : c.v;
@@ -111,7 +110,6 @@ void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts,
       throw std::logic_error("net overlap at " + geom::to_string(p));
     }
     slot = n;
-    if (journal) journal->push_back({p, horizontal});
   };
   for (size_t i = 1; i < pts.size(); ++i) {
     const geom::Point a = pts[i - 1];
@@ -128,26 +126,6 @@ void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts,
       if (p == b) break;
     }
   }
-}
-
-bool RoutingGrid::polyline_fits(NetId n, std::span<const geom::Point> pts) const {
-  for (size_t i = 1; i < pts.size(); ++i) {
-    const geom::Point a = pts[i - 1];
-    const geom::Point b = pts[i];
-    if (a.x != b.x && a.y != b.y) return false;
-    const bool horizontal = a.y == b.y;
-    const geom::Point step = {a.x == b.x ? 0 : (b.x > a.x ? 1 : -1),
-                              a.y == b.y ? 0 : (b.y > a.y ? 1 : -1)};
-    if (a == b) continue;
-    for (geom::Point p = a;; p += step) {
-      if (!in_bounds(p)) return false;
-      const Cell& c = at(p);
-      const NetId slot = horizontal ? c.h : c.v;
-      if (slot != kNone && slot != n) return false;
-      if (p == b) break;
-    }
-  }
-  return true;
 }
 
 void RoutingGrid::set_track(geom::Point p, bool horizontal, NetId n) {

@@ -67,32 +67,15 @@ class RoutingGrid {
   bool node_free(geom::Point p, NetId n) const;
 
   // ----- net commitment ------------------------------------------------------
-  /// One orientation slot written by occupy_polyline (undo/replay record
-  /// for the speculative parallel router; the previous value is always
-  /// kNone, so undo is clear_track and replay is set_track).
-  struct TrackWrite {
-    geom::Point p;
-    bool horizontal;
-  };
-
   /// Registers a routed polyline: every unit step of the chain occupies its
   /// orientation at both endpoints of the step.  Re-occupation by the same
   /// net is idempotent; occupation over a foreign net throws (internal
-  /// invariant violation — the router must never produce it).  When given,
-  /// `journal` receives one entry per slot actually changed.
-  void occupy_polyline(NetId n, std::span<const geom::Point> pts,
-                       std::vector<TrackWrite>* journal = nullptr);
+  /// invariant violation — the router must never produce it).
+  void occupy_polyline(NetId n, std::span<const geom::Point> pts);
 
-  /// Conflict query: would occupy_polyline(n, pts) succeed on the current
-  /// occupancy?  (The speculative committer's cheap insurance before
-  /// committing a path that was computed against an older grid state.)
-  bool polyline_fits(NetId n, std::span<const geom::Point> pts) const;
-
-  /// Raw occupancy writes, used to replay or undo journalled commits on a
-  /// cloned grid (RoutingGrid is copyable; a copy is the routing snapshot
-  /// the speculative workers search against).
+  /// Raw occupancy write of one orientation slot (build_grid uses it to
+  /// make the loose ends of prerouted polylines nodes of their net).
   void set_track(geom::Point p, bool horizontal, NetId n);
-  void clear_track(geom::Point p, bool horizontal) { set_track(p, horizontal, kNone); }
 
   /// Statistics helper: number of grid points where two different nets
   /// cross (one horizontal, one vertical).

@@ -552,7 +552,6 @@ void SessionHost::absorb_stats(obs::MetricsRegistry& reg) const {
   long long edits = 0;
   long long pending = 0;
   RegenCounters sum;
-  ParallelRouteStats spec;
   for (const auto& session : all) {
     std::lock_guard lock(session->mu);
     edits += session->seq;
@@ -572,14 +571,6 @@ void SessionHost::absorb_stats(obs::MetricsRegistry& reg) const {
     sum.region_validations += t.region_validations;
     sum.full_validations += t.full_validations;
     sum.validate_ms += t.validate_ms;
-    const ParallelRouteStats& s = session->regen.speculation();
-    spec.nets_speculated += s.nets_speculated;
-    spec.commits_clean += s.commits_clean;
-    spec.reroutes += s.reroutes;
-    spec.nets_gated += s.nets_gated;
-    spec.nets_respeculated += s.nets_respeculated;
-    spec.respec_hits += s.respec_hits;
-    spec.respec_stale += s.respec_stale;
   }
   reg.set("serve.edits_applied", edits);
   reg.set("serve.pending_edits", pending);
@@ -595,10 +586,7 @@ void SessionHost::absorb_stats(obs::MetricsRegistry& reg) const {
   reg.set("serve.batch.hist_8_15", b.hist[3]);
   reg.set("serve.batch.hist_16p", b.hist[4]);
   obs::absorb(reg, sum);
-  obs::absorb(reg, spec);
-  const ThreadPool::Stats pool = pool_.stats();
-  reg.set("serve.pool.peak_queued", pool.peak_queued);
-  reg.set("serve.pool.urgent_drained", pool.urgent_drained);
+  reg.set("serve.pool.peak_queued", pool_.stats().peak_queued);
   reg.set("serve.trace_buffered_events",
           static_cast<long long>(obs::trace_buffered_events()));
 }

@@ -1,5 +1,5 @@
 // SessionHost — the daemon's session table: many named RegenSessions, one
-// shared immutable ModuleLibrary, one work-stealing pool.
+// shared immutable ModuleLibrary, one FIFO worker pool.
 //
 // Concurrency model (DESIGN §10 argues determinism from it):
 //   * every session operation is *asynchronous*: the caller enqueues it on
@@ -57,9 +57,8 @@ namespace na::serve {
 struct HostOptions {
   /// Workers of the shared edit-dispatch pool.
   int threads = 4;
-  /// Per-session generator/regen settings.  router.threads stays 1 by
-  /// default: the service parallelises across sessions, not inside one
-  /// edit (nested pools oversubscribe).
+  /// Per-session generator/regen settings.  The service parallelises
+  /// across sessions; one session's regeneration runs on one worker.
   RegenOptions regen;
   /// Directory for save/restore; empty disables persistence (save returns
   /// the blob inline, open+restore fails).

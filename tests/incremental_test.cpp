@@ -270,41 +270,6 @@ TEST(Incremental, AddedModulePlacesNearNetGravity) {
             edited.net_count());
 }
 
-// Cross-thread determinism of the patch path: the kept-net scrub plus the
-// PR-1 speculative parallel driver must produce byte-identical geometry for
-// any thread count.  (Also the TSan entry point for the patch router.)
-TEST(IncrementalParallel, PatchRouteIsThreadCountInvariant) {
-  const Network net = gen::datapath_network({10});
-  NetworkEditor ed(net);
-  ed.add_module("probe", "probe", {4, 4});
-  ed.add_module_terminal("probe", "i", TermType::In, {0, 2});
-  ed.connect("b4_acc", "probe", "i");
-  ed.remove_net("stat");
-  const Network edited = ed.build();
-
-  RegenOptions opt1 = datapath_options();
-  opt1.generator.router.threads = 1;
-  RegenOptions opt4 = datapath_options();
-  opt4.generator.router.threads = 4;
-  RegenSession s1(opt1);
-  RegenSession s4(opt4);
-  s1.update(net);
-  s4.update(net);
-
-  const Diagram& seq = s1.update(edited);
-  const Diagram& par = s4.update(edited);
-  ASSERT_EQ(s1.last().incremental, 1);
-  ASSERT_EQ(s4.last().incremental, 1);
-  for (ModuleId m = 0; m < edited.module_count(); ++m) {
-    ASSERT_EQ(seq.placed(m).pos, par.placed(m).pos) << edited.module(m).name;
-  }
-  for (NetId n = 0; n < edited.net_count(); ++n) {
-    ASSERT_EQ(seq.route(n).polylines, par.route(n).polylines)
-        << edited.net(n).name;
-  }
-  EXPECT_TRUE(validate_diagram(par).empty());
-}
-
 // ----- session save/restore --------------------------------------------------
 
 // The daemon contract (na_serve kill/restart): save() captures network,

@@ -1,10 +1,16 @@
 // Deep-coverage tests for corners not exercised elsewhere: the remaining
 // standard-cell simulator behaviours, stats formatting, write_network
-// shapes, router edge cases, and the -S engine through the option parser.
+// shapes, router edge cases, the -S engine through the option parser, and
+// the thread pool.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/generator.hpp"
 #include "core/options.hpp"
+#include "core/thread_pool.hpp"
 #include "gen/facing.hpp"
 #include "netlist/module_library.hpp"
 #include "netlist/netlist_io.hpp"
@@ -250,6 +256,44 @@ TEST(Pipeline, RotatedModulesRouteCleanly) {
   // b and c were rotated so their inputs face left.
   EXPECT_EQ(dia.term_facing(*net.term_by_name(b, "in")), geom::Side::Left);
   EXPECT_EQ(dia.term_facing(*net.term_by_name(c, "in")), geom::Side::Left);
+}
+
+// --- the thread pool ----------------------------------------------------------
+
+TEST(ThreadPool, RunsEverySubmittedTask) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 1000; ++i) {
+    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(ThreadPool, WorkerIndexAddressesPerWorkerState) {
+  ThreadPool pool(3);
+  std::atomic<int> bad{0};
+  std::atomic<int> seen_mask{0};
+  for (int i = 0; i < 300; ++i) {
+    pool.submit([&] {
+      const int idx = ThreadPool::worker_index();
+      if (idx < 0 || idx >= 3) bad.fetch_add(1);
+      else seen_mask.fetch_or(1 << idx);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(seen_mask.load(), 0b111);  // every worker took from the queue
+  EXPECT_EQ(ThreadPool::worker_index(), -1);  // off-pool threads
+}
+
+TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
+  ThreadPool pool(2);
+  pool.wait_idle();
+  pool.submit([] {});
+  pool.wait_idle();
 }
 
 }  // namespace

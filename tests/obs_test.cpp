@@ -670,27 +670,6 @@ TEST(Metrics, MergePrefixedKeepsRunsApart) {
   EXPECT_EQ(both.find("fig67.route.nets_routed")->i, 20);
 }
 
-TEST(Metrics, AbsorbSurfacesRespeculationCounters) {
-  // Satellite contract: a --stats json emission must carry the
-  // re-speculation counters end-to-end.
-  ParallelRouteStats spec;
-  spec.nets_respeculated = 7;
-  spec.respec_hits = 5;
-  spec.respec_stale = 2;
-  obs::MetricsRegistry reg;
-  obs::absorb(reg, spec);
-  Json root;
-  ASSERT_NO_THROW(root = JsonParser(reg.to_json()).parse());
-  const Json* metrics = root.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  ASSERT_NE(metrics->find("route.spec.nets_respeculated"), nullptr);
-  EXPECT_EQ(std::stoi(metrics->find("route.spec.nets_respeculated")->str), 7);
-  EXPECT_EQ(std::stoi(metrics->find("route.spec.respec_hits")->str), 5);
-  EXPECT_EQ(std::stoi(metrics->find("route.spec.respec_stale")->str), 2);
-  ASSERT_NE(metrics->find("route.pool.peak_queued"), nullptr);
-  ASSERT_NE(metrics->find("route.pool.urgent_drains"), nullptr);
-}
-
 // ----- diagnostics -----------------------------------------------------------
 
 TEST(Diag, RateLimitsPerCategory) {
@@ -720,67 +699,51 @@ TEST(Diag, RateLimitsPerCategory) {
 TEST(PoolStats, CountsQueueDepthAndUrgentDrains) {
   ThreadPool pool(2);
   for (int i = 0; i < 8; ++i) pool.submit([] {});
-  pool.submit_urgent([] {});
   pool.wait_idle();
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_GE(s.peak_queued, 1);
-  EXPECT_EQ(s.urgent_submitted, 1);
-  EXPECT_LE(s.urgent_drained, s.urgent_submitted);
+  EXPECT_GE(pool.stats().peak_queued, 1);
 }
 
 // ----- pipeline guards -------------------------------------------------------
 
-RouterOptions life_router_options(int threads) {
+RouterOptions life_router_options() {
   RouterOptions opt;
   opt.margin = 12;
   opt.order_criterion = static_cast<int>(NetOrderCriterion::LongestFirst);
-  opt.threads = threads;
   return opt;
 }
 
 /// Tracing must be pure observation: a traced routing run yields the same
-/// bytes (diagram and report) as an untraced one, at every thread count.
+/// bytes (diagram and report) as an untraced one.
 TEST(TraceGuard, TracedRunByteIdenticalToUntraced) {
   const Network net = gen::life_network();
-  std::string baseline;
-  RouteReport baseline_report;
-  for (int threads : {1, 2, 4}) {
-    Diagram untraced(net);
-    gen::life_hand_placement(untraced);
-    obs::trace_disable();
-    const RouteReport r0 = route_all(untraced, life_router_options(threads));
-    const std::string s0 = to_escher_diagram(untraced, "guard");
+  Diagram untraced(net);
+  gen::life_hand_placement(untraced);
+  obs::trace_disable();
+  const RouteReport r0 = route_all(untraced, life_router_options());
+  const std::string s0 = to_escher_diagram(untraced, "guard");
 
-    Diagram traced(net);
-    gen::life_hand_placement(traced);
-    obs::trace_reset();
-    obs::trace_enable();
-    const RouteReport r1 = route_all(traced, life_router_options(threads));
-    obs::trace_disable();
-    const std::string s1 = to_escher_diagram(traced, "guard");
+  Diagram traced(net);
+  gen::life_hand_placement(traced);
+  obs::trace_reset();
+  obs::trace_enable();
+  const RouteReport r1 = route_all(traced, life_router_options());
+  obs::trace_disable();
+  const std::string s1 = to_escher_diagram(traced, "guard");
 
-    EXPECT_EQ(s0, s1) << "threads=" << threads;
-    EXPECT_EQ(r0.nets_routed, r1.nets_routed);
-    EXPECT_EQ(r0.nets_failed, r1.nets_failed);
-    EXPECT_EQ(r0.connections_made, r1.connections_made);
-    EXPECT_EQ(r0.connections_failed, r1.connections_failed);
-    EXPECT_EQ(r0.retried_connections, r1.retried_connections);
-    EXPECT_EQ(r0.total_expansions, r1.total_expansions);
-    EXPECT_EQ(r0.failed_nets, r1.failed_nets);
-    if (threads == 1) {
-      baseline = s0;
-      baseline_report = r0;
-    } else {
-      EXPECT_EQ(s0, baseline) << "threads=" << threads << " vs threads=1";
-      EXPECT_EQ(r0.total_expansions, baseline_report.total_expansions);
-    }
-    if (obs::trace_compiled_in()) {
-      EXPECT_FALSE(obs::trace_events().empty());
-    } else {
-      EXPECT_TRUE(obs::trace_events().empty());
-    }
-    obs::trace_reset();
+  EXPECT_EQ(s0, s1);
+  EXPECT_EQ(r0.nets_routed, r1.nets_routed);
+  EXPECT_EQ(r0.nets_failed, r1.nets_failed);
+  EXPECT_EQ(r0.connections_made, r1.connections_made);
+  EXPECT_EQ(r0.connections_failed, r1.connections_failed);
+  EXPECT_EQ(r0.retried_connections, r1.retried_connections);
+  EXPECT_EQ(r0.total_expansions, r1.total_expansions);
+  EXPECT_EQ(r0.failed_nets, r1.failed_nets);
+  if (obs::trace_compiled_in()) {
+    EXPECT_FALSE(obs::trace_events().empty());
+  } else {
+    EXPECT_TRUE(obs::trace_events().empty());
   }
+  obs::trace_reset();
 }
 
 /// Acceptance: a traced automatic LIFE generation emits a Chrome trace
@@ -800,7 +763,6 @@ TEST(TraceGuard, TracedLifeRunCoversPipelinePhases) {
   opt.router.margin = 12;
   opt.router.order_criterion =
       static_cast<int>(NetOrderCriterion::LongestFirst);
-  opt.router.threads = 2;
 
   obs::trace_reset();
   obs::trace_enable();
@@ -836,7 +798,6 @@ TEST(TraceGuard, TracedLifeRunCoversPipelinePhases) {
   EXPECT_TRUE(names.count("route"));
   EXPECT_TRUE(names.count("route.pass1"));
   EXPECT_TRUE(names.count("route.net"));
-  EXPECT_TRUE(names.count("route.commit"));
   EXPECT_TRUE(names.count("validate.full"));
   obs::trace_reset();
 }

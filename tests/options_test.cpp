@@ -32,23 +32,19 @@ void expect_rejected(std::initializer_list<const char*> args,
 
 TEST(OptionsParse, ValidFlagsStillParse) {
   const GeneratorOptions opt =
-      parse({"-p", "5", "-b", "3", "-c", "8", "-e", "2", "-i", "1", "-m", "12",
-             "--threads", "4", "--respec", "1"});
+      parse({"-p", "5", "-b", "3", "-c", "8", "-e", "2", "-i", "1", "-m", "12"});
   EXPECT_EQ(opt.placer.max_part_size, 5);
   EXPECT_EQ(opt.placer.max_box_size, 3);
   EXPECT_EQ(opt.placer.max_connections, 8);
   EXPECT_EQ(opt.placer.partition_spacing, 2);
   EXPECT_EQ(opt.placer.box_spacing, 1);
   EXPECT_EQ(opt.router.margin, 12);
-  EXPECT_EQ(opt.router.threads, 4);
-  EXPECT_EQ(opt.router.respec_budget, 1);
 }
 
 TEST(OptionsParse, GarbageValueNamesTheFlag) {
   expect_rejected({"-p", "foo"}, "bad value 'foo' for -p");
   expect_rejected({"-b", "x"}, "bad value 'x' for -b");
   expect_rejected({"-m", "wide"}, "bad value 'wide' for -m");
-  expect_rejected({"--threads", "many"}, "bad value 'many' for --threads");
 }
 
 TEST(OptionsParse, TrailingGarbageIsRejectedNotTruncated) {
@@ -65,8 +61,6 @@ TEST(OptionsParse, NegativeSizesSpacingsAndMarginsAreRejected) {
   expect_rejected({"-e", "-2"}, "-e");
   expect_rejected({"-i", "-1"}, "-i");
   expect_rejected({"-m", "-4"}, "-m");
-  expect_rejected({"--threads", "-2"}, "--threads");
-  expect_rejected({"--respec", "-1"}, "--respec");
 }
 
 TEST(OptionsParse, OverflowIsRejected) {

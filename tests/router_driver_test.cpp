@@ -1,8 +1,9 @@
 // Tests for the whole-diagram routing driver: initiation + expansion,
 // multi-point nets, claimpoints (with the figure 5.10-5.15 scenarios),
-// prerouted nets, retry pass and net ordering.
+// prerouted nets, retry pass, net ordering and windowed searches.
 #include <gtest/gtest.h>
 
+#include "gen/life.hpp"
 #include "netlist/module_library.hpp"
 #include "route/net_order.hpp"
 #include "route/router.hpp"
@@ -286,6 +287,50 @@ TEST(RouteAll, LengthFirstOrderShortens) {
   length_first.order = CostOrder::BendsLengthCrossings;
   route_all(d2, length_first);
   EXPECT_LE(d2.route(n).total_length(), d1.route(n).total_length());
+}
+
+// ----- windowed searches --------------------------------------------------------
+
+TEST(WindowedSearch, DriverFallsBackToFullPlane) {
+  // A detour forced far outside the endpoint hull: the windowed first
+  // attempt fails, the full-plane retry must still connect the net.
+  Network net;
+  const ModuleLibrary lib = ModuleLibrary::standard_cells();
+  lib.instantiate(net, "buf", "b0");
+  lib.instantiate(net, "buf", "b1");
+  net.add_module("wall", "", {2, 40});
+  const NetId n = net.add_net("n0");
+  net.connect(n, *net.term_by_name(0, "y"));
+  net.connect(n, *net.term_by_name(1, "a"));
+  Diagram dia(net);
+  dia.place_module(0, {0, 18});
+  dia.place_module(1, {20, 18});
+  dia.place_module(2, {9, 0});  // wall spanning y=0..40 between them
+  RouterOptions opt;
+  opt.margin = 4;
+  opt.window_slack = 1;
+  const RouteReport r = route_all(dia, opt);
+  EXPECT_EQ(r.nets_routed, 1);
+  EXPECT_TRUE(validate_diagram(dia, true).empty());
+}
+
+TEST(WindowedSearch, LifeStillRoutesEverything) {
+  // The LIFE network hand-placed: the figure 6.6 workload.
+  const Network net = gen::life_network();
+  Diagram placed(net);
+  gen::life_hand_placement(placed);
+  RouterOptions opt;
+  opt.margin = 12;
+  opt.order_criterion = static_cast<int>(NetOrderCriterion::LongestFirst);
+  Diagram baseline = placed;
+  const RouteReport base = route_all(baseline, opt);
+  Diagram dia = placed;
+  opt.window_slack = 8;
+  const RouteReport r = route_all(dia, opt);
+  // Windowed routing may pick different (window-local) optima but must not
+  // lose nets: the full-plane fallback guarantees completeness.
+  EXPECT_EQ(r.nets_routed, base.nets_routed);
+  EXPECT_TRUE(validate_diagram(dia, true).empty());
 }
 
 }  // namespace

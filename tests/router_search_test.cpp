@@ -1,8 +1,10 @@
 // Unit tests for the single-connection search engines: line expansion
 // (min bends -> crossings -> length), Lee (min length), Hightower
-// (escape-line heuristic) and the straight-line fast path.
+// (escape-line heuristic), the straight-line fast path, search-workspace
+// reuse and windowed searches.
 #include <gtest/gtest.h>
 
+#include "route/dijkstra.hpp"
 #include "route/router.hpp"
 
 namespace na {
@@ -369,6 +371,55 @@ TEST(FindPath, Dispatch) {
   EXPECT_TRUE(find_path(Engine::LineExpansion, g, p).has_value());
   EXPECT_TRUE(find_path(Engine::Lee, g, p).has_value());
   EXPECT_TRUE(find_path(Engine::Hightower, g, p).has_value());
+}
+
+// ----- workspace reuse and windows ----------------------------------------------
+
+/// A small plane with a wall that forces a bend, so the searches are not
+/// trivial straight lines.
+RoutingGrid walled_grid() {
+  RoutingGrid grid({{0, 0}, {20, 12}});
+  grid.block_rect({{8, 0}, {10, 8}});
+  return grid;
+}
+
+TEST(SearchWorkspace, ReuseMatchesFreshSearches) {
+  const RoutingGrid grid = walled_grid();
+  const std::vector<std::pair<geom::Point, geom::Point>> cases = {
+      {{1, 1}, {18, 1}}, {{2, 10}, {17, 2}}, {{1, 4}, {19, 11}}};
+  detail::SearchWorkspace shared;
+  for (const auto& [from, to] : cases) {
+    const SearchProblem prob = p2p(0, from, std::nullopt, to, std::nullopt);
+    const auto fresh =
+        detail::grid_search(grid, prob, detail::CostMode::BendsCrossingsLength);
+    const auto reused = detail::grid_search(
+        grid, prob, detail::CostMode::BendsCrossingsLength, &shared);
+    ASSERT_TRUE(fresh.has_value());
+    ASSERT_TRUE(reused.has_value());
+    EXPECT_EQ(fresh->path, reused->path);
+    EXPECT_EQ(fresh->expansions, reused->expansions);
+    EXPECT_EQ(fresh->cost.bends, reused->cost.bends);
+    EXPECT_EQ(fresh->cost.crossings, reused->cost.crossings);
+    EXPECT_EQ(fresh->cost.length, reused->cost.length);
+  }
+}
+
+TEST(WindowedSearch, WindowBlocksOutsidePoints) {
+  const RoutingGrid grid = walled_grid();
+  SearchProblem prob = p2p(0, {1, 1}, std::nullopt, {18, 1}, std::nullopt);
+  prob.window = geom::Rect{{0, 0}, {6, 12}};  // excludes the target
+  EXPECT_FALSE(
+      detail::grid_search(grid, prob, detail::CostMode::BendsCrossingsLength)
+          .has_value());
+  prob.window = grid.area();  // window covering everything changes nothing
+  const auto windowed =
+      detail::grid_search(grid, prob, detail::CostMode::BendsCrossingsLength);
+  prob.window.reset();
+  const auto full =
+      detail::grid_search(grid, prob, detail::CostMode::BendsCrossingsLength);
+  ASSERT_TRUE(windowed.has_value());
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(windowed->path, full->path);
 }
 
 }  // namespace
