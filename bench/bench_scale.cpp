@@ -1,10 +1,10 @@
-// Scale tier — synthetic grid meshes at 1k/10k/100k modules, placed and
-// routed end-to-end, with the sharded router A/B'd against the
-// single-shard sequential driver at 10k.
+// Scale tier — synthetic grid meshes at 1k/10k/100k modules, placed,
+// routed and validated end-to-end, with the sharded router A/B'd against
+// the single-shard sequential driver at 10k.
 //
 // Emits BENCH_scale.json: one record per (size, configuration) with
-// modules/sec, peak RSS, shard balance and the stitch-net share — the
-// numbers EXPERIMENTS.md's "Scale tier" table quotes.
+// modules/sec, validation time, peak RSS, shard balance and the stitch-net
+// share — the numbers EXPERIMENTS.md's "Scale tier" table quotes.
 //
 // NA_SCALE_MAX_MODULES caps the sweep (the ctest `scale` smoke runs with
 // 1000 so the default suite stays fast; the full 10k/100k sweep is
@@ -39,13 +39,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 struct RunResult {
   double place_s = 0;
   double route_s = 0;
+  double validate_s = 0;
   RouteReport report;
   ShardRouteStats shard_stats;
 };
 
-/// Places a fresh diagram and routes it with the given shard setup.
+/// Places a fresh diagram, routes it with the given shard setup and
+/// validates the result (aborting on an invalid diagram).
 RunResult run_one(const Network& net, const GeneratorOptions& opt,
-                  const ShardOptions& sopt, Diagram* out = nullptr) {
+                  const ShardOptions& sopt, const char* config) {
   RunResult r;
   Diagram dia(net);
   auto t0 = std::chrono::steady_clock::now();
@@ -54,7 +56,9 @@ RunResult run_one(const Network& net, const GeneratorOptions& opt,
   t0 = std::chrono::steady_clock::now();
   r.report = shard_route_all(dia, opt.router, sopt, &r.shard_stats);
   r.route_s = seconds_since(t0);
-  if (out != nullptr) *out = std::move(dia);
+  t0 = std::chrono::steady_clock::now();
+  require_valid(dia, config);
+  r.validate_s = seconds_since(t0);
   return r;
 }
 
@@ -67,15 +71,16 @@ void record(const char* config, int modules, int nets, const RunResult& r) {
                 (r.shard_stats.nets_intra + r.shard_stats.nets_stitch)
           : 0.0;
   std::printf(
-      "%-28s %8d modules  place %8.1f ms  route %9.1f ms  %8.0f mod/s  "
-      "unrouted %d  stitch %4.1f%%  balance %.2f  rss %lld MB\n",
-      config, modules, r.place_s * 1e3, r.route_s * 1e3, mps,
+      "%-28s %8d modules  place %8.1f ms  route %9.1f ms  validate %8.1f ms  "
+      "%8.0f mod/s  unrouted %d  stitch %4.1f%%  balance %.2f  rss %lld MB\n",
+      config, modules, r.place_s * 1e3, r.route_s * 1e3, r.validate_s * 1e3, mps,
       r.report.nets_failed, stitch_share * 100, r.shard_stats.balance,
       obs::peak_rss_bytes() >> 20);
   bench_json_add("scale", config, r.route_s * 1e3, r.report.total_expansions,
                  {{"modules", modules},
                   {"nets", nets},
                   {"place_ms", r.place_s * 1e3},
+                  {"validate_ms", r.validate_s * 1e3},
                   {"modules_per_sec", mps},
                   {"unrouted", r.report.nets_failed},
                   {"shards", static_cast<int>(r.shard_stats.shard_nets.size())},
@@ -111,16 +116,14 @@ int main() {
     shard.threads = 4;
     const std::string cfg = "mesh" + std::to_string(tier.modules) + " shards=" +
                             std::to_string(tier.shards);
-    Diagram routed(net);
-    const RunResult sharded = run_one(net, opt, shard, &routed);
+    const RunResult sharded = run_one(net, opt, shard, cfg.c_str());
     record(cfg.c_str(), net.module_count(), net.net_count(), sharded);
-    if (tier.modules <= 10000) require_valid(routed, cfg.c_str());
 
     // A/B at 10k: the same workload on the single-shard sequential driver.
     if (tier.modules == 10000) {
-      const RunResult baseline = run_one(net, opt, ShardOptions{1, 16, 1});
-      record("mesh10000 shards=1 (base)", net.module_count(), net.net_count(),
-             baseline);
+      const char* base_cfg = "mesh10000 shards=1 (base)";
+      const RunResult baseline = run_one(net, opt, ShardOptions{1, 16, 1}, base_cfg);
+      record(base_cfg, net.module_count(), net.net_count(), baseline);
       std::printf("10k speedup (route wall-clock): %.2fx\n",
                   baseline.route_s / sharded.route_s);
       bench_json_add("scale", "mesh10000 speedup", sharded.route_s * 1e3, 0,

@@ -1,10 +1,9 @@
 #include "schematic/validate.hpp"
 
+#include "geom/rect_index.hpp"
 #include "obs/trace.hpp"
 
 #include <cstdint>
-#include <optional>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -45,43 +44,49 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       report("system terminal '" + net.term(t).name + "' unplaced");
     }
   }
+  // The symbols in scope, indexed once: every symbol query below asks the
+  // bucket grid instead of scanning all modules, and gets its candidates in
+  // scoped_mods order, so reports come out in the order a scan makes them.
   std::vector<int> scoped_mods;  // placed modules whose rect touches the scope
+  std::vector<geom::Rect> scoped_rects;  // their rects, same order
   for (int m = 0; m < net.module_count(); ++m) {
     if (!dia.module_placed(m)) continue;
-    if (region && !region->overlaps(dia.module_rect(m))) continue;
+    const geom::Rect rect = dia.module_rect(m);
+    if (region && !region->overlaps(rect)) continue;
     scoped_mods.push_back(m);
+    scoped_rects.push_back(rect);
   }
+  const geom::RectIndex mod_index(std::move(scoped_rects));
   std::vector<TermId> scoped_terms;  // placed system terminals in scope
+  // point -> positions in scoped_terms, ascending
+  std::unordered_map<std::uint64_t, std::vector<size_t>> terms_at;
   for (TermId t : net.system_terms()) {
     if (!dia.system_term_placed(t)) continue;
     if (!in_scope(dia.term_pos(t))) continue;
+    terms_at[key_of(dia.term_pos(t))].push_back(scoped_terms.size());
     scoped_terms.push_back(t);
   }
-  for (size_t i = 0; i < scoped_mods.size(); ++i) {
+  std::vector<int> overlapping;
+  for (int i = 0; i < mod_index.size(); ++i) {
     const int a = scoped_mods[i];
-    for (size_t j = i + 1; j < scoped_mods.size(); ++j) {
-      const int b = scoped_mods[j];
-      if (dia.module_rect(a).overlaps(dia.module_rect(b))) {
-        report("modules '" + net.module(a).name + "' and '" + net.module(b).name +
-               "' overlap");
-      }
+    mod_index.overlapping_after(i, overlapping);
+    for (const int j : overlapping) {
+      report("modules '" + net.module(a).name + "' and '" +
+             net.module(scoped_mods[j]).name + "' overlap");
     }
   }
   for (size_t i = 0; i < scoped_terms.size(); ++i) {
     const TermId ti = scoped_terms[i];
     const geom::Point pi = dia.term_pos(ti);
-    for (const int m : scoped_mods) {
-      if (dia.module_rect(m).contains(pi)) {
-        report("system terminal '" + net.term(ti).name + "' overlaps module '" +
-               net.module(m).name + "'");
-      }
-    }
-    for (size_t j = i + 1; j < scoped_terms.size(); ++j) {
-      const TermId tj = scoped_terms[j];
-      if (dia.term_pos(tj) == pi) {
-        report("system terminals '" + net.term(ti).name + "' and '" +
-               net.term(tj).name + "' coincide");
-      }
+    mod_index.containing(pi, [&](int k) {
+      report("system terminal '" + net.term(ti).name + "' overlaps module '" +
+             net.module(scoped_mods[k]).name + "'");
+      return false;
+    });
+    for (const size_t j : terms_at.at(key_of(pi))) {
+      if (j <= i) continue;
+      report("system terminals '" + net.term(ti).name + "' and '" +
+             net.term(scoped_terms[j]).name + "' coincide");
     }
   }
   if (!problems.empty()) return problems;  // routing checks need full placement
@@ -187,15 +192,19 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       return;
     }
     if (own_terminal) return;
-    for (const int m : scoped_mods) {
-      if (dia.module_rect(m).contains(p)) {
-        report("net '" + net.net(n).name + "' enters module '" + net.module(m).name +
-               "' at " + geom::to_string(p));
-        return;
-      }
-    }
-    for (TermId t : scoped_terms) {
-      if (dia.term_pos(t) == p && net.term(t).net != n) {
+    bool entered = false;
+    mod_index.containing(p, [&](int k) {
+      report("net '" + net.net(n).name + "' enters module '" +
+             net.module(scoped_mods[k]).name + "' at " + geom::to_string(p));
+      entered = true;
+      return true;
+    });
+    if (entered) return;
+    const auto at = terms_at.find(key_of(p));
+    if (at == terms_at.end()) return;
+    for (const size_t k : at->second) {
+      const TermId t = scoped_terms[k];
+      if (net.term(t).net != n) {
         report("net '" + net.net(n).name + "' covers system terminal '" +
                net.term(t).name + "'");
       }
@@ -224,10 +233,16 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   // In region mode only the nets with in-scope geometry are re-checked, but
   // always over their *full* geometry: being one figure is not a local
   // property, and a patch can only disconnect a net at an edited point.
+  // The per-net sets and the BFS queue are reused across nets; clearing
+  // changes which point the BFS starts from, and reachability does not
+  // depend on that.
+  std::unordered_set<std::uint64_t> points;
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<std::uint64_t> frontier;
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
     if (!r.routed || !touches[n]) continue;
-    std::unordered_set<std::uint64_t> points;
+    points.clear();
     for (const auto& pl : r.polylines) {
       for (size_t i = 1; i < pl.size(); ++i) {
         const geom::Point a = pl[i - 1];
@@ -246,16 +261,15 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       continue;
     }
     // BFS over unit adjacency within the point set.
-    std::unordered_set<std::uint64_t> seen;
-    std::queue<std::uint64_t> frontier;
-    frontier.push(*points.begin());
+    seen.clear();
+    frontier.clear();
+    frontier.push_back(*points.begin());
     seen.insert(*points.begin());
-    while (!frontier.empty()) {
-      const geom::Point p = point_of(frontier.front());
-      frontier.pop();
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      const geom::Point p = point_of(frontier[head]);
       for (geom::Dir d : geom::kAllDirs) {
         const std::uint64_t q = key_of(p + geom::delta(d));
-        if (points.contains(q) && seen.insert(q).second) frontier.push(q);
+        if (points.contains(q) && seen.insert(q).second) frontier.push_back(q);
       }
     }
     if (seen.size() != points.size()) {

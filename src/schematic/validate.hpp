@@ -17,7 +17,9 @@
 //     all of the net's terminal positions.
 //
 // The checker is implemented independently of RoutingGrid (hash maps over
-// drawn geometry) so it can serve as an oracle for the router.
+// drawn geometry, a geom::RectIndex over the symbol rectangles) so it can
+// serve as an oracle for the router.  Expected cost is O(wire cells +
+// symbols) per call.
 #pragma once
 
 #include <string>

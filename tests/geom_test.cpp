@@ -1,9 +1,14 @@
 // Unit tests for the geometry substrate: points, directions, intervals,
-// rectangles, segments, rotations and terminal-side derivation.
+// rectangles, segments, rotations, terminal-side derivation and the
+// rectangle index.
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 #include "geom/orientation.hpp"
 #include "geom/rect.hpp"
+#include "geom/rect_index.hpp"
 
 namespace na::geom {
 namespace {
@@ -216,6 +221,47 @@ TEST(Strings, Formatting) {
   EXPECT_EQ(to_string(Rot::R270), "R270");
   EXPECT_EQ(to_string(Rect{{0, 0}, {1, 1}}), "[(0,0)..(1,1)]");
   EXPECT_EQ(to_string(Segment{{0, 0}, {3, 0}}), "(0,0)-(3,0)");
+}
+
+// Seeded random rectangles straddling the origin, a few of them wide enough
+// for the wide list, one empty: every query must return exactly what a
+// linear scan returns, in the same order.
+TEST(RectIndex, MatchesLinearScan) {
+  std::mt19937 rng(7);
+  auto uniform = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<Rect> rects;
+  for (int i = 0; i < 200; ++i) {
+    const Point lo{uniform(-300, 300), uniform(-300, 300)};
+    const int reach = i % 25 == 0 ? 250 : 12;
+    rects.push_back(Rect::from_size(lo, {uniform(0, reach), uniform(0, reach)}));
+  }
+  rects[17] = Rect{};
+  const RectIndex index(rects);
+  EXPECT_LE(index.bucket_count(), 3u * rects.size() + 1);
+
+  for (int k = 0; k < 2000; ++k) {
+    const Point p{uniform(-320, 580), uniform(-320, 580)};
+    std::vector<int> expected, got;
+    for (int i = 0; i < index.size(); ++i) {
+      if (rects[i].contains(p)) expected.push_back(i);
+    }
+    index.containing(p, [&](int i) {
+      got.push_back(i);
+      return false;
+    });
+    ASSERT_EQ(got, expected) << to_string(p);
+  }
+  std::vector<int> got;
+  for (int i = 0; i < index.size(); ++i) {
+    std::vector<int> expected;
+    for (int j = i + 1; j < index.size(); ++j) {
+      if (rects[i].overlaps(rects[j])) expected.push_back(j);
+    }
+    index.overlapping_after(i, got);
+    ASSERT_EQ(got, expected) << "rect " << i;
+  }
 }
 
 }  // namespace

@@ -5,18 +5,31 @@
 // across the incremental engine's edit-scenario corpus where the region is
 // the patch router's dirty hull.  Issue lists are compared sorted: the
 // checker walks hash maps, so report order is not part of the contract.
+//
+// The differential tests further down pin the indexed symbol checks against
+// a copy of the linear-scan checker: there the messages must match exactly
+// and in order, because both walk the same hash maps in the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <queue>
+#include <random>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "gen/datapath.hpp"
 #include "gen/life.hpp"
+#include "gen/synth.hpp"
+#include "geom/rect_index.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
+#include "place/placer.hpp"
 #include "route/net_order.hpp"
 #include "route/router.hpp"
+#include "route/shard_route.hpp"
 #include "schematic/validate.hpp"
 
 namespace na {
@@ -48,7 +61,7 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
 
 /// A rect no diagram geometry escapes: full validation through the region-
 /// scoped code path.
-constexpr geom::Rect kEverywhere{{-1000, -1000}, {1000, 1000}};
+constexpr geom::Rect kEverywhere{{-10000000, -10000000}, {10000000, 10000000}};
 
 /// Routed hand-placed LIFE diagram, rebuilt fresh so tests can corrupt it.
 Diagram routed_life(const Network& net) {
@@ -211,6 +224,456 @@ TEST(ValidateRegion, DirtyRegionAgreesWithFullAcrossEditCorpus) {
     EXPECT_EQ(sorted(validate_region(inc, dirty)), sorted(validate_diagram(inc)));
     EXPECT_TRUE(validate_region(inc, dirty).empty());
   }
+}
+
+
+// --- differential: indexed symbol checks vs the linear-scan reference -------
+
+namespace reference {
+
+std::uint64_t key_of(geom::Point p) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
+         static_cast<std::uint32_t>(p.y);
+}
+
+geom::Point point_of(std::uint64_t k) {
+  return {static_cast<std::int32_t>(k >> 32),
+          static_cast<std::int32_t>(k & 0xffffffffu)};
+}
+
+/// The checker body with linear symbol scans: every wire cell tests every
+/// scoped module, every terminal every module, every module pair is tested.
+std::vector<std::string> validate(const Diagram& dia,
+                                       bool require_all_routed,
+                                       const geom::Rect* region) {
+  const Network& net = dia.network();
+  std::vector<std::string> problems;
+  auto report = [&](std::string msg) { problems.push_back(std::move(msg)); };
+  auto in_scope = [&](geom::Point p) { return !region || region->contains(p); };
+
+  // --- placement: everything placed, no symbol overlap ----------------------
+  // Completeness is global (a property of the diagram, no geometry to
+  // scope); the geometric checks run over the symbols touching the region.
+  for (int m = 0; m < net.module_count(); ++m) {
+    if (!dia.module_placed(m)) report("module '" + net.module(m).name + "' unplaced");
+  }
+  for (TermId t : net.system_terms()) {
+    if (!dia.system_term_placed(t)) {
+      report("system terminal '" + net.term(t).name + "' unplaced");
+    }
+  }
+  std::vector<int> scoped_mods;  // placed modules whose rect touches the scope
+  for (int m = 0; m < net.module_count(); ++m) {
+    if (!dia.module_placed(m)) continue;
+    if (region && !region->overlaps(dia.module_rect(m))) continue;
+    scoped_mods.push_back(m);
+  }
+  std::vector<TermId> scoped_terms;  // placed system terminals in scope
+  for (TermId t : net.system_terms()) {
+    if (!dia.system_term_placed(t)) continue;
+    if (!in_scope(dia.term_pos(t))) continue;
+    scoped_terms.push_back(t);
+  }
+  for (size_t i = 0; i < scoped_mods.size(); ++i) {
+    const int a = scoped_mods[i];
+    for (size_t j = i + 1; j < scoped_mods.size(); ++j) {
+      const int b = scoped_mods[j];
+      if (dia.module_rect(a).overlaps(dia.module_rect(b))) {
+        report("modules '" + net.module(a).name + "' and '" + net.module(b).name +
+               "' overlap");
+      }
+    }
+  }
+  for (size_t i = 0; i < scoped_terms.size(); ++i) {
+    const TermId ti = scoped_terms[i];
+    const geom::Point pi = dia.term_pos(ti);
+    for (const int m : scoped_mods) {
+      if (dia.module_rect(m).contains(pi)) {
+        report("system terminal '" + net.term(ti).name + "' overlaps module '" +
+               net.module(m).name + "'");
+      }
+    }
+    for (size_t j = i + 1; j < scoped_terms.size(); ++j) {
+      const TermId tj = scoped_terms[j];
+      if (dia.term_pos(tj) == pi) {
+        report("system terminals '" + net.term(ti).name + "' and '" +
+               net.term(tj).name + "' coincide");
+      }
+    }
+  }
+  if (!problems.empty()) return problems;  // routing checks need full placement
+
+  // --- per-net terminal cells ------------------------------------------------
+  std::unordered_map<std::uint64_t, NetId> term_cell;  // point -> owning net
+  for (int t = 0; t < net.term_count(); ++t) {
+    const Terminal& term = net.term(t);
+    if (term.net == kNone) continue;
+    if (!in_scope(dia.term_pos(t))) continue;
+    term_cell[key_of(dia.term_pos(t))] = term.net;
+  }
+
+  // --- routing geometry -------------------------------------------------------
+  std::unordered_map<std::uint64_t, NetId> h_occ;
+  std::unordered_map<std::uint64_t, NetId> v_occ;
+  // Points where a net has a corner, branch, or endpoint ("nodes"): no other
+  // net may touch these at all.
+  std::unordered_map<std::uint64_t, NetId> node_of;
+  std::vector<bool> touches(net.net_count(), region == nullptr);
+
+  for (NetId n = 0; n < net.net_count(); ++n) {
+    const NetRoute& r = dia.route(n);
+    if (require_all_routed && region == nullptr && !r.routed &&
+        !net.net(n).terms.empty()) {
+      report("net '" + net.net(n).name + "' unrouted");
+    }
+    for (const auto& pl : r.polylines) {
+      if (pl.size() < 2) {
+        // A single point is only meaningful when joining at a terminal that
+        // already lies on the net; treat as node.
+        if (!pl.empty() && in_scope(pl[0])) {
+          node_of[key_of(pl[0])] = n;
+          touches[n] = true;
+        }
+        continue;
+      }
+      for (size_t i = 1; i < pl.size(); ++i) {
+        const geom::Point a = pl[i - 1];
+        const geom::Point b = pl[i];
+        if (a.x != b.x && a.y != b.y) {
+          if (!region || region->overlaps(geom::Segment{a, b}.bounds())) {
+            report("net '" + net.net(n).name + "' has a non-orthogonal segment " +
+                   geom::to_string(a) + "-" + geom::to_string(b));
+          }
+          continue;
+        }
+        if (a == b) continue;
+        // Clip the segment to the scope, preserving its walk direction so
+        // overlap reports come out in the same order as a full validation.
+        geom::Point from = a;
+        geom::Point to = b;
+        if (region) {
+          const geom::Rect clipped = [&] {
+            const geom::Rect sb = geom::Segment{a, b}.bounds();
+            return geom::Rect{{std::max(sb.lo.x, region->lo.x),
+                               std::max(sb.lo.y, region->lo.y)},
+                              {std::min(sb.hi.x, region->hi.x),
+                               std::min(sb.hi.y, region->hi.y)}};
+          }();
+          if (clipped.empty()) continue;
+          if (b.x >= a.x && b.y >= a.y) {
+            from = clipped.lo;
+            to = clipped.hi;
+          } else {
+            from = clipped.hi;
+            to = clipped.lo;
+          }
+        }
+        touches[n] = true;
+        const bool horizontal = a.y == b.y;
+        const geom::Point step = {(to.x > from.x) - (to.x < from.x),
+                                  (to.y > from.y) - (to.y < from.y)};
+        for (geom::Point p = from;; p += step) {
+          auto& occ = horizontal ? h_occ : v_occ;
+          auto [it, inserted] = occ.emplace(key_of(p), n);
+          if (!inserted && it->second != n) {
+            report("nets '" + net.net(n).name + "' and '" + net.net(it->second).name +
+                   "' overlap at " + geom::to_string(p));
+          }
+          if (p == to) break;
+        }
+      }
+      if (in_scope(pl.front())) node_of[key_of(pl.front())] = n;
+      if (in_scope(pl.back())) node_of[key_of(pl.back())] = n;
+      for (size_t i = 1; i + 1 < pl.size(); ++i) {
+        if (in_scope(pl[i])) node_of[key_of(pl[i])] = n;  // corner
+      }
+    }
+    if (require_all_routed && region != nullptr && !r.routed && touches[n] &&
+        !net.net(n).terms.empty()) {
+      report("net '" + net.net(n).name + "' unrouted");
+    }
+  }
+
+  // --- nets vs module symbols and foreign terminals ---------------------------
+  auto check_point = [&](geom::Point p, NetId n) {
+    const auto tc = term_cell.find(key_of(p));
+    const bool own_terminal = tc != term_cell.end() && tc->second == n;
+    if (tc != term_cell.end() && tc->second != n) {
+      report("net '" + net.net(n).name + "' touches a foreign terminal at " +
+             geom::to_string(p));
+      return;
+    }
+    if (own_terminal) return;
+    for (const int m : scoped_mods) {
+      if (dia.module_rect(m).contains(p)) {
+        report("net '" + net.net(n).name + "' enters module '" + net.module(m).name +
+               "' at " + geom::to_string(p));
+        return;
+      }
+    }
+    for (TermId t : scoped_terms) {
+      if (dia.term_pos(t) == p && net.term(t).net != n) {
+        report("net '" + net.net(n).name + "' covers system terminal '" +
+               net.term(t).name + "'");
+      }
+    }
+  };
+  for (const auto& [pt, n] : h_occ) check_point(point_of(pt), n);
+  for (const auto& [pt, n] : v_occ) {
+    if (auto it = h_occ.find(pt); it == h_occ.end() || it->second != n) {
+      check_point(point_of(pt), n);
+    }
+  }
+
+  // --- node contact rule: a corner/endpoint of net A may not be touched by
+  // any other net (crossing requires both straight through).
+  for (const auto& [pt, n] : node_of) {
+    for (const auto* occ : {&h_occ, &v_occ}) {
+      auto it = occ->find(pt);
+      if (it != occ->end() && it->second != n) {
+        report("net '" + net.net(it->second).name + "' touches a node of net '" +
+               net.net(n).name + "' at " + geom::to_string(point_of(pt)));
+      }
+    }
+  }
+
+  // --- connectivity: each routed net is one figure containing all terminals --
+  // In region mode only the nets with in-scope geometry are re-checked, but
+  // always over their *full* geometry: being one figure is not a local
+  // property, and a patch can only disconnect a net at an edited point.
+  for (NetId n = 0; n < net.net_count(); ++n) {
+    const NetRoute& r = dia.route(n);
+    if (!r.routed || !touches[n]) continue;
+    std::unordered_set<std::uint64_t> points;
+    for (const auto& pl : r.polylines) {
+      for (size_t i = 1; i < pl.size(); ++i) {
+        const geom::Point a = pl[i - 1];
+        const geom::Point b = pl[i];
+        if (a.x != b.x && a.y != b.y) continue;
+        const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
+        for (geom::Point p = a;; p += step) {
+          points.insert(key_of(p));
+          if (p == b) break;
+        }
+      }
+      if (!pl.empty()) points.insert(key_of(pl.front()));
+    }
+    if (points.empty()) {
+      report("net '" + net.net(n).name + "' marked routed but has no geometry");
+      continue;
+    }
+    // BFS over unit adjacency within the point set.
+    std::unordered_set<std::uint64_t> seen;
+    std::queue<std::uint64_t> frontier;
+    frontier.push(*points.begin());
+    seen.insert(*points.begin());
+    while (!frontier.empty()) {
+      const geom::Point p = point_of(frontier.front());
+      frontier.pop();
+      for (geom::Dir d : geom::kAllDirs) {
+        const std::uint64_t q = key_of(p + geom::delta(d));
+        if (points.contains(q) && seen.insert(q).second) frontier.push(q);
+      }
+    }
+    if (seen.size() != points.size()) {
+      report("net '" + net.net(n).name + "' geometry is disconnected");
+    }
+    for (TermId t : net.net(n).terms) {
+      if (!points.contains(key_of(dia.term_pos(t)))) {
+        report("net '" + net.net(n).name + "' does not reach terminal '" +
+               net.term(t).name + "'");
+      }
+    }
+  }
+
+  return problems;
+}
+
+}  // namespace reference
+
+/// Both entry points against the reference, byte for byte and in order
+/// (over kEverywhere, region mode walks every segment as full mode does, so
+/// one reference run serves both).  `witness` must occur in some message;
+/// nullptr means the diagram is clean.
+void expect_matches_reference(const Diagram& dia, const char* witness) {
+  const std::vector<std::string> expected = reference::validate(dia, false, nullptr);
+  const std::vector<std::string> full = validate_diagram(dia);
+  EXPECT_EQ(full, expected);
+  EXPECT_EQ(validate_region(dia, kEverywhere), expected);
+  if (witness == nullptr) {
+    EXPECT_TRUE(full.empty()) << full.front();
+    return;
+  }
+  EXPECT_TRUE(std::any_of(full.begin(), full.end(), [&](const std::string& m) {
+    return m.find(witness) != std::string::npos;
+  })) << "no message contains \"" << witness << "\"";
+}
+
+/// `net` plus one system terminal that no net connects: a net drawn over
+/// it is the only way to reach the "covers system terminal" rule.
+Network with_spare(Network net) {
+  net.add_system_terminal("spare", TermType::In);
+  return net;
+}
+
+TermId spare_of(const Network& net) { return net.system_terms().back(); }
+
+Diagram routed_life_with_spare(const Network& net) {
+  Diagram dia(net);
+  gen::life_hand_placement(dia);
+  dia.place_system_term(spare_of(net), dia.placement_bounds().hi + geom::Point{3, 3});
+  EXPECT_EQ(route_all(dia, life_options().generator.router).nets_failed, 0);
+  return dia;
+}
+
+Diagram routed_mesh_with_spare(const Network& net) {
+  Diagram dia(net);
+  PlacerOptions popt;
+  popt.max_part_size = 8;
+  popt.max_box_size = 4;
+  popt.max_connections = 16;
+  place(dia, popt);
+  RouterOptions ropt;
+  ropt.margin = 6;
+  shard_route_all(dia, ropt, ShardOptions{4, 16, 1});
+  return dia;
+}
+
+int pick(std::mt19937& rng, int n) {
+  return std::uniform_int_distribution<int>(0, n - 1)(rng);
+}
+
+/// A routed net with drawn geometry, searched from a random start.
+NetId pick_routed_net(const Diagram& dia, std::mt19937& rng) {
+  const int count = dia.network().net_count();
+  for (int k = 0, n = pick(rng, count);; ++k, n = (n + 1) % count) {
+    if (dia.route(n).routed && !dia.route(n).polylines.empty()) return n;
+    if (k == count) return kNone;
+  }
+}
+
+struct Corruption {
+  const char* name;
+  const char* witness;  ///< text the injected violation must produce
+  void (*apply)(Diagram&, std::mt19937&);
+};
+
+const Corruption kCorruptions[] = {
+    {"overlapping modules", "modules '",
+     [](Diagram& dia, std::mt19937& rng) {
+       const int count = dia.network().module_count();
+       const int a = pick(rng, count);
+       const int b = (a + 1 + pick(rng, count - 1)) % count;
+       dia.place_module(a, dia.placed(b).pos + geom::Point{1, 1}, dia.placed(a).rot);
+     }},
+    {"system terminal inside a module", "' overlaps module '",
+     [](Diagram& dia, std::mt19937& rng) {
+       const auto& terms = dia.network().system_terms();
+       const int m = pick(rng, dia.network().module_count());
+       dia.place_system_term(terms[pick(rng, static_cast<int>(terms.size()))],
+                             dia.module_rect(m).center());
+     }},
+    {"coinciding system terminals", "' coincide",
+     [](Diagram& dia, std::mt19937& rng) {
+       const auto& terms = dia.network().system_terms();
+       const int count = static_cast<int>(terms.size());
+       const int a = pick(rng, count);
+       const int b = (a + 1 + pick(rng, count - 1)) % count;
+       dia.place_system_term(terms[b], dia.term_pos(terms[a]));
+     }},
+    {"net entering a module", "' enters module '",
+     [](Diagram& dia, std::mt19937& rng) {
+       const geom::Point c =
+           dia.module_rect(pick(rng, dia.network().module_count())).center();
+       dia.route(pick_routed_net(dia, rng)).polylines.push_back({c, c + geom::Point{1, 0}});
+     }},
+    {"net covering a foreign system terminal", "' covers system terminal 'spare'",
+     [](Diagram& dia, std::mt19937& rng) {
+       // The first cell past the start of a net's first long segment.
+       for (;;) {
+         for (const auto& pl : dia.route(pick_routed_net(dia, rng)).polylines) {
+           for (size_t i = 1; i < pl.size(); ++i) {
+             if (geom::manhattan(pl[i - 1], pl[i]) < 2) continue;
+             const geom::Point step = {(pl[i].x > pl[i - 1].x) - (pl[i].x < pl[i - 1].x),
+                                       (pl[i].y > pl[i - 1].y) - (pl[i].y < pl[i - 1].y)};
+             dia.place_system_term(spare_of(dia.network()), pl[i - 1] + step);
+             return;
+           }
+         }
+       }
+     }},
+};
+
+/// Every corruption, two seeded draws each, on `base` and on `base`
+/// translated to all-negative coordinates (the bucket arithmetic must
+/// floor, not truncate, left of and below the origin).
+void run_differential(const Diagram& base) {
+  Diagram negative = base;
+  const geom::Rect b = negative.placement_bounds();
+  negative.translate({-b.hi.x - 1001, -b.hi.y - 777});
+  for (const Diagram* clean : {&base, static_cast<const Diagram*>(&negative)}) {
+    SCOPED_TRACE(clean == &base ? "as placed" : "translated negative");
+    expect_matches_reference(*clean, nullptr);
+    for (const Corruption& c : kCorruptions) {
+      SCOPED_TRACE(c.name);
+      std::mt19937 rng(13);
+      for (int draw = 0; draw < 2; ++draw) {
+        Diagram dia = *clean;
+        c.apply(dia, rng);
+        expect_matches_reference(dia, c.witness);
+      }
+    }
+  }
+}
+
+TEST(ValidateDifferential, LifeMatchesLinearScan) {
+  const Network net = with_spare(gen::life_network());
+  run_differential(routed_life_with_spare(net));
+}
+
+TEST(ValidateDifferential, Mesh1kMatchesLinearScan) {
+  gen::SynthOptions o;
+  o.topology = gen::SynthTopology::GridMesh;
+  o.modules = 1000;
+  const Network net = with_spare(gen::synth_network(o));
+  run_differential(routed_mesh_with_spare(net));
+}
+
+// Two small symbols a million grid units apart plus one huge symbol: the
+// index must size its grid by the symbol count, never by the extent, and
+// still give every verdict right.
+TEST(ValidateDifferential, SparseExtentStaysSmallAndCorrect) {
+  Network net;
+  const int far_a = net.add_module("far_a", "cell", {4, 4});
+  const int far_b = net.add_module("far_b", "cell", {4, 4});
+  const int huge = net.add_module("huge", "block", {100000, 100000});
+  Diagram dia(net);
+  dia.place_module(far_a, {-1000000, -3});
+  dia.place_module(far_b, {1000000, 5});
+  dia.place_module(huge, {-50000, 200000});
+  EXPECT_TRUE(validate_diagram(dia).empty());
+  EXPECT_TRUE(validate_region(dia, kEverywhere).empty());
+
+  const geom::RectIndex index(
+      {dia.module_rect(far_a), dia.module_rect(far_b), dia.module_rect(huge)});
+  EXPECT_LE(index.bucket_count(), 3u * 3 + 1);
+  auto containing = [&](geom::Point p) {
+    std::vector<int> hits;
+    index.containing(p, [&](int i) {
+      hits.push_back(i);
+      return false;
+    });
+    return hits;
+  };
+  EXPECT_EQ(containing({0, 250000}), std::vector<int>{2});
+  EXPECT_EQ(containing({1000002, 7}), std::vector<int>{1});
+  EXPECT_TRUE(containing({0, 0}).empty());
+
+  // Moving far_b into the huge symbol is an overlap, reported once.
+  dia.place_module(far_b, {-49990, 200010});
+  const std::vector<std::string> expected{"modules 'far_b' and 'huge' overlap"};
+  EXPECT_EQ(validate_diagram(dia), expected);
+  EXPECT_EQ(validate_region(dia, kEverywhere), expected);
 }
 
 }  // namespace
