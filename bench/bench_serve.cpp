@@ -53,32 +53,26 @@ std::string edit_line(const std::string& session, int i) {
          R"(","template":"","w":4,"h":3}]})";
 }
 
-/// Integer value of a metric inside a stats response ("key":value).
-long long metric_value(const std::string& stats, const std::string& key) {
+/// Integer value of a metric inside a metrics response ("key":value).
+long long metric_value(const std::string& metrics, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
-  const size_t at = stats.find(needle);
+  const size_t at = metrics.find(needle);
   if (at == std::string::npos) return 0;
-  return std::strtoll(stats.c_str() + at + needle.size(), nullptr, 10);
+  return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
 }
 
-/// Cumulative edit-coalescing counters, read off a stats round trip.
+/// Cumulative edit-coalescing counters, read off a metrics round trip.
 struct BatchSnapshot {
   long long jobs = 0, edits = 0;
   long long regens = 0, composed = 0;
-  long long hist[5] = {0, 0, 0, 0, 0};
 
   static BatchSnapshot read(serve::BlockingClient& c) {
-    const std::string stats = c.request(R"({"op":"stats"})");
+    const std::string metrics = c.request(R"({"op":"metrics"})");
     BatchSnapshot s;
-    s.jobs = metric_value(stats, "serve.batch.jobs");
-    s.edits = metric_value(stats, "serve.batch.edits");
-    s.regens = metric_value(stats, "serve.batch.regens");
-    s.composed = metric_value(stats, "serve.batch.composed");
-    static const char* kHist[5] = {"serve.batch.hist_1", "serve.batch.hist_2_3",
-                                   "serve.batch.hist_4_7",
-                                   "serve.batch.hist_8_15",
-                                   "serve.batch.hist_16p"};
-    for (int i = 0; i < 5; ++i) s.hist[i] = metric_value(stats, kHist[i]);
+    s.jobs = metric_value(metrics, "serve.batch.jobs");
+    s.edits = metric_value(metrics, "serve.batch.edits");
+    s.regens = metric_value(metrics, "serve.batch.regens");
+    s.composed = metric_value(metrics, "serve.batch.composed");
     return s;
   }
 };
@@ -209,12 +203,7 @@ int main() {
                     {"batch_jobs", jobs},
                     {"batch_edits", batched},
                     {"batch_regens", regens},
-                    {"batch_composed", composed},
-                    {"batch_hist_1", after.hist[0] - before.hist[0]},
-                    {"batch_hist_2_3", after.hist[1] - before.hist[1]},
-                    {"batch_hist_4_7", after.hist[2] - before.hist[2]},
-                    {"batch_hist_8_15", after.hist[3] - before.hist[3]},
-                    {"batch_hist_16p", after.hist[4] - before.hist[4]}});
+                    {"batch_composed", composed}});
   }
 
   server.request_stop();

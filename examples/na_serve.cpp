@@ -2,10 +2,11 @@
 //
 // Serves line-delimited JSON over TCP: many named RegenSessions, edits
 // dispatched onto one worker pool, per-session ordering, graceful
-// SIGINT/SIGTERM shutdown that saves dirty sessions and flushes traces.
+// SIGINT/SIGTERM shutdown that saves dirty sessions.  Tracing is the
+// flight recorder: each thread keeps its last N events, and SIGUSR1
+// dumps them.
 //
-//   na_serve --port 0 --threads 4 --state-dir /tmp/na-state \
-//            --trace serve.trace.json --stats json
+//   na_serve --port 0 --state-dir /tmp/na-state --flight-recorder 4096
 //
 // With --port 0 the kernel picks the port; --port-file writes the bound
 // port so scripts (examples/serve_demo.sh) can find it.
@@ -33,10 +34,6 @@ void usage(const char* argv0) {
       "  --max-line N      request line cap in bytes (default 1 MiB)\n"
       "  --max-in-flight N pipelined-request cap per connection "
       "(default 128)\n"
-      "  --flush-events N  stream-flush the trace above N buffered events\n"
-      "                    (default 4096)\n"
-      "  --trace PATH      stream a Chrome trace to PATH while serving\n"
-      "                    (mutually exclusive with --flight-recorder)\n"
       "  --flight-recorder N  keep tracing always on in bounded memory:\n"
       "                    every thread retains its last N trace events in\n"
       "                    a ring; SIGUSR1 dumps them (see --flight-dump)\n"
@@ -72,7 +69,7 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions opt;
   std::string port_file;
-  obs::ObsOptions obs_opt;
+  obs::ObsOptions::Stats stats = obs::ObsOptions::Stats::kOff;
   long flight_events = 0;
   std::string slow_log_path;
 
@@ -120,16 +117,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.max_in_flight = static_cast<size_t>(v);
-    } else if (flag == "--flush-events") {
-      const char* s = next();
-      if (s == nullptr || !int_arg(s, "--flush-events", 0, 1L << 30, &v)) {
-        return 2;
-      }
-      opt.trace_flush_events = static_cast<size_t>(v);
-    } else if (flag == "--trace") {
-      const char* s = next();
-      if (s == nullptr) return 2;
-      obs_opt.trace_path = s;
     } else if (flag == "--flight-recorder") {
       const char* s = next();
       if (s == nullptr || !int_arg(s, "--flight-recorder", 16, 1L << 24, &v)) {
@@ -168,7 +155,7 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr) return 2;
       try {
-        obs_opt.stats = obs::parse_stats_mode(s);
+        stats = obs::parse_stats_mode(s);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "na_serve: %s\n", e.what());
         return 2;
@@ -180,14 +167,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The two always-on tracing modes are mutually exclusive: a streaming
-  // flush drains the very ring the flight recorder exists to retain.
-  if (flight_events > 0 && !obs_opt.trace_path.empty()) {
-    std::fprintf(stderr,
-                 "na_serve: --flight-recorder conflicts with --trace "
-                 "(the stream flush would drain the rings)\n");
-    return 2;
-  }
   // Without the ring bound, keeping the recorder on for tail sampling
   // would grow trace memory without limit; without a log, a slow batch
   // has nowhere to leave its evidence.
@@ -196,23 +175,6 @@ int main(int argc, char** argv) {
                  "na_serve: --slow-ms requires --flight-recorder and "
                  "--slow-log\n");
     return 2;
-  }
-
-  // Daemon tracing streams: buffered events are flushed at pool-idle
-  // points while serving instead of accumulating until exit.
-  if (!obs_opt.trace_path.empty()) {
-    if (!obs::trace_compiled_in()) {
-      std::fprintf(stderr,
-                   "na_serve: --trace requested but tracing was compiled out "
-                   "(NA_TRACE=OFF); continuing without\n");
-    } else {
-      obs::trace_enable();
-      if (!obs::trace_stream_open(obs_opt.trace_path)) {
-        std::fprintf(stderr, "na_serve: cannot open trace file %s\n",
-                     obs_opt.trace_path.c_str());
-        return 1;
-      }
-    }
   }
 
   // Flight-recorder mode: recorder on, every thread buffer bounded.
@@ -257,7 +219,6 @@ int main(int argc, char** argv) {
 
   server.run();  // blocks until SIGINT/SIGTERM or a shutdown request
 
-  if (obs::trace_stream_active()) obs::trace_stream_close();
   if (obs::trace_slow_log_active()) {
     std::fprintf(stderr, "na_serve: slow log %s holds %llu records\n",
                  slow_log_path.c_str(),
@@ -266,14 +227,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "na_serve: stopped after %lld requests\n",
                server.counters().requests);
-  if (obs_opt.stats != obs::ObsOptions::Stats::kOff) {
+  if (stats != obs::ObsOptions::Stats::kOff) {
     // Exit stats are the wire `metrics` registry (histograms, gauges and
     // all) plus the diagnostics counters — one absorption path, so the
     // shutdown report can never drift from what the metrics op served.
     obs::MetricsRegistry reg;
     server.absorb_metrics(reg);
     obs::diag_absorb(reg);
-    switch (obs_opt.stats) {
+    switch (stats) {
       case obs::ObsOptions::Stats::kJson:
         std::fputs(reg.to_json().c_str(), stdout);
         break;

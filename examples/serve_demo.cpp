@@ -63,7 +63,7 @@ int main() {
   ok = ok && step(client, R"({"op":"edit","id":3,"session":"demo","edits":[)"
                          R"({"kind":"connect","net":"probe_net","module":"probe","term":"t0"}]})");
   ok = ok && step(client, R"({"op":"get","id":4,"session":"demo","format":"ascii"})");
-  ok = ok && step(client, R"({"op":"stats","id":5})");
+  ok = ok && step(client, R"({"op":"metrics","id":5})");
   ok = ok && step(client, R"({"op":"close","id":6,"session":"demo"})");
 
   // A malformed request gets a structured error and keeps the connection.

@@ -60,7 +60,7 @@ echo "== restart + restore =="
 start_server
 req '{"op":"open","session":"walk","restore":true}'
 req '{"op":"edit","session":"walk","edits":[{"kind":"resize_module","name":"probe","w":8,"h":4}]}'
-req '{"op":"stats"}'
+req '{"op":"metrics"}'
 req '{"op":"shutdown"}'
 wait "$SERVER_PID" || true
 echo "== done =="

@@ -27,8 +27,8 @@ struct ThreadBuffer {
   int tid = 0;
   std::vector<Event> events;
   /// Recording sequence number of the *oldest* retained event — nonzero
-  /// once a streaming flush or a ring wrap has dropped earlier events, so
-  /// per-thread `seq` stays globally monotonic across chunks.
+  /// once a ring wrap has dropped earlier events, so per-thread `seq`
+  /// stays monotonic across wrap-around.
   std::uint64_t seq_base = 0;
   /// Flight-recorder ring head: index of the oldest event once the buffer
   /// has wrapped.  0 while the buffer is a plain append log, so every
@@ -40,10 +40,6 @@ struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::uint64_t epoch = 0;  ///< steady_clock ns at first enable; 0 = unset
-  // Streaming flush state (trace_stream_*): open file plus whether any
-  // event was already written (comma placement).
-  std::FILE* stream = nullptr;
-  bool stream_wrote_any = false;
   // Slow-request log (trace_slow_*).  Guarded by its own mutex so a
   // capture (pool thread, holding the daemon's flush gate shared) never
   // contends with recording threads creating buffers under `mu`.
@@ -146,8 +142,8 @@ void append_us(std::string& out, std::uint64_t ns) {
   out += buf;
 }
 
-/// (ts, tid, seq) comparator shared by the one-shot and streaming flush:
-/// byte-stable output for a fixed event set.
+/// (ts, tid, seq) comparator of every flush: byte-stable output for a
+/// fixed event set.
 bool event_order(const TraceEventView& a, const TraceEventView& b) {
   if (a.ts != b.ts) return a.ts < b.ts;
   if (a.tid != b.tid) return a.tid < b.tid;
@@ -319,72 +315,6 @@ bool trace_write(const std::string& path) {
   const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   const bool closed = std::fclose(f) == 0;
   return wrote && closed;
-}
-
-bool trace_stream_open(const std::string& path) {
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.mu);
-  if (reg.stream != nullptr) return false;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  if (std::fputs(kJsonHeader, f) < 0) {
-    std::fclose(f);
-    return false;
-  }
-  reg.stream = f;
-  reg.stream_wrote_any = false;
-  return true;
-}
-
-size_t trace_stream_flush() {
-  Registry& reg = Registry::instance();
-  // Everything under the registry lock: flushes happen at quiescent points,
-  // so holding it across the file write contends with nothing.
-  std::vector<TraceEventView> events;
-  std::FILE* f = nullptr;
-  {
-    std::lock_guard lock(reg.mu);
-    if (reg.stream == nullptr) return 0;
-    f = reg.stream;
-    for (auto& buf : reg.buffers) {
-      collect_buffer(*buf, events);
-      buf->seq_base += buf->events.size();
-      buf->events.clear();
-      buf->ring_head = 0;
-    }
-    if (events.empty()) return 0;
-    std::stable_sort(events.begin(), events.end(), event_order);
-    std::string out;
-    out.reserve(events.size() * 96);
-    for (const TraceEventView& e : events) {
-      if (reg.stream_wrote_any) out += ",\n";
-      append_event_json(out, e);
-      reg.stream_wrote_any = true;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fflush(f);
-  }
-  return events.size();
-}
-
-bool trace_stream_close() {
-  trace_stream_flush();
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.mu);
-  if (reg.stream == nullptr) return false;
-  bool ok = true;
-  if (reg.stream_wrote_any) ok = std::fputc('\n', reg.stream) != EOF;
-  ok = std::fputs(kJsonFooter, reg.stream) >= 0 && ok;
-  ok = std::fclose(reg.stream) == 0 && ok;
-  reg.stream = nullptr;
-  reg.stream_wrote_any = false;
-  return ok;
-}
-
-bool trace_stream_active() {
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.mu);
-  return reg.stream != nullptr;
 }
 
 size_t trace_buffered_events() {

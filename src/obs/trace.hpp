@@ -91,34 +91,13 @@ std::string trace_to_json();
 /// Writes trace_to_json() to `path`; false (with errno intact) on failure.
 bool trace_write(const std::string& path);
 
-// ----- streaming flush -------------------------------------------------------
-// Long-lived processes (the na_serve daemon) cannot buffer trace events
-// until exit: a stream writes the same Chrome-JSON document incrementally.
-// trace_stream_open() emits the document header, each trace_stream_flush()
-// serialises every event buffered so far (sorted with the same comparator
-// as the one-shot flush) and *drops* it from the thread buffers, and
-// trace_stream_close() emits the footer.  When every flush happens at a
-// quiescent point whose events all precede later recordings in time, the
-// streamed file is byte-identical to a one-shot trace_write() of the same
-// events.  Same thread-safety contract as trace_to_json(): call only when
-// no instrumented work is in flight (e.g. after ThreadPool::wait_idle()).
-
-/// Opens `path` and writes the document header.  False (errno intact) when
-/// the file cannot be opened or a stream is already active.
-bool trace_stream_open(const std::string& path);
-/// Serialises and drops everything buffered; returns the events written.
-size_t trace_stream_flush();
-/// Final flush plus document footer; false on write failure.  No-op false
-/// when no stream is active.
-bool trace_stream_close();
-bool trace_stream_active();
-/// Events currently sitting in thread buffers (not yet stream-flushed) —
-/// the bound the daemon's flush-at-idle policy keeps small.
+/// Events currently retained across every thread buffer — with the flight
+/// recorder on, the rings' total occupancy (at most threads x capacity).
 size_t trace_buffered_events();
 
 // ----- flight recorder -------------------------------------------------------
-// The other way a long-lived process keeps tracing always on: instead of
-// streaming everything out, every thread buffer becomes a ring holding
+// How a long-lived process keeps tracing always on: instead of buffering
+// everything until exit, every thread buffer becomes a ring holding
 // only its last `events_per_thread` events.  Memory is then fixed —
 // threads x capacity x sizeof(event) — and what the rings hold at any
 // moment is the recent history ("what was the daemon doing just now"),
@@ -130,9 +109,7 @@ size_t trace_buffered_events();
 // number, so dumps stay byte-stable and per-thread seq stays monotonic.
 // Dumps obey the same quiescence contract as every other flush — the
 // daemon takes its flush gate exclusive first (DESIGN §11 has the
-// happens-before argument).  Combining a ring with a streaming flush is
-// pointless (the flush would drain the ring); the daemon rejects the
-// flag combination.
+// happens-before argument).
 
 /// Bounds every thread buffer to the last `events_per_thread` events;
 /// 0 restores unbounded buffering.  Call before the instrumented work

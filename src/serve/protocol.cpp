@@ -110,7 +110,6 @@ const char* to_string(Op op) {
     case Op::kOpen: return "open";
     case Op::kEdit: return "edit";
     case Op::kGet: return "get";
-    case Op::kStats: return "stats";
     case Op::kMetrics: return "metrics";
     case Op::kSave: return "save";
     case Op::kClose: return "close";
@@ -163,8 +162,6 @@ Request parse_request(std::string_view line) {
     if (req.format != "escher" && req.format != "svg" && req.format != "ascii") {
       bad("bad format '" + req.format + "' (escher|svg|ascii)");
     }
-  } else if (op == "stats") {
-    req.op = Op::kStats;
   } else if (op == "metrics") {
     req.op = Op::kMetrics;
   } else if (op == "save") {
@@ -195,10 +192,9 @@ std::string error_response(const char* code, std::string_view message,
   return w.take();
 }
 
-std::string registry_response(Op op, const obs::MetricsRegistry& reg,
-                              long long id) {
+std::string registry_response(const obs::MetricsRegistry& reg, long long id) {
   obs::JsonWriter w;
-  w.begin_object().field("ok", true).field("op", std::string_view(to_string(op)));
+  w.begin_object().field("ok", true).field("op", std::string_view("metrics"));
   if (id >= 0) w.field("id", id);
   // to_json() is a complete document (with a trailing newline — strip it,
   // responses are single lines); splice it as the "metrics" field.
@@ -209,10 +205,6 @@ std::string registry_response(Op op, const obs::MetricsRegistry& reg,
   out += doc;
   out += '}';
   return out;
-}
-
-std::string stats_response(const obs::MetricsRegistry& reg, long long id) {
-  return registry_response(Op::kStats, reg, id);
 }
 
 }  // namespace na::serve

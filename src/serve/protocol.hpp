@@ -4,8 +4,8 @@
 // object on one line.  Grammar (DESIGN §10 has the full walkthrough):
 //
 //   request  := {"op": OP, ["id": int,] ["session": string,] ...op fields}
-//   OP       := "ping" | "open" | "edit" | "get" | "stats" | "metrics"
-//             | "save" | "close" | "shutdown"
+//   OP       := "ping" | "open" | "edit" | "get" | "metrics" | "save"
+//             | "close" | "shutdown"
 //   open     += {"design": "life" | "controller" | "chain"
 //                        | "datapath[:bits]", ["restore": bool]}
 //   edit     += {"edits": [EDIT, ...]}
@@ -33,20 +33,16 @@
 //   many pending edits that op flushed.  Both fields depend only on the
 //   session's request order, never on how requests happened to batch.
 //
-//   stats    response carries {"metrics": {...}} with serve.connections /
-//   serve.requests / serve.errors, the serve.batch.* edit-coalescing
-//   counters (serve.batch.regens flushes covering serve.batch.composed
-//   edits), aggregated per-session regen totals, and the process gauges
-//   (peak RSS, uptime).  The stats request itself is not yet counted in
-//   the totals it reports.
-//
-//   metrics  response carries the same envelope with the *full* registry:
-//   everything stats reports plus the watchdog gauges and the latency
-//   histograms (serve.lat.open/edit/get/save, serve.lat.flush,
-//   serve.lat.loop_tick, serve.pool.queue_wait) under "histograms" —
-//   count/sum/min/max, p50/p90/p99 and the non-empty [lower, count]
-//   buckets, all in microseconds.  Scrape this op for live telemetry;
-//   stats stays the cheap scalar summary.
+//   metrics  response carries {"metrics": {...}} — the daemon's whole
+//   registry: serve.connections / serve.requests / serve.errors, the
+//   serve.batch.* edit-coalescing counters (serve.batch.regens flushes
+//   covering serve.batch.composed edits), aggregated per-session regen
+//   totals, the process gauges (peak RSS, uptime), the watchdog gauges,
+//   and the latency histograms (serve.lat.open/edit/get/save,
+//   serve.lat.flush, serve.lat.loop_tick, serve.pool.queue_wait) under
+//   "histograms" — count/sum/min/max, p50/p90/p99 and the non-empty
+//   [lower, count] buckets, all in microseconds.  The metrics request
+//   itself is not yet counted in the totals it reports.
 //
 // A malformed request (oversized line, bad JSON, unknown op, missing
 // field, wrong session id) gets a structured error response and the
@@ -76,7 +72,6 @@ enum class Op {
   kOpen,
   kEdit,
   kGet,
-  kStats,
   kMetrics,
   kSave,
   kClose,
@@ -153,17 +148,9 @@ Request parse_request(std::string_view line);
 std::string error_response(const char* code, std::string_view message,
                            long long id = -1);
 
-/// One-line response for a registry-carrying op (`stats` or `metrics`),
-/// embedding the registry's JSON rendering as the "metrics" field.  The
-/// two ops share one renderer: `stats` sends the scalar service counters,
-/// `metrics` the full registry including latency histograms — the shape
-/// differs only in what the caller absorbed into `reg`.  `id` is echoed
-/// when >= 0.
-std::string registry_response(Op op, const obs::MetricsRegistry& reg,
+/// One-line `metrics` response embedding the registry's JSON rendering as
+/// the "metrics" field.  `id` is echoed when >= 0.
+std::string registry_response(const obs::MetricsRegistry& reg,
                               long long id = -1);
-
-/// registry_response(Op::kStats, ...) — the pre-metrics-op spelling,
-/// kept for the tests and tools that only ever ask for stats.
-std::string stats_response(const obs::MetricsRegistry& reg, long long id = -1);
 
 }  // namespace na::serve

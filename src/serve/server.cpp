@@ -90,8 +90,6 @@ bool Server::start(std::string* error) {
 }
 
 void Server::run() {
-  flusher_ = std::thread([this] { flusher_main(); });
-
   const int io_threads = opt_.io_threads;  // start() validated >= 1
   EventLoop::Options loop_opt;
   loop_opt.max_line = opt_.max_line;
@@ -146,7 +144,7 @@ void Server::run() {
 
   // Graceful drain: no new connections, the watchdog stops posting its
   // loop probes, every loop stops reading (the requests it is serving
-  // still complete and flush their responses), join, persist, flush.
+  // still complete and flush their responses), join, persist.
   ::close(listen_fd_);
   listen_fd_ = -1;
   if (watchdog_.joinable()) {
@@ -162,14 +160,6 @@ void Server::run() {
 
   host_.save_dirty_sessions();
   host_.pool().wait_idle();
-  if (obs::trace_stream_active()) obs::trace_stream_flush();
-
-  {
-    std::lock_guard lock(flush_mu_);
-    flusher_stop_ = true;
-  }
-  flush_cv_.notify_all();
-  flusher_.join();
 }
 
 Server::Counters Server::counters() const {
@@ -191,7 +181,6 @@ void Server::respond(uint64_t conn, uint64_t ticket, std::string response,
   if (loop >= 0 && loop < static_cast<int>(loops_.size())) {
     loops_[loop]->complete(conn, ticket, std::move(response), close_conn);
   }
-  nudge_flusher();
 }
 
 void Server::on_line(uint64_t conn, uint64_t ticket, std::string_view line) {
@@ -251,9 +240,6 @@ void Server::dispatch(uint64_t conn, uint64_t ticket, Request req) {
     case Op::kPing:
       respond(conn, ticket, render_result(op, id, HostResult{}));
       return;
-    case Op::kStats:
-      respond(conn, ticket, build_stats_response(id));
-      return;
     case Op::kMetrics:
       respond(conn, ticket, build_metrics_response(id));
       return;
@@ -296,7 +282,7 @@ std::string Server::render_result(Op op, long long id, const HostResult& r) {
       // script into the pending network (regen is deferred to the next
       // observation point), so the response is a pure function of the
       // request sequence — identical however requests batch.
-      w.field("seq", r.seq).field("batched", r.batched);
+      w.field("seq", r.seq).field("batched", true);
       break;
     case Op::kGet:
       w.field("seq", r.seq)
@@ -316,24 +302,25 @@ std::string Server::render_result(Op op, long long id, const HostResult& r) {
   return w.take();
 }
 
-void Server::absorb_stats(obs::MetricsRegistry& reg) const {
+void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
   {
     std::lock_guard lock(counters_mu_);
     reg.set("serve.connections", counters_.connections);
     reg.set("serve.requests", counters_.requests);
     reg.set("serve.errors", counters_.errors);
   }
-  host_.absorb_stats(reg);
+  reg.set_histogram("serve.lat.open", lat_open_.snapshot());
+  reg.set_histogram("serve.lat.edit", lat_edit_.snapshot());
+  reg.set_histogram("serve.lat.get", lat_get_.snapshot());
+  reg.set_histogram("serve.lat.save", lat_save_.snapshot());
+  reg.set_histogram("serve.lat.loop_tick", lat_loop_.snapshot());
+  host_.absorb_metrics(reg);
   reg.set("serve.peak_rss_bytes", obs::peak_rss_bytes());
   reg.set("serve.uptime_ms",
           static_cast<long long>(
               std::chrono::duration_cast<std::chrono::milliseconds>(
                   std::chrono::steady_clock::now() - started_at_)
                   .count()));
-}
-
-void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
-  absorb_stats(reg);
   if (obs::trace_flight_enabled()) {
     reg.set("serve.flight.capacity",
             static_cast<long long>(obs::trace_flight_capacity()));
@@ -348,24 +335,12 @@ void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
     std::lock_guard lock(gauges_mu_);
     reg.merge_prefixed(gauges_, "");
   }
-  reg.set_histogram("serve.lat.open", lat_open_.snapshot());
-  reg.set_histogram("serve.lat.edit", lat_edit_.snapshot());
-  reg.set_histogram("serve.lat.get", lat_get_.snapshot());
-  reg.set_histogram("serve.lat.save", lat_save_.snapshot());
-  reg.set_histogram("serve.lat.loop_tick", lat_loop_.snapshot());
-  host_.absorb_latency(reg);
-}
-
-std::string Server::build_stats_response(long long id) {
-  obs::MetricsRegistry reg;
-  absorb_stats(reg);
-  return registry_response(Op::kStats, reg, id);
 }
 
 std::string Server::build_metrics_response(long long id) {
   obs::MetricsRegistry reg;
   absorb_metrics(reg);
-  return registry_response(Op::kMetrics, reg, id);
+  return registry_response(reg, id);
 }
 
 bool Server::dump_flight(const std::string& path) {
@@ -429,38 +404,6 @@ void Server::watchdog_main() {
     lk.lock();
     watchdog_cv_.wait_for(lk, std::chrono::milliseconds(opt_.watchdog_ms),
                           [this] { return watchdog_stop_; });
-  }
-}
-
-void Server::nudge_flusher() {
-  if (opt_.trace_flush_events == 0 || !obs::trace_stream_active()) return;
-  if (obs::trace_buffered_events() < opt_.trace_flush_events) return;
-  {
-    std::lock_guard lock(flush_mu_);
-    flush_nudged_ = true;
-  }
-  flush_cv_.notify_one();
-}
-
-void Server::flusher_main() {
-  std::unique_lock lk(flush_mu_);
-  for (;;) {
-    flush_cv_.wait(lk, [this] { return flusher_stop_ || flush_nudged_; });
-    if (flusher_stop_) return;
-    flush_nudged_ = false;
-    lk.unlock();
-    {
-      // Exclusive side of the gate: no request is parsing or executing,
-      // and every op body joined its nested routing work before it
-      // released its shared hold — the recorder is quiescent, so the
-      // flush is byte-stable.
-      std::unique_lock gate(host_.flush_gate());
-      if (obs::trace_stream_active() &&
-          obs::trace_buffered_events() >= opt_.trace_flush_events) {
-        obs::trace_stream_flush();
-      }
-    }
-    lk.lock();
   }
 }
 

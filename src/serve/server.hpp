@@ -9,7 +9,7 @@
 //
 // Connection plane: run() spawns `io_threads` EventLoops and deals
 // accepted sockets to them round-robin.  Request lines are parsed on the
-// loop thread; cheap ops (ping, stats, shutdown, malformed lines) answer
+// loop thread; cheap ops (ping, metrics, shutdown, malformed lines) answer
 // inline, session ops dispatch onto the SessionHost's async op queues and
 // answer through a completion that posts the response back to the
 // connection's loop.  Per-connection tickets keep the wire order equal to
@@ -18,19 +18,16 @@
 // never raise SIGPIPE and kill the daemon).
 //
 // Graceful shutdown, in order: stop accepting, drain every loop (requests
-// in flight finish and their responses flush), join the loop threads,
-// save every dirty session to the state dir, and take a final streaming
-// trace flush.
+// in flight finish and their responses flush), join the loop threads, and
+// save every dirty session to the state dir.
 //
-// Trace flushing in a live daemon: when the process streams its trace
-// (--trace with NA_TRACE=ON), a dedicated flusher thread wakes whenever
-// buffered events exceed `trace_flush_events`.  Flushing is only safe at
-// quiescence, so the host's shared_mutex gates it: every request holds it
-// shared while it runs (inline handling on the loop threads, op bodies on
-// the pool); the flusher takes it exclusive — no request is emitting
-// events, and any nested routing work was joined before its op body
-// returned — and only then flushes.  That keeps the streamed file byte-
-// identical to a one-shot trace_write of the same events.
+// Tracing a live daemon: the flight recorder keeps each thread's last N
+// trace events in a ring, and SIGUSR1 dumps them.  A dump is only byte-
+// stable at quiescence, so the host's shared_mutex gates it: every request
+// holds it shared while it runs (inline handling on the loop threads, op
+// bodies on the pool); the dump takes it exclusive — no request is
+// emitting events, and any nested routing work was joined before its op
+// body returned.
 #pragma once
 
 #include <atomic>
@@ -62,9 +59,6 @@ struct ServerOptions {
   int io_threads = 2;
   /// Pipelined-request cap per connection (event-loop in-flight window).
   size_t max_in_flight = 128;
-  /// Streaming trace flush threshold (buffered events); 0 never flushes
-  /// mid-run.  Only relevant when a trace stream is open.
-  size_t trace_flush_events = 4096;
   /// Watchdog sampler interval: every tick publishes the live gauges
   /// (event-loop tick lag, pool queue depth, pending edits, open
   /// sessions, RSS, uptime) and rewrites `prom_file` when set.  0
@@ -102,7 +96,7 @@ class Server {
 
   SessionHost& host() { return host_; }
 
-  /// Connection/request counters (for the stats op and tests).  Every
+  /// Connection/request counters (for the metrics op and tests).  Every
   /// response the daemon produces passes through exactly one counting
   /// point (note_request), so requests/errors can never drift from the
   /// traffic actually answered.
@@ -113,18 +107,14 @@ class Server {
   };
   Counters counters() const;
 
-  /// Scalar service registry — what the `stats` op reports: connection/
-  /// request counters, host + regen totals, peak RSS and uptime.  The
-  /// daemon's exit-stats block reuses it so the wire and the shutdown
-  /// report can never drift.
-  void absorb_stats(obs::MetricsRegistry& reg) const;
-
-  /// Full telemetry registry — what the `metrics` op (and the watchdog's
-  /// Prometheus file) report: absorb_stats() plus the watchdog gauges,
-  /// the flight-recorder/slow-log counters, and every latency histogram
-  /// (serve.lat.open/edit/get/save from dispatch, serve.lat.flush and
-  /// serve.pool.queue_wait from the host, serve.lat.loop_tick from the
-  /// watchdog probes).
+  /// Full telemetry registry — what the `metrics` op, the watchdog's
+  /// Prometheus file and the daemon's exit-stats block report:
+  /// connection/request counters, host + regen totals, peak RSS and
+  /// uptime, the watchdog gauges, the flight-recorder/slow-log counters,
+  /// and every latency histogram (serve.lat.open/edit/get/save from
+  /// dispatch, serve.lat.flush and serve.pool.queue_wait from the host,
+  /// serve.lat.loop_tick from the watchdog probes).  One absorb, so the
+  /// wire and the shutdown report can never drift.
   void absorb_metrics(obs::MetricsRegistry& reg) const;
 
   /// Async-signal-safe flight-dump request (the SIGUSR1 handler calls
@@ -149,13 +139,10 @@ class Server {
   void note_request(const std::string& response);
   /// Formats the success response for a host result (op-specific fields).
   std::string render_result(Op op, long long id, const HostResult& r);
-  std::string build_stats_response(long long id);
   std::string build_metrics_response(long long id);
   /// The per-op latency histogram for `op`; nullptr for the inline ops
-  /// (ping/stats/metrics/shutdown) which are not worth a series.
+  /// (ping/metrics/shutdown) which are not worth a series.
   obs::Histogram* latency_hist(Op op);
-  void nudge_flusher();
-  void flusher_main();
   void watchdog_main();
   void watchdog_tick();
 
@@ -186,12 +173,6 @@ class Server {
   /// into the metrics response.
   mutable std::mutex gauges_mu_;
   obs::MetricsRegistry gauges_;
-
-  std::mutex flush_mu_;
-  std::condition_variable flush_cv_;
-  bool flush_nudged_ = false;
-  bool flusher_stop_ = false;
-  std::thread flusher_;
 
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

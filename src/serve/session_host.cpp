@@ -1,8 +1,8 @@
 #include "serve/session_host.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -186,7 +186,7 @@ void SessionHost::drain(const std::string& name,
 
     std::vector<HostResult> results(batch.size());
     {
-      // Shared side of the trace-flush gate: the flusher only runs when
+      // Shared side of the trace-flush gate: a flight dump only runs when
       // no op body is emitting trace events.
       std::shared_lock gate(flush_gate_);
       // Tail-sampling window: the batch's trace events all land on this
@@ -287,7 +287,6 @@ HostResult SessionHost::exec_one_edit(Session& s,
   s.dirty = true;
   HostResult ok;
   ok.seq = s.seq;
-  ok.batched = true;
   return ok;
 }
 
@@ -348,12 +347,17 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
     r.payload = std::move(text);
     return r;
   }
-  std::ofstream out(state_path(name), std::ios::trunc);
+  // Write-then-rename: a kill or a write error mid-save leaves the last
+  // good save in place, never a torn file.
+  const std::string path = state_path(name);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
+  const bool created = out.is_open();
   out << text;
   out.close();
-  if (!out) {
-    return HostResult::error(err::kInternal,
-                             "cannot write " + state_path(name));
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (created) std::remove(tmp.c_str());
+    return HostResult::error(err::kInternal, "cannot write " + path);
   }
   s.dirty = false;
   r.seq = s.seq;
@@ -491,7 +495,7 @@ HostResult SessionHost::close(const std::string& name) {
   return block_on([&](HostCallback cb) { close_async(name, std::move(cb)); });
 }
 
-// ----- shutdown and stats ----------------------------------------------------
+// ----- shutdown and metrics --------------------------------------------------
 
 int SessionHost::save_dirty_sessions() {
   if (opt_.state_dir.empty()) return 0;
@@ -520,14 +524,6 @@ void SessionHost::note_batch(size_t edits_in_job) {
   std::lock_guard lock(batch_mu_);
   ++batch_.jobs;
   batch_.edits += static_cast<long long>(edits_in_job);
-  batch_.max_size =
-      std::max(batch_.max_size, static_cast<long long>(edits_in_job));
-  const int bucket = edits_in_job <= 1   ? 0
-                     : edits_in_job <= 3 ? 1
-                     : edits_in_job <= 7 ? 2
-                     : edits_in_job <= 15 ? 3
-                                          : 4;
-  ++batch_.hist[bucket];
 }
 
 void SessionHost::note_flush(size_t edits_flushed) {
@@ -541,7 +537,7 @@ SessionHost::BatchStats SessionHost::batch_stats() const {
   return batch_;
 }
 
-void SessionHost::absorb_stats(obs::MetricsRegistry& reg) const {
+void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
   std::vector<std::shared_ptr<Session>> all;
   {
     std::lock_guard lock(sessions_mu_);
@@ -579,19 +575,10 @@ void SessionHost::absorb_stats(obs::MetricsRegistry& reg) const {
   reg.set("serve.batch.edits", b.edits);
   reg.set("serve.batch.regens", b.regens);
   reg.set("serve.batch.composed", b.composed);
-  reg.set("serve.batch.max", b.max_size);
-  reg.set("serve.batch.hist_1", b.hist[0]);
-  reg.set("serve.batch.hist_2_3", b.hist[1]);
-  reg.set("serve.batch.hist_4_7", b.hist[2]);
-  reg.set("serve.batch.hist_8_15", b.hist[3]);
-  reg.set("serve.batch.hist_16p", b.hist[4]);
   obs::absorb(reg, sum);
   reg.set("serve.pool.peak_queued", pool_.stats().peak_queued);
   reg.set("serve.trace_buffered_events",
           static_cast<long long>(obs::trace_buffered_events()));
-}
-
-void SessionHost::absorb_latency(obs::MetricsRegistry& reg) const {
   reg.set_histogram("serve.lat.flush", flush_hist_.snapshot());
   reg.set_histogram("serve.pool.queue_wait", pool_wait_hist_.snapshot());
 }

@@ -79,11 +79,6 @@ struct HostResult {
   std::string message;
   /// edit: 1-based per-session edit sequence number after applying.
   long long seq = 0;
-  /// edit: the script was composed into the pending network; regeneration
-  /// is deferred to the next observation point.  Constant on every
-  /// successful edit, so responses stay byte-identical however requests
-  /// batch.
-  bool batched = false;
   /// get/save: edits flushed (composed into one regen) by this op.
   int flushed_edits = 0;
   /// open: whether the update ran a full generation.
@@ -151,31 +146,24 @@ class SessionHost {
   /// written.  The graceful-shutdown path.  No-op without a state dir.
   int save_dirty_sessions();
 
-  /// Service-level counters plus per-session regen totals (aggregated).
-  void absorb_stats(obs::MetricsRegistry& reg) const;
-
-  /// Host-side latency histograms (microseconds): serve.lat.flush (the
-  /// deferred regen a get/save/close triggered) and serve.pool.queue_wait
-  /// (submit-to-dequeue wait of the shared pool).  Separate from
-  /// absorb_stats so the scalar `stats` response keeps its shape; the
-  /// `metrics` op absorbs both.
-  void absorb_latency(obs::MetricsRegistry& reg) const;
+  /// Service-level counters, per-session regen totals (aggregated) and
+  /// the host-side latency histograms (microseconds): serve.lat.flush
+  /// (the deferred regen a get/save/close triggered) and
+  /// serve.pool.queue_wait (submit-to-dequeue wait of the shared pool).
+  void absorb_metrics(obs::MetricsRegistry& reg) const;
 
   /// Edits composed but not yet flushed, across every open session — the
   /// watchdog's pending-work gauge.  Takes each session mutex briefly.
   long long pending_edits() const;
 
-  /// Edit-coalescing counters: pool jobs that carried edits, how many
-  /// edit requests rode in them, the largest batch, and a small size
-  /// histogram (1, 2-3, 4-7, 8-15, 16+) — plus the multi-edit regen
-  /// counters: `regens` flushes ran (one RegenSession::update each) and
-  /// `composed` edits were covered by them.  `regens < edits` whenever a
-  /// flush covered more than one edit.  Reported under serve.batch.*.
+  /// Edit-coalescing counters: pool jobs that carried edits and how many
+  /// edit requests rode in them — plus the multi-edit regen counters:
+  /// `regens` flushes ran (one RegenSession::update each) and `composed`
+  /// edits were covered by them.  `regens < edits` whenever a flush
+  /// covered more than one edit.  Reported under serve.batch.*.
   struct BatchStats {
     long long jobs = 0;
     long long edits = 0;
-    long long max_size = 0;
-    long long hist[5] = {0, 0, 0, 0, 0};
     long long regens = 0;    ///< composed flushes (one update each)
     long long composed = 0;  ///< edit scripts those flushes covered
   };
@@ -187,8 +175,9 @@ class SessionHost {
   const ModuleLibrary& library() const { return lib_; }
 
   /// The trace-flush quiescence gate: every op execution (and the
-  /// server's inline request handling) holds it shared; the flusher takes
-  /// it exclusive, at which point no request is emitting trace events.
+  /// server's inline request handling) holds it shared; a flight-recorder
+  /// dump takes it exclusive, at which point no request is emitting trace
+  /// events.
   std::shared_mutex& flush_gate() { return flush_gate_; }
 
  private:
@@ -202,7 +191,7 @@ class SessionHost {
     HostCallback done;
   };
   struct Session {
-    std::mutex mu;  ///< state access: the drain job and stats readers
+    std::mutex mu;  ///< state access: the drain job and metrics readers
     RegenSession regen;
     /// Edits since the last flush, composed netlist-only; regenerated
     /// from at the next observation point.

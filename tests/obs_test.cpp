@@ -465,119 +465,6 @@ TEST(Trace, WriteProducesParsableFile) {
   std::remove(path.c_str());
 }
 
-// ----- streaming flush -------------------------------------------------------
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
-
-TEST(TraceStream, SingleFlushIsByteIdenticalToOneShot) {
-  fresh_trace();
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 30; ++i) {
-      pool.submit([] { NA_TRACE_SCOPE("streamed_work"); });
-    }
-    pool.wait_idle();
-  }
-  obs::trace_disable();
-  const std::string one_shot = obs::trace_to_json();
-
-  const std::string path = testing::TempDir() + "obs_stream_single.json";
-  ASSERT_TRUE(obs::trace_stream_open(path));
-  EXPECT_TRUE(obs::trace_stream_active());
-  EXPECT_GT(obs::trace_stream_flush(), 0u);
-  EXPECT_EQ(obs::trace_buffered_events(), 0u);  // flush drops what it wrote
-  ASSERT_TRUE(obs::trace_stream_close());
-  EXPECT_FALSE(obs::trace_stream_active());
-
-  EXPECT_EQ(slurp(path), one_shot);
-  std::remove(path.c_str());
-}
-
-TEST(TraceStream, ChunkedFlushesProduceOneValidDocument) {
-  fresh_trace();
-  const std::string path = testing::TempDir() + "obs_stream_chunks.json";
-  ASSERT_TRUE(obs::trace_stream_open(path));
-
-  // Three rounds of record-then-flush at quiescent points — the daemon's
-  // pool-idle cadence.  Buffers must drain each round; the file must still
-  // be a single well-formed Chrome trace with every event.
-  size_t recorded = 0;
-  for (int round = 0; round < 3; ++round) {
-    {
-      ThreadPool pool(3);
-      for (int i = 0; i < 10; ++i) {
-        pool.submit([] { NA_TRACE_SCOPE("chunk_work"); });
-      }
-      pool.wait_idle();
-    }
-    recorded += 10;
-    EXPECT_GT(obs::trace_buffered_events(), 0u);
-    EXPECT_GT(obs::trace_stream_flush(), 0u);
-    EXPECT_EQ(obs::trace_buffered_events(), 0u);
-  }
-  { NA_TRACE_SCOPE("tail_span"); }  // left for close()'s final flush
-  ++recorded;
-  ASSERT_TRUE(obs::trace_stream_close());
-  obs::trace_disable();
-
-  const std::string text = slurp(path);
-  Json doc;
-  ASSERT_NO_THROW(doc = JsonParser(text).parse());
-  const Json* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // The pool instruments itself too, so the file holds at least the spans
-  // this test recorded; count the named ones exactly.
-  EXPECT_GE(events->array.size(), recorded);
-  size_t chunk_spans = 0, tail_spans = 0;
-  // Timestamps in the merged file are globally non-decreasing: each chunk
-  // was flushed at a quiescent point, so chunks never interleave in time.
-  double prev = -1.0;
-  for (const Json& e : events->array) {
-    const Json* ts = e.find("ts");
-    ASSERT_NE(ts, nullptr);
-    EXPECT_GE(ts->number(), prev);
-    prev = ts->number();
-    const std::string& name = e.find("name")->str;
-    chunk_spans += name == "chunk_work";
-    tail_spans += name == "tail_span";
-  }
-  EXPECT_EQ(chunk_spans, 30u);
-  EXPECT_EQ(tail_spans, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceStream, EmptyStreamWritesValidEmptyDocument) {
-  fresh_trace();
-  obs::trace_disable();
-  const std::string path = testing::TempDir() + "obs_stream_empty.json";
-  ASSERT_TRUE(obs::trace_stream_open(path));
-  EXPECT_EQ(obs::trace_stream_flush(), 0u);
-  ASSERT_TRUE(obs::trace_stream_close());
-  EXPECT_EQ(slurp(path), obs::trace_to_json());  // empty one-shot doc
-  std::remove(path.c_str());
-}
-
-TEST(TraceStream, OpenRejectsSecondStreamAndBadPath) {
-  fresh_trace();
-  obs::trace_disable();
-  const std::string path = testing::TempDir() + "obs_stream_dup.json";
-  ASSERT_TRUE(obs::trace_stream_open(path));
-  EXPECT_FALSE(obs::trace_stream_open(path));  // one stream at a time
-  ASSERT_TRUE(obs::trace_stream_close());
-  EXPECT_FALSE(obs::trace_stream_close());  // nothing active anymore
-  EXPECT_FALSE(obs::trace_stream_open("/no/such/dir/trace.json"));
-  std::remove(path.c_str());
-}
-
 #else  // !NA_TRACE_ENABLED
 
 TEST(Trace, CompiledOut) { EXPECT_FALSE(obs::trace_compiled_in()); }
@@ -598,27 +485,6 @@ TEST(Trace, MacrosCompileToNothing) {
   EXPECT_TRUE(obs::trace_events().empty());
   // The emitter still produces a valid (empty) document for CLI wiring.
   EXPECT_NO_THROW(JsonParser(obs::trace_to_json()).parse());
-}
-
-TEST(TraceStreamOff, StreamStillWritesValidEmptyDocument) {
-  // The streaming API stays linkable with tracing compiled out (na_serve
-  // builds in the NA_TRACE=OFF matrix): nothing is ever buffered, every
-  // flush writes zero events, and the file is a valid empty document.
-  obs::trace_reset();
-  obs::trace_enable();
-  const std::string path = testing::TempDir() + "obs_stream_off.json";
-  ASSERT_TRUE(obs::trace_stream_open(path));
-  { NA_TRACE_SCOPE("vanished"); }
-  EXPECT_EQ(obs::trace_buffered_events(), 0u);
-  EXPECT_EQ(obs::trace_stream_flush(), 0u);
-  ASSERT_TRUE(obs::trace_stream_close());
-  obs::trace_disable();
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), obs::trace_to_json());
-  EXPECT_NO_THROW(JsonParser(ss.str()).parse());
-  std::remove(path.c_str());
 }
 
 #endif  // NA_TRACE_ENABLED
@@ -696,7 +562,7 @@ TEST(Diag, RateLimitsPerCategory) {
 
 // ----- thread-pool scheduling counters --------------------------------------
 
-TEST(PoolStats, CountsQueueDepthAndUrgentDrains) {
+TEST(PoolStats, CountsPeakQueued) {
   ThreadPool pool(2);
   for (int i = 0; i < 8; ++i) pool.submit([] {});
   pool.wait_idle();

@@ -164,7 +164,9 @@ const char* code_of(const std::string& line) {
 
 TEST(ServeProtocol, ParsesEveryOp) {
   EXPECT_EQ(parse_request(R"({"op":"ping"})").op, Op::kPing);
-  EXPECT_EQ(parse_request(R"({"op":"stats"})").op, Op::kStats);
+  EXPECT_EQ(parse_request(R"({"op":"metrics"})").op, Op::kMetrics);
+  // `metrics` is the only registry view; `stats` is not an op.
+  EXPECT_STREQ(code_of(R"({"op":"stats"})"), err::kUnknownOp);
   EXPECT_EQ(parse_request(R"({"op":"shutdown"})").op, Op::kShutdown);
 
   const Request open =

@@ -107,12 +107,12 @@ std::string field_payload(const std::string& response) {
   return out;
 }
 
-/// Integer value of a metric inside a stats response ("key":value).
-long long metric_value(const std::string& stats, const std::string& key) {
+/// Integer value of a metric inside a metrics response ("key":value).
+long long metric_value(const std::string& metrics, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
-  const size_t at = stats.find(needle);
+  const size_t at = metrics.find(needle);
   if (at == std::string::npos) return -1;
-  return std::strtoll(stats.c_str() + at + needle.size(), nullptr, 10);
+  return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
 }
 
 /// Integer field of one named histogram inside a metrics response, e.g.
@@ -289,6 +289,65 @@ TEST(Serve, KillRestartRestoresByteIdentical) {
                             "never-restarted reference";
   }
   std::filesystem::remove_all(state);
+}
+
+namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// A host with a fresh state dir holding one saved, edited chain session
+/// "a"; removes the dir on destruction.
+struct SavedHost {
+  SavedHost()
+      : state((std::filesystem::temp_directory_path() /
+               ("na_serve_save_test_" + std::to_string(::getpid())))
+                  .string()),
+        host(options(state)) {
+    EXPECT_TRUE(host.open("a", "chain", false).ok);
+    EXPECT_TRUE(host.edit("a", parse_request(edit_line("a", 0)).edits).ok);
+    EXPECT_TRUE(host.save("a").ok);
+  }
+  ~SavedHost() { std::filesystem::remove_all(state); }
+  static HostOptions options(const std::string& dir) {
+    std::filesystem::remove_all(dir);
+    HostOptions opt;
+    opt.threads = 1;
+    opt.state_dir = dir;
+    return opt;
+  }
+
+  std::string state;
+  SessionHost host;
+};
+
+}  // namespace
+
+TEST(Serve, FailedSaveKeepsThePreviousSave) {
+  SavedHost h;
+  const std::string path = h.state + "/a.session";
+  const std::string before = read_file(path);
+  ASSERT_EQ(before.rfind("#NA-SESSION-1", 0), 0u);
+
+  // A directory squatting on the temp name makes the next write fail
+  // before anything touches the last good save.
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+  ASSERT_TRUE(h.host.edit("a", parse_request(edit_line("a", 1)).edits).ok);
+  const HostResult r = h.host.save("a");
+  EXPECT_FALSE(r.ok);
+  EXPECT_STREQ(r.error_code, err::kInternal);
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+}
+
+TEST(Serve, SaveLeavesNoTempFile) {
+  SavedHost h;
+  EXPECT_TRUE(std::filesystem::exists(h.state + "/a.session"));
+  EXPECT_FALSE(std::filesystem::exists(h.state + "/a.session.tmp"));
 }
 
 TEST(Serve, MalformedTrafficKeepsConnectionAlive) {
@@ -483,14 +542,15 @@ TEST(Serve, StatsCountTrafficExactly) {
   huge += R"("})";
   EXPECT_EQ(field_code(c.request(huge)), "line_too_long");
 
-  // The stats response reports the totals *before* itself.
-  const std::string stats = c.request(R"({"op":"stats"})");
-  ASSERT_TRUE(is_ok(stats)) << stats;
-  EXPECT_EQ(metric_value(stats, "serve.requests"), 5);
-  EXPECT_EQ(metric_value(stats, "serve.errors"), 2);
-  EXPECT_EQ(metric_value(stats, "serve.connections"), 1);
+  // The metrics response reports the totals *before* itself.
+  const std::string metrics = c.request(R"({"op":"metrics"})");
+  ASSERT_TRUE(is_ok(metrics)) << metrics;
+  EXPECT_EQ(metric_value(metrics, "serve.requests"), 5);
+  EXPECT_EQ(metric_value(metrics, "serve.errors"), 2);
+  EXPECT_EQ(metric_value(metrics, "serve.connections"), 1);
 
-  // And the counters() accessor agrees once the stats request itself is in.
+  // And the counters() accessor agrees once the metrics request itself is
+  // in.
   const Server::Counters counters = live.server.counters();
   EXPECT_EQ(counters.requests, 6);
   EXPECT_EQ(counters.errors, 2);
@@ -520,23 +580,20 @@ TEST(Serve, PipelinedEditsBatchAndStayDeterministic) {
 
   // Every edit request rode in exactly one edit-carrying job; how many
   // jobs depends on timing, but the accounting must balance.
-  const std::string stats = c.request(R"({"op":"stats"})");
-  EXPECT_EQ(metric_value(stats, "serve.batch.edits"), kEdits + 0);
-  const long long jobs = metric_value(stats, "serve.batch.jobs");
+  const std::string metrics = c.request(R"({"op":"metrics"})");
+  EXPECT_EQ(metric_value(metrics, "serve.batch.edits"), kEdits + 0);
+  const long long jobs = metric_value(metrics, "serve.batch.jobs");
   EXPECT_GE(jobs, 1);
   EXPECT_LE(jobs, kEdits);
-  const long long max_size = metric_value(stats, "serve.batch.max");
-  EXPECT_GE(max_size, 1);
-  EXPECT_LE(max_size, kEdits);
 
   // Multi-edit regen: the whole uninterrupted run flushed through exactly
   // one RegenSession update at the get — not one per edit, and unlike the
   // job count this is protocol-determined, not timing-determined.
-  EXPECT_EQ(metric_value(stats, "serve.batch.regens"), 1);
-  EXPECT_EQ(metric_value(stats, "serve.batch.composed"), kEdits + 0);
-  EXPECT_LT(metric_value(stats, "serve.batch.regens"),
-            metric_value(stats, "serve.batch.edits"));
-  EXPECT_EQ(metric_value(stats, "regen.edits_composed"), kEdits + 0);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 1);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.composed"), kEdits + 0);
+  EXPECT_LT(metric_value(metrics, "serve.batch.regens"),
+            metric_value(metrics, "serve.batch.edits"));
+  EXPECT_EQ(metric_value(metrics, "regen.edits_composed"), kEdits + 0);
 }
 
 TEST(Serve, ClientDistinguishesTransportFailure) {
@@ -561,7 +618,7 @@ TEST(Serve, StatsReportServiceCounters) {
   BlockingClient c = live.connect();
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"m","design":"chain"})")));
   ASSERT_TRUE(is_ok(c.request(edit_line("m", 0))));
-  const std::string r = c.request(R"({"op":"stats"})");
+  const std::string r = c.request(R"({"op":"metrics"})");
   ASSERT_TRUE(is_ok(r)) << r;
   EXPECT_NE(r.find("\"serve.requests\":"), std::string::npos);
   EXPECT_NE(r.find("\"serve.sessions_open\":1"), std::string::npos);
@@ -615,14 +672,18 @@ TEST(Serve, MetricsOpRoundTripsHistograms) {
   const obs::HistogramData client_data = client_lat.snapshot();
   EXPECT_EQ(client_data.count, kEdits);
   EXPECT_LE(max, client_data.max);
+}
 
-  // The stats op keeps its scalar shape: no histograms object, but the
-  // process gauges ride along.
-  const std::string stats = c.request(R"({"op":"stats"})");
-  ASSERT_TRUE(is_ok(stats)) << stats;
-  EXPECT_EQ(stats.find("\"histograms\""), std::string::npos);
-  EXPECT_GT(metric_value(stats, "serve.peak_rss_bytes"), 0);
-  EXPECT_GE(metric_value(stats, "serve.uptime_ms"), 0);
+TEST(Serve, RemovedStatsOpAnswersUnknownOpAndKeepsConnection) {
+  LiveServer live;
+  BlockingClient c = live.connect();
+  // `metrics` is the one registry view; the old `stats` spelling is an
+  // unknown op like any other — an error reply, never a dropped socket.
+  const std::string r = c.request(R"({"op":"stats"})");
+  ASSERT_FALSE(r.empty()) << c.last_error();
+  EXPECT_EQ(field_code(r), "unknown_op");
+  EXPECT_TRUE(is_ok(c.request(R"({"op":"ping"})")));
+  EXPECT_TRUE(is_ok(c.request(R"({"op":"metrics"})")));
 }
 
 TEST(Serve, WatchdogPublishesGaugesAndPromFile) {
@@ -792,27 +853,27 @@ TEST(MultiEdit, StatsCountComposedRegens) {
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"cc","design":"chain"})")));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(is_ok(c.request(edit_line("cc", i))));
 
-  // stats is NOT an observation point: the 3 edits are still pending.
-  std::string stats = c.request(R"({"op":"stats"})");
-  EXPECT_EQ(metric_value(stats, "serve.pending_edits"), 3);
-  EXPECT_EQ(metric_value(stats, "serve.batch.regens"), 0);
+  // metrics is NOT an observation point: the 3 edits are still pending.
+  std::string metrics = c.request(R"({"op":"metrics"})");
+  EXPECT_EQ(metric_value(metrics, "serve.pending_edits"), 3);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 0);
 
   // The get flushes all of them through one update.
   const std::string got = c.request(R"({"op":"get","session":"cc"})");
   ASSERT_TRUE(is_ok(got)) << got;
   EXPECT_NE(got.find("\"flushed_edits\":3"), std::string::npos) << got;
-  stats = c.request(R"({"op":"stats"})");
-  EXPECT_EQ(metric_value(stats, "serve.pending_edits"), 0);
-  EXPECT_EQ(metric_value(stats, "serve.batch.regens"), 1);
-  EXPECT_EQ(metric_value(stats, "serve.batch.composed"), 3);
-  EXPECT_EQ(metric_value(stats, "serve.batch.edits"), 3);
-  EXPECT_LT(metric_value(stats, "serve.batch.regens"),
-            metric_value(stats, "serve.batch.edits"));
+  metrics = c.request(R"({"op":"metrics"})");
+  EXPECT_EQ(metric_value(metrics, "serve.pending_edits"), 0);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 1);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.composed"), 3);
+  EXPECT_EQ(metric_value(metrics, "serve.batch.edits"), 3);
+  EXPECT_LT(metric_value(metrics, "serve.batch.regens"),
+            metric_value(metrics, "serve.batch.edits"));
 
   // An idle get flushes nothing and runs no further update.
   ASSERT_TRUE(is_ok(c.request(R"({"op":"get","session":"cc"})")));
-  stats = c.request(R"({"op":"stats"})");
-  EXPECT_EQ(metric_value(stats, "serve.batch.regens"), 1);
+  metrics = c.request(R"({"op":"metrics"})");
+  EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 1);
 }
 
 TEST(MultiEdit, SaveBetweenEditsSnapshotsPrecedingEdit) {
