@@ -1,6 +1,7 @@
 // Sharded routing: region partitioning, byte-determinism across thread
-// counts, equality with the sequential driver at one shard, and the halo
-// stitch pass actually connecting boundary-spanning nets.
+// counts, equality with the sequential driver at one shard, the halo
+// stitch pass actually connecting boundary-spanning nets, and a pinned
+// digest of a mid-size sharded mesh.
 #include "route/shard_route.hpp"
 
 #include <gtest/gtest.h>
@@ -159,6 +160,42 @@ TEST(ShardRoute, TorusWrapNetsStitch) {
   EXPECT_GT(stats.nets_stitch, 0);
   EXPECT_TRUE(validate_diagram(dia).empty());
   EXPECT_EQ(report.nets_failed, 0);
+}
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ShardRoute, SynthMeshMatchesPinnedDigest) {
+  // The scale tier's golden contract: a ~2k-module mesh placed on four
+  // threads (box formation per partition) and routed in 8 shards (shard
+  // pass, merge, windowed stitch pass, retry) must keep producing these
+  // exact ESCHER bytes and this expansion count at any thread count.  A
+  // change means the router's or placer's output changed, not its speed.
+  const Network net = mesh(2000);
+  Diagram base(net);
+  PlacerOptions popt = placer_options();
+  popt.threads = 4;
+  place(base, popt);
+  RouterOptions ropt;
+  ropt.margin = 6;
+  for (const int threads : {1, 4}) {
+    Diagram dia = base;
+    ShardRouteStats stats;
+    const RouteReport report =
+        shard_route_all(dia, ropt, ShardOptions{8, 16, threads}, &stats);
+    EXPECT_GT(stats.nets_stitch, 0);
+    const std::uint64_t digest = fnv1a(bytes(dia));
+    EXPECT_EQ(digest, 0x83e61e09df8d574bull)
+        << "threads=" << threads << std::hex << " digest 0x" << digest;
+    EXPECT_EQ(report.total_expansions, 14360796) << "threads=" << threads;
+  }
 }
 
 TEST(PlacerThreads, ByteIdenticalAcrossThreadCounts) {
