@@ -64,6 +64,11 @@ struct Rect {
   constexpr Rect expanded(int by) const {
     return {{lo.x - by, lo.y - by}, {hi.x + by, hi.y + by}};
   }
+  /// The points in both (empty when they are disjoint).
+  constexpr Rect intersect(Rect o) const {
+    return {{std::max(lo.x, o.lo.x), std::max(lo.y, o.lo.y)},
+            {std::min(hi.x, o.hi.x), std::min(hi.y, o.hi.y)}};
+  }
   /// Smallest rectangle containing both.
   constexpr Rect hull(Rect o) const {
     if (empty()) return o;

@@ -67,30 +67,31 @@ std::vector<ModuleId> construct_roots(const Network& net,
 
 namespace {
 
-void longest_path_dfs(const Network& net, Box& path, std::vector<bool>& available,
-                      int max_box_size, Box& best) {
+void longest_path_dfs(const Network& net, const std::vector<ModuleId>& candidates,
+                      std::vector<bool>& used, Box& path, int max_box_size,
+                      Box& best) {
   if (static_cast<int>(path.size()) > static_cast<int>(best.size())) best = path;
   if (static_cast<int>(path.size()) >= max_box_size) return;
   const ModuleId tail = path.back();
-  for (ModuleId m = 0; m < net.module_count(); ++m) {
-    if (!available[m] || !drives_module(net, tail, m)) continue;
-    available[m] = false;
-    path.push_back(m);
-    longest_path_dfs(net, path, available, max_box_size, best);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (used[i] || !drives_module(net, tail, candidates[i])) continue;
+    used[i] = true;
+    path.push_back(candidates[i]);
+    longest_path_dfs(net, candidates, used, path, max_box_size, best);
     path.pop_back();
-    available[m] = true;
+    used[i] = false;
   }
 }
 
 }  // namespace
 
-Box longest_path(const Network& net, ModuleId root, const std::vector<bool>& available,
-                 int max_box_size) {
+Box longest_path(const Network& net, ModuleId root,
+                 const std::vector<ModuleId>& candidates, int max_box_size) {
   Box path{root};
   Box best{root};
-  std::vector<bool> avail = available;
-  avail[root] = false;
-  longest_path_dfs(net, path, avail, max_box_size, best);
+  std::vector<bool> used(candidates.size(), false);
+  for (size_t i = 0; i < candidates.size(); ++i) used[i] = candidates[i] == root;
+  longest_path_dfs(net, candidates, used, path, max_box_size, best);
   return best;
 }
 
@@ -98,10 +99,10 @@ std::vector<Box> form_boxes(const Network& net, const std::vector<ModuleId>& par
                             int max_box_size) {
   std::vector<Box> boxes;
   std::vector<ModuleId> remaining = partition;
+  // The same modules in ascending id order: LONGEST_PATH's candidates.
+  std::vector<ModuleId> candidates = partition;
+  std::sort(candidates.begin(), candidates.end());
   while (!remaining.empty()) {
-    std::vector<bool> avail(net.module_count(), false);
-    for (ModuleId m : remaining) avail[m] = true;
-
     // Roots are recomputed over the remaining modules; when no module
     // qualifies (fully internal cycle), every remaining module may head a
     // string so the loop always progresses.
@@ -110,11 +111,14 @@ std::vector<Box> form_boxes(const Network& net, const std::vector<ModuleId>& par
 
     Box best;
     for (ModuleId r : roots) {
-      Box path = longest_path(net, r, avail, max_box_size);
+      Box path = longest_path(net, r, candidates, max_box_size);
       if (path.size() > best.size()) best = path;
     }
     boxes.push_back(best);
-    for (ModuleId m : best) std::erase(remaining, m);
+    for (ModuleId m : best) {
+      std::erase(remaining, m);
+      std::erase(candidates, m);
+    }
   }
   return boxes;
 }

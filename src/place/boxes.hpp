@@ -23,11 +23,15 @@ using Box = std::vector<ModuleId>;
 std::vector<ModuleId> construct_roots(const Network& net,
                                       const std::vector<ModuleId>& partition);
 
-/// LONGEST_PATH: longest out->in chain from `root` through `available`
-/// modules, at most `max_box_size` long (depth-first with the paper's
-/// length bound).
+/// LONGEST_PATH: longest out->in chain from `root` through `candidates`
+/// (the modules still free to join a string, `root` ignored among them),
+/// at most `max_box_size` long (depth-first with the paper's length
+/// bound).  `candidates` must be sorted ascending by ModuleId: the DFS
+/// tries successors in that order and keeps the first longest string, so
+/// the order decides ties.  Each DFS step scans the candidates, not every
+/// module of the network.
 Box longest_path(const Network& net, ModuleId root,
-                 const std::vector<bool>& available, int max_box_size);
+                 const std::vector<ModuleId>& candidates, int max_box_size);
 
 /// True when `from` drives `to`: some net joins an out/inout terminal of
 /// `from` with an in/inout terminal of `to` (the edge relation of

@@ -14,7 +14,12 @@
 // O(W*H) allocation; a caller that passes no workspace gets a private one.
 // An optional per-problem window restricts the explored plane: points
 // outside it count as blocked, and the driver retries without the window
-// when a windowed search fails.
+// when a windowed search fails.  States are indexed over the searched
+// extent (window ∩ plane, or the whole plane without a window), so a
+// windowed search's arrays and scrubs are O(window), not O(plane).  Every
+// grid predicate is false outside the plane, so the clip changes no
+// result, and heap order depends only on keys and insertion order, never
+// on state ids.
 #include "route/dijkstra.hpp"
 
 #include <algorithm>
@@ -70,24 +75,25 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   }
   SearchWorkspace local;
   if (!ws) ws = &local;
-  const geom::Rect area = grid.area();
-  const int w = area.width() + 1;
-  const int h = area.height() + 1;
+  const bool windowed = prob.window.has_value();
+  const geom::Rect ext =
+      windowed ? prob.window->intersect(grid.area()) : grid.area();
+  if (ext.empty()) return std::nullopt;
+  const int w = ext.width() + 1;
+  const int h = ext.height() + 1;
   const int ncells = w * h;
   const int nstates = ncells * 4;
   const int goal_state = nstates;  // virtual goal
-  const bool windowed = prob.window.has_value();
-  const geom::Rect win = windowed ? *prob.window : area;
 
   auto cell_index = [&](geom::Point p) {
-    return (p.y - area.lo.y) * w + (p.x - area.lo.x);
+    return (p.y - ext.lo.y) * w + (p.x - ext.lo.x);
   };
   auto state_of = [&](geom::Point p, geom::Dir d) {
     return cell_index(p) * 4 + static_cast<int>(d);
   };
   auto point_of = [&](int state) {
     const int cell = state / 4;
-    return geom::Point{area.lo.x + cell % w, area.lo.y + cell / w};
+    return geom::Point{ext.lo.x + cell % w, ext.lo.y + cell / w};
   };
   auto dir_of = [&](int state) { return static_cast<geom::Dir>(state % 4); };
 
@@ -105,7 +111,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   };
 
   for (const SearchStart& s : prob.starts) {
-    if (windowed && !win.contains(s.p)) continue;
+    if (windowed && !ext.contains(s.p)) continue;
     // The start point becomes a node of this net as well.
     if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
     if (s.dir) {
@@ -135,7 +141,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     // Straight step: extend the escape line one track.
     {
       const geom::Point q = p + geom::delta(d);
-      if (!windowed || win.contains(q)) {
+      if (!windowed || ext.contains(q)) {
         const bool horiz = geom::is_horizontal(d);
         SearchCosts c = e.costs;
         c.length += 1;

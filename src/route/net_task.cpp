@@ -223,23 +223,20 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
 }
 
 void DriverSetup::release_claims(NetId n) {
-  for (auto& [cell, owner] : claims) {
-    if (owner == n) {
-      grid.clear_claim(cell);
-      owner = kNone;
-    }
-  }
+  for (geom::Point cell : claims[n]) grid.clear_claim(cell);
+  claims[n].clear();
 }
 
-void DriverSetup::restore_claim(const Diagram& dia, const RouterOptions& opt,
-                                TermId t, NetId n) {
+void restore_claim(RoutingGrid& grid, const Diagram& dia,
+                   const RouterOptions& opt, TermId t, NetId n,
+                   std::vector<geom::Point>& claims) {
   if (!opt.use_claimpoints || dia.network().term(t).is_system()) return;
   const geom::Point cell = dia.term_pos(t) + geom::delta(dia.term_facing(t));
   if (grid.in_bounds(cell) && !grid.blocked(cell) &&
       grid.claim_owner(cell) == kNone && grid.h_net(cell) == kNone &&
       grid.v_net(cell) == kNone) {
     grid.set_claim(cell, n);
-    claims.emplace_back(cell, n);
+    claims.push_back(cell);
   }
 }
 
@@ -251,6 +248,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
   // geometry, terminals already covered by it count as connected.
   setup.pending.resize(net.net_count());
   setup.has_geometry.assign(net.net_count(), false);
+  setup.claims.resize(net.net_count());
   for (NetId n = 0; n < net.net_count(); ++n) {
     setup.has_geometry[n] = !dia.route(n).polylines.empty();
     for (TermId t : net.net(n).terms) {
@@ -276,7 +274,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
         if (setup.grid.in_bounds(cell) && !setup.grid.blocked(cell) &&
             setup.grid.claim_owner(cell) == kNone) {
           setup.grid.set_claim(cell, n);
-          setup.claims.emplace_back(cell, n);
+          setup.claims[n].push_back(cell);
         }
       }
     }
@@ -326,7 +324,9 @@ void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                          setup.has_geometry[n], ws);
     commit_connections(dia, n, res, setup, report);
     setup.pending[n] = std::move(res.failed);
-    for (TermId t : setup.pending[n]) setup.restore_claim(dia, opt, t, n);
+    for (TermId t : setup.pending[n]) {
+      restore_claim(setup.grid, dia, opt, t, n, setup.claims[n]);
+    }
   }
 }
 
@@ -335,10 +335,9 @@ void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 SearchWorkspace& ws) {
   if (!opt.retry_failed) return;
   NA_TRACE_SCOPE("route.retry");
-  for (auto& [cell, owner] : setup.claims) {
-    if (owner != kNone) setup.grid.clear_claim(cell);
+  for (NetId n = 0; n < static_cast<NetId>(setup.claims.size()); ++n) {
+    setup.release_claims(n);
   }
-  setup.claims.clear();
   for (NetId n : order) {
     if (setup.pending[n].empty()) continue;
     const int before = static_cast<int>(setup.pending[n].size());

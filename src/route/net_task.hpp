@@ -11,7 +11,8 @@
 //
 // DriverSetup is the state both drivers build before routing: the routing
 // plane, the pending-terminal lists, and the claimpoint table of paper
-// section 5.7.
+// section 5.7, kept as one cell list per net so releasing or replaying a
+// net's claims touches only that net's cells.
 #pragma once
 
 #include <vector>
@@ -40,17 +41,23 @@ struct DriverSetup {
   RoutingGrid grid;  ///< the live routing plane
   std::vector<std::vector<TermId>> pending;  ///< per net, terminals to connect
   std::vector<bool> has_geometry;
-  std::vector<std::pair<geom::Point, NetId>> claims;
+  /// Per net, the cells it holds a live claimpoint on.
+  std::vector<std::vector<geom::Point>> claims;
 
   explicit DriverSetup(RoutingGrid g) : grid(std::move(g)) {}
 
   /// Releases net `n`'s remaining claimpoints (done when its routing
   /// starts).
   void release_claims(NetId n);
-  /// Re-claims the escape track of a terminal that stayed unconnected.
-  void restore_claim(const Diagram& dia, const RouterOptions& opt, TermId t,
-                     NetId n);
 };
+
+/// Re-claims on `grid` the escape track of terminal `t` of net `n` that
+/// stayed unconnected, appending the cell to `claims` when the claim is
+/// taken.  The live driver passes its own plane and `claims[n]`; a shard
+/// job passes its clipped grid and the list its merge replays.
+void restore_claim(RoutingGrid& grid, const Diagram& dia,
+                   const RouterOptions& opt, TermId t, NetId n,
+                   std::vector<geom::Point>& claims);
 
 /// Builds the routing plane, the pending lists and the claimpoint table
 /// for a placed diagram (the common preamble of both drivers).

@@ -15,12 +15,12 @@ using detail::NetTaskResult;
 
 /// What one shard job produced for one of its nets, in processing order.
 /// The merge replays these onto the live plane: paths become occupancy +
-/// diagram polylines, `new_claims` are the claimpoints the job restored
-/// for terminals that stayed unconnected.
+/// diagram polylines, `new_claims` are the cells of the claimpoints the
+/// job restored for terminals that stayed unconnected.
 struct ShardNetResult {
   NetId net = kNone;
   NetTaskResult res;
-  std::vector<std::pair<geom::Point, NetId>> new_claims;
+  std::vector<geom::Point> new_claims;
 };
 
 struct ShardJob {
@@ -28,21 +28,6 @@ struct ShardJob {
   std::vector<NetId> nets;  ///< assigned nets, in global processing order
   std::vector<ShardNetResult> results;
 };
-
-/// The worker side of DriverSetup::restore_claim, against the job's local
-/// grid (the live claims list is patched at merge from `new_claims`).
-void local_restore_claim(RoutingGrid& grid, const Diagram& dia,
-                         const RouterOptions& opt, TermId t, NetId n,
-                         std::vector<std::pair<geom::Point, NetId>>& out) {
-  if (!opt.use_claimpoints || dia.network().term(t).is_system()) return;
-  const geom::Point cell = dia.term_pos(t) + geom::delta(dia.term_facing(t));
-  if (grid.in_bounds(cell) && !grid.blocked(cell) &&
-      grid.claim_owner(cell) == kNone && grid.h_net(cell) == kNone &&
-      grid.v_net(cell) == kNone) {
-    grid.set_claim(cell, n);
-    out.emplace_back(cell, n);
-  }
-}
 
 /// Routes one shard's nets against a clipped copy of the plane.  Pure
 /// function of (setup snapshot, dia, job.nets, opt) — safe to run
@@ -61,15 +46,15 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
     // Mirror of the sequential driver's per-net step: release the net's
     // own claims, route, re-claim the escape tracks of what failed.  All
     // of net n's claims lie inside the region (assignment guarantees the
-    // net hull + 1 fits), so clearing by the shared claims snapshot hits
-    // exactly the cells the live-plane release will clear at merge.
-    for (const auto& [cell, owner] : setup.claims) {
-      if (owner == n) local.clear_claim(cell);
-    }
+    // net hull + 1 fits), so clearing the net's list in the shared
+    // snapshot hits exactly the cells the live-plane release will clear
+    // at merge.
+    for (geom::Point cell : setup.claims[n]) local.clear_claim(cell);
     r.res = detail::route_single_net(local, dia, n, setup.pending[n], opt,
                                      setup.has_geometry[n], ws);
+    // The live claim lists are patched at merge from `new_claims`.
     for (TermId t : r.res.failed) {
-      local_restore_claim(local, dia, opt, t, n, r.new_claims);
+      detail::restore_claim(local, dia, opt, t, n, r.new_claims);
     }
     job.results.push_back(std::move(r));
   }
@@ -182,9 +167,9 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
         }
         detail::commit_connections(dia, r.net, r.res, setup, report);
         setup.pending[r.net] = std::move(r.res.failed);
-        for (const auto& [cell, owner] : r.new_claims) {
-          setup.grid.set_claim(cell, owner);
-          setup.claims.emplace_back(cell, owner);
+        for (geom::Point cell : r.new_claims) {
+          setup.grid.set_claim(cell, r.net);
+          setup.claims[r.net].push_back(cell);
         }
       }
     }

@@ -13,8 +13,12 @@
 // Nets spanning a shard boundary are *stitch* nets: they are routed after
 // the merge, sequentially on the live plane, with a halo search window
 // (the hull of the net inflated by `halo` tracks, full-plane fallback) —
-// the cross-shard stitch protocol.  The section-5.7 retry pass and the
-// report accounting are shared with route_all.
+// the cross-shard stitch protocol.  A windowed search indexes its state
+// over the window, so a stitch search touches O(window) state even on
+// the live plane; only a fallback search pays O(plane).  Claimpoints are
+// kept per net, so the merge replays and releases only each net's own.
+// The section-5.7 retry pass and the report accounting are shared with
+// route_all.
 //
 // With shards <= 1 the driver degenerates to the exact sequential
 // route_all loop (byte-identical diagram and report).

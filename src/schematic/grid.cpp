@@ -23,8 +23,7 @@ void RoutingGrid::block(geom::Point p) {
 }
 
 void RoutingGrid::block_rect(geom::Rect r) {
-  const geom::Rect clipped = {{std::max(r.lo.x, area_.lo.x), std::max(r.lo.y, area_.lo.y)},
-                              {std::min(r.hi.x, area_.hi.x), std::min(r.hi.y, area_.hi.y)}};
+  const geom::Rect clipped = r.intersect(area_);
   for (int y = clipped.lo.y; y <= clipped.hi.y; ++y) {
     for (int x = clipped.lo.x; x <= clipped.hi.x; ++x) {
       at({x, y}).blocked = true;
@@ -134,9 +133,7 @@ void RoutingGrid::set_track(geom::Point p, bool horizontal, NetId n) {
 }
 
 RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
-  const geom::Rect inter = {
-      {std::max(sub.lo.x, area_.lo.x), std::max(sub.lo.y, area_.lo.y)},
-      {std::min(sub.hi.x, area_.hi.x), std::min(sub.hi.y, area_.hi.y)}};
+  const geom::Rect inter = sub.intersect(area_);
   if (inter.empty()) throw std::invalid_argument("clip outside routing area");
   RoutingGrid g(inter);
   for (int y = inter.lo.y; y <= inter.hi.y; ++y) {

@@ -140,13 +140,8 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         geom::Point from = a;
         geom::Point to = b;
         if (region) {
-          const geom::Rect clipped = [&] {
-            const geom::Rect sb = geom::Segment{a, b}.bounds();
-            return geom::Rect{{std::max(sb.lo.x, region->lo.x),
-                               std::max(sb.lo.y, region->lo.y)},
-                              {std::min(sb.hi.x, region->hi.x),
-                               std::min(sb.hi.y, region->hi.y)}};
-          }();
+          const geom::Rect clipped =
+              geom::Segment{a, b}.bounds().intersect(*region);
           if (clipped.empty()) continue;
           if (b.x >= a.x && b.y >= a.y) {
             from = clipped.lo;

@@ -88,22 +88,21 @@ TEST(ConstructRoots, SingleNetRule) {
 
 TEST(LongestPath, FollowsChain) {
   const Network net = chain_with_branch();
-  const std::vector<bool> avail(5, true);
+  const std::vector<ModuleId> avail = {0, 1, 2, 3, 4};
   const Box path = longest_path(net, 0, avail, 10);
   EXPECT_EQ(path, (Box{0, 1, 2, 3}));
 }
 
 TEST(LongestPath, RespectsBoxSizeLimit) {
   const Network net = chain_with_branch();
-  const std::vector<bool> avail(5, true);
+  const std::vector<ModuleId> avail = {0, 1, 2, 3, 4};
   EXPECT_EQ(longest_path(net, 0, avail, 2).size(), 2u);
   EXPECT_EQ(longest_path(net, 0, avail, 1).size(), 1u);
 }
 
 TEST(LongestPath, RespectsAvailability) {
   const Network net = chain_with_branch();
-  std::vector<bool> avail(5, true);
-  avail[2] = false;
+  const std::vector<ModuleId> avail = {0, 1, 3, 4};  // m2 unavailable
   const Box path = longest_path(net, 0, avail, 10);
   // Chain broken at m2: 0 -> 1 -> 4 (the branch).
   EXPECT_EQ(path, (Box{0, 1, 4}));
@@ -124,7 +123,7 @@ TEST(LongestPath, HandlesCyclesWithoutRevisiting) {
   wire("n0", 0, 1);
   wire("n1", 1, 2);
   wire("n2", 2, 0);  // cycle
-  const Box path = longest_path(net, 0, std::vector<bool>(3, true), 10);
+  const Box path = longest_path(net, 0, {0, 1, 2}, 10);
   EXPECT_EQ(path.size(), 3u);  // each module once
 }
 

@@ -2,6 +2,8 @@
 // (min bends -> crossings -> length), Lee (min length), Hightower
 // (escape-line heuristic), the straight-line fast path, search-workspace
 // reuse and windowed searches.
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "route/dijkstra.hpp"
@@ -383,6 +385,18 @@ RoutingGrid walled_grid() {
   return grid;
 }
 
+/// Same found/not-found, path, cost and expansion count.
+void expect_same_result(const std::optional<SearchResult>& a,
+                        const std::optional<SearchResult>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (!a) return;
+  EXPECT_EQ(a->path, b->path);
+  EXPECT_EQ(a->expansions, b->expansions);
+  EXPECT_EQ(a->cost.bends, b->cost.bends);
+  EXPECT_EQ(a->cost.crossings, b->cost.crossings);
+  EXPECT_EQ(a->cost.length, b->cost.length);
+}
+
 TEST(SearchWorkspace, ReuseMatchesFreshSearches) {
   const RoutingGrid grid = walled_grid();
   const std::vector<std::pair<geom::Point, geom::Point>> cases = {
@@ -395,12 +409,7 @@ TEST(SearchWorkspace, ReuseMatchesFreshSearches) {
     const auto reused = detail::grid_search(
         grid, prob, detail::CostMode::BendsCrossingsLength, &shared);
     ASSERT_TRUE(fresh.has_value());
-    ASSERT_TRUE(reused.has_value());
-    EXPECT_EQ(fresh->path, reused->path);
-    EXPECT_EQ(fresh->expansions, reused->expansions);
-    EXPECT_EQ(fresh->cost.bends, reused->cost.bends);
-    EXPECT_EQ(fresh->cost.crossings, reused->cost.crossings);
-    EXPECT_EQ(fresh->cost.length, reused->cost.length);
+    expect_same_result(fresh, reused);
   }
 }
 
@@ -420,6 +429,108 @@ TEST(WindowedSearch, WindowBlocksOutsidePoints) {
   ASSERT_TRUE(windowed.has_value());
   ASSERT_TRUE(full.has_value());
   EXPECT_EQ(windowed->path, full->path);
+}
+
+TEST(WindowedSearch, MatchesClippedGrid) {
+  // A windowed search indexes its states over window ∩ plane; it must
+  // behave exactly like an unwindowed search on the plane clipped to that
+  // rectangle.  One workspace serves every windowed and full-plane search,
+  // so extents of different sizes share (and scrub) the same arrays.
+  const RoutingGrid grid = walled_grid();  // area {0,0}-{20,12}
+  const std::vector<geom::Rect> windows = {
+      {{3, 2}, {15, 10}},    // inside the plane
+      {{-5, 1}, {12, 11}},   // straddling the left edge
+      {{6, 1}, {27, 11}},    // straddling the right edge
+      {{2, -4}, {18, 8}},    // straddling the bottom edge
+      {{2, 4}, {18, 19}},    // straddling the top edge
+      {{-10, 3}, {35, 9}},   // wider than the plane
+  };
+  const auto mode = detail::CostMode::BendsCrossingsLength;
+  detail::SearchWorkspace shared;
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> dirs(-1, 3);
+  // A free point of `r` (the window's part of the plane, or all of it).
+  auto pick_free = [&](geom::Rect r) {
+    std::uniform_int_distribution<int> xs(r.lo.x, r.hi.x), ys(r.lo.y, r.hi.y);
+    for (;;) {
+      const geom::Point p{xs(rng), ys(rng)};
+      if (!grid.blocked(p)) return p;
+    }
+  };
+  auto pick_dir = [&]() -> std::optional<geom::Dir> {
+    const int d = dirs(rng);
+    if (d < 0) return std::nullopt;
+    return static_cast<geom::Dir>(d);
+  };
+  for (const geom::Rect& win : windows) {
+    const RoutingGrid clipped = grid.clipped(win);
+    int found = 0;
+    for (int i = 0; i < 12; ++i) {
+      // Mostly endpoints inside the window; every third case draws them
+      // from the whole plane, so some fall outside it.
+      const geom::Rect from = i % 3 == 2 ? grid.area() : clipped.area();
+      SearchProblem prob =
+          p2p(0, pick_free(from), pick_dir(), pick_free(from), pick_dir());
+      const auto full = detail::grid_search(grid, prob, mode, &shared);
+      expect_same_result(full, detail::grid_search(grid, prob, mode));
+      const auto on_clip = detail::grid_search(clipped, prob, mode);
+      prob.window = win;
+      const auto windowed = detail::grid_search(grid, prob, mode, &shared);
+      SCOPED_TRACE(::testing::Message() << "window " << win << " case " << i);
+      expect_same_result(windowed, on_clip);
+      found += windowed ? 1 : 0;
+    }
+    EXPECT_GT(found, 0) << "window " << win;
+  }
+  // A window disjoint from the plane leaves nothing to search.
+  SearchProblem prob = p2p(0, {1, 1}, std::nullopt, {18, 1}, std::nullopt);
+  prob.window = geom::Rect{{30, 30}, {40, 40}};
+  EXPECT_FALSE(detail::grid_search(grid, prob, mode, &shared).has_value());
+}
+
+TEST(SearchWorkspace, ScrubCoversLargerEarlierExtents) {
+  // Stamps cycle every 15 searches and the periodic scrub runs on whatever
+  // search comes next.  Full-plane searches at every 15th call land on the
+  // same stamp right after a small windowed search did the scrub: the
+  // scrub must still clear the full search's slots, or the next full
+  // search would read them as already visited.
+  const RoutingGrid grid = walled_grid();
+  const auto mode = detail::CostMode::BendsCrossingsLength;
+  const SearchProblem full_prob =
+      p2p(0, {1, 1}, std::nullopt, {18, 1}, std::nullopt);
+  SearchProblem small_prob = p2p(0, {1, 1}, std::nullopt, {5, 5}, std::nullopt);
+  small_prob.window = geom::Rect{{0, 0}, {6, 6}};
+  const auto full_fresh = detail::grid_search(grid, full_prob, mode);
+  const auto small_fresh = detail::grid_search(grid, small_prob, mode);
+  ASSERT_TRUE(full_fresh.has_value());
+  ASSERT_TRUE(small_fresh.has_value());
+  detail::SearchWorkspace ws;
+  for (int i = 0; i < 64; ++i) {
+    SCOPED_TRACE(::testing::Message() << "search " << i);
+    if (i % 15 == 1) {
+      expect_same_result(detail::grid_search(grid, full_prob, mode, &ws),
+                         full_fresh);
+    } else {
+      expect_same_result(detail::grid_search(grid, small_prob, mode, &ws),
+                         small_fresh);
+    }
+  }
+}
+
+TEST(SearchWorkspace, WindowedSearchSizesByWindow) {
+  // A 40x40 window on a 2000x2000 plane: the workspace holds the window's
+  // states (41x41 points, four headings, plus the virtual goal), not the
+  // plane's.
+  const RoutingGrid grid({{0, 0}, {1999, 1999}});
+  SearchProblem prob =
+      p2p(0, {505, 510}, std::nullopt, {535, 530}, std::nullopt);
+  prob.window = geom::Rect{{500, 500}, {540, 540}};
+  detail::SearchWorkspace ws;
+  const auto r = detail::grid_search(
+      grid, prob, detail::CostMode::BendsCrossingsLength, &ws);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->cost.bends, 1);
+  EXPECT_LE(ws.capacity(), static_cast<size_t>(4 * 41 * 41 + 1));
 }
 
 }  // namespace
