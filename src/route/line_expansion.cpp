@@ -111,9 +111,8 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   };
 
   for (const SearchStart& s : prob.starts) {
-    if (windowed && !ext.contains(s.p)) continue;
     // The start point becomes a node of this net as well.
-    if (!grid.in_bounds(s.p) || !grid.node_free(s.p, prob.net)) continue;
+    if (!ext.contains(s.p) || !grid.node_free(s.p, prob.net)) continue;
     if (s.dir) {
       relax(state_of(s.p, *s.dir), -1, {});
     } else {
