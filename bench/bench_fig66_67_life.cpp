@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   }
 
   // Routing time of the hand placement (the fig 6.6 workload), best of
-  // three runs, as one machine-readable record.
+  // three runs.
   {
     Diagram placed(life());
     gen::life_hand_placement(placed);
@@ -133,9 +133,7 @@ int main(int argc, char** argv) {
     }
     std::printf("    fig 6.6 route threads=1: %.0fms (%ld expansions)\n", best,
                 expansions);
-    bench_json_add("fig66_67_life", "threads=1", best, expansions);
   }
-  bench_json_write();
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

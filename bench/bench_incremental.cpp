@@ -5,8 +5,7 @@
 //
 // The ISSUE acceptance scenario is the first one: a single-module edit on
 // the hand-placed LIFE diagram must re-route < 25% of the 222 nets and run
-// >= 3x faster than the full regeneration.  Machine-readable timings land
-// in BENCH_incremental.json.
+// >= 3x faster than the full regeneration.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -77,7 +76,6 @@ Network life_delete_net() {  // drop one observation tap
 struct Timing {
   double ms = 1e18;  ///< best of the repetitions
   RegenCounters counters;
-  long expansions = 0;
 };
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -102,7 +100,6 @@ Timing time_life_incremental(const Network& edited, bool validate_full = false) 
     session.update(edited);
     best.ms = std::min(best.ms, ms_since(t0));
     best.counters = session.last();
-    best.expansions = session.last().route_expansions;
     require_valid(session.diagram(), "incremental LIFE update");
   }
   return best;
@@ -120,20 +117,9 @@ Timing time_life_full(const Network& edited) {
     const GeneratorResult r = generate(dia, life_session_options().generator);
     best.ms = std::min(best.ms, ms_since(t0));
     best.counters.nets_rerouted = r.route.nets_routed;
-    best.expansions = r.route.total_expansions;
     require_valid(dia, "from-scratch LIFE regen");
   }
   return best;
-}
-
-/// Validation share and patch-keep counters of one incremental update,
-/// attached to its JSON record.
-std::vector<bench::BenchField> validation_extra(const Timing& t) {
-  return {{"validate_ms", t.counters.validate_ms},
-          {"validate_share", t.counters.validate_ms / t.ms},
-          {"region_validations", t.counters.region_validations},
-          {"full_validations", t.counters.full_validations},
-          {"nets_extended", t.counters.nets_extended}};
 }
 
 void report_scenario(const char* name, const Timing& inc, const Timing& full,
@@ -148,10 +134,6 @@ void report_scenario(const char* name, const Timing& inc, const Timing& full,
       inc.counters.modules_frozen,
       inc.counters.validate_ms,
       inc.counters.full_validations ? "full" : "region");
-  bench_json_add("incremental", std::string(name) + "_incremental", inc.ms,
-                 inc.expansions, validation_extra(inc));
-  bench_json_add("incremental", std::string(name) + "_full", full.ms,
-                 full.expansions);
 }
 
 // ----- google-benchmark entries ---------------------------------------------
@@ -250,11 +232,6 @@ int main(int argc, char** argv) {
       100.0 * check_full.counters.validate_ms / check_full.ms,
       check_region.counters.validate_ms, check_region.ms,
       100.0 * check_region.counters.validate_ms / check_region.ms);
-  bench_json_add("incremental", "life_repin_validate_full", check_full.ms,
-                 check_full.expansions, validation_extra(check_full));
-  bench_json_add("incremental", "life_repin_validate_region", check_region.ms,
-                 check_region.expansions, validation_extra(check_region));
-  bench_json_write("BENCH_incremental.json");
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

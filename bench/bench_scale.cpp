@@ -2,9 +2,9 @@
 // routed and validated end-to-end, with the sharded router A/B'd against
 // the single-shard sequential driver at 10k.
 //
-// Emits BENCH_scale.json: one record per (size, configuration) with
-// modules/sec, validation time, peak RSS, shard balance and the stitch-net
-// share — the numbers EXPERIMENTS.md's "Scale tier" table quotes.
+// Prints one line per (size, configuration) with modules/sec, validation
+// time, peak RSS, shard balance and the stitch-net share — the numbers
+// EXPERIMENTS.md's "Scale tier" table quotes.
 //
 // NA_SCALE_MAX_MODULES caps the sweep (the ctest `scale` smoke runs with
 // 1000 so the default suite stays fast; the full 10k/100k sweep is
@@ -62,7 +62,7 @@ RunResult run_one(const Network& net, const GeneratorOptions& opt,
   return r;
 }
 
-void record(const char* config, int modules, int nets, const RunResult& r) {
+void print_result(const char* config, int modules, const RunResult& r) {
   const double total_s = r.place_s + r.route_s;
   const double mps = total_s > 0 ? modules / total_s : 0;
   const double stitch_share =
@@ -76,17 +76,6 @@ void record(const char* config, int modules, int nets, const RunResult& r) {
       config, modules, r.place_s * 1e3, r.route_s * 1e3, r.validate_s * 1e3, mps,
       r.report.nets_failed, stitch_share * 100, r.shard_stats.balance,
       obs::peak_rss_bytes() >> 20);
-  bench_json_add("scale", config, r.route_s * 1e3, r.report.total_expansions,
-                 {{"modules", modules},
-                  {"nets", nets},
-                  {"place_ms", r.place_s * 1e3},
-                  {"validate_ms", r.validate_s * 1e3},
-                  {"modules_per_sec", mps},
-                  {"unrouted", r.report.nets_failed},
-                  {"shards", static_cast<int>(r.shard_stats.shard_nets.size())},
-                  {"stitch_share", stitch_share},
-                  {"shard_balance", r.shard_stats.balance},
-                  {"peak_rss_bytes", obs::peak_rss_bytes()}});
 }
 
 }  // namespace
@@ -117,19 +106,16 @@ int main() {
     const std::string cfg = "mesh" + std::to_string(tier.modules) + " shards=" +
                             std::to_string(tier.shards);
     const RunResult sharded = run_one(net, opt, shard, cfg.c_str());
-    record(cfg.c_str(), net.module_count(), net.net_count(), sharded);
+    print_result(cfg.c_str(), net.module_count(), sharded);
 
     // A/B at 10k: the same workload on the single-shard sequential driver.
     if (tier.modules == 10000) {
       const char* base_cfg = "mesh10000 shards=1 (base)";
       const RunResult baseline = run_one(net, opt, ShardOptions{1, 16, 1}, base_cfg);
-      record(base_cfg, net.module_count(), net.net_count(), baseline);
+      print_result(base_cfg, net.module_count(), baseline);
       std::printf("10k speedup (route wall-clock): %.2fx\n",
                   baseline.route_s / sharded.route_s);
-      bench_json_add("scale", "mesh10000 speedup", sharded.route_s * 1e3, 0,
-                     {{"speedup", baseline.route_s / sharded.route_s}});
     }
   }
-  bench_json_write("BENCH_scale.json");
   return 0;
 }

@@ -71,10 +71,7 @@ int main(int argc, char** argv) {
     std::printf("%6d %8d %6d %9d %6d %6d %9.2f %9.1f\n", bits, r.stats.modules,
                 r.stats.nets, r.stats.unrouted, r.stats.bends, r.stats.crossings,
                 r.place_seconds * 1e3, r.route_seconds * 1e3);
-    bench_json_add("scaling", "datapath bits=" + std::to_string(bits),
-                   r.route_seconds * 1e3, r.route.total_expansions);
   }
-  bench_json_write();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -11,8 +11,7 @@
 // counters per concurrency level — the numbers the README's service
 // walkthrough quotes.
 //
-// Emits BENCH_serve.json (same schema_version envelope as the other
-// benches).  NA_SERVE_BENCH_EDITS caps the per-session edit count and
+// NA_SERVE_BENCH_EDITS caps the per-session edit count and
 // NA_SERVE_BENCH_MAX_SESSIONS drops the top concurrency levels (the
 // ctest `serve` smoke runs with 4 edits and a 64-session cap so the
 // default suite stays fast; the 256-connection row is bench-only).
@@ -61,16 +60,13 @@ long long metric_value(const std::string& metrics, const std::string& key) {
   return std::strtoll(metrics.c_str() + at + needle.size(), nullptr, 10);
 }
 
-/// Cumulative edit-coalescing counters, read off a metrics round trip.
+/// Cumulative multi-edit regen counters, read off a metrics round trip.
 struct BatchSnapshot {
-  long long jobs = 0, edits = 0;
   long long regens = 0, composed = 0;
 
   static BatchSnapshot read(serve::BlockingClient& c) {
     const std::string metrics = c.request(R"({"op":"metrics"})");
     BatchSnapshot s;
-    s.jobs = metric_value(metrics, "serve.batch.jobs");
-    s.edits = metric_value(metrics, "serve.batch.edits");
     s.regens = metric_value(metrics, "serve.batch.regens");
     s.composed = metric_value(metrics, "serve.batch.composed");
     return s;
@@ -83,7 +79,6 @@ struct LevelResult {
   double p50_ms = 0;
   double p99_ms = 0;
   double flush_p50_ms = 0;  ///< final get per session: pays the composed regen
-  double flush_p99_ms = 0;
 };
 
 /// Runs `sessions` concurrent clients x `edits` edits each against `port`.
@@ -135,7 +130,6 @@ LevelResult run_level(int port, int sessions, int edits) {
   r.p50_ms = quantile_ms(lat_data, 0.50);
   r.p99_ms = quantile_ms(lat_data, 0.99);
   r.flush_p50_ms = quantile_ms(flush_data, 0.50);
-  r.flush_p99_ms = quantile_ms(flush_data, 0.99);
   return r;
 }
 
@@ -185,29 +179,14 @@ int main() {
     const LevelResult r = run_level(port, sessions, edits);
     const BatchSnapshot after = BatchSnapshot::read(control);
     const double rps = r.requests / (r.wall_ms / 1e3);
-    const long long jobs = after.jobs - before.jobs;
-    const long long batched = after.edits - before.edits;
     const long long regens = after.regens - before.regens;
     const long long composed = after.composed - before.composed;
     std::printf("%10d %12.0f %12.2f %12.2f %12.2f %12.1f %10lld %10lld\n",
                 sessions, rps, r.p50_ms, r.p99_ms, r.flush_p50_ms, r.wall_ms,
                 regens, composed);
-    bench_json_add("serve", "sessions=" + std::to_string(sessions), r.wall_ms,
-                   0,
-                   {{"requests", r.requests},
-                    {"requests_per_s", rps},
-                    {"edit_p50_ms", r.p50_ms},
-                    {"edit_p99_ms", r.p99_ms},
-                    {"flush_p50_ms", r.flush_p50_ms},
-                    {"flush_p99_ms", r.flush_p99_ms},
-                    {"batch_jobs", jobs},
-                    {"batch_edits", batched},
-                    {"batch_regens", regens},
-                    {"batch_composed", composed}});
   }
 
   server.request_stop();
   runner.join();
-  bench_json_write("BENCH_serve.json");
   return 0;
 }

@@ -1,16 +1,10 @@
 // Shared helpers for the experiment benches: the paper's workloads with
 // their published option settings, and a row printer for the
 // paper-vs-measured tables each bench emits before the timing runs.
-// Benches that time routing also append machine-readable records via
-// bench_json_add() and call bench_json_write() before exiting; the
-// resulting BENCH_routing.json lets CI track routing performance without
-// scraping the human-oriented tables.
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/generator.hpp"
 #include "obs/metrics.hpp"
@@ -116,63 +110,6 @@ inline void print_row(const std::string& name, const DiagramStats& s) {
   t.add_row(name, {s.modules, s.nets, s.unrouted, s.bends, s.crossings,
                    s.wire_length, s.width, s.height});
   std::fputs(t.row_text(t.rows() - 1).c_str(), stdout);
-}
-
-// ----- machine-readable timing records ---------------------------------------
-
-/// One extra named counter attached to a record.
-using BenchField = std::pair<std::string, obs::MetricValue>;
-
-struct BenchRecord {
-  std::string bench;   ///< source bench executable, e.g. "fig66_67_life"
-  std::string config;  ///< measured configuration, e.g. "threads=4"
-  double ms = 0;       ///< wall-clock of the timed run
-  long expansions = 0; ///< RouteReport::total_expansions (0 when untracked)
-  /// Extra per-record counters, emitted after the fixed fields in order.
-  std::vector<BenchField> fields;
-};
-
-inline std::vector<BenchRecord>& bench_json_records() {
-  static std::vector<BenchRecord> records;
-  return records;
-}
-
-inline void bench_json_add(std::string bench, std::string config, double ms,
-                           long expansions,
-                           std::vector<BenchField> fields = {}) {
-  bench_json_records().push_back(
-      {std::move(bench), std::move(config), ms, expansions, std::move(fields)});
-}
-
-/// Writes every record collected so far through the shared obs::JsonWriter:
-/// {"schema_version": N, "records": [...]} — the same versioned envelope
-/// (and the same emitter) as the --stats json emission.
-inline void bench_json_write(const char* path = "BENCH_routing.json") {
-  obs::JsonWriter w;
-  w.begin_object()
-      .field("schema_version", obs::MetricsRegistry::kSchemaVersion)
-      .key("records")
-      .begin_array();
-  const auto& records = bench_json_records();
-  for (const BenchRecord& r : records) {
-    w.begin_object()
-        .field("bench", std::string_view(r.bench))
-        .field("config", std::string_view(r.config))
-        .field("ms", r.ms)
-        .field("expansions", static_cast<long long>(r.expansions));
-    for (const BenchField& f : r.fields) w.field(f.first, f.second);
-    w.end_object();
-  }
-  w.end_array().end_object();
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path);
-    return;
-  }
-  std::fputs(w.str().c_str(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu records)\n", path, records.size());
 }
 
 }  // namespace na::bench

@@ -47,12 +47,17 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   try {
     files = parse_generator_args(args, opt, &obs);
-    if (files.size() < 3) {
-      std::cerr << "usage: eureka [options] <graphic.es> <call-file>"
-                << " <netlist-file> [io-file] [-o out.es]\n"
-                << generator_usage() << '\n';
-      return 2;
-    }
+  } catch (const std::exception& e) {
+    std::cerr << "eureka: " << e.what() << '\n';
+    return 2;
+  }
+  if (files.size() < 3) {
+    std::cerr << "usage: eureka [options] <graphic.es> <call-file>"
+              << " <netlist-file> [io-file] [-o out.es]\n"
+              << generator_usage() << '\n';
+    return 2;
+  }
+  try {
     const ModuleLibrary lib = ModuleLibrary::standard_cells();
     const std::string io = files.size() > 3 ? slurp(files[3]) : std::string{};
     const Network net = parse_network(lib, slurp(files[1]), io, slurp(files[2]));

@@ -12,10 +12,8 @@
 // port so scripts (examples/serve_demo.sh) can find it.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "obs/diag.hpp"
 #include "obs/obs_options.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -39,14 +37,8 @@ void usage(const char* argv0) {
       "                    a ring; SIGUSR1 dumps them (see --flight-dump)\n"
       "  --flight-dump PATH  where a SIGUSR1 dump lands (default\n"
       "                    na_flight.json)\n"
-      "  --slow-ms T       tail sampling: append the span subtree of any\n"
-      "                    op batch slower than T ms to the slow log\n"
-      "                    (requires --flight-recorder and --slow-log)\n"
-      "  --slow-log PATH   slow-request log file (line JSON)\n"
       "  --watchdog-ms N   gauge sampler interval (0 = off; default 1000)\n"
-      "  --prom-file PATH  rewrite PATH with the full registry in\n"
-      "                    Prometheus text exposition every watchdog tick\n"
-      "  --stats text|json|prom|off  emit service counters on exit\n"
+      "  --stats text|json|off  emit service counters on exit\n"
       "                    (default off)\n",
       argv0);
 }
@@ -71,7 +63,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   obs::ObsOptions::Stats stats = obs::ObsOptions::Stats::kOff;
   long flight_events = 0;
-  std::string slow_log_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -127,30 +118,12 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr) return 2;
       opt.flight_dump_path = s;
-    } else if (flag == "--slow-ms") {
-      const char* s = next();
-      char* end = nullptr;
-      const double ms = s != nullptr ? std::strtod(s, &end) : 0.0;
-      if (s == nullptr || end == s || *end != '\0' || ms <= 0.0) {
-        std::fprintf(stderr, "na_serve: bad value for --slow-ms: '%s'\n",
-                     s != nullptr ? s : "");
-        return 2;
-      }
-      opt.host.slow_ms = ms;
-    } else if (flag == "--slow-log") {
-      const char* s = next();
-      if (s == nullptr) return 2;
-      slow_log_path = s;
     } else if (flag == "--watchdog-ms") {
       const char* s = next();
       if (s == nullptr || !int_arg(s, "--watchdog-ms", 0, 1L << 24, &v)) {
         return 2;
       }
       opt.watchdog_ms = static_cast<int>(v);
-    } else if (flag == "--prom-file") {
-      const char* s = next();
-      if (s == nullptr) return 2;
-      opt.prom_file = s;
     } else if (flag == "--stats") {
       const char* s = next();
       if (s == nullptr) return 2;
@@ -167,16 +140,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Without the ring bound, keeping the recorder on for tail sampling
-  // would grow trace memory without limit; without a log, a slow batch
-  // has nowhere to leave its evidence.
-  if (opt.host.slow_ms > 0.0 && (flight_events == 0 || slow_log_path.empty())) {
-    std::fprintf(stderr,
-                 "na_serve: --slow-ms requires --flight-recorder and "
-                 "--slow-log\n");
-    return 2;
-  }
-
   // Flight-recorder mode: recorder on, every thread buffer bounded.
   if (flight_events > 0) {
     if (!obs::trace_compiled_in()) {
@@ -186,11 +149,6 @@ int main(int argc, char** argv) {
     } else {
       obs::trace_flight_enable(static_cast<size_t>(flight_events));
       obs::trace_enable();
-      if (!slow_log_path.empty() && !obs::trace_slow_log_open(slow_log_path)) {
-        std::fprintf(stderr, "na_serve: cannot open slow log %s\n",
-                     slow_log_path.c_str());
-        return 1;
-      }
     }
   }
 
@@ -219,32 +177,15 @@ int main(int argc, char** argv) {
 
   server.run();  // blocks until SIGINT/SIGTERM or a shutdown request
 
-  if (obs::trace_slow_log_active()) {
-    std::fprintf(stderr, "na_serve: slow log %s holds %llu records\n",
-                 slow_log_path.c_str(),
-                 static_cast<unsigned long long>(obs::trace_slow_log_records()));
-    obs::trace_slow_log_close();
-  }
   std::fprintf(stderr, "na_serve: stopped after %lld requests\n",
                server.counters().requests);
   if (stats != obs::ObsOptions::Stats::kOff) {
     // Exit stats are the wire `metrics` registry (histograms, gauges and
-    // all) plus the diagnostics counters — one absorption path, so the
+    // all), emitted by the same obs_finish the pipeline CLIs use, so the
     // shutdown report can never drift from what the metrics op served.
     obs::MetricsRegistry reg;
     server.absorb_metrics(reg);
-    obs::diag_absorb(reg);
-    switch (stats) {
-      case obs::ObsOptions::Stats::kJson:
-        std::fputs(reg.to_json().c_str(), stdout);
-        break;
-      case obs::ObsOptions::Stats::kProm:
-        std::fputs(reg.to_prometheus().c_str(), stdout);
-        break;
-      default:
-        std::fputs(reg.to_text().c_str(), stdout);
-        break;
-    }
+    obs::obs_finish(obs::ObsOptions{{}, stats}, reg);
   }
   return 0;
 }

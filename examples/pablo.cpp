@@ -52,12 +52,17 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   try {
     files = parse_generator_args(args, opt, &obs);
-    if (files.size() < 2) {
-      std::cerr << "usage: pablo [options] <call-file> <netlist-file> [io-file]"
-                << " [-o out.es] [-g preplaced.es]\n"
-                << generator_usage() << '\n';
-      return 2;
-    }
+  } catch (const std::exception& e) {
+    std::cerr << "pablo: " << e.what() << '\n';
+    return 2;
+  }
+  if (files.size() < 2) {
+    std::cerr << "usage: pablo [options] <call-file> <netlist-file> [io-file]"
+              << " [-o out.es] [-g preplaced.es]\n"
+              << generator_usage() << '\n';
+    return 2;
+  }
+  try {
     const ModuleLibrary lib = ModuleLibrary::standard_cells();
     const std::string io = files.size() > 2 ? slurp(files[2]) : std::string{};
     const Network net = parse_network(lib, slurp(files[0]), io, slurp(files[1]));

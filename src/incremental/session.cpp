@@ -320,23 +320,28 @@ const Network& RegenSession::network() const {
   return *net_;
 }
 
+RegenCounters& RegenCounters::operator+=(const RegenCounters& o) {
+  updates += o.updates;
+  incremental += o.incremental;
+  full_regens += o.full_regens;
+  edits_composed += o.edits_composed;
+  modules_replaced += o.modules_replaced;
+  modules_frozen += o.modules_frozen;
+  nets_kept += o.nets_kept;
+  nets_rerouted += o.nets_rerouted;
+  nets_extended += o.nets_extended;
+  cells_scrubbed += o.cells_scrubbed;
+  route_expansions += o.route_expansions;
+  region_validations += o.region_validations;
+  full_validations += o.full_validations;
+  validate_ms += o.validate_ms;
+  dirty_region = dirty_region.hull(o.dirty_region);
+  return *this;
+}
+
 void RegenSession::account(const RegenCounters& one) {
   last_ = one;
-  totals_.updates += one.updates;
-  totals_.incremental += one.incremental;
-  totals_.full_regens += one.full_regens;
-  totals_.edits_composed += one.edits_composed;
-  totals_.modules_replaced += one.modules_replaced;
-  totals_.modules_frozen += one.modules_frozen;
-  totals_.nets_kept += one.nets_kept;
-  totals_.nets_rerouted += one.nets_rerouted;
-  totals_.nets_extended += one.nets_extended;
-  totals_.cells_scrubbed += one.cells_scrubbed;
-  totals_.route_expansions += one.route_expansions;
-  totals_.region_validations += one.region_validations;
-  totals_.full_validations += one.full_validations;
-  totals_.validate_ms += one.validate_ms;
-  totals_.dirty_region = totals_.dirty_region.hull(one.dirty_region);
+  totals_ += one;
 }
 
 void RegenSession::full_regen(const Network& next) {

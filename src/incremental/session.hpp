@@ -41,6 +41,10 @@ struct RegenCounters {
   /// Dirty hull the last patch validated (empty for full regens and no-op
   /// updates); in totals() the hull of every patch's region.
   geom::Rect dirty_region;
+
+  /// Adds every counter of `o` and hulls its dirty region into this one —
+  /// the single place a new counter has to be summed.
+  RegenCounters& operator+=(const RegenCounters& o);
 };
 
 struct RegenOptions {

@@ -20,8 +20,7 @@
 //
 // Unit convention: the serve/pool latency histograms record MICROSECONDS
 // (record_ms converts); quantiles render as milliseconds in text output
-// and raw recorded units everywhere structured (JSON buckets, Prometheus
-// `le` bounds).
+// and raw recorded units in JSON buckets.
 #pragma once
 
 #include <atomic>

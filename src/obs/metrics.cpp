@@ -227,51 +227,6 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-std::string MetricsRegistry::to_prometheus() const {
-  const auto sanitized = [](std::string_view name) {
-    std::string out = "na_";
-    for (const char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9');
-      out += ok ? c : '_';
-    }
-    return out;
-  };
-  std::string out;
-  char buf[96];
-  for (const Entry& e : entries_) {
-    const std::string name = sanitized(e.name);
-    out += "# TYPE " + name + " gauge\n";
-    out += name;
-    if (e.value.is_int) {
-      std::snprintf(buf, sizeof buf, " %lld\n", e.value.i);
-    } else {
-      std::snprintf(buf, sizeof buf, " %.3f\n", e.value.d);
-    }
-    out += buf;
-  }
-  for (const HistEntry& e : histograms_) {
-    const std::string name = sanitized(e.name);
-    const HistogramData& h = e.data;
-    out += "# TYPE " + name + " histogram\n";
-    long long cum = 0;
-    for (const auto& [index, c] : h.buckets) {
-      cum += c;
-      std::snprintf(buf, sizeof buf, "%s_bucket{le=\"%lld\"} %lld\n",
-                    name.c_str(), Histogram::bucket_upper(index) - 1, cum);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof buf, "%s_bucket{le=\"+Inf\"} %lld\n",
-                  name.c_str(), h.count);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "%s_sum %lld\n", name.c_str(), h.sum);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "%s_count %lld\n", name.c_str(), h.count);
-    out += buf;
-  }
-  return out;
-}
-
 // ----- MetricsTable ----------------------------------------------------------
 
 namespace {

@@ -10,7 +10,7 @@
 // (header-only, so na_obs itself stays dependency-free).
 //
 // JsonWriter is the low-level emitter underneath: a comma/escape-correct
-// JSON builder used by MetricsRegistry, the bench BENCH_*.json records and
+// JSON builder used by MetricsRegistry, the daemon's wire replies and
 // anything else that used to hand-roll fprintf JSON.
 #pragma once
 
@@ -78,10 +78,9 @@ class JsonWriter {
 /// emission order is the absorption order, stable and diff-friendly) and
 /// overwrites on re-set; add() accumulates into an integer counter.
 /// Histogram snapshots live in a parallel insertion-ordered table:
-/// scalars render as before, histograms as summary lines (text), a
+/// scalars render as before, histograms as summary lines (text) and a
 /// "histograms" object (JSON — present only when one was set, so
-/// scalar-only emissions keep their old shape) and classic
-/// `_bucket{le=...}` series (Prometheus).
+/// scalar-only emissions keep their old shape).
 class MetricsRegistry {
  public:
   void set(std::string name, MetricValue v);
@@ -106,15 +105,9 @@ class MetricsRegistry {
   /// One JSON object: {"schema_version": N, "metrics": {...}} plus a
   /// "histograms" object when any histogram was set.
   std::string to_json() const;
-  /// Prometheus text exposition (version 0.0.4): every scalar as an
-  /// untyped `na_<name>` sample, every histogram as cumulative
-  /// `_bucket{le="..."}` series plus `_sum`/`_count`.  Metric names are
-  /// sanitised ('.' and anything non-alphanumeric become '_'); `le`
-  /// bounds are the raw recorded units (microseconds for latencies).
-  std::string to_prometheus() const;
 
-  /// Format version of to_json() (and of the bench records built on the
-  /// same emitter) — bump when fields change meaning.  3: histograms.
+  /// Format version of to_json() — bump when fields change meaning.
+  /// 3: histograms.
   static constexpr int kSchemaVersion = 3;
 
  private:

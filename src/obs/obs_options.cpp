@@ -11,10 +11,9 @@ namespace na::obs {
 ObsOptions::Stats parse_stats_mode(const std::string& value) {
   if (value == "text") return ObsOptions::Stats::kText;
   if (value == "json") return ObsOptions::Stats::kJson;
-  if (value == "prom") return ObsOptions::Stats::kProm;
   if (value == "off") return ObsOptions::Stats::kOff;
   throw std::runtime_error("bad value '" + value +
-                           "' for --stats (use text, json, prom or off)");
+                           "' for --stats (use text, json or off)");
 }
 
 void obs_begin(const ObsOptions& opt) {
@@ -54,15 +53,12 @@ bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg) {
     case ObsOptions::Stats::kJson:
       std::fputs(out.to_json().c_str(), stdout);
       break;
-    case ObsOptions::Stats::kProm:
-      std::fputs(out.to_prometheus().c_str(), stdout);
-      break;
   }
   return ok;
 }
 
 const char* obs_usage() {
-  return "--trace <file (Chrome trace-event JSON)> --stats <text|json|prom|off>";
+  return "--trace <file (Chrome trace-event JSON)> --stats <text|json|off>";
 }
 
 }  // namespace na::obs

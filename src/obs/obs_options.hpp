@@ -17,14 +17,14 @@
 namespace na::obs {
 
 struct ObsOptions {
-  enum class Stats { kOff, kText, kJson, kProm };
+  enum class Stats { kOff, kText, kJson };
 
   std::string trace_path;  ///< --trace <file>; empty = tracing off
   Stats stats = Stats::kOff;
 };
 
 /// Parses a --stats value; throws std::runtime_error naming the flag on
-/// anything but "text", "json", "prom" or "off".
+/// anything but "text", "json" or "off".
 ObsOptions::Stats parse_stats_mode(const std::string& value);
 
 /// Enables the trace recorder when a trace path was requested.  Warns on
@@ -32,8 +32,7 @@ ObsOptions::Stats parse_stats_mode(const std::string& value);
 void obs_begin(const ObsOptions& opt);
 
 /// Writes the trace file (when requested) and emits the registry to
-/// stdout in the chosen format (`prom` renders the Prometheus text
-/// exposition).  The emission also carries the diag.lines.* /
+/// stdout in the chosen format.  The emission also carries the diag.lines.* /
 /// diag.suppressed.* counters of every diagnostic category that fired,
 /// so suppressed warnings are visible in stats even when they never
 /// reached stderr.  Returns false when the trace file could not be

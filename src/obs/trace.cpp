@@ -40,11 +40,6 @@ struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::uint64_t epoch = 0;  ///< steady_clock ns at first enable; 0 = unset
-  // Slow-request log (trace_slow_*).  Guarded by its own mutex so a
-  // capture (pool thread, holding the daemon's flush gate shared) never
-  // contends with recording threads creating buffers under `mu`.
-  std::mutex slow_mu;
-  std::FILE* slow_log = nullptr;
 
   static Registry& instance() {
     static Registry* r = new Registry;  // leaked: outlives thread exit
@@ -59,7 +54,6 @@ thread_local ThreadBuffer* tl_buffer = nullptr;
 std::atomic<size_t> g_flight_capacity{0};
 /// Events lost to ring wrap-around since enable/reset.
 std::atomic<std::uint64_t> g_flight_dropped{0};
-std::atomic<std::uint64_t> g_slow_records{0};
 
 /// Appends `e` to `buf`, honouring the flight-recorder bound.  Owner
 /// thread only.  Below capacity this is the plain push_back of the
@@ -262,7 +256,7 @@ namespace {
 /// ring-aware: the oldest event sits at ring_head, so logical position i
 /// maps to slot (ring_head + i) % size and carries seq = seq_base + i.
 /// Plain append-log buffers have ring_head == 0, making this the identity
-/// iteration.  Caller holds the registry mutex or owns the buffer.
+/// iteration.  Caller holds the registry mutex.
 void collect_buffer(const ThreadBuffer& buf, std::vector<TraceEventView>& out) {
   const size_t n = buf.events.size();
   for (size_t i = 0; i < n; ++i) {
@@ -351,82 +345,5 @@ bool trace_flight_dump(const std::string& path) {
   // trace_write().
   return trace_write(path);
 }
-
-// ----- slow-request tail sampling --------------------------------------------
-
-bool trace_slow_log_open(const std::string& path) {
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.slow_mu);
-  if (reg.slow_log != nullptr) return false;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  reg.slow_log = f;
-  g_slow_records.store(0, std::memory_order_relaxed);
-  return true;
-}
-
-bool trace_slow_log_close() {
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.slow_mu);
-  if (reg.slow_log == nullptr) return false;
-  const bool ok = std::fclose(reg.slow_log) == 0;
-  reg.slow_log = nullptr;
-  return ok;
-}
-
-bool trace_slow_log_active() {
-  Registry& reg = Registry::instance();
-  std::lock_guard lock(reg.slow_mu);
-  return reg.slow_log != nullptr;
-}
-
-std::uint64_t trace_slow_log_records() {
-  return g_slow_records.load(std::memory_order_relaxed);
-}
-
-size_t trace_slow_capture(const char* label, std::uint64_t start_ns,
-                          std::uint64_t end_ns, double ms) {
-  Registry& reg = Registry::instance();
-  {
-    // Cheap no-log fast path; the real write re-checks under the lock.
-    std::lock_guard lock(reg.slow_mu);
-    if (reg.slow_log == nullptr) return 0;
-  }
-  // Serialise first, outside the log lock: only the calling thread's own
-  // buffer is read (it owns every write to it), so no registry lock and
-  // no quiescence are needed — this is why tail sampling can run inside
-  // the request path.
-  std::vector<TraceEventView> window;
-  if (tl_buffer != nullptr) {
-    std::vector<TraceEventView> all;
-    collect_buffer(*tl_buffer, all);
-    for (TraceEventView& v : all) {
-      if (v.ts >= start_ns && v.ts <= end_ns) window.push_back(std::move(v));
-    }
-  }
-  std::string out = "{\"label\":\"";
-  append_json_escaped(out, label);
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "\",\"ms\":%.3f,\"start_ns\":%llu,\"end_ns\":%llu,\"events\":[",
-                ms, static_cast<unsigned long long>(start_ns),
-                static_cast<unsigned long long>(end_ns));
-  out += buf;
-  for (size_t i = 0; i < window.size(); ++i) {
-    if (i > 0) out += ',';
-    append_event_json(out, window[i]);
-  }
-  out += "]}\n";
-  {
-    std::lock_guard lock(reg.slow_mu);
-    if (reg.slow_log == nullptr) return 0;  // closed between check and write
-    std::fwrite(out.data(), 1, out.size(), reg.slow_log);
-    std::fflush(reg.slow_log);
-  }
-  g_slow_records.fetch_add(1, std::memory_order_relaxed);
-  return window.size();
-}
-
-std::uint64_t trace_now_ns() { return detail::now_ns(); }
 
 }  // namespace na::obs

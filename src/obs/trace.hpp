@@ -126,38 +126,6 @@ std::uint64_t trace_flight_dropped();
 /// recorder is off or the file cannot be written.
 bool trace_flight_dump(const std::string& path);
 
-// ----- slow-request tail sampling --------------------------------------------
-// The ring answers "what is the daemon doing now"; the slow log answers
-// "what did the slow request do".  A layer that times its own work (the
-// session host times every op body) calls trace_slow_capture() when an
-// execution exceeded its threshold: the calling thread's retained events
-// within the [start_ns, end_ns] window — the span subtree the op emitted,
-// still sitting in the thread's ring — are appended to the slow log as
-// one self-contained line-JSON record.  Tail sampling: nothing is decided
-// up front, yet every slow request leaves full evidence, at ring cost.
-//
-// Capture reads only the calling thread's own buffer (no cross-thread
-// peeking, no quiescence needed); the log file itself is mutex-guarded.
-
-/// Opens (truncates) the slow-request log.  False when a log is already
-/// open or the file cannot be created.
-bool trace_slow_log_open(const std::string& path);
-/// Closes the log; false when none is open.
-bool trace_slow_log_close();
-bool trace_slow_log_active();
-/// Records appended since the log was opened.
-std::uint64_t trace_slow_log_records();
-/// Appends {"label", "ms", "events": [...]} covering the calling thread's
-/// retained events with start timestamps in [start_ns, end_ns].  Returns
-/// the number of events written; 0 (and no record) when no log is open.
-/// `label` must be a static string.
-size_t trace_slow_capture(const char* label, std::uint64_t start_ns,
-                          std::uint64_t end_ns, double ms);
-
-/// Current trace-clock timestamp (ns since the recorder epoch) — the
-/// window boundaries trace_slow_capture() expects.
-std::uint64_t trace_now_ns();
-
 namespace detail {
 
 extern std::atomic<bool> g_enabled;

@@ -94,23 +94,17 @@ class RectIndex {
 
 }  // namespace
 
-std::optional<geom::Point> bounded_free_position(geom::Point ideal,
-                                                 geom::Point size,
-                                                 std::span<const geom::Rect> placed,
-                                                 int spacing, int max_radius) {
-  return ring_search(ideal, max_radius, [&](geom::Point pos) {
-    const geom::Rect candidate = geom::Rect::from_size(pos, size).expanded(spacing);
-    for (const geom::Rect& r : placed) {
-      if (candidate.overlaps(r)) return false;
-    }
-    return true;
-  });
-}
-
 geom::Point nearest_free_position(geom::Point ideal, geom::Point size,
                                   std::span<const geom::Rect> placed, int spacing) {
   constexpr int kMaxRadius = 100000;
-  return bounded_free_position(ideal, size, placed, spacing, kMaxRadius)
+  return ring_search(ideal, kMaxRadius, [&](geom::Point pos) {
+           const geom::Rect candidate =
+               geom::Rect::from_size(pos, size).expanded(spacing);
+           for (const geom::Rect& r : placed) {
+             if (candidate.overlaps(r)) return false;
+           }
+           return true;
+         })
       .value_or(ideal);
 }
 

@@ -48,14 +48,4 @@ std::vector<geom::Point> gravity_place_reference(
 geom::Point nearest_free_position(geom::Point ideal, geom::Point size,
                                   std::span<const geom::Rect> placed, int spacing);
 
-/// Radius-bounded variant of the same ring search: returns std::nullopt
-/// when no feasible position exists within Chebyshev radius `max_radius`
-/// of `ideal`.  Incremental placement uses this to seed an added module
-/// near its nets' gravity centre — and to fall back to the ordinary edge
-/// placement instead of committing to a spot arbitrarily far away.
-std::optional<geom::Point> bounded_free_position(geom::Point ideal,
-                                                 geom::Point size,
-                                                 std::span<const geom::Rect> placed,
-                                                 int spacing, int max_radius);
-
 }  // namespace na

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <poll.h>
@@ -327,10 +326,6 @@ void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
     reg.set("serve.flight.dropped",
             static_cast<long long>(obs::trace_flight_dropped()));
   }
-  if (obs::trace_slow_log_active()) {
-    reg.set("serve.slow.records",
-            static_cast<long long>(obs::trace_slow_log_records()));
-  }
   {
     std::lock_guard lock(gauges_mu_);
     reg.merge_prefixed(gauges_, "");
@@ -379,20 +374,6 @@ void Server::watchdog_tick() {
     gauges_.set("serve.gauge.rss_bytes", rss);
     gauges_.set("serve.gauge.uptime_ms", uptime_ms);
     gauges_.add("serve.gauge.watchdog_ticks", 1);
-  }
-  if (!opt_.prom_file.empty()) {
-    obs::MetricsRegistry reg;
-    absorb_metrics(reg);
-    // Write-then-rename so a scraper never reads a torn file.
-    const std::string tmp = opt_.prom_file + ".tmp";
-    if (std::FILE* f = std::fopen(tmp.c_str(), "w"); f != nullptr) {
-      const std::string text = reg.to_prometheus();
-      const bool ok =
-          std::fwrite(text.data(), 1, text.size(), f) == text.size();
-      if (std::fclose(f) == 0 && ok) {
-        std::rename(tmp.c_str(), opt_.prom_file.c_str());
-      }
-    }
   }
 }
 

@@ -61,13 +61,8 @@ struct ServerOptions {
   size_t max_in_flight = 128;
   /// Watchdog sampler interval: every tick publishes the live gauges
   /// (event-loop tick lag, pool queue depth, pending edits, open
-  /// sessions, RSS, uptime) and rewrites `prom_file` when set.  0
-  /// disables the thread.
+  /// sessions, RSS, uptime).  0 disables the thread.
   int watchdog_ms = 1000;
-  /// When non-empty, the watchdog rewrites this file each tick with the
-  /// full registry in Prometheus text exposition — point a node_exporter
-  /// textfile collector (or curl) at it.
-  std::string prom_file;
   /// Where a SIGUSR1-triggered flight-recorder dump lands.
   std::string flight_dump_path = "na_flight.json";
 };
@@ -107,14 +102,13 @@ class Server {
   };
   Counters counters() const;
 
-  /// Full telemetry registry — what the `metrics` op, the watchdog's
-  /// Prometheus file and the daemon's exit-stats block report:
-  /// connection/request counters, host + regen totals, peak RSS and
-  /// uptime, the watchdog gauges, the flight-recorder/slow-log counters,
-  /// and every latency histogram (serve.lat.open/edit/get/save from
-  /// dispatch, serve.lat.flush and serve.pool.queue_wait from the host,
-  /// serve.lat.loop_tick from the watchdog probes).  One absorb, so the
-  /// wire and the shutdown report can never drift.
+  /// Full telemetry registry — what the `metrics` op and the daemon's
+  /// exit-stats block report: connection/request counters, host + regen
+  /// totals, peak RSS and uptime, the watchdog gauges, the flight-recorder
+  /// counters, and every latency histogram (serve.lat.open/edit/get/save
+  /// from dispatch, serve.lat.flush and serve.pool.queue_wait from the
+  /// host, serve.lat.loop_tick from the watchdog probes).  One absorb, so
+  /// the wire and the shutdown report can never drift.
   void absorb_metrics(obs::MetricsRegistry& reg) const;
 
   /// Async-signal-safe flight-dump request (the SIGUSR1 handler calls

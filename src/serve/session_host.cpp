@@ -189,11 +189,6 @@ void SessionHost::drain(const std::string& name,
       // Shared side of the trace-flush gate: a flight dump only runs when
       // no op body is emitting trace events.
       std::shared_lock gate(flush_gate_);
-      // Tail-sampling window: the batch's trace events all land on this
-      // thread between these two stamps, so a slow batch can hand its
-      // span subtree to the slow log without touching any other buffer.
-      const std::uint64_t slow_t0 =
-          opt_.slow_ms > 0.0 ? obs::trace_now_ns() : 0;
       if (batch.front().kind == OpKind::kEdit) {
         NA_TRACE_SPAN(span, "serve.edit");
         span.arg("requests", static_cast<long long>(batch.size()));
@@ -222,19 +217,6 @@ void SessionHost::drain(const std::string& name,
           }
           return HostResult::error(err::kInternal, "bad op kind");
         });
-      }
-      if (opt_.slow_ms > 0.0) {
-        const std::uint64_t slow_t1 = obs::trace_now_ns();
-        const double ms =
-            static_cast<double>(slow_t1 - slow_t0) / 1'000'000.0;
-        if (ms > opt_.slow_ms) {
-          static constexpr const char* kLabels[] = {
-              "serve.open", "serve.edit", "serve.get", "serve.save",
-              "serve.close"};
-          obs::trace_slow_capture(
-              kLabels[static_cast<int>(batch.front().kind)], slow_t0, slow_t1,
-              ms);
-        }
       }
     }
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -552,21 +534,7 @@ void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
     std::lock_guard lock(session->mu);
     edits += session->seq;
     pending += session->pending.steps();
-    const RegenCounters& t = session->regen.totals();
-    sum.updates += t.updates;
-    sum.incremental += t.incremental;
-    sum.full_regens += t.full_regens;
-    sum.edits_composed += t.edits_composed;
-    sum.modules_replaced += t.modules_replaced;
-    sum.modules_frozen += t.modules_frozen;
-    sum.nets_kept += t.nets_kept;
-    sum.nets_rerouted += t.nets_rerouted;
-    sum.nets_extended += t.nets_extended;
-    sum.cells_scrubbed += t.cells_scrubbed;
-    sum.route_expansions += t.route_expansions;
-    sum.region_validations += t.region_validations;
-    sum.full_validations += t.full_validations;
-    sum.validate_ms += t.validate_ms;
+    sum += session->regen.totals();
   }
   reg.set("serve.edits_applied", edits);
   reg.set("serve.pending_edits", pending);

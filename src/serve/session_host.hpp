@@ -63,13 +63,6 @@ struct HostOptions {
   /// Directory for save/restore; empty disables persistence (save returns
   /// the blob inline, open+restore fails).
   std::string state_dir;
-  /// Slow-request tail-sampling threshold: a drain batch whose execution
-  /// exceeds this many milliseconds has its span subtree (the executing
-  /// thread's retained trace events over the batch window) appended to
-  /// the slow-request log via obs::trace_slow_capture().  0 disables the
-  /// probe.  Only useful with the flight recorder on and a slow log open
-  /// — the daemon CLI enforces that pairing.
-  double slow_ms = 0.0;
 };
 
 /// Outcome of one host call.  `ok` false carries a protocol error code.

@@ -1,11 +1,10 @@
 // Tests of the telemetry additions: the log-linear obs::Histogram (bucket
 // geometry, quantile error bound, merge, concurrent recording), the
 // flight-recorder ring in the trace layer (wrap-around retention, memory
-// held at the cap, byte-stable dumps) and slow-request tail sampling
-// (windowed capture of the calling thread's span subtree).
+// held at the cap, byte-stable dumps).
 //
-// With the tracing macros compiled out (NA_TRACE=OFF) the flight and slow
-// suites flip around: the APIs must stay linkable and record nothing.
+// With the tracing macros compiled out (NA_TRACE=OFF) the flight suite
+// flips around: the APIs must stay linkable and record nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -198,12 +197,6 @@ TEST(Histogram, RegistryEmissionIsByteStable) {
   EXPECT_NE(a.find("\"histograms\""), std::string::npos);
   EXPECT_NE(a.find("\"serve.lat.edit\""), std::string::npos);
   EXPECT_EQ(reg.to_text(), reg.to_text());
-  EXPECT_EQ(reg.to_prometheus(), reg.to_prometheus());
-  // Prometheus exposition carries the cumulative bucket series.
-  const std::string prom = reg.to_prometheus();
-  EXPECT_NE(prom.find("na_serve_lat_edit_bucket{le=\"+Inf\"} 100"),
-            std::string::npos);
-  EXPECT_NE(prom.find("na_serve_lat_edit_count 100"), std::string::npos);
 }
 
 TEST(Histogram, ConcurrentRecordLosesNothing) {
@@ -324,50 +317,6 @@ TEST(Flight, DumpIsByteStableAndRequiresFlightMode) {
   fresh_trace();
 }
 
-// ----- slow-request tail sampling --------------------------------------------
-
-TEST(Slow, CaptureWindowsTheCallingThreadsEvents) {
-  fresh_trace(128);
-  const std::string log = temp_path("slow_capture.jsonl");
-  ASSERT_TRUE(obs::trace_slow_log_open(log));
-  EXPECT_TRUE(obs::trace_slow_log_active());
-  EXPECT_FALSE(obs::trace_slow_log_open(log));  // one log at a time
-
-  NA_TRACE_MARK("before.window");
-  const std::uint64_t t0 = obs::trace_now_ns();
-  { NA_TRACE_SCOPE("slow.body"); }
-  NA_TRACE_MARK("slow.note");
-  const std::uint64_t t1 = obs::trace_now_ns();
-  // An event recorded after the window must not leak into the capture.
-  NA_TRACE_MARK("after.window");
-
-  const size_t written = obs::trace_slow_capture("serve.edit", t0, t1, 12.5);
-  EXPECT_EQ(written, 2u);
-  EXPECT_EQ(obs::trace_slow_log_records(), 1u);
-  obs::trace_disable();
-  ASSERT_TRUE(obs::trace_slow_log_close());
-  EXPECT_FALSE(obs::trace_slow_log_close());  // already closed
-
-  const std::string line = slurp(log);
-  EXPECT_EQ(line.find("{\"label\":\"serve.edit\",\"ms\":12.500"), 0u);
-  EXPECT_NE(line.find("slow.body"), std::string::npos);
-  EXPECT_NE(line.find("slow.note"), std::string::npos);
-  EXPECT_EQ(line.find("before.window"), std::string::npos);
-  EXPECT_EQ(line.find("after.window"), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');  // line-JSON: one record per line
-  std::remove(log.c_str());
-  fresh_trace();
-}
-
-TEST(Slow, CaptureWithoutLogIsFreeAndRecordsNothing) {
-  fresh_trace(64);
-  NA_TRACE_MARK("orphan");
-  EXPECT_EQ(obs::trace_slow_capture("serve.edit", 0, obs::trace_now_ns(), 1.0),
-            0u);
-  obs::trace_disable();
-  fresh_trace();
-}
-
 #else  // !NA_TRACE_ENABLED
 
 TEST(FlightOff, ApisLinkAndRecordNothing) {
@@ -387,19 +336,6 @@ TEST(FlightOff, ApisLinkAndRecordNothing) {
   EXPECT_TRUE(obs::trace_flight_dump(path));  // valid empty document
   EXPECT_NE(slurp(path).find("\"traceEvents\""), std::string::npos);
   std::remove(path.c_str());
-  fresh_trace();
-}
-
-TEST(FlightOff, SlowLogStillOpensButCapturesNoEvents) {
-  fresh_trace(32);
-  const std::string log = temp_path("slow_off.jsonl");
-  ASSERT_TRUE(obs::trace_slow_log_open(log));
-  { NA_TRACE_SCOPE("gone"); }
-  EXPECT_EQ(obs::trace_slow_capture("serve.edit", 0, obs::trace_now_ns(), 9.0),
-            0u);
-  obs::trace_disable();
-  ASSERT_TRUE(obs::trace_slow_log_close());
-  std::remove(log.c_str());
   fresh_trace();
 }
 
