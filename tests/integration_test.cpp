@@ -13,6 +13,7 @@
 #include "gen/life.hpp"
 #include "netlist/netlist_io.hpp"
 #include "route/net_order.hpp"
+#include "route/net_task.hpp"
 #include "schematic/ascii_writer.hpp"
 #include "schematic/escher_writer.hpp"
 #include "schematic/svg_writer.hpp"
@@ -201,8 +202,66 @@ TEST(Pipeline, PaperFiguresMatchPinnedDigests) {
     const GeneratorResult result = generate(dia, f.opt);
     const std::uint64_t digest = fnv1a(to_escher_diagram(dia, f.name));
     EXPECT_EQ(digest, f.digest) << f.name << std::hex << " digest 0x" << digest;
-    if (f.hand_placed) EXPECT_EQ(result.route.total_expansions, 2886282);
+    if (f.hand_placed) {
+      EXPECT_EQ(result.route.total_expansions, 2886282);
+    }
   }
+}
+
+TEST(Pipeline, LeeLifeMatchesPinnedDigest) {
+  // The Lee baseline on the hand-placed LIFE (the fig 6.6 plane): its
+  // ESCHER bytes, its expansion count and the bends and crossings its
+  // searches report.  Nothing else checks a Lee search's bend or crossing
+  // cost, which Lee carries outside its length-only key.  The loop is
+  // route_all's two passes with each connection's cost summed on the way.
+  const Network net = gen::life_network();
+  Diagram dia(net);
+  gen::life_hand_placement(dia);
+  GeneratorOptions opt = bench::life_router_options();
+  opt.router.engine = Engine::Lee;
+  detail::DriverSetup setup = detail::prepare_driver(dia, opt.router);
+  const std::vector<NetId> order = detail::ordered_nets(dia, opt.router);
+  RouteReport report;
+  detail::SearchWorkspace ws;
+  long bends = 0;
+  long crossings = 0;
+  auto route = [&](NetId n, bool reclaim) {
+    detail::NetTaskResult res =
+        detail::route_single_net(setup.grid, dia, n, std::move(setup.pending[n]),
+                                 opt.router, setup.has_geometry[n], ws);
+    for (const SearchResult& c : res.connections) {
+      bends += c.cost.bends;
+      crossings += c.cost.crossings;
+    }
+    detail::commit_connections(dia, n, res, setup, report);
+    setup.pending[n] = std::move(res.failed);
+    if (!reclaim) return;
+    for (TermId t : setup.pending[n]) {
+      detail::restore_claim(setup.grid, dia, opt.router, t, n, setup.claims[n]);
+    }
+  };
+  for (NetId n : order) {
+    if (setup.pending[n].empty()) continue;
+    setup.release_claims(n);
+    route(n, true);
+  }
+  for (NetId n = 0; n < net.net_count(); ++n) setup.release_claims(n);
+  for (NetId n : order) {
+    if (!setup.pending[n].empty()) route(n, false);
+  }
+  detail::finish_report(dia, setup, report);
+
+  Diagram again(net);
+  gen::life_hand_placement(again);
+  const GeneratorResult result = generate(again, opt);
+  const std::string escher = to_escher_diagram(dia, "lee");
+  EXPECT_EQ(escher, to_escher_diagram(again, "lee"));
+  EXPECT_EQ(report.total_expansions, result.route.total_expansions);
+  const std::uint64_t digest = fnv1a(escher);
+  EXPECT_EQ(digest, 0x37d5942c8bc8c5beull) << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(report.total_expansions, 2632309);
+  EXPECT_EQ(bends, 420);
+  EXPECT_EQ(crossings, 1692);
 }
 
 TEST(Options, PabloFlags) {
