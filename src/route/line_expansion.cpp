@@ -31,11 +31,13 @@ namespace na {
 namespace detail {
 namespace {
 
+constexpr std::uint64_t kField = (std::uint64_t{1} << 20) - 1;
+
 /// Packs the cost triple into one comparable 64-bit key.  Field widths:
 /// 20 bits per component (grids here are far smaller than 2^20 tracks).
 std::uint64_t pack(const SearchCosts& c, CostMode mode) {
   auto clamp20 = [](int v) {
-    return static_cast<std::uint64_t>(v) & ((1u << 20) - 1);
+    return static_cast<std::uint64_t>(v) & kField;
   };
   switch (mode) {
     case CostMode::BendsCrossingsLength:
@@ -50,20 +52,22 @@ std::uint64_t pack(const SearchCosts& c, CostMode mode) {
   return 0;
 }
 
-/// Min-heap on the key (same ordering std::priority_queue<_, _, greater<>>
-/// used before, so pop order — ties included — is unchanged).  A functor
-/// type, not a function: std::push_heap with a function pointer comparator
-/// costs an indirect call per comparison.
-struct HeapAfter {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    return a.key > b.key;
+/// The inverse of pack() for the fields the key holds (the length-only key
+/// holds no bends or crossings; those come from the side array).
+SearchCosts unpack(std::uint64_t key, CostMode mode) {
+  auto field = [&](int shift) { return static_cast<int>((key >> shift) & kField); };
+  switch (mode) {
+    case CostMode::BendsCrossingsLength: return {field(40), field(20), field(0)};
+    case CostMode::BendsLengthCrossings: return {field(40), field(0), field(20)};
+    case CostMode::LengthOnly: return {0, 0, field(0)};
   }
-};
+  return {};
+}
 
 }  // namespace
 
-// Deliberately one function with a runtime check for the window:
-// specializing the hot loop per feature multiplies its inlining call
+// Deliberately one function with runtime checks for the window and the
+// mode: specializing the hot loop per feature multiplies its inlining call
 // sites, at which point GCC stops inlining the heap sift and key packing
 // (~25% slower on the LIFE workload).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
@@ -100,14 +104,26 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   ws->begin(nstates + 1);
   const SearchWorkspace::View visited = ws->view();
   std::vector<HeapEntry>& open = ws->heap();
+  // A state is recorded only on a strictly smaller key, so a live (popped,
+  // not stale) entry's side costs are the ones stored with its key.
+  SideCosts* const side =
+      mode == CostMode::LengthOnly ? ws->side_costs(nstates + 1) : nullptr;
 
   auto relax = [&](int state, int from, const SearchCosts& c) {
     const std::uint64_t key = pack(c, mode);
     if (key < visited.best(state)) {
       visited.record(state, key, from);
-      open.push_back({key, state, c});
-      std::push_heap(open.begin(), open.end(), HeapAfter{});
+      if (side) side[state] = {c.bends, c.crossings};
+      heap_push(open, {key, state});
     }
+  };
+  auto costs_of = [&](const HeapEntry& e) {
+    SearchCosts c = unpack(e.key, mode);
+    if (side) {
+      c.bends = side[e.state].bends;
+      c.crossings = side[e.state].crossings;
+    }
+    return c;
   };
 
   for (const SearchStart& s : prob.starts) {
@@ -120,55 +136,59 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     }
   }
 
+  const NetId net = prob.net;
   long expansions = 0;
   SearchCosts goal_costs{};
   while (!open.empty()) {
-    std::pop_heap(open.begin(), open.end(), HeapAfter{});
-    const HeapEntry e = open.back();
-    open.pop_back();
+    const HeapEntry e = heap_pop(open);
     if (e.key != visited.best(e.state)) continue;  // stale
     if (e.state == goal_state) {
-      goal_costs = e.costs;
+      goal_costs = costs_of(e);
       break;
     }
     if (++expansions > prob.max_expansions) return std::nullopt;
 
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
-    const NetId net = prob.net;
+    const SearchCosts costs = costs_of(e);
 
-    // Straight step: extend the escape line one track.
-    {
-      const geom::Point q = p + geom::delta(d);
-      if (!windowed || ext.contains(q)) {
+    // Straight step: extend the escape line one track.  Every predicate is
+    // false outside the plane, so the extent test stands in for the bounds
+    // checks and the rest derive from one load of q's cell.
+    const geom::Point q = p + geom::delta(d);
+    if (ext.contains(q)) {
+      const RoutingGrid::Cell& cell = grid.cell(q);
+      if (cell.enterable(net)) {
         const bool horiz = geom::is_horizontal(d);
-        SearchCosts c = e.costs;
+        const NetId along = horiz ? cell.h : cell.v;
+        const NetId across = horiz ? cell.v : cell.h;
+        const bool own = along == net || across == net;
+        SearchCosts c = costs;
         c.length += 1;
-        // Destination tests come first: a terminal cell is enterable only by
-        // its own net and join cells are occupied, so `passable` would veto
-        // them.
-        // Arrival makes q a node of this net, so no foreign net may touch q.
-        const bool arrivable = grid.enterable(q, net) && grid.node_free(q, net);
+        // Destination tests come first: a terminal cell is enterable only
+        // by its own net and join cells are occupied, so the passability
+        // test would veto them.  Arrival makes q a node of this net, so no
+        // foreign net may touch q.
+        const bool arrivable = cell.node_free(net);
         const bool is_target = prob.target && q == prob.target->p &&
                                (!prob.target->facing ||
                                 d == geom::opposite(*prob.target->facing)) &&
                                arrivable;
-        const bool is_join =
-            prob.join_own_net && arrivable && grid.occupied_by(q, net);
+        const bool is_join = prob.join_own_net && arrivable && own;
         if (is_target || is_join) {
           relax(goal_state, e.state, c);
-        } else if (grid.passable(q, net, horiz) && !grid.occupied_by(q, net)) {
-          c.crossings += grid.crosses_at(q, net, horiz) ? 1 : 0;
+        } else if (along == kNone && !own) {
+          c.crossings += across != kNone ? 1 : 0;
           relax(state_of(q, d), e.state, c);
         }
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The
     // bend occupies the whole point, so both orientations must be free.
-    if (grid.can_turn(p, prob.net)) {
+    if (grid.cell(p).can_turn(net)) {
       for (geom::Dir nd : geom::kAllDirs) {
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
-        SearchCosts c = e.costs;
+        SearchCosts c = costs;
         c.bends += 1;
         relax(state_of(p, nd), e.state, c);
       }

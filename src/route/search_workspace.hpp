@@ -25,11 +25,66 @@ struct SearchCosts {
   int length = 0;
 };
 
+/// An open-set entry: 16 bytes.  The lexicographic modes decode the costs
+/// from the key; the length-only mode keeps bends and crossings per state
+/// in SearchWorkspace::side_costs().
 struct HeapEntry {
   std::uint64_t key;
   int state;
-  SearchCosts costs;
 };
+
+/// The bends and crossings a length-only search carries beside its key.
+struct SideCosts {
+  int bends;
+  int crossings;
+};
+
+/// Binary min-heap on HeapEntry::key with libstdc++'s sift rules, so pop
+/// order (ties included) is what std::push_heap/std::pop_heap with a
+/// `a.key > b.key` comparator gave, and the pinned routing digests depend on
+/// this code rather than on the standard library's heap internals.  Push
+/// sifts up while the parent's key is strictly greater.
+inline void heap_sift_up(std::vector<HeapEntry>& h, size_t hole, HeapEntry e) {
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!(h[parent].key > e.key)) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = e;
+}
+
+inline void heap_push(std::vector<HeapEntry>& h, HeapEntry e) {
+  h.push_back(e);
+  heap_sift_up(h, h.size() - 1, e);
+}
+
+/// Removes and returns the minimum of a non-empty heap.  The last entry
+/// fills the root's hole: the hole first moves down to a leaf, taking the
+/// right child unless its key is greater than the left's (an even length's
+/// final single child is taken on its own), then the entry sifts up.
+inline HeapEntry heap_pop(std::vector<HeapEntry>& h) {
+  const HeapEntry top = h.front();
+  const HeapEntry last = h.back();
+  h.pop_back();
+  const size_t len = h.size();
+  if (len == 0) return top;
+  size_t hole = 0;
+  size_t child = 0;
+  while (child < (len - 1) / 2) {
+    child = 2 * (child + 1);
+    child -= h[child].key > h[child - 1].key ? 1 : 0;
+    h[hole] = h[child];
+    hole = child;
+  }
+  if ((len & 1) == 0 && child == (len - 2) / 2) {
+    child = 2 * (child + 1) - 1;
+    h[hole] = h[child];
+    hole = child;
+  }
+  heap_sift_up(h, hole, last);
+  return top;
+}
 
 class SearchWorkspace {
  public:
@@ -108,10 +163,20 @@ class SearchWorkspace {
   /// Heap storage for the open set (managed by the search loop).
   std::vector<HeapEntry>& heap() { return heap_; }
 
+  /// Per-state bends and crossings for a length-only search over
+  /// `nstates` states; grown on first use, so the other modes never pay
+  /// for it.  Entry `s` is meaningful only while `s` is recorded in the
+  /// current generation.
+  SideCosts* side_costs(int nstates) {
+    if (side_.size() < static_cast<size_t>(nstates)) side_.resize(nstates);
+    return side_.data();
+  }
+
  private:
   std::vector<std::uint64_t> slots_;
   std::vector<std::int32_t> parent_;
   std::vector<HeapEntry> heap_;
+  std::vector<SideCosts> side_;
   std::uint32_t stamp_ = 0;
   size_t dirty_ = 0;  ///< slots [0, dirty_) may hold non-zero stamps
 };

@@ -8,11 +8,17 @@
 // net may pass there (the paper's "bends in nets" obstacles).  The border
 // of the plane acts as a module bounding (out-of-bounds is blocked).
 //
-// Per grid point the grid tracks:
-//   * blocked      — part of a module symbol / system terminal / plane edge,
-//   * owner        — terminal cell: only the owning net may enter,
-//   * h / v        — net occupying the point horizontally / vertically,
-//   * claim        — claimpoint reservation (section 5.7).
+// Per grid point the grid keeps one 16-byte Cell:
+//   * h / v  — net occupying the point horizontally / vertically,
+//   * gate   — who may be present at the point at all:
+//                kNone       free,
+//                kWall (-2)  blocked for every net (module symbol, pure
+//                            obstacle terminal; the plane edge acts as one),
+//                n >= 0      terminal cell of net n: blocked for every
+//                            other net,
+//   * claim  — claimpoint reservation (section 5.7).
+// The predicates are inline so the search core can load a point's cell once
+// and derive every test from that one load.
 #pragma once
 
 #include <span>
@@ -26,45 +32,97 @@ namespace na {
 
 class RoutingGrid {
  public:
+  /// Gate value of a cell blocked for every net.
+  static constexpr NetId kWall = -2;
+
+  /// One grid point's state.  The predicates take a net `n >= 0`.
+  struct Cell {
+    NetId h = kNone;
+    NetId v = kNone;
+    NetId gate = kNone;
+    NetId claim = kNone;
+
+    bool enterable(NetId n) const {
+      return (gate == kNone || gate == n) && (claim == kNone || claim == n);
+    }
+    bool passable(NetId n, bool horizontal) const {
+      return enterable(n) && (horizontal ? h : v) == kNone;
+    }
+    bool can_turn(NetId n) const {
+      return enterable(n) && h == kNone && v == kNone;
+    }
+    bool crosses(NetId n, bool horizontal) const {
+      const NetId other = horizontal ? v : h;
+      return other != kNone && other != n;
+    }
+    bool occupied_by(NetId n) const { return h == n || v == n; }
+    bool node_free(NetId n) const {
+      return (h == kNone || h == n) && (v == kNone || v == n);
+    }
+  };
+
   explicit RoutingGrid(geom::Rect area);
 
   const geom::Rect& area() const { return area_; }
   bool in_bounds(geom::Point p) const { return area_.contains(p); }
 
+  /// The cell at `p`, which must be in bounds.
+  const Cell& cell(geom::Point p) const { return cells_[index(p)]; }
+
   // ----- obstacle construction ----------------------------------------------
+  /// Blocks `p` for every net; a terminal cell keeps its owner.
   void block(geom::Point p);
   void block_rect(geom::Rect r);
-  /// Marks a terminal cell: blocked for everyone except net `n`.
+  /// Marks a terminal cell: blocked for everyone except net `n` (for
+  /// everyone when `n` is kNone).
   void set_terminal(geom::Point p, NetId n);
   /// Claims `p` for net `n` (a temporary obstacle for all other nets).
   void set_claim(geom::Point p, NetId n);
   void clear_claim(geom::Point p);
 
-  // ----- state queries -------------------------------------------------------
-  bool blocked(geom::Point p) const;
-  NetId terminal_owner(geom::Point p) const;
-  NetId claim_owner(geom::Point p) const;
-  NetId h_net(geom::Point p) const;
-  NetId v_net(geom::Point p) const;
+  // ----- state queries (out of bounds counts as blocked) --------------------
+  bool blocked(geom::Point p) const {
+    return !in_bounds(p) || cell(p).gate != kNone;
+  }
+  NetId terminal_owner(geom::Point p) const {
+    return in_bounds(p) && cell(p).gate >= 0 ? cell(p).gate : kNone;
+  }
+  NetId claim_owner(geom::Point p) const {
+    return in_bounds(p) ? cell(p).claim : kNone;
+  }
+  NetId h_net(geom::Point p) const { return in_bounds(p) ? cell(p).h : kNone; }
+  NetId v_net(geom::Point p) const { return in_bounds(p) ? cell(p).v : kNone; }
 
   /// May net `n` be present at `p` at all (bounds, modules, claims,
   /// foreign terminal cells)?
-  bool enterable(geom::Point p, NetId n) const;
+  bool enterable(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).enterable(n);
+  }
   /// May net `n` run through `p` in the given orientation?  Own occupancy
   /// also blocks (re-using a track would overlap the net with itself; the
   /// router treats own-net cells as join targets instead).
-  bool passable(geom::Point p, NetId n, bool horizontal) const;
+  bool passable(geom::Point p, NetId n, bool horizontal) const {
+    return in_bounds(p) && cell(p).passable(n, horizontal);
+  }
   /// May net `n` place a corner (or branch) at `p`?  Requires both
   /// orientations free: a bend obstructs the whole point.
-  bool can_turn(geom::Point p, NetId n) const;
+  bool can_turn(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).can_turn(n);
+  }
   /// Does a move through `p` in the given orientation cross a foreign net?
-  bool crosses_at(geom::Point p, NetId n, bool horizontal) const;
+  bool crosses_at(geom::Point p, NetId n, bool horizontal) const {
+    return in_bounds(p) && cell(p).crosses(n, horizontal);
+  }
   /// Is `p` occupied by net `n` itself (either orientation)?
-  bool occupied_by(geom::Point p, NetId n) const;
+  bool occupied_by(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).occupied_by(n);
+  }
   /// May net `n` place a *node* (endpoint, corner, branch) at `p`?  Both
   /// orientations must be free or already net `n`'s own: a node of one net
   /// may not be touched by any other net.
-  bool node_free(geom::Point p, NetId n) const;
+  bool node_free(geom::Point p, NetId n) const {
+    return in_bounds(p) && cell(p).node_free(n);
+  }
 
   // ----- net commitment ------------------------------------------------------
   /// Registers a routed polyline: every unit step of the chain occupies its
@@ -90,16 +148,10 @@ class RoutingGrid {
   RoutingGrid clipped(geom::Rect sub) const;
 
  private:
-  struct Cell {
-    NetId h = kNone;
-    NetId v = kNone;
-    NetId owner = kNone;
-    NetId claim = kNone;
-    bool blocked = false;
-  };
-
-  Cell& at(geom::Point p);
-  const Cell& at(geom::Point p) const;
+  size_t index(geom::Point p) const {
+    return static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x);
+  }
+  Cell& at(geom::Point p) { return cells_[index(p)]; }
 
   geom::Rect area_;
   int width_ = 0;  // number of columns

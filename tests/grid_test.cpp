@@ -1,5 +1,7 @@
 // Unit tests for the routing grid: obstacle bookkeeping, passability,
 // crossing/turn rules, claimpoints and grid construction from diagrams.
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "netlist/module_library.hpp"
@@ -113,6 +115,204 @@ TEST(RoutingGrid, CrossingCount) {
   g.occupy_polyline(1, v1);
   g.occupy_polyline(2, v2);
   EXPECT_EQ(g.crossing_count(), 2);
+}
+
+/// The grid's obstacle model kept as five separate fields per point, with
+/// each predicate written out on its own: the reference the packed cells
+/// (h, v, gate, claim) must reproduce.
+class ReferenceGrid {
+ public:
+  explicit ReferenceGrid(geom::Rect area)
+      : area_(area),
+        cells_(static_cast<size_t>(area.width() + 1) * (area.height() + 1)) {}
+
+  void block(geom::Point p) {
+    if (in(p)) at(p).blocked = true;
+  }
+  void block_rect(geom::Rect r) {
+    for (int y = r.lo.y; y <= r.hi.y; ++y) {
+      for (int x = r.lo.x; x <= r.hi.x; ++x) block({x, y});
+    }
+  }
+  void set_terminal(geom::Point p, NetId n) {
+    at(p).blocked = true;
+    at(p).owner = n;
+  }
+  void set_claim(geom::Point p, NetId n) {
+    if (in(p)) at(p).claim = n;
+  }
+  /// Occupies a straight run cell by cell, like RoutingGrid, stopping with
+  /// `false` at the first foreign overlap.
+  bool occupy(NetId n, geom::Point a, geom::Point b) {
+    const bool horizontal = a.y == b.y;
+    const geom::Point step = {a.x == b.x ? 0 : (b.x > a.x ? 1 : -1),
+                              a.y == b.y ? 0 : (b.y > a.y ? 1 : -1)};
+    if (a == b) return true;
+    for (geom::Point p = a;; p += step) {
+      NetId& slot = horizontal ? at(p).h : at(p).v;
+      if (slot != kNone && slot != n) return false;
+      slot = n;
+      if (p == b) return true;
+    }
+  }
+
+  bool blocked(geom::Point p) const { return !in(p) || at(p).blocked; }
+  NetId terminal_owner(geom::Point p) const { return in(p) ? at(p).owner : kNone; }
+  NetId claim_owner(geom::Point p) const { return in(p) ? at(p).claim : kNone; }
+  NetId h_net(geom::Point p) const { return in(p) ? at(p).h : kNone; }
+  NetId v_net(geom::Point p) const { return in(p) ? at(p).v : kNone; }
+  bool enterable(geom::Point p, NetId n) const {
+    if (!in(p)) return false;
+    const Cell& c = at(p);
+    if (c.blocked && c.owner != n) return false;
+    return c.claim == kNone || c.claim == n;
+  }
+  bool passable(geom::Point p, NetId n, bool horizontal) const {
+    return enterable(p, n) && (horizontal ? at(p).h : at(p).v) == kNone;
+  }
+  bool can_turn(geom::Point p, NetId n) const {
+    return enterable(p, n) && at(p).h == kNone && at(p).v == kNone;
+  }
+  bool crosses_at(geom::Point p, NetId n, bool horizontal) const {
+    if (!in(p)) return false;
+    const NetId other = horizontal ? at(p).v : at(p).h;
+    return other != kNone && other != n;
+  }
+  bool occupied_by(geom::Point p, NetId n) const {
+    return in(p) && (at(p).h == n || at(p).v == n);
+  }
+  bool node_free(geom::Point p, NetId n) const {
+    if (!in(p)) return false;
+    const Cell& c = at(p);
+    return (c.h == kNone || c.h == n) && (c.v == kNone || c.v == n);
+  }
+
+ private:
+  struct Cell {
+    NetId h = kNone;
+    NetId v = kNone;
+    NetId owner = kNone;
+    NetId claim = kNone;
+    bool blocked = false;
+  };
+  bool in(geom::Point p) const { return area_.contains(p); }
+  Cell& at(geom::Point p) {
+    return cells_[static_cast<size_t>(p.y - area_.lo.y) * (area_.width() + 1) +
+                  (p.x - area_.lo.x)];
+  }
+  const Cell& at(geom::Point p) const {
+    return const_cast<ReferenceGrid*>(this)->at(p);
+  }
+
+  geom::Rect area_;
+  std::vector<Cell> cells_;
+};
+
+TEST(RoutingGrid, PackedCellsMatchReferenceModel) {
+  // Seeded random edit sequences, checking every predicate on every point
+  // of the plane and its one-track rim outside after each edit.
+  const geom::Rect area{{2, 1}, {9, 6}};
+  const geom::Rect probe = area.expanded(1);
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::mt19937 rng(seed);
+    auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    auto point_in = [&](geom::Rect r) {
+      return geom::Point{pick(r.lo.x, r.hi.x), pick(r.lo.y, r.hi.y)};
+    };
+    RoutingGrid grid(area);
+    ReferenceGrid ref(area);
+    for (int step = 0; step < 60; ++step) {
+      const NetId net = pick(0, 3);
+      switch (pick(0, 6)) {
+        case 0: {
+          const geom::Point p = point_in(probe);
+          grid.block(p);
+          ref.block(p);
+          break;
+        }
+        case 1: {
+          const geom::Point a = point_in(probe);
+          const geom::Rect r{a, {a.x + pick(0, 3), a.y + pick(0, 2)}};
+          grid.block_rect(r);
+          ref.block_rect(r);
+          break;
+        }
+        case 2: {
+          const geom::Point p = point_in(area);
+          const NetId owner = pick(0, 4) == 0 ? kNone : net;
+          grid.set_terminal(p, owner);
+          ref.set_terminal(p, owner);
+          break;
+        }
+        case 3: {
+          const geom::Point p = point_in(probe);
+          grid.set_claim(p, net);
+          ref.set_claim(p, net);
+          break;
+        }
+        case 4: {
+          const geom::Point p = point_in(probe);
+          grid.clear_claim(p);
+          ref.set_claim(p, kNone);
+          break;
+        }
+        default: {
+          const geom::Point a = point_in(area);
+          const geom::Point b = pick(0, 1) ? geom::Point{pick(area.lo.x, area.hi.x), a.y}
+                                           : geom::Point{a.x, pick(area.lo.y, area.hi.y)};
+          const geom::Point pts[] = {a, b};
+          if (ref.occupy(net, a, b)) {
+            grid.occupy_polyline(net, pts);
+          } else {
+            EXPECT_THROW(grid.occupy_polyline(net, pts), std::logic_error);
+          }
+          break;
+        }
+      }
+      for (int y = probe.lo.y; y <= probe.hi.y; ++y) {
+        for (int x = probe.lo.x; x <= probe.hi.x; ++x) {
+          const geom::Point p{x, y};
+          SCOPED_TRACE(::testing::Message() << "step " << step << " at " << p);
+          ASSERT_EQ(grid.blocked(p), ref.blocked(p));
+          ASSERT_EQ(grid.terminal_owner(p), ref.terminal_owner(p));
+          ASSERT_EQ(grid.claim_owner(p), ref.claim_owner(p));
+          ASSERT_EQ(grid.h_net(p), ref.h_net(p));
+          ASSERT_EQ(grid.v_net(p), ref.v_net(p));
+          for (NetId n = 0; n <= 3; ++n) {
+            ASSERT_EQ(grid.enterable(p, n), ref.enterable(p, n)) << "net " << n;
+            ASSERT_EQ(grid.can_turn(p, n), ref.can_turn(p, n)) << "net " << n;
+            ASSERT_EQ(grid.node_free(p, n), ref.node_free(p, n)) << "net " << n;
+            ASSERT_EQ(grid.occupied_by(p, n), ref.occupied_by(p, n)) << "net " << n;
+            for (bool horizontal : {true, false}) {
+              ASSERT_EQ(grid.passable(p, n, horizontal),
+                        ref.passable(p, n, horizontal))
+                  << "net " << n;
+              ASSERT_EQ(grid.crosses_at(p, n, horizontal),
+                        ref.crosses_at(p, n, horizontal))
+                  << "net " << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RoutingGrid, BlockKeepsTerminalOwner) {
+  RoutingGrid g({{0, 0}, {9, 9}});
+  g.set_terminal({3, 3}, 7);
+  g.block({3, 3});
+  g.block_rect({{2, 2}, {4, 4}});
+  EXPECT_EQ(g.terminal_owner({3, 3}), 7);
+  EXPECT_TRUE(g.enterable({3, 3}, 7));
+  // A terminal of no net is a wall for everyone.
+  g.set_terminal({3, 3}, kNone);
+  EXPECT_TRUE(g.blocked({3, 3}));
+  EXPECT_EQ(g.terminal_owner({3, 3}), kNone);
+  EXPECT_FALSE(g.enterable({3, 3}, 7));
 }
 
 // --- grid construction from a placed diagram --------------------------------

@@ -2,7 +2,9 @@
 // (min bends -> crossings -> length), Lee (min length), Hightower
 // (escape-line heuristic), the straight-line fast path, search-workspace
 // reuse and windowed searches.
+#include <algorithm>
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -531,6 +533,176 @@ TEST(SearchWorkspace, WindowedSearchSizesByWindow) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->cost.bends, 1);
   EXPECT_LE(ws.capacity(), static_cast<size_t>(4 * 41 * 41 + 1));
+}
+
+TEST(SearchHeap, PopOrderMatchesStdHeap) {
+  // heap_push/heap_pop specify libstdc++'s sift rules in-repo; on keys
+  // drawn from a few values (many ties) every pop must return the same
+  // (key, state) as std::push_heap/std::pop_heap with the comparator the
+  // search used before, and the arrays must stay identical.
+  struct After {
+    bool operator()(const detail::HeapEntry& a, const detail::HeapEntry& b) const {
+      return a.key > b.key;
+    }
+  };
+  std::mt19937 rng(5);
+  std::set<size_t> pop_sizes;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<detail::HeapEntry> mine, ref;
+    // Rounds 0-3 push exactly 0-3 entries, the rest a random mix.
+    const int ops = round < 4 ? round : 1 + static_cast<int>(rng() % 60);
+    const std::uint64_t keys = 1 + rng() % 4;
+    int next_state = 0;
+    auto pop_both = [&] {
+      pop_sizes.insert(mine.size());
+      const detail::HeapEntry got = detail::heap_pop(mine);
+      std::pop_heap(ref.begin(), ref.end(), After{});
+      const detail::HeapEntry want = ref.back();
+      ref.pop_back();
+      ASSERT_EQ(got.key, want.key);
+      ASSERT_EQ(got.state, want.state);
+    };
+    for (int i = 0; i < ops; ++i) {
+      if (round >= 4 && !mine.empty() && rng() % 3 == 0) {
+        pop_both();
+      } else {
+        const detail::HeapEntry e{rng() % keys, next_state++};
+        detail::heap_push(mine, e);
+        ref.push_back(e);
+        std::push_heap(ref.begin(), ref.end(), After{});
+      }
+      ASSERT_EQ(mine.size(), ref.size());
+      for (size_t j = 0; j < mine.size(); ++j) {
+        ASSERT_EQ(mine[j].key, ref[j].key) << "round " << round;
+        ASSERT_EQ(mine[j].state, ref[j].state) << "round " << round;
+      }
+    }
+    while (!mine.empty()) pop_both();
+    EXPECT_TRUE(ref.empty());
+  }
+  // Pops from heaps of one, two and three entries, and of longer even and
+  // odd lengths, all happened.
+  for (size_t n : {1, 2, 3}) EXPECT_TRUE(pop_sizes.count(n)) << n;
+  EXPECT_TRUE(std::any_of(pop_sizes.begin(), pop_sizes.end(),
+                          [](size_t n) { return n > 3 && n % 2 == 0; }));
+  EXPECT_TRUE(std::any_of(pop_sizes.begin(), pop_sizes.end(),
+                          [](size_t n) { return n > 3 && n % 2 == 1; }));
+}
+
+/// Marks `p` as a terminal cell of net `n` that can only be left (or
+/// entered) through its `open` side, like a module terminal: the other
+/// three neighbours are walls.
+void make_terminal(RoutingGrid& grid, geom::Point p, NetId n,
+                   std::optional<geom::Dir> open) {
+  grid.set_terminal(p, n);
+  if (!open) return;
+  for (geom::Dir d : geom::kAllDirs) {
+    if (d != *open) grid.block(p + geom::delta(d));
+  }
+}
+
+TEST(GridSearch, ReportedCostMatchesPath) {
+  // Every cost mode, windowed and not, on seeded planes with walls, foreign
+  // nets and foreign claims: the reported bends are the polyline's
+  // corners, the length its Manhattan length, and the crossings the
+  // foreign perpendicular occupants it passes.  Lexicographic modes decode
+  // these from the heap key; Lee keeps bends and crossings beside it.
+  const NetId own = 0;
+  const geom::Rect area{{0, 0}, {29, 19}};
+  detail::SearchWorkspace shared;
+  int found = 0;
+  for (unsigned seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    RoutingGrid grid(area);
+    for (int i = 0; i < 3; ++i) {
+      const geom::Point a{pick(2, 25), pick(2, 15)};
+      grid.block_rect({a, {a.x + pick(0, 3), a.y + pick(0, 3)}});
+    }
+    // Foreign nets 1-2 run on distinct rows, 3-4 on distinct columns, so
+    // they only ever cross.
+    for (NetId n = 1; n <= 4; ++n) {
+      const bool horizontal = n <= 2;
+      const int at = horizontal ? 3 + 8 * (n - 1) + pick(0, 4)
+                                : 5 + 12 * (n - 3) + pick(0, 6);
+      const int from = pick(0, 10);
+      const int to = from + pick(8, 18);
+      const geom::Point pts[] = {
+          horizontal ? geom::Point{from, at} : geom::Point{at, from / 2},
+          horizontal ? geom::Point{to, at} : geom::Point{at, to * 2 / 3}};
+      grid.occupy_polyline(n, pts);
+    }
+    for (int i = 0; i < 4; ++i) grid.set_claim({pick(0, 29), pick(0, 19)}, 5);
+    auto free_point = [&] {
+      for (;;) {
+        const geom::Point p{pick(1, 28), pick(1, 18)};
+        if (!grid.blocked(p) && grid.can_turn(p, own)) return p;
+      }
+    };
+    auto pick_dir = [&]() -> std::optional<geom::Dir> {
+      const int d = pick(-1, 3);
+      if (d < 0) return std::nullopt;
+      return static_cast<geom::Dir>(d);
+    };
+    SearchProblem prob;
+    prob.net = own;
+    const geom::Point from = free_point();
+    const std::optional<geom::Dir> from_dir = pick_dir();
+    make_terminal(grid, from, own, from_dir);
+    prob.starts = {{from, from_dir}};
+    if (seed % 4 == 0) {
+      // Join own geometry: a vertical run of the own net through free
+      // cells (so not through the start terminal).
+      const int x = pick(20, 27);
+      const geom::Point run[] = {{x, 1}, {x, 18}};
+      bool clear = true;
+      for (int y = 1; y <= 18; ++y) clear &= grid.passable({x, y}, own, false);
+      if (!clear) continue;
+      grid.occupy_polyline(own, run);
+      prob.join_own_net = true;
+    } else {
+      const geom::Point to = free_point();
+      const std::optional<geom::Dir> facing = pick_dir();
+      if (to == from) continue;
+      make_terminal(grid, to, own, facing);
+      prob.target = SearchTarget{to, facing};
+    }
+    for (const detail::CostMode mode :
+         {detail::CostMode::BendsCrossingsLength,
+          detail::CostMode::BendsLengthCrossings, detail::CostMode::LengthOnly}) {
+      for (bool windowed : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " mode "
+                                          << static_cast<int>(mode)
+                                          << (windowed ? " windowed" : ""));
+        prob.window.reset();
+        if (windowed) prob.window = geom::Rect{from, from}.expanded(pick(6, 14));
+        const auto r = detail::grid_search(grid, prob, mode, &shared);
+        if (!r) continue;
+        ++found;
+        int length = 0;
+        int crossings = 0;
+        for (size_t i = 1; i < r->path.size(); ++i) {
+          const geom::Point a = r->path[i - 1];
+          const geom::Point b = r->path[i];
+          ASSERT_TRUE(a.x == b.x || a.y == b.y);
+          length += manhattan(a, b);
+          const bool horizontal = a.y == b.y;
+          const geom::Point step = {b.x > a.x ? 1 : (b.x < a.x ? -1 : 0),
+                                    b.y > a.y ? 1 : (b.y < a.y ? -1 : 0)};
+          for (geom::Point q = a; q != b;) {
+            q += step;
+            crossings += grid.crosses_at(q, own, horizontal) ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(r->cost.bends, static_cast<int>(r->path.size()) - 2);
+        EXPECT_EQ(r->cost.length, length);
+        EXPECT_EQ(r->cost.crossings, crossings);
+      }
+    }
+  }
+  EXPECT_GT(found, 100);
 }
 
 }  // namespace
