@@ -32,6 +32,7 @@ struct HeapEntry {
   std::uint64_t key;
   int state;
 };
+static_assert(sizeof(HeapEntry) == 16);
 
 /// The bends and crossings a length-only search carries beside its key.
 struct SideCosts {

@@ -60,6 +60,7 @@ class RoutingGrid {
       return (h == kNone || h == n) && (v == kNone || v == n);
     }
   };
+  static_assert(sizeof(Cell) == 16);
 
   explicit RoutingGrid(geom::Rect area);
 

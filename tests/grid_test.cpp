@@ -196,13 +196,12 @@ class ReferenceGrid {
     bool blocked = false;
   };
   bool in(geom::Point p) const { return area_.contains(p); }
-  Cell& at(geom::Point p) {
-    return cells_[static_cast<size_t>(p.y - area_.lo.y) * (area_.width() + 1) +
-                  (p.x - area_.lo.x)];
+  size_t index(geom::Point p) const {
+    return static_cast<size_t>(p.y - area_.lo.y) * (area_.width() + 1) +
+           (p.x - area_.lo.x);
   }
-  const Cell& at(geom::Point p) const {
-    return const_cast<ReferenceGrid*>(this)->at(p);
-  }
+  Cell& at(geom::Point p) { return cells_[index(p)]; }
+  const Cell& at(geom::Point p) const { return cells_[index(p)]; }
 
   geom::Rect area_;
   std::vector<Cell> cells_;
