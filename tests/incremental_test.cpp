@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "gen/datapath.hpp"
 #include "gen/chain.hpp"
 #include "gen/life.hpp"
+#include "gen/synth.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
 #include "route/net_order.hpp"
@@ -268,6 +273,185 @@ TEST(Incremental, AddedModulePlacesNearNetGravity) {
   EXPECT_LT(session.last().route_expansions, 20000);
   EXPECT_EQ(session.last().nets_kept + session.last().nets_rerouted,
             edited.net_count());
+}
+
+// ----- pinned edit corpus ----------------------------------------------------
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// splitmix64: the corpus's seeded picks, identical on every platform.
+struct CorpusRng {
+  std::uint64_t s;
+  int below(int n) {
+    std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<int>((z ^ (z >> 31)) % static_cast<std::uint64_t>(n));
+  }
+};
+
+/// One edit of the corpus: a script over the current network.
+using CorpusEdit = std::function<void(NetworkEditor&, const Network&, CorpusRng&)>;
+
+/// What one update is pinned to: the ESCHER bytes and the work counters.
+struct CorpusPin {
+  std::uint64_t digest;
+  int modules_replaced, modules_frozen, nets_rerouted, nets_extended,
+      full_regens;
+};
+
+/// A seeded module that has at least one terminal.
+ModuleId pick_module(const Network& net, CorpusRng& rng) {
+  for (;;) {
+    const ModuleId m = rng.below(net.module_count());
+    if (!net.module(m).terms.empty()) return m;
+  }
+}
+
+/// The corpus: add a probe on a net, move a terminal, resize a module, add
+/// an unconnected module, remove one module or two, and an edit touching
+/// most modules, which the dirty-share rule sends to a full regeneration.
+std::vector<CorpusEdit> edit_corpus() {
+  auto add_probe = [](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    const std::string name = "probe" + std::to_string(net.module_count());
+    ed.add_module(name, "probe", {4, 4});
+    ed.add_module_terminal(name, "i", TermType::In, {0, 2});
+    ed.connect(net.net(rng.below(net.net_count())).name, name, "i");
+  };
+  // Re-pins a connected terminal along its own edge to a free slot.
+  auto move_term = [](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    for (;;) {
+      const Module& mod = net.module(pick_module(net, rng));
+      const Terminal& t =
+          net.term(mod.terms[rng.below(static_cast<int>(mod.terms.size()))]);
+      if (t.net == kNone) continue;
+      const bool vertical_edge = t.pos.x == 0 || t.pos.x == mod.size.x;
+      std::vector<geom::Point> slots;
+      for (int k = 1; k < (vertical_edge ? mod.size.y : mod.size.x); ++k) {
+        const geom::Point to = vertical_edge ? geom::Point{t.pos.x, k}
+                                             : geom::Point{k, t.pos.y};
+        bool free = true;
+        for (TermId o : mod.terms) free = free && net.term(o).pos != to;
+        if (free) slots.push_back(to);
+      }
+      if (slots.empty()) continue;
+      ed.move_terminal(mod.name, t.name,
+                       slots[rng.below(static_cast<int>(slots.size()))]);
+      return;
+    }
+  };
+  // Widens a module by two tracks, carrying its right-edge terminals along.
+  auto resize = [](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    const Module& mod = net.module(pick_module(net, rng));
+    ed.resize_module(mod.name, {mod.size.x + 2, mod.size.y});
+    for (TermId t : mod.terms) {
+      const Terminal& term = net.term(t);
+      if (term.pos.x == mod.size.x) {
+        ed.move_terminal(mod.name, term.name, {mod.size.x + 2, term.pos.y});
+      }
+    }
+  };
+  auto add_lone = [](NetworkEditor& ed, const Network& net, CorpusRng&) {
+    ed.add_module("lone" + std::to_string(net.module_count()), "", {3, 3});
+  };
+  auto remove = [](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    ed.remove_module(net.module(pick_module(net, rng)).name);
+  };
+  // Removes a seeded module and the one declared after it.
+  auto remove_pair = [](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    const ModuleId m = rng.below(net.module_count() - 1);
+    ed.remove_module(net.module(m).name);
+    ed.remove_module(net.module(m + 1).name);
+  };
+  auto big = [move_term](NetworkEditor& ed, const Network& net, CorpusRng& rng) {
+    for (int i = 0; i < net.module_count() * 3 / 4; ++i) move_term(ed, net, rng);
+  };
+  return {add_probe, move_term, resize, add_lone, remove,
+          remove_pair, add_probe, move_term, remove_pair, remove,
+          add_probe, big, add_probe};
+}
+
+/// Runs the corpus through one session and checks every update against
+/// its pin.
+void expect_corpus_pins(const Network& base, const RegenOptions& opt,
+                        std::uint64_t seed, const std::vector<CorpusPin>& pins) {
+  const std::vector<CorpusEdit> corpus = edit_corpus();
+  ASSERT_EQ(pins.size(), corpus.size());
+  RegenSession session(opt);
+  Network net = base;
+  session.update(net);
+  CorpusRng rng{seed};
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    NetworkEditor ed(net);
+    corpus[i](ed, net, rng);
+    net = ed.build();
+    const Diagram& dia = session.update(net);
+    const RegenCounters& c = session.last();
+    const CorpusPin got{fnv1a(to_escher_diagram(dia, "corpus")),
+                        c.modules_replaced, c.modules_frozen, c.nets_rerouted,
+                        c.nets_extended, c.full_regens};
+    const CorpusPin& want = pins[i];
+    EXPECT_EQ(got.digest, want.digest)
+        << "edit " << i << std::hex << " digest 0x" << got.digest;
+    EXPECT_EQ(got.modules_replaced, want.modules_replaced) << "edit " << i;
+    EXPECT_EQ(got.modules_frozen, want.modules_frozen) << "edit " << i;
+    EXPECT_EQ(got.nets_rerouted, want.nets_rerouted) << "edit " << i;
+    EXPECT_EQ(got.nets_extended, want.nets_extended) << "edit " << i;
+    EXPECT_EQ(got.full_regens, want.full_regens) << "edit " << i;
+  }
+}
+
+// The incremental-output contract: a seeded edit corpus over LIFE and over
+// a 300-module mesh must keep producing these exact ESCHER bytes and work
+// counters.  On the mesh the corpus reaches every way a dirty partition is
+// pinned — in-place refresh, its vacated hole, a gravity-seeded vacancy,
+// and the fall-through to partition placement — and both corpora take one
+// full regeneration.
+TEST(Incremental, EditCorpusMatchesPinnedDigests) {
+  expect_corpus_pins(gen::life_network(), life_options(), 5,
+                     {{0xae2d58dfe6557c79ull, 1, 27, 3, 3, 0},
+                      {0xc50dfe74273032f0ull, 3, 25, 1, 1, 0},
+                      {0xa960824937209b18ull, 3, 25, 35, 19, 0},
+                      {0xc0f43e4a999de2e1ull, 1, 28, 1, 1, 0},
+                      {0x6f94044e3dcc8853ull, 2, 26, 36, 23, 0},
+                      {0x04f3a3f5f34de34eull, 1, 25, 22, 22, 0},
+                      {0xe5cc1c2c04ff9b1full, 1, 26, 1, 0, 0},
+                      {0x30db686d1ba2cb6bull, 3, 24, 1, 0, 0},
+                      {0x4b3f308c79fff3eaull, 1, 24, 19, 19, 0},
+                      {0xda54a6b5aad3b213ull, 2, 22, 31, 19, 0},
+                      {0xe446b47880dc084dull, 1, 24, 2, 2, 0},
+                      {0x41237861482b44e4ull, 25, 0, 155, 0, 1},
+                      {0x9ad52ae569c57a12ull, 1, 25, 1, 1, 0}});
+
+  gen::SynthOptions mesh;
+  mesh.modules = 300;
+  RegenOptions mesh_opt;
+  mesh_opt.generator.placer.max_part_size = 8;
+  mesh_opt.generator.placer.max_box_size = 4;
+  mesh_opt.generator.placer.max_connections = 16;
+  mesh_opt.generator.router.margin = 6;
+  expect_corpus_pins(gen::synth_network(mesh), mesh_opt, 5,
+                     {{0xf9e39d624c96e38cull, 1, 300, 1, 1, 0},
+                      {0x5a8c62321060971cull, 8, 293, 1, 1, 0},
+                      {0x23c4d7f537f8854dull, 8, 293, 22, 10, 0},
+                      {0xab253fe5bdc5e487ull, 1, 301, 0, 0, 0},
+                      {0xc1cff5f70620faf1ull, 7, 294, 13, 8, 0},
+                      {0xa6acb9a581b19835ull, 6, 293, 15, 11, 0},
+                      {0x610265e355f81a65ull, 1, 299, 1, 1, 0},
+                      {0xea35924c28ea184dull, 8, 292, 1, 0, 0},
+                      {0x36f55081fce3085dull, 14, 284, 38, 24, 0},
+                      {0xae377e93a7a83585ull, 4, 293, 12, 9, 0},
+                      {0x22015af4c9ade132ull, 1, 297, 1, 1, 0},
+                      {0xeafd2bb84aa79a4cull, 298, 0, 554, 0, 1},
+                      {0xed7b320120663c1dull, 1, 298, 1, 1, 0}});
 }
 
 // ----- session save/restore --------------------------------------------------
