@@ -40,6 +40,18 @@ constexpr std::int64_t dist2(Point a, Point b) {
   return dx * dx + dy * dy;
 }
 
+/// A point packed into 64 bits, x high and y low: the key of the
+/// point-keyed hash maps and sets.  point_of_key inverts it.
+constexpr std::uint64_t point_key(Point p) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
+         static_cast<std::uint32_t>(p.y);
+}
+
+constexpr Point point_of_key(std::uint64_t k) {
+  return {static_cast<std::int32_t>(k >> 32),
+          static_cast<std::int32_t>(k & 0xffffffffu)};
+}
+
 std::string to_string(Point p);
 std::ostream& operator<<(std::ostream& os, Point p);
 

@@ -22,6 +22,28 @@ namespace na::geom {
 
 using Polyline = std::vector<Point>;
 
+/// Calls `f(p)` for every grid point of `pl`: a one-point chain is that
+/// point, otherwise each orthogonal segment from its start to its end
+/// (shared corners are visited twice; non-orthogonal segments, which no
+/// router emits, are skipped).
+template <typename F>
+void for_each_cell(const Polyline& pl, F&& f) {
+  if (pl.size() == 1) {
+    f(pl[0]);
+    return;
+  }
+  for (size_t i = 1; i < pl.size(); ++i) {
+    const Point a = pl[i - 1];
+    const Point b = pl[i];
+    if (a.x != b.x && a.y != b.y) continue;
+    const Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
+    for (Point p = a;; p += step) {
+      f(p);
+      if (p == b) break;
+    }
+  }
+}
+
 /// Splits `pl` into the maximal sub-chains whose every segment satisfies
 /// `keep`.  Cuts happen only at existing corner points; pieces that
 /// degenerate to a single point are dropped.  A chain with fewer than two

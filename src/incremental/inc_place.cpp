@@ -2,58 +2,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <unordered_set>
 
-#include "place/box_place.hpp"
-#include "place/boxes.hpp"
+#include "geom/polyline.hpp"
+#include "geom/rect_index.hpp"
 #include "place/gravity.hpp"
-#include "place/module_place.hpp"
 #include "place/partition.hpp"
-#include "place/partition_place.hpp"
+#include "place/placer.hpp"
 #include "place/terminal_place.hpp"
 
 namespace na {
 namespace {
-
-/// The frozen modules as one pinned pseudo-partition (the placer's own
-/// preplaced-part treatment, Appendix E option -g).
-PartitionLayout frozen_layout(const Diagram& dia,
-                              const std::vector<ModuleId>& frozen,
-                              geom::Rect hull) {
-  PartitionLayout part;
-  for (ModuleId m : frozen) {
-    BoxLayout box;
-    box.modules = {m};
-    box.rot = {dia.placed(m).rot};
-    box.pos = {{0, 0}};
-    box.size = dia.module_size(m);
-    part.boxes.push_back(std::move(box));
-    part.box_pos.push_back(dia.placed(m).pos - hull.lo);
-  }
-  part.size = {hull.width(), hull.height()};
-  return part;
-}
-
-/// The old arrangement of a dirty partition whose membership and module
-/// sizes are unchanged, rebuilt as a pinnable layout over the NEW ids.
-PartitionLayout refresh_layout(const Diagram& old_dia, const NetlistDiff& diff,
-                               const std::vector<ModuleId>& partition,
-                               geom::Rect hull) {
-  PartitionLayout part;
-  for (ModuleId m : partition) {
-    const ModuleId om = diff.module_to_old[m];
-    BoxLayout box;
-    box.modules = {m};
-    box.rot = {old_dia.placed(om).rot};
-    box.pos = {{0, 0}};
-    box.size = old_dia.module_size(om);
-    part.boxes.push_back(std::move(box));
-    part.box_pos.push_back(old_dia.placed(om).pos - hull.lo);
-  }
-  part.size = {hull.width(), hull.height()};
-  return part;
-}
 
 /// Gravity centre of a dirty partition's nets over the endpoints whose
 /// positions are already known — frozen module terminals (placed in `dia`)
@@ -102,27 +61,10 @@ std::optional<geom::Point> net_gravity_center(
 struct RoutedCells {
   std::unordered_set<std::uint64_t> cells;
 
-  static std::uint64_t key(geom::Point p) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-           static_cast<std::uint32_t>(p.y);
-  }
-
   explicit RoutedCells(const Diagram& dia) {
-    const Network& net = dia.network();
-    for (NetId n = 0; n < net.net_count(); ++n) {
+    for (NetId n = 0; n < dia.network().net_count(); ++n) {
       for (const auto& pl : dia.route(n).polylines) {
-        if (pl.size() == 1) cells.insert(key(pl[0]));
-        for (size_t i = 1; i < pl.size(); ++i) {
-          const geom::Point a = pl[i - 1];
-          const geom::Point b = pl[i];
-          if (a.x != b.x && a.y != b.y) continue;
-          const geom::Point step = {(b.x > a.x) - (b.x < a.x),
-                                    (b.y > a.y) - (b.y < a.y)};
-          for (geom::Point p = a;; p += step) {
-            cells.insert(key(p));
-            if (p == b) break;
-          }
-        }
+        geom::for_each_cell(pl, [&](geom::Point p) { cells.insert(geom::point_key(p)); });
       }
     }
   }
@@ -133,65 +75,12 @@ struct RoutedCells {
     int hits = 0;
     for (int x = r.lo.x; x <= r.hi.x; ++x) {
       for (int y = r.lo.y; y <= r.hi.y; ++y) {
-        hits += cells.contains(key({x, y})) ? 1 : 0;
+        hits += cells.contains(geom::point_key({x, y})) ? 1 : 0;
       }
     }
     return hits;
   }
 };
-
-/// The gravity-seeded vacancy search: the position for a `size` rectangle
-/// near `ideal` minimising squared gravity distance plus a displacement
-/// penalty per routed cell the footprint would sit on.  "Hole-pinned
-/// vacancies first" — a spot a few tracks further that tears up no routing
-/// beats one directly on a channel — "then local hull expansion": ring by
-/// ring until the score bound proves no better cell exists, out to
-/// `max_radius`.
-std::optional<geom::Point> gravity_vacancy(geom::Point ideal, geom::Point size,
-                                           std::span<const geom::Rect> placed,
-                                           int spacing, int max_radius,
-                                           const RoutedCells& routed) {
-  // One displaced routed cell weighs like four extra tracks of distance:
-  // proximity still dominates, but dense channels repel the insertion.
-  constexpr std::int64_t kCellPenalty = 16;
-  auto feasible = [&](geom::Point pos) {
-    const geom::Rect candidate = geom::Rect::from_size(pos, size).expanded(spacing);
-    for (const geom::Rect& r : placed) {
-      if (candidate.overlaps(r)) return false;
-    }
-    return true;
-  };
-  auto score = [&](geom::Point pos) {
-    return geom::dist2(pos, ideal) +
-           kCellPenalty * routed.covered(geom::Rect::from_size(pos, size));
-  };
-
-  std::optional<geom::Point> best;
-  std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
-  auto consider = [&](geom::Point pos) {
-    if (geom::dist2(pos, ideal) >= best_score || !feasible(pos)) return;
-    const std::int64_t s = score(pos);
-    if (s < best_score) {
-      best = pos;
-      best_score = s;
-    }
-  };
-  consider(ideal);
-  for (int r = 1; r <= max_radius; ++r) {
-    // Every position on ring r is at least r tracks out, so its score is
-    // at least r*r; once that exceeds the best score, no later ring wins.
-    if (best_score < static_cast<std::int64_t>(r) * r) break;
-    for (int dx = -r; dx <= r; ++dx) {
-      consider(ideal + geom::Point{dx, r});
-      consider(ideal + geom::Point{dx, -r});
-    }
-    for (int dy = -r + 1; dy < r; ++dy) {
-      consider(ideal + geom::Point{r, dy});
-      consider(ideal + geom::Point{-r, dy});
-    }
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -229,7 +118,7 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
     geom::Rect frozen_hull;
     for (ModuleId m : frozen) frozen_hull = frozen_hull.hull(dia.module_rect(m));
     if (!frozen.empty()) {
-      layouts.push_back(frozen_layout(dia, frozen, frozen_hull));
+      layouts.push_back(detail::pinned_layout(dia, frozen, frozen_hull));
       fixed_pos.push_back(frozen_hull.lo);
     }
 
@@ -244,7 +133,8 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
 
     std::vector<geom::Rect> pinned;  // holes already promised to a partition
     std::optional<RoutedCells> routed_cells;  // built on first gravity seed
-    for (const auto& partition : new_partitions) {
+    for (size_t pi = 0; pi < new_partitions.size(); ++pi) {
+      const std::vector<ModuleId>& partition = new_partitions[pi];
       // In-place refresh: when the partition's membership and module sizes
       // are unchanged (the edit moved a terminal pin or rewired a net), the
       // old arrangement is still the right one — re-running the box layout
@@ -274,7 +164,8 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
           if (hull.overlaps(r)) clear = false;
         }
         if (clear) {
-          layouts.push_back(refresh_layout(old_dia, diff, partition, hull));
+          layouts.push_back(
+              detail::pinned_layout(old_dia, partition, hull, diff.module_to_old));
           fixed_pos.push_back(hull.lo);
           pinned.push_back(hull);
           std::vector<Box> boxes;
@@ -288,14 +179,9 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
         }
       }
 
-      auto boxes = form_boxes(net, partition, opt.max_box_size);
-      std::vector<BoxLayout> box_layouts;
-      box_layouts.reserve(boxes.size());
-      for (const Box& b : boxes) {
-        box_layouts.push_back(place_box_modules(net, b, opt.module_spacing));
-      }
-      PartitionLayout layout =
-          place_boxes(net, std::move(box_layouts), opt.box_spacing);
+      detail::PartitionResult built =
+          detail::build_partition(net, partition, opt, static_cast<int>(pi));
+      const geom::Point size = built.layout.size;
 
       // Hole pinning: the hull the partition's modules vacated in the old
       // diagram.  Pin the new layout there when it fits and collides with
@@ -311,9 +197,8 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
         }
         hole = hole.hull(old_dia.module_rect(om));
       }
-      if (all_existed && layout.size.x <= hole.width() &&
-          layout.size.y <= hole.height()) {
-        const geom::Rect target = geom::Rect::from_size(hole.lo, layout.size);
+      if (all_existed && size.x <= hole.width() && size.y <= hole.height()) {
+        const geom::Rect target = geom::Rect::from_size(hole.lo, size);
         bool clear = true;
         for (ModuleId m : frozen) {
           if (target.expanded(opt.partition_spacing)
@@ -334,54 +219,58 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
       // Gravity seeding: a partition without a vacated hole (added modules,
       // or a refreshed group that outgrew its hole) is pulled toward the
       // gravity centre of its nets' already-placed endpoints and dropped on
-      // the nearest vacancy — testing against the *individual* frozen
-      // module rectangles, so holes inside the frozen hull are usable and
-      // the ring search expands the hull locally when they are not.  Only
-      // when no legal cell exists within the bounded radius does the
-      // partition fall through to place_partitions, which treats the
-      // frozen part as one solid rectangle and lines it up at the edge.
+      // the best nearby vacancy.  The ring search tests the *individual*
+      // frozen module rectangles, so holes inside the frozen hull are
+      // usable and the hull expands locally when they are not, and its
+      // penalty charges each routed cell the footprint would cover: a spot
+      // a few tracks further that tears up no routing beats one on a
+      // channel.  Only when no legal cell exists within the bounded radius
+      // does the partition fall through to place_partitions, which treats
+      // the frozen part as one solid rectangle and lines it up at the edge.
       if (!pin && !frozen.empty()) {
         if (const auto center =
                 net_gravity_center(dia, old_dia, diff, partition)) {
-          const geom::Point ideal = *center - geom::Point{layout.size.x / 2,
-                                                          layout.size.y / 2};
+          const geom::Point ideal = *center - geom::Point{size.x / 2, size.y / 2};
           const int spacing = std::max(opt.module_spacing, 1);
-          const int max_radius =
-              std::max(frozen_hull.width(), frozen_hull.height()) / 2 +
-              std::max(layout.size.x, layout.size.y) + spacing + 1;
+          const int max_radius = std::max(frozen_hull.width(), frozen_hull.height()) / 2 +
+                                 std::max(size.x, size.y) + spacing + 1;
           std::vector<geom::Rect> obstacles;
           obstacles.reserve(frozen.size() + pinned.size());
           for (ModuleId m : frozen) obstacles.push_back(dia.module_rect(m));
           obstacles.insert(obstacles.end(), pinned.begin(), pinned.end());
           if (!routed_cells) routed_cells.emplace(old_dia);
-          if (const auto spot =
-                  gravity_vacancy(ideal, layout.size, obstacles, spacing,
-                                  max_radius, *routed_cells)) {
+          // One displaced routed cell weighs like four extra tracks of
+          // distance: proximity still dominates, but dense channels repel
+          // the insertion.
+          constexpr std::int64_t kCellPenalty = 16;
+          const auto spot = ring_search(
+              ideal, max_radius,
+              [&](geom::Point pos) {
+                const geom::Rect candidate =
+                    geom::Rect::from_size(pos, size).expanded(spacing);
+                for (const geom::Rect& r : obstacles) {
+                  if (candidate.overlaps(r)) return false;
+                }
+                return true;
+              },
+              [&](geom::Point pos) {
+                return kCellPenalty *
+                       routed_cells->covered(geom::Rect::from_size(pos, size));
+              });
+          if (spot) {
             pin = *spot;
-            pinned.push_back(geom::Rect::from_size(*spot, layout.size));
+            pinned.push_back(geom::Rect::from_size(*spot, size));
           }
         }
       }
-      layouts.push_back(std::move(layout));
+      layouts.push_back(std::move(built.layout));
       fixed_pos.push_back(pin);
-      new_boxes.push_back(std::move(boxes));
+      new_boxes.push_back(std::move(built.boxes));
     }
 
     const FullLayout full =
         place_partitions(net, std::move(layouts), opt.partition_spacing, fixed_pos);
-    for (size_t p = 0; p < full.partitions.size(); ++p) {
-      const PartitionLayout& part = full.partitions[p];
-      for (size_t b = 0; b < part.boxes.size(); ++b) {
-        const BoxLayout& box = part.boxes[b];
-        for (size_t i = 0; i < box.modules.size(); ++i) {
-          const ModuleId m = box.modules[i];
-          if (dia.module_placed(m)) continue;  // frozen stays put
-          dia.place_module(m, full.partition_pos[p] + part.box_pos[b] + box.pos[i],
-                           box.rot[i]);
-          ++result.modules_replaced;
-        }
-      }
-    }
+    result.modules_replaced = detail::commit_layout(dia, full);
   }
 
   // ----- system terminals: keep survivors, ring-place the rest ---------------
@@ -401,17 +290,20 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
   place_system_terminals(dia);
 
   // ----- feasibility: frozen placement must stay overlap-free ----------------
-  for (ModuleId a = 0; a < net.module_count() && result.feasible; ++a) {
-    if (!dia.module_placed(a)) {
-      result.feasible = false;
-      break;
-    }
-    for (ModuleId b = a + 1; b < net.module_count(); ++b) {
-      if (dia.module_placed(b) &&
-          dia.module_rect(a).overlaps(dia.module_rect(b))) {
-        result.feasible = false;
-        break;
-      }
+  // Every module placed and no two overlapping — the validator's index and
+  // overlap predicate, at O(n) per edit instead of a scan over all pairs.
+  std::vector<geom::Rect> rects;
+  rects.reserve(net.module_count());
+  for (ModuleId m = 0; m < net.module_count() && result.feasible; ++m) {
+    result.feasible = dia.module_placed(m);
+    if (result.feasible) rects.push_back(dia.module_rect(m));
+  }
+  if (result.feasible) {
+    const geom::RectIndex index(std::move(rects));
+    std::vector<int> hits;
+    for (int i = 0; i < index.size() && result.feasible; ++i) {
+      index.overlapping_after(i, hits);
+      result.feasible = hits.empty();
     }
   }
 

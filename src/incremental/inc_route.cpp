@@ -50,35 +50,6 @@ int geometry_cells(const NetRoute& r) {
   return cells;
 }
 
-std::uint64_t key_of(geom::Point p) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-         static_cast<std::uint32_t>(p.y);
-}
-
-geom::Point point_of(std::uint64_t k) {
-  return {static_cast<std::int32_t>(k >> 32),
-          static_cast<std::int32_t>(k & 0xffffffffu)};
-}
-
-/// Every grid point a polyline chain occupies.
-template <typename F>
-void for_each_point(const std::vector<geom::Point>& pl, F f) {
-  if (pl.size() == 1) {
-    f(pl[0]);
-    return;
-  }
-  for (size_t i = 1; i < pl.size(); ++i) {
-    const geom::Point a = pl[i - 1];
-    const geom::Point b = pl[i];
-    if (a.x != b.x && a.y != b.y) continue;
-    const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
-    for (geom::Point p = a;; p += step) {
-      f(p);
-      if (p == b) break;
-    }
-  }
-}
-
 /// Of the polylines in `pls`, the indices forming the largest connected
 /// figure (unit adjacency over occupied points — the same notion the
 /// validator's connectivity check uses, so whatever survives here is one
@@ -88,7 +59,7 @@ std::vector<size_t> largest_figure(
   std::unordered_map<std::uint64_t, int> comp;  // point -> component id
   std::unordered_set<std::uint64_t> points;
   for (const auto& pl : pls) {
-    for_each_point(pl, [&](geom::Point p) { points.insert(key_of(p)); });
+    geom::for_each_cell(pl, [&](geom::Point p) { points.insert(geom::point_key(p)); });
   }
   int next_comp = 0;
   std::vector<int> comp_cells;
@@ -100,11 +71,11 @@ std::vector<size_t> largest_figure(
     frontier.push(seed);
     comp.emplace(seed, id);
     while (!frontier.empty()) {
-      const geom::Point p = point_of(frontier.front());
+      const geom::Point p = geom::point_of_key(frontier.front());
       frontier.pop();
       ++comp_cells[id];
       for (geom::Dir d : geom::kAllDirs) {
-        const std::uint64_t q = key_of(p + geom::delta(d));
+        const std::uint64_t q = geom::point_key(p + geom::delta(d));
         if (points.contains(q) && comp.emplace(q, id).second) frontier.push(q);
       }
     }
@@ -115,7 +86,7 @@ std::vector<size_t> largest_figure(
   }
   std::vector<size_t> kept;
   for (size_t i = 0; i < pls.size(); ++i) {
-    if (!pls[i].empty() && comp.at(key_of(pls[i][0])) == best) kept.push_back(i);
+    if (!pls[i].empty() && comp.at(geom::point_key(pls[i][0])) == best) kept.push_back(i);
   }
   return kept;
 }

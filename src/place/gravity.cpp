@@ -2,48 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace na {
 namespace {
-
-/// The PLACE_BOX / PLACE_PARTITION ring search over any feasibility
-/// predicate.  Shared by the public entry points (linear rect scan) and
-/// the gravity placer's indexed fast path — one iteration order, so both
-/// return identical positions for identical predicates.
-template <typename Feasible>
-std::optional<geom::Point> ring_search(geom::Point ideal, int max_radius,
-                                       Feasible feasible) {
-  if (feasible(ideal)) return ideal;
-
-  // Ring search by Chebyshev radius; a ring of radius r contains offsets
-  // with Euclidean norm in [r, r*sqrt(2)], so once a feasible position at
-  // squared distance d2 is known, rings with r*r > d2 cannot improve it.
-  std::optional<geom::Point> best;
-  std::int64_t best_d2 = std::numeric_limits<std::int64_t>::max();
-  for (int r = 1; r <= max_radius; ++r) {
-    if (best_d2 < static_cast<std::int64_t>(r) * r) break;
-    auto consider = [&](int dx, int dy) {
-      const geom::Point pos = ideal + geom::Point{dx, dy};
-      const std::int64_t d2 = geom::dist2(pos, ideal);
-      if (d2 < best_d2 && feasible(pos)) {
-        best = pos;
-        best_d2 = d2;
-      }
-    };
-    for (int dx = -r; dx <= r; ++dx) {
-      consider(dx, r);
-      consider(dx, -r);
-    }
-    for (int dy = -r + 1; dy < r; ++dy) {
-      consider(r, dy);
-      consider(-r, dy);
-    }
-  }
-  return best;
-}
 
 /// Spatial index over the placed rectangles: a hash grid of 32-track
 /// buckets, each listing the rects touching it.  Purely an accelerator —
@@ -57,7 +20,7 @@ class RectIndex {
     stamp_.push_back(0);
     for (int by = r.lo.y >> kShift; by <= (r.hi.y >> kShift); ++by) {
       for (int bx = r.lo.x >> kShift; bx <= (r.hi.x >> kShift); ++bx) {
-        buckets_[key(bx, by)].push_back(id);
+        buckets_[geom::point_key({bx, by})].push_back(id);
       }
     }
   }
@@ -66,7 +29,7 @@ class RectIndex {
     ++epoch_;
     for (int by = candidate.lo.y >> kShift; by <= (candidate.hi.y >> kShift); ++by) {
       for (int bx = candidate.lo.x >> kShift; bx <= (candidate.hi.x >> kShift); ++bx) {
-        const auto it = buckets_.find(key(bx, by));
+        const auto it = buckets_.find(geom::point_key({bx, by}));
         if (it == buckets_.end()) continue;
         for (const int id : it->second) {
           if (stamp_[id] == epoch_) continue;
@@ -80,11 +43,6 @@ class RectIndex {
 
  private:
   static constexpr int kShift = 5;  // 32-track buckets
-
-  static std::uint64_t key(int bx, int by) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(bx)) << 32) |
-           static_cast<std::uint32_t>(by);
-  }
 
   std::vector<geom::Rect> rects_;
   mutable std::vector<std::uint64_t> stamp_;

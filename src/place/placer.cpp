@@ -9,37 +9,24 @@
 #include "place/terminal_place.hpp"
 
 namespace na {
-namespace {
+namespace detail {
 
-/// Wraps the already-placed modules of a diagram into a pseudo partition
-/// layout pinned at its current location (Appendix E, option -g: "the
-/// preplaced part will form a partition on its own").
-PartitionLayout preplaced_layout(const Diagram& dia,
-                                 const std::vector<ModuleId>& fixed_modules,
-                                 geom::Rect hull) {
+PartitionLayout pinned_layout(const Diagram& dia, const std::vector<ModuleId>& modules,
+                              geom::Rect hull, std::span<const ModuleId> to_dia) {
   PartitionLayout part;
-  for (ModuleId m : fixed_modules) {
+  for (ModuleId m : modules) {
+    const ModuleId dm = to_dia.empty() ? m : to_dia[m];
     BoxLayout box;
     box.modules = {m};
-    box.rot = {dia.placed(m).rot};
+    box.rot = {dia.placed(dm).rot};
     box.pos = {{0, 0}};
-    box.size = dia.module_size(m);
+    box.size = dia.module_size(dm);
     part.boxes.push_back(std::move(box));
-    part.box_pos.push_back(dia.placed(m).pos - hull.lo);
+    part.box_pos.push_back(dia.placed(dm).pos - hull.lo);
   }
   part.size = {hull.width(), hull.height()};
   return part;
 }
-
-/// Pipeline steps 2-4 for one partition: box formation, module placement
-/// within each box, box placement within the partition.  Pure function of
-/// (net, partition, options) — the parallel path below runs one such job
-/// per partition with no shared state, so any thread count reproduces the
-/// sequential results exactly.
-struct PartitionResult {
-  std::vector<Box> boxes;
-  PartitionLayout layout;
-};
 
 PartitionResult build_partition(const Network& net,
                                 const std::vector<ModuleId>& partition,
@@ -68,7 +55,25 @@ PartitionResult build_partition(const Network& net,
   return out;
 }
 
-}  // namespace
+int commit_layout(Diagram& dia, const FullLayout& full) {
+  int placed = 0;
+  for (size_t p = 0; p < full.partitions.size(); ++p) {
+    const PartitionLayout& part = full.partitions[p];
+    for (size_t b = 0; b < part.boxes.size(); ++b) {
+      const BoxLayout& box = part.boxes[b];
+      for (size_t i = 0; i < box.modules.size(); ++i) {
+        const ModuleId m = box.modules[i];
+        if (dia.module_placed(m)) continue;  // pinned modules stay put
+        dia.place_module(m, full.partition_pos[p] + part.box_pos[b] + box.pos[i],
+                         box.rot[i]);
+        ++placed;
+      }
+    }
+  }
+  return placed;
+}
+
+}  // namespace detail
 
 PlacementInfo place(Diagram& dia, const PlacerOptions& opt) {
   const Network& net = dia.network();
@@ -101,7 +106,7 @@ PlacementInfo place(Diagram& dia, const PlacerOptions& opt) {
   if (!fixed_modules.empty()) {
     geom::Rect hull;
     for (ModuleId m : fixed_modules) hull = hull.hull(dia.module_rect(m));
-    layouts.push_back(preplaced_layout(dia, fixed_modules, hull));
+    layouts.push_back(detail::pinned_layout(dia, fixed_modules, hull));
     fixed_pos.push_back(hull.lo);
     info.partitions.push_back(fixed_modules);
     std::vector<Box> fixed_boxes;
@@ -128,7 +133,7 @@ PlacementInfo place(Diagram& dia, const PlacerOptions& opt) {
     if (threads == 0) {
       threads = std::max(1u, std::thread::hardware_concurrency());
     }
-    std::vector<PartitionResult> results(partitions.size());
+    std::vector<detail::PartitionResult> results(partitions.size());
     if (threads > 1 && partitions.size() > 1) {
       NA_TRACE_SPAN(span, "place.partition_jobs");
       span.arg("threads", threads);
@@ -136,15 +141,15 @@ PlacementInfo place(Diagram& dia, const PlacerOptions& opt) {
       ThreadPool pool(std::min<int>(threads, static_cast<int>(partitions.size())));
       for (size_t pi = 0; pi < partitions.size(); ++pi) {
         pool.submit([&, pi] {
-          results[pi] =
-              build_partition(net, partitions[pi], opt, static_cast<int>(pi));
+          results[pi] = detail::build_partition(net, partitions[pi], opt,
+                                                static_cast<int>(pi));
         });
       }
       pool.wait_idle();
     } else {
       for (size_t pi = 0; pi < partitions.size(); ++pi) {
         results[pi] =
-            build_partition(net, partitions[pi], opt, static_cast<int>(pi));
+            detail::build_partition(net, partitions[pi], opt, static_cast<int>(pi));
       }
     }
     for (size_t pi = 0; pi < partitions.size(); ++pi) {
@@ -161,19 +166,7 @@ PlacementInfo place(Diagram& dia, const PlacerOptions& opt) {
                             fixed_pos);
   }();
 
-  // Commit absolute module positions.
-  for (size_t p = 0; p < full.partitions.size(); ++p) {
-    const PartitionLayout& part = full.partitions[p];
-    for (size_t b = 0; b < part.boxes.size(); ++b) {
-      const BoxLayout& box = part.boxes[b];
-      for (size_t i = 0; i < box.modules.size(); ++i) {
-        const ModuleId m = box.modules[i];
-        if (dia.module_placed(m)) continue;  // preplaced stays put
-        dia.place_module(m, full.partition_pos[p] + part.box_pos[b] + box.pos[i],
-                         box.rot[i]);
-      }
-    }
-  }
+  detail::commit_layout(dia, full);
 
   {
     NA_TRACE_SCOPE("place.terminal_place");

@@ -13,8 +13,11 @@
 #pragma once
 
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "place/boxes.hpp"
+#include "place/partition_place.hpp"
 #include "schematic/diagram.hpp"
 
 namespace na {
@@ -47,4 +50,36 @@ struct PlacementInfo {
 /// corner afterwards unless preplaced modules pin the coordinates.
 PlacementInfo place(Diagram& dia, const PlacerOptions& opt = {});
 
+// ----- pieces shared with incremental placement -----------------------------
+// incremental_place re-runs this pipeline over an edit's dirty modules with
+// the clean ones pinned; it calls these pieces of place() rather than
+// keeping copies, so both place a partition byte for byte alike.
+namespace detail {
+
+/// Placed modules as one pinned pseudo-partition (Appendix E, option -g:
+/// "the preplaced part will form a partition on its own"): a one-module
+/// box per module, at its position relative to `hull.lo` and with its
+/// rotation and size.  Module m is read from `dia` as m itself, or as
+/// `to_dia[m]` when `to_dia` is given — an old diagram read through
+/// NetlistDiff::module_to_old — while its box keeps the id m.
+PartitionLayout pinned_layout(const Diagram& dia, const std::vector<ModuleId>& modules,
+                              geom::Rect hull, std::span<const ModuleId> to_dia = {});
+
+/// Pipeline steps 2-4 for one partition: box formation, module placement
+/// within each box, box placement within the partition, each under its
+/// place.* trace span.  A pure function of (net, partition, options), so
+/// partitions can be built as independent jobs in any order.
+struct PartitionResult {
+  std::vector<Box> boxes;
+  PartitionLayout layout;
+};
+PartitionResult build_partition(const Network& net,
+                                const std::vector<ModuleId>& partition,
+                                const PlacerOptions& opt, int part_idx);
+
+/// Commits the absolute position of every module in `full` that `dia` has
+/// not placed yet (placed modules stay put).  Returns how many it placed.
+int commit_layout(Diagram& dia, const FullLayout& full);
+
+}  // namespace detail
 }  // namespace na

@@ -8,11 +8,6 @@
 namespace na {
 namespace {
 
-std::uint64_t key_of(geom::Point p) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-         static_cast<std::uint32_t>(p.y);
-}
-
 /// Direction bits for the degree map (1 = a unit edge leaves this point in
 /// that direction).
 constexpr std::uint8_t dir_bit(geom::Dir d) {
@@ -86,10 +81,10 @@ DiagramStats compute_stats(const Diagram& dia) {
         const geom::Point step = geom::delta(d);
         for (geom::Point p = a; p != b; p += step) {
           const geom::Point q = p + step;
-          degree[key_of(p)] |= dir_bit(d);
-          degree[key_of(q)] |= dir_bit(geom::opposite(d));
-          (horizontal ? h_occ : v_occ)[key_of(p)] = n;
-          (horizontal ? h_occ : v_occ)[key_of(q)] = n;
+          degree[geom::point_key(p)] |= dir_bit(d);
+          degree[geom::point_key(q)] |= dir_bit(geom::opposite(d));
+          (horizontal ? h_occ : v_occ)[geom::point_key(p)] = n;
+          (horizontal ? h_occ : v_occ)[geom::point_key(q)] = n;
         }
       }
     }

@@ -10,16 +10,6 @@
 namespace na {
 namespace {
 
-std::uint64_t key_of(geom::Point p) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x)) << 32) |
-         static_cast<std::uint32_t>(p.y);
-}
-
-geom::Point point_of(std::uint64_t k) {
-  return {static_cast<std::int32_t>(k >> 32),
-          static_cast<std::int32_t>(k & 0xffffffffu)};
-}
-
 /// Shared checker body.  `region == nullptr` validates the whole diagram;
 /// otherwise only geometry intersecting `*region` is examined (see the
 /// scope rules on validate_region in the header).  The per-point work is
@@ -63,7 +53,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   for (TermId t : net.system_terms()) {
     if (!dia.system_term_placed(t)) continue;
     if (!in_scope(dia.term_pos(t))) continue;
-    terms_at[key_of(dia.term_pos(t))].push_back(scoped_terms.size());
+    terms_at[geom::point_key(dia.term_pos(t))].push_back(scoped_terms.size());
     scoped_terms.push_back(t);
   }
   std::vector<int> overlapping;
@@ -83,7 +73,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
              net.module(scoped_mods[k]).name + "'");
       return false;
     });
-    for (const size_t j : terms_at.at(key_of(pi))) {
+    for (const size_t j : terms_at.at(geom::point_key(pi))) {
       if (j <= i) continue;
       report("system terminals '" + net.term(ti).name + "' and '" +
              net.term(scoped_terms[j]).name + "' coincide");
@@ -97,7 +87,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
     const Terminal& term = net.term(t);
     if (term.net == kNone) continue;
     if (!in_scope(dia.term_pos(t))) continue;
-    term_cell[key_of(dia.term_pos(t))] = term.net;
+    term_cell[geom::point_key(dia.term_pos(t))] = term.net;
   }
 
   // --- routing geometry -------------------------------------------------------
@@ -119,7 +109,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         // A single point is only meaningful when joining at a terminal that
         // already lies on the net; treat as node.
         if (!pl.empty() && in_scope(pl[0])) {
-          node_of[key_of(pl[0])] = n;
+          node_of[geom::point_key(pl[0])] = n;
           touches[n] = true;
         }
         continue;
@@ -157,7 +147,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
                                   (to.y > from.y) - (to.y < from.y)};
         for (geom::Point p = from;; p += step) {
           auto& occ = horizontal ? h_occ : v_occ;
-          auto [it, inserted] = occ.emplace(key_of(p), n);
+          auto [it, inserted] = occ.emplace(geom::point_key(p), n);
           if (!inserted && it->second != n) {
             report("nets '" + net.net(n).name + "' and '" + net.net(it->second).name +
                    "' overlap at " + geom::to_string(p));
@@ -165,10 +155,10 @@ std::vector<std::string> validate_impl(const Diagram& dia,
           if (p == to) break;
         }
       }
-      if (in_scope(pl.front())) node_of[key_of(pl.front())] = n;
-      if (in_scope(pl.back())) node_of[key_of(pl.back())] = n;
+      if (in_scope(pl.front())) node_of[geom::point_key(pl.front())] = n;
+      if (in_scope(pl.back())) node_of[geom::point_key(pl.back())] = n;
       for (size_t i = 1; i + 1 < pl.size(); ++i) {
-        if (in_scope(pl[i])) node_of[key_of(pl[i])] = n;  // corner
+        if (in_scope(pl[i])) node_of[geom::point_key(pl[i])] = n;  // corner
       }
     }
     if (require_all_routed && region != nullptr && !r.routed && touches[n] &&
@@ -179,7 +169,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
 
   // --- nets vs module symbols and foreign terminals ---------------------------
   auto check_point = [&](geom::Point p, NetId n) {
-    const auto tc = term_cell.find(key_of(p));
+    const auto tc = term_cell.find(geom::point_key(p));
     const bool own_terminal = tc != term_cell.end() && tc->second == n;
     if (tc != term_cell.end() && tc->second != n) {
       report("net '" + net.net(n).name + "' touches a foreign terminal at " +
@@ -195,7 +185,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       return true;
     });
     if (entered) return;
-    const auto at = terms_at.find(key_of(p));
+    const auto at = terms_at.find(geom::point_key(p));
     if (at == terms_at.end()) return;
     for (const size_t k : at->second) {
       const TermId t = scoped_terms[k];
@@ -205,10 +195,10 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       }
     }
   };
-  for (const auto& [pt, n] : h_occ) check_point(point_of(pt), n);
+  for (const auto& [pt, n] : h_occ) check_point(geom::point_of_key(pt), n);
   for (const auto& [pt, n] : v_occ) {
     if (auto it = h_occ.find(pt); it == h_occ.end() || it->second != n) {
-      check_point(point_of(pt), n);
+      check_point(geom::point_of_key(pt), n);
     }
   }
 
@@ -219,7 +209,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       auto it = occ->find(pt);
       if (it != occ->end() && it->second != n) {
         report("net '" + net.net(it->second).name + "' touches a node of net '" +
-               net.net(n).name + "' at " + geom::to_string(point_of(pt)));
+               net.net(n).name + "' at " + geom::to_string(geom::point_of_key(pt)));
       }
     }
   }
@@ -245,11 +235,11 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         if (a.x != b.x && a.y != b.y) continue;
         const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
         for (geom::Point p = a;; p += step) {
-          points.insert(key_of(p));
+          points.insert(geom::point_key(p));
           if (p == b) break;
         }
       }
-      if (!pl.empty()) points.insert(key_of(pl.front()));
+      if (!pl.empty()) points.insert(geom::point_key(pl.front()));
     }
     if (points.empty()) {
       report("net '" + net.net(n).name + "' marked routed but has no geometry");
@@ -261,9 +251,9 @@ std::vector<std::string> validate_impl(const Diagram& dia,
     frontier.push_back(*points.begin());
     seen.insert(*points.begin());
     for (size_t head = 0; head < frontier.size(); ++head) {
-      const geom::Point p = point_of(frontier[head]);
+      const geom::Point p = geom::point_of_key(frontier[head]);
       for (geom::Dir d : geom::kAllDirs) {
-        const std::uint64_t q = key_of(p + geom::delta(d));
+        const std::uint64_t q = geom::point_key(p + geom::delta(d));
         if (points.contains(q) && seen.insert(q).second) frontier.push_back(q);
       }
     }
@@ -271,7 +261,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       report("net '" + net.net(n).name + "' geometry is disconnected");
     }
     for (TermId t : net.net(n).terms) {
-      if (!points.contains(key_of(dia.term_pos(t)))) {
+      if (!points.contains(geom::point_key(dia.term_pos(t)))) {
         report("net '" + net.net(n).name + "' does not reach terminal '" +
                net.term(t).name + "'");
       }

@@ -2,6 +2,11 @@
 // sections 4.6.5/4.6.6) and the system terminal placement (4.6.7).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <vector>
+
 #include "gen/controller.hpp"
 #include "netlist/module_library.hpp"
 #include "place/box_place.hpp"
@@ -37,6 +42,77 @@ TEST(NearestFreePosition, ExactNearest) {
   std::vector<geom::Rect> placed{geom::Rect::from_size({0, 0}, {10, 100})};
   const geom::Point p = nearest_free_position({5, 50}, {2, 2}, placed, 0);
   EXPECT_EQ(p, (geom::Point{11, 50}));
+}
+
+// The penalised ring search against brute force: on seeded obstacle sets
+// and penalty maps, the returned position is feasible and its score
+// dist2 + penalty is the minimum over the whole Chebyshev square of radius
+// R, and a zero penalty reproduces nearest_free_position exactly.
+TEST(RingSearch, PenaltyMatchesBruteForce) {
+  std::uint64_t state = 18;
+  auto below = [&](int n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(n));
+  };
+  constexpr int kRadius = 8;
+  int ideal_blocked = 0, penalty_moved = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const geom::Point ideal{below(21) - 10, below(21) - 10};
+    const geom::Point size{1 + below(4), 1 + below(4)};
+    const int spacing = below(2);
+    std::vector<geom::Rect> obstacles;
+    for (int k = below(7); k > 0; --k) {
+      obstacles.push_back(geom::Rect::from_size(
+          ideal + geom::Point{below(17) - 8, below(17) - 8}, {below(6), below(6)}));
+    }
+    // Penalty per position of the square; zero outside it.
+    std::vector<std::int64_t> cost((2 * kRadius + 1) * (2 * kRadius + 1));
+    for (std::int64_t& c : cost) c = below(3) == 0 ? 0 : below(60);
+    auto penalty = [&](geom::Point p) -> std::int64_t {
+      const geom::Point d = p - ideal;
+      if (std::abs(d.x) > kRadius || std::abs(d.y) > kRadius) return 0;
+      return cost[(d.y + kRadius) * (2 * kRadius + 1) + d.x + kRadius];
+    };
+    auto feasible = [&](geom::Point p) {
+      const geom::Rect candidate = geom::Rect::from_size(p, size).expanded(spacing);
+      for (const geom::Rect& r : obstacles) {
+        if (candidate.overlaps(r)) return false;
+      }
+      return true;
+    };
+
+    std::optional<std::int64_t> best;
+    std::optional<geom::Point> nearest;
+    for (int dy = -kRadius; dy <= kRadius; ++dy) {
+      for (int dx = -kRadius; dx <= kRadius; ++dx) {
+        const geom::Point p = ideal + geom::Point{dx, dy};
+        if (!feasible(p)) continue;
+        const std::int64_t score = geom::dist2(p, ideal) + penalty(p);
+        if (!best || score < *best) best = score;
+        if (!nearest || geom::dist2(p, ideal) < geom::dist2(*nearest, ideal)) {
+          nearest = p;
+        }
+      }
+    }
+
+    const auto got = ring_search(ideal, kRadius, feasible, penalty);
+    ASSERT_EQ(got.has_value(), best.has_value()) << "trial " << trial;
+    if (got) {
+      EXPECT_TRUE(feasible(*got)) << "trial " << trial;
+      EXPECT_EQ(geom::dist2(*got, ideal) + penalty(*got), *best) << "trial " << trial;
+      ideal_blocked += feasible(ideal) ? 0 : 1;
+      penalty_moved += geom::dist2(*got, ideal) > geom::dist2(*nearest, ideal) ? 1 : 0;
+    }
+    const auto zero = ring_search(ideal, 100000, feasible,
+                                  [](geom::Point) { return std::int64_t{0}; });
+    ASSERT_TRUE(zero.has_value());
+    EXPECT_EQ(*zero, nearest_free_position(ideal, size, obstacles, spacing))
+        << "trial " << trial;
+  }
+  // The corpus exercises both the blocked ideal point and a penalty that
+  // outweighs distance.
+  EXPECT_GT(ideal_blocked, 20);
+  EXPECT_GT(penalty_moved, 20);
 }
 
 GravityItem item(geom::Point size, int weight,
