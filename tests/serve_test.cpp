@@ -906,7 +906,46 @@ std::vector<std::string> fuzz_schedule(uint32_t seed, int n) {
   return lines;
 }
 
+/// Opens chain session "f" on a fresh server, sends every line without
+/// reading, then collects the responses in order.
+std::vector<std::string> pipelined_replies(
+    const std::vector<std::string>& lines) {
+  LiveServer live;
+  BlockingClient c = live.connect();
+  EXPECT_TRUE(
+      is_ok(c.request(R"({"op":"open","session":"f","design":"chain"})")));
+  for (const std::string& line : lines) EXPECT_TRUE(c.send_line(line));
+  std::vector<std::string> replies;
+  for (const std::string& line : lines) {
+    std::string r;
+    EXPECT_TRUE(c.recv_line(&r)) << "no response to: " << line;
+    replies.push_back(std::move(r));
+  }
+  return replies;
+}
+
+/// 64-bit FNV-1a of a byte string.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace
+
+TEST(MultiEdit, PipelinedRepliesMatchPinnedDigest) {
+  // The comparison below runs one SessionHost on both sides, so a change
+  // that altered both alike would pass it.  This pins the bytes
+  // themselves: every seq, flushed_edits, error message, inline save blob
+  // and the final diagram of the seeded schedule, pipelined.
+  const std::vector<std::string> lines = fuzz_schedule(0x5eed, 40);
+  std::string all;
+  for (const std::string& r : pipelined_replies(lines)) all += r + "\n";
+  EXPECT_EQ(fnv1a(all), 0x4426d3a7737481ddull) << "pipelined replies changed";
+}
 
 TEST(MultiEdit, BatchedAndUnbatchedRepliesAreByteIdentical) {
   // The byte-identity acceptance bar, fuzzed: stream a seeded random
@@ -917,20 +956,7 @@ TEST(MultiEdit, BatchedAndUnbatchedRepliesAreByteIdentical) {
   // match byte for byte, because all of them are functions of request
   // order alone, never of how the queue was sliced.
   const std::vector<std::string> lines = fuzz_schedule(0x5eed, 40);
-
-  std::vector<std::string> pipelined;
-  {
-    LiveServer live;
-    BlockingClient c = live.connect();
-    ASSERT_TRUE(
-        is_ok(c.request(R"({"op":"open","session":"f","design":"chain"})")));
-    for (const std::string& line : lines) ASSERT_TRUE(c.send_line(line));
-    for (size_t i = 0; i < lines.size(); ++i) {
-      std::string r;
-      ASSERT_TRUE(c.recv_line(&r)) << "no response to: " << lines[i];
-      pipelined.push_back(std::move(r));
-    }
-  }
+  const std::vector<std::string> pipelined = pipelined_replies(lines);
 
   std::vector<std::string> unbatched;
   {
