@@ -31,12 +31,13 @@
 //   where k pending edits flush through ONE netlist diff and ONE
 //   RegenSession update.  get/save responses carry "flushed_edits" — how
 //   many pending edits that op flushed.  Both fields depend only on the
-//   session's request order, never on how requests happened to batch.
+//   session's request order, never on how requests fell into the host's
+//   drain turns.
 //
 //   metrics  response carries {"metrics": {...}} — the daemon's whole
 //   registry: serve.connections / serve.requests / serve.errors, the
-//   serve.batch.* edit-coalescing counters (serve.batch.regens flushes
-//   covering serve.batch.composed edits), aggregated per-session regen
+//   multi-edit flush counters (serve.batch.regens flushes covering
+//   serve.batch.composed edits), aggregated per-session regen
 //   totals, the process gauges (peak RSS, uptime), the watchdog gauges,
 //   and the latency histograms (serve.lat.open/edit/get/save,
 //   serve.lat.flush, serve.lat.loop_tick, serve.pool.queue_wait) under

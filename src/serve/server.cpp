@@ -248,19 +248,11 @@ void Server::dispatch(uint64_t conn, uint64_t ticket, Request req) {
               /*close_conn=*/true);
       return;
     case Op::kOpen:
-      host_.open_async(req.session, req.design, req.restore, std::move(done));
-      return;
     case Op::kEdit:
-      host_.edit_async(req.session, std::move(req.edits), std::move(done));
-      return;
     case Op::kGet:
-      host_.get_async(req.session, req.format, std::move(done));
-      return;
     case Op::kSave:
-      host_.save_async(req.session, std::move(done));
-      return;
     case Op::kClose:
-      host_.close_async(req.session, std::move(done));
+      host_.submit(std::move(req), std::move(done));
       return;
   }
 }

@@ -10,7 +10,7 @@
 // Connection plane: run() spawns `io_threads` EventLoops and deals
 // accepted sockets to them round-robin.  Request lines are parsed on the
 // loop thread; cheap ops (ping, metrics, shutdown, malformed lines) answer
-// inline, session ops dispatch onto the SessionHost's async op queues and
+// inline, session ops go to SessionHost::submit (the session's op queue) and
 // answer through a completion that posts the response back to the
 // connection's loop.  Per-connection tickets keep the wire order equal to
 // the request order however the pool jobs finish, and a disconnected peer
@@ -124,7 +124,7 @@ class Server {
 
  private:
   /// One request line, on a loop thread: parse, answer inline ops,
-  /// dispatch session ops onto the host's async queues.
+  /// hand session ops to SessionHost::submit.
   void on_line(uint64_t conn, uint64_t ticket, std::string_view line);
   void dispatch(uint64_t conn, uint64_t ticket, Request req);
   /// The single counting point + response delivery.

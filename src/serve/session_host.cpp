@@ -70,27 +70,6 @@ void apply_edit(NetworkEditor& ed, const EditCmd& cmd) {
   }
 }
 
-/// Runs one op body, folding every throw into a HostResult error.
-template <typename Fn>
-HostResult guarded(Fn&& fn) {
-  try {
-    return fn();
-  } catch (const ProtocolError& e) {
-    return HostResult::error(e.code(), e.what());
-  } catch (const std::exception& e) {
-    return HostResult::error(err::kInternal, e.what());
-  }
-}
-
-/// Bridges an async call onto a blocking one.
-template <typename Call>
-HostResult block_on(Call&& call) {
-  std::promise<HostResult> prom;
-  std::future<HostResult> fut = prom.get_future();
-  call([&prom](HostResult r) { prom.set_value(std::move(r)); });
-  return fut.get();
-}
-
 }  // namespace
 
 Network design_network(const std::string& design) {
@@ -131,132 +110,168 @@ SessionHost::SessionHost(HostOptions opt)
 
 SessionHost::~SessionHost() { pool_.wait_idle(); }
 
-std::shared_ptr<SessionHost::Session> SessionHost::find(
-    const std::string& name) const {
-  std::lock_guard lock(sessions_mu_);
-  const auto it = sessions_.find(name);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
 std::string SessionHost::state_path(const std::string& name) const {
   return opt_.state_dir + "/" + name + ".session";
 }
 
 // ----- the per-session op queue ---------------------------------------------
 
-void SessionHost::enqueue(const std::string& name,
-                          std::shared_ptr<Session> session, PendingOp op) {
+void SessionHost::submit(Request req, HostCallback done) {
+  const std::string name = req.session;
+  std::shared_ptr<Session> session;
+  if (req.op == Op::kOpen) {
+    if (!valid_session_name(name)) {
+      done(HostResult::error(err::kBadRequest, "bad session name '" + name + "'"));
+      return;
+    }
+    if (req.restore && opt_.state_dir.empty()) {
+      done(HostResult::error(err::kNoStateDir, "server runs without --state-dir"));
+      return;
+    }
+    session = std::make_shared<Session>(opt_.regen);
+    bool inserted = false;
+    {
+      std::lock_guard lock(sessions_mu_);
+      inserted = sessions_.emplace(name, session).second;
+    }
+    if (!inserted) {
+      done(HostResult::error(err::kSessionExists,
+                             "session '" + name + "' already open"));
+      return;
+    }
+    // Bad design / corrupt state file: drop the table entry again — but
+    // only if it is still ours (a close+reopen may have replaced it).
+    done = [this, name, session, done = std::move(done)](HostResult r) {
+      if (!r.ok) {
+        std::lock_guard lock(sessions_mu_);
+        const auto it = sessions_.find(name);
+        if (it != sessions_.end() && it->second == session) sessions_.erase(it);
+      }
+      done(std::move(r));
+    };
+  } else {
+    std::lock_guard lock(sessions_mu_);
+    const auto it = sessions_.find(name);
+    if (it != sessions_.end()) {
+      session = it->second;
+      // A close leaves the table now; its op runs after every op queued
+      // before it, then saves final state.
+      if (req.op == Op::kClose) sessions_.erase(it);
+    }
+  }
+  if (session == nullptr) {
+    done(HostResult::error(err::kNoSuchSession, "no open session '" + name + "'"));
+    return;
+  }
   bool start_job = false;
   {
     std::lock_guard lock(session->qmu);
-    session->queue.push_back(std::move(op));
+    session->queue.push_back({std::move(req), std::move(done)});
     if (!session->running) {
       session->running = true;
       start_job = true;
     }
   }
   if (start_job) {
-    pool_.submit([this, name, session] { drain(name, session); });
+    pool_.submit([this, session] { drain(session); });
   }
 }
 
-void SessionHost::drain(const std::string& name,
-                        const std::shared_ptr<Session>& session) {
+HostResult SessionHost::call(Request req) {
+  std::promise<HostResult> prom;
+  std::future<HostResult> fut = prom.get_future();
+  submit(std::move(req),
+         [&prom](HostResult r) { prom.set_value(std::move(r)); });
+  return fut.get();
+}
+
+void SessionHost::drain(const std::shared_ptr<Session>& session) {
   for (;;) {
-    // Take the next batch: a maximal run of consecutive edits, or one
-    // non-edit op.  Edits queued while this job was working coalesce here.
-    std::vector<PendingOp> batch;
+    // One turn: everything queued, in queue order.  Requests queued while
+    // the turn runs form the next one.
+    std::vector<PendingOp> turn;
     {
       std::lock_guard lock(session->qmu);
       if (session->queue.empty()) {
         session->running = false;
         return;
       }
-      if (session->queue.front().kind == OpKind::kEdit) {
-        while (!session->queue.empty() &&
-               session->queue.front().kind == OpKind::kEdit) {
-          batch.push_back(std::move(session->queue.front()));
-          session->queue.pop_front();
-        }
-      } else {
-        batch.push_back(std::move(session->queue.front()));
-        session->queue.pop_front();
-      }
+      turn.swap(session->queue);
     }
 
-    std::vector<HostResult> results(batch.size());
+    std::vector<HostResult> results;
+    results.reserve(turn.size());
     {
       // Shared side of the trace-flush gate: a flight dump only runs when
       // no op body is emitting trace events.
       std::shared_lock gate(flush_gate_);
-      if (batch.front().kind == OpKind::kEdit) {
-        NA_TRACE_SPAN(span, "serve.edit");
-        span.arg("requests", static_cast<long long>(batch.size()));
-        std::lock_guard lock(session->mu);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          results[i] = guarded(
-              [&] { return exec_one_edit(*session, batch[i].edits); });
-        }
-        span.arg("seq", session->seq);
-        note_batch(batch.size());
-      } else {
-        const PendingOp& op = batch.front();
-        std::lock_guard lock(session->mu);
-        results[0] = guarded([&]() -> HostResult {
-          switch (op.kind) {
-            case OpKind::kOpen:
-              return exec_open(*session, name, op);
-            case OpKind::kGet:
-              return exec_get(*session, name, op.format);
-            case OpKind::kSave:
-              return save_locked(*session, name);
-            case OpKind::kClose:
-              return exec_close(*session, name);
-            case OpKind::kEdit:
-              break;  // handled above
-          }
-          return HostResult::error(err::kInternal, "bad op kind");
-        });
+      std::lock_guard lock(session->mu);
+      for (const PendingOp& op : turn) {
+        results.push_back(execute(*session, op.req));
       }
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].done) batch[i].done(std::move(results[i]));
+    for (size_t i = 0; i < turn.size(); ++i) {
+      turn[i].done(std::move(results[i]));
     }
   }
 }
 
 // ----- op bodies (run on the pool, session->mu held) -------------------------
 
-HostResult SessionHost::exec_open(Session& s, const std::string& name,
-                                  const PendingOp& op) {
+HostResult SessionHost::execute(Session& s, const Request& req) {
+  try {
+    switch (req.op) {
+      case Op::kOpen:
+        return exec_open(s, req);
+      case Op::kEdit:
+        return exec_edit(s, req.edits);
+      case Op::kGet:
+        return exec_get(s, req);
+      case Op::kSave:
+        return save_locked(s, req.session);
+      case Op::kClose:
+        return exec_close(s, req.session);
+      default:
+        break;
+    }
+  } catch (const ProtocolError& e) {
+    return HostResult::error(e.code(), e.what());
+  } catch (const std::exception& e) {
+    return HostResult::error(err::kInternal, e.what());
+  }
+  return HostResult::error(err::kInternal, "not a session op");
+}
+
+HostResult SessionHost::exec_open(Session& s, const Request& req) {
   NA_TRACE_SPAN(span, "serve.open");
-  span.arg("restore", op.restore ? 1 : 0);
-  if (op.restore) {
-    std::ifstream in(state_path(name));
+  span.arg("restore", req.restore ? 1 : 0);
+  if (req.restore) {
+    std::ifstream in(state_path(req.session));
     if (!in) {
       return HostResult::error(err::kNoSuchSession,
-                               "no saved session '" + name + "'");
+                               "no saved session '" + req.session + "'");
     }
     std::stringstream ss;
     ss << in.rdbuf();
     s.regen.restore(ss.str());
   } else {
-    s.regen.update(design_network(op.design));
+    s.regen.update(design_network(req.design));
   }
   s.pending.rebase(s.regen.network());
   HostResult ok;
-  ok.full_regen = !op.restore;
+  ok.full_regen = !req.restore;
   ok.nets_rerouted = s.regen.last().nets_rerouted;
   ok.nets_kept = s.pending.network().net_count();
   return ok;
 }
 
-HostResult SessionHost::exec_one_edit(Session& s,
-                                      const std::vector<EditCmd>& cmds) {
+HostResult SessionHost::exec_edit(Session& s,
+                                  const std::vector<EditCmd>& cmds) {
+  NA_TRACE_SPAN(span, "serve.edit");
   try {
     // Netlist work only — the composer's transactional apply runs the
     // script on an editor copy of the pending network, so a bad script
-    // leaves the session exactly as it was, even mid-batch.  The
+    // leaves the session exactly as it was, even mid-turn.  The
     // diff + regen for this edit runs at the next observation point.
     s.pending.apply(
         [&](NetworkEditor& ed) {
@@ -267,6 +282,7 @@ HostResult SessionHost::exec_one_edit(Session& s,
   }
   ++s.seq;
   s.dirty = true;
+  span.arg("seq", s.seq);
   HostResult ok;
   ok.seq = s.seq;
   return ok;
@@ -283,24 +299,27 @@ int SessionHost::flush_pending(Session& s) {
                          std::chrono::steady_clock::now() - t0)
                          .count());
   s.pending.flushed();
-  note_flush(static_cast<size_t>(pending));
+  {
+    std::lock_guard lock(flush_mu_);
+    ++flush_regens_;
+    flush_composed_ += pending;
+  }
   return pending;
 }
 
-HostResult SessionHost::exec_get(Session& s, const std::string& name,
-                                 const std::string& format) {
+HostResult SessionHost::exec_get(Session& s, const Request& req) {
   const int flushed = flush_pending(s);
   if (!s.regen.has_diagram()) {
     return HostResult::error(err::kInternal, "session has no diagram");
   }
   HostResult r;
   r.flushed_edits = flushed;
-  if (format == "svg") {
+  if (req.format == "svg") {
     r.payload = to_svg(s.regen.diagram());
-  } else if (format == "ascii") {
+  } else if (req.format == "ascii") {
     r.payload = to_ascii(s.regen.diagram());
   } else {
-    r.payload = to_escher_diagram(s.regen.diagram(), name);
+    r.payload = to_escher_diagram(s.regen.diagram(), req.session);
   }
   r.seq = s.seq;
   return r;
@@ -319,7 +338,7 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
   try {
     // A save is an observation point: it must snapshot exactly the state
     // after the preceding edit in queue order, so the pending composition
-    // flushes first.  Edits queued behind the save start a new run.
+    // flushes first.  Edits queued behind the save compose afresh.
     r.flushed_edits = flush_pending(s);
     text = s.regen.save();
   } catch (const std::exception& e) {
@@ -344,137 +363,6 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
   s.dirty = false;
   r.seq = s.seq;
   return r;
-}
-
-// ----- the async entry points ------------------------------------------------
-
-void SessionHost::open_async(const std::string& name,
-                             const std::string& design, bool restore,
-                             HostCallback done) {
-  if (!valid_session_name(name)) {
-    done(HostResult::error(err::kBadRequest, "bad session name '" + name + "'"));
-    return;
-  }
-  if (restore && opt_.state_dir.empty()) {
-    done(HostResult::error(err::kNoStateDir, "server runs without --state-dir"));
-    return;
-  }
-  auto session = std::make_shared<Session>(opt_.regen);
-  session->design = design;
-  {
-    std::lock_guard lock(sessions_mu_);
-    const auto [it, inserted] = sessions_.emplace(name, session);
-    if (!inserted) {
-      done(HostResult::error(err::kSessionExists,
-                             "session '" + name + "' already open"));
-      return;
-    }
-  }
-  PendingOp op;
-  op.kind = OpKind::kOpen;
-  op.restore = restore;
-  op.design = design;
-  // Bad design / corrupt state file: drop the table entry again — but
-  // only if it is still ours (a close+reopen may have replaced it).
-  op.done = [this, name, session, done = std::move(done)](HostResult r) {
-    if (!r.ok) {
-      std::lock_guard lock(sessions_mu_);
-      const auto it = sessions_.find(name);
-      if (it != sessions_.end() && it->second == session) sessions_.erase(it);
-    }
-    done(std::move(r));
-  };
-  enqueue(name, session, std::move(op));
-}
-
-void SessionHost::edit_async(const std::string& name, std::vector<EditCmd> cmds,
-                             HostCallback done) {
-  auto session = find(name);
-  if (session == nullptr) {
-    done(HostResult::error(err::kNoSuchSession, "no open session '" + name + "'"));
-    return;
-  }
-  PendingOp op;
-  op.kind = OpKind::kEdit;
-  op.edits = std::move(cmds);
-  op.done = std::move(done);
-  enqueue(name, std::move(session), std::move(op));
-}
-
-void SessionHost::get_async(const std::string& name, const std::string& format,
-                            HostCallback done) {
-  auto session = find(name);
-  if (session == nullptr) {
-    done(HostResult::error(err::kNoSuchSession, "no open session '" + name + "'"));
-    return;
-  }
-  PendingOp op;
-  op.kind = OpKind::kGet;
-  op.format = format;
-  op.done = std::move(done);
-  enqueue(name, std::move(session), std::move(op));
-}
-
-void SessionHost::save_async(const std::string& name, HostCallback done) {
-  auto session = find(name);
-  if (session == nullptr) {
-    done(HostResult::error(err::kNoSuchSession, "no open session '" + name + "'"));
-    return;
-  }
-  PendingOp op;
-  op.kind = OpKind::kSave;
-  op.done = std::move(done);
-  enqueue(name, std::move(session), std::move(op));
-}
-
-void SessionHost::close_async(const std::string& name, HostCallback done) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard lock(sessions_mu_);
-    const auto it = sessions_.find(name);
-    if (it == sessions_.end()) {
-      done(HostResult::error(err::kNoSuchSession,
-                             "no open session '" + name + "'"));
-      return;
-    }
-    session = it->second;
-    sessions_.erase(it);
-  }
-  // The close op runs after every in-flight job of this session, then
-  // saves final state.
-  PendingOp op;
-  op.kind = OpKind::kClose;
-  op.done = std::move(done);
-  enqueue(name, std::move(session), std::move(op));
-}
-
-// ----- blocking conveniences -------------------------------------------------
-
-HostResult SessionHost::open(const std::string& name, const std::string& design,
-                             bool restore) {
-  return block_on([&](HostCallback cb) {
-    open_async(name, design, restore, std::move(cb));
-  });
-}
-
-HostResult SessionHost::edit(const std::string& name,
-                             const std::vector<EditCmd>& cmds) {
-  return block_on(
-      [&](HostCallback cb) { edit_async(name, cmds, std::move(cb)); });
-}
-
-HostResult SessionHost::get(const std::string& name,
-                            const std::string& format) {
-  return block_on(
-      [&](HostCallback cb) { get_async(name, format, std::move(cb)); });
-}
-
-HostResult SessionHost::save(const std::string& name) {
-  return block_on([&](HostCallback cb) { save_async(name, std::move(cb)); });
-}
-
-HostResult SessionHost::close(const std::string& name) {
-  return block_on([&](HostCallback cb) { close_async(name, std::move(cb)); });
 }
 
 // ----- shutdown and metrics --------------------------------------------------
@@ -502,23 +390,6 @@ int SessionHost::open_sessions() const {
   return static_cast<int>(sessions_.size());
 }
 
-void SessionHost::note_batch(size_t edits_in_job) {
-  std::lock_guard lock(batch_mu_);
-  ++batch_.jobs;
-  batch_.edits += static_cast<long long>(edits_in_job);
-}
-
-void SessionHost::note_flush(size_t edits_flushed) {
-  std::lock_guard lock(batch_mu_);
-  ++batch_.regens;
-  batch_.composed += static_cast<long long>(edits_flushed);
-}
-
-SessionHost::BatchStats SessionHost::batch_stats() const {
-  std::lock_guard lock(batch_mu_);
-  return batch_;
-}
-
 void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
   std::vector<std::shared_ptr<Session>> all;
   {
@@ -538,11 +409,11 @@ void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
   }
   reg.set("serve.edits_applied", edits);
   reg.set("serve.pending_edits", pending);
-  const BatchStats b = batch_stats();
-  reg.set("serve.batch.jobs", b.jobs);
-  reg.set("serve.batch.edits", b.edits);
-  reg.set("serve.batch.regens", b.regens);
-  reg.set("serve.batch.composed", b.composed);
+  {
+    std::lock_guard lock(flush_mu_);
+    reg.set("serve.batch.regens", flush_regens_);
+    reg.set("serve.batch.composed", flush_composed_);
+  }
   obs::absorb(reg, sum);
   reg.set("serve.pool.peak_queued", pool_.stats().peak_queued);
   reg.set("serve.trace_buffered_events",

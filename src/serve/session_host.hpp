@@ -2,24 +2,25 @@
 // shared immutable ModuleLibrary, one FIFO worker pool.
 //
 // Concurrency model (DESIGN §10 argues determinism from it):
-//   * every session operation is *asynchronous*: the caller enqueues it on
-//     the session's op queue with a completion callback; a single pool job
-//     per session drains that queue, so the I/O threads of the event-loop
-//     connection plane never block on placement/routing work;
+//   * every session request (open, edit, get, save, close) enters through
+//     one asynchronous `submit(Request, HostCallback)`: it is queued on the
+//     session's op queue and a single pool job per session drains that
+//     queue, so the I/O threads of the event-loop connection plane never
+//     block on placement/routing work;
 //   * the queue serialises operations touching one session — edits to one
 //     session are totally ordered (the response's `seq` is the order),
 //     edits to different sessions run concurrently on the pool;
+//   * the drain job works in *turns*: each turn takes everything queued,
+//     runs it in queue order under one flush-gate hold and one session-
+//     mutex hold, then answers in order; requests that arrive meanwhile
+//     form the next turn;
 //   * regeneration is *deferred to observation points*: an edit request
 //     only applies its script to the session's pending network (a
-//     transactional ScriptComposer step — netlist work, no geometry) and
-//     replies immediately; the expensive diff + RegenSession::update runs
-//     once per observation point — get, save, close-with-save, shutdown
-//     save — covering every edit composed since the previous flush
-//     (`serve.batch.regens` counts flushes, `serve.batch.composed` the
-//     edits they covered);
-//   * consecutive queued *edit* requests for one session still coalesce
-//     into a single pool job (one queue pass, one session-mutex hold, one
-//     trace span) — job granularity, independent of flush granularity;
+//     transactional ScriptComposer step — netlist work, no geometry); the
+//     expensive diff + RegenSession::update runs once per observation
+//     point — get, save, close-with-save, shutdown save — covering every
+//     edit composed since the previous flush (`serve.batch.regens` counts
+//     flushes, `serve.batch.composed` the edits they covered);
 //   * the session table itself is a short-hold mutex (lookup and insert
 //     only — never held while a session works).
 //
@@ -27,16 +28,16 @@
 // the incremental engine is path-dependent (gravity placement scores
 // against the previous routed diagram, partition grouping depends on the
 // dirty set), so collapsing k updates into one at an arbitrary internal
-// boundary — e.g. whatever run of edits a drain job happened to grab —
-// would make output depend on queue timing.  Deferral instead makes the
-// composition boundaries *protocol-determined*: flushes happen exactly at
-// the ops whose responses expose geometry, so the flush sequence — and
-// with it every diagram a client can observe, every `seq`, and every
-// response byte — is a pure function of the session's request sequence,
-// independent of pipelining, drain-job batching, and other sessions.
+// boundary — e.g. wherever a turn happened to end — would make output
+// depend on queue timing.  Deferral instead makes the composition
+// boundaries *protocol-determined*: flushes happen exactly at the ops
+// whose responses expose geometry, so the flush sequence — and with it
+// every diagram a client can observe, every `seq`, and every response
+// byte — is a pure function of the session's request sequence,
+// independent of pipelining, how requests fall into turns, and other
+// sessions.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -90,7 +91,7 @@ struct HostResult {
   }
 };
 
-/// Completion of an async host operation.  Invoked exactly once, either
+/// Completion of a submitted request.  Invoked exactly once, either
 /// synchronously (validation failures) or from a pool worker.
 using HostCallback = std::function<void(HostResult)>;
 
@@ -101,39 +102,26 @@ class SessionHost {
   SessionHost(const SessionHost&) = delete;
   SessionHost& operator=(const SessionHost&) = delete;
 
-  /// Creates session `name` from a design string ("life", "controller",
-  /// "chain", "datapath[:bits]"), or reloads it from the state dir when
-  /// `restore` is set.  The initial full generation runs on the pool.
-  void open_async(const std::string& name, const std::string& design,
-                  bool restore, HostCallback done);
+  /// Queues one session request — open, edit, get, save or close — on
+  /// its session's op queue; `done` runs exactly once, inline for a
+  /// request rejected up front, else from a pool worker after its turn.
+  ///   * open creates session `req.session` from a design string ("life",
+  ///     "controller", "chain", "datapath[:bits]"), or reloads it from the
+  ///     state dir when `req.restore` is set; the initial full generation
+  ///     runs on the pool, and a failed open drops the table entry again;
+  ///   * edit composes `req.edits` into the pending network;
+  ///   * get flushes pending edits and renders the diagram in
+  ///     `req.format` ("escher", "svg", "ascii");
+  ///   * save flushes and persists into `<state_dir>/<name>.session`, or
+  ///     inline in the result payload without a state dir;
+  ///   * close drops the session from the table at once and, after every
+  ///     op queued before it, saves it when a state dir is configured and
+  ///     it has unsaved edits.
+  void submit(Request req, HostCallback done);
 
-  /// Applies an edit script to session `name` (serialised with every
-  /// other op of that session; concurrent with other sessions; coalesced
-  /// with other queued edits of the same session).
-  void edit_async(const std::string& name, std::vector<EditCmd> cmds,
-                  HostCallback done);
-
-  /// Renders the session's current diagram ("escher", "svg", "ascii").
-  void get_async(const std::string& name, const std::string& format,
-                 HostCallback done);
-
-  /// Persists the session: into `<state_dir>/<name>.session` when a state
-  /// dir is configured, else inline in the result payload.
-  void save_async(const std::string& name, HostCallback done);
-
-  /// Drops the session (saving it first when a state dir is configured
-  /// and it has unsaved edits).
-  void close_async(const std::string& name, HostCallback done);
-
-  /// Blocking conveniences over the async API, for tests, demos and
-  /// benches driving the host without a server.  Never call from a pool
-  /// worker.
-  HostResult open(const std::string& name, const std::string& design,
-                  bool restore);
-  HostResult edit(const std::string& name, const std::vector<EditCmd>& cmds);
-  HostResult get(const std::string& name, const std::string& format);
-  HostResult save(const std::string& name);
-  HostResult close(const std::string& name);
+  /// Blocking `submit`, for tests, demos and benches driving the host
+  /// without a server.  Never call from a pool worker.
+  HostResult call(Request req);
 
   /// Saves every session with unsaved edits; returns how many were
   /// written.  The graceful-shutdown path.  No-op without a state dir.
@@ -149,19 +137,6 @@ class SessionHost {
   /// watchdog's pending-work gauge.  Takes each session mutex briefly.
   long long pending_edits() const;
 
-  /// Edit-coalescing counters: pool jobs that carried edits and how many
-  /// edit requests rode in them — plus the multi-edit regen counters:
-  /// `regens` flushes ran (one RegenSession::update each) and `composed`
-  /// edits were covered by them.  `regens < edits` whenever a flush
-  /// covered more than one edit.  Reported under serve.batch.*.
-  struct BatchStats {
-    long long jobs = 0;
-    long long edits = 0;
-    long long regens = 0;    ///< composed flushes (one update each)
-    long long composed = 0;  ///< edit scripts those flushes covered
-  };
-  BatchStats batch_stats() const;
-
   int open_sessions() const;
   ThreadPool& pool() { return pool_; }
   const std::string& state_dir() const { return opt_.state_dir; }
@@ -174,13 +149,8 @@ class SessionHost {
   std::shared_mutex& flush_gate() { return flush_gate_; }
 
  private:
-  enum class OpKind { kOpen, kEdit, kGet, kSave, kClose };
   struct PendingOp {
-    OpKind kind;
-    bool restore = false;
-    std::string design;         // open
-    std::vector<EditCmd> edits; // edit
-    std::string format;         // get
+    Request req;
     HostCallback done;
   };
   struct Session {
@@ -191,35 +161,29 @@ class SessionHost {
     ScriptComposer pending;
     long long seq = 0;   ///< applied edits
     bool dirty = false;  ///< has edits not yet saved
-    std::string design;
 
     std::mutex qmu;  ///< op queue + running flag (short hold)
-    std::deque<PendingOp> queue;
+    std::vector<PendingOp> queue;
     bool running = false;  ///< a drain job is on the pool
 
     explicit Session(RegenOptions opt)
         : regen(std::move(opt)), pending(Network{}) {}
   };
 
-  std::shared_ptr<Session> find(const std::string& name) const;
   std::string state_path(const std::string& name) const;
-  void enqueue(const std::string& name, std::shared_ptr<Session> session,
-               PendingOp op);
-  /// The per-session pool job: drains the op queue, coalescing edits.
-  void drain(const std::string& name, const std::shared_ptr<Session>& session);
-  HostResult exec_open(Session& s, const std::string& name,
-                       const PendingOp& op);
-  HostResult exec_one_edit(Session& s, const std::vector<EditCmd>& cmds);
-  HostResult exec_get(Session& s, const std::string& name,
-                      const std::string& format);
+  /// The per-session pool job: runs the queue turn by turn.
+  void drain(const std::shared_ptr<Session>& session);
+  /// One op body, session->mu held; every throw becomes an error result.
+  HostResult execute(Session& s, const Request& req);
+  HostResult exec_open(Session& s, const Request& req);
+  HostResult exec_edit(Session& s, const std::vector<EditCmd>& cmds);
+  HostResult exec_get(Session& s, const Request& req);
   HostResult exec_close(Session& s, const std::string& name);
   HostResult save_locked(Session& s, const std::string& name);
   /// Regenerates from the pending composition (one diff, one update for
-  /// however many edits are queued); returns how many it flushed.  Called
+  /// however many edits are pending); returns how many it flushed.  Called
   /// at every observation point, session->mu held.
   int flush_pending(Session& s);
-  void note_batch(size_t edits_in_job);
-  void note_flush(size_t edits_flushed);
 
   HostOptions opt_;
   const ModuleLibrary lib_;  ///< shared immutable template cache
@@ -230,8 +194,9 @@ class SessionHost {
   ThreadPool pool_;
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
-  mutable std::mutex batch_mu_;
-  BatchStats batch_;
+  mutable std::mutex flush_mu_;
+  long long flush_regens_ = 0;    ///< serve.batch.regens: flushes run
+  long long flush_composed_ = 0;  ///< serve.batch.composed: edits covered
   std::shared_mutex flush_gate_;
 };
 

@@ -308,9 +308,11 @@ struct SavedHost {
                ("na_serve_save_test_" + std::to_string(::getpid())))
                   .string()),
         host(options(state)) {
-    EXPECT_TRUE(host.open("a", "chain", false).ok);
-    EXPECT_TRUE(host.edit("a", parse_request(edit_line("a", 0)).edits).ok);
-    EXPECT_TRUE(host.save("a").ok);
+    EXPECT_TRUE(
+        host.call(parse_request(R"({"op":"open","session":"a","design":"chain"})"))
+            .ok);
+    EXPECT_TRUE(host.call(parse_request(edit_line("a", 0))).ok);
+    EXPECT_TRUE(host.call(parse_request(R"({"op":"save","session":"a"})")).ok);
   }
   ~SavedHost() { std::filesystem::remove_all(state); }
   static HostOptions options(const std::string& dir) {
@@ -336,8 +338,9 @@ TEST(Serve, FailedSaveKeepsThePreviousSave) {
   // A directory squatting on the temp name makes the next write fail
   // before anything touches the last good save.
   ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
-  ASSERT_TRUE(h.host.edit("a", parse_request(edit_line("a", 1)).edits).ok);
-  const HostResult r = h.host.save("a");
+  ASSERT_TRUE(h.host.call(parse_request(edit_line("a", 1))).ok);
+  const HostResult r =
+      h.host.call(parse_request(R"({"op":"save","session":"a"})"));
   EXPECT_FALSE(r.ok);
   EXPECT_STREQ(r.error_code, err::kInternal);
   EXPECT_EQ(read_file(path), before);
@@ -562,7 +565,7 @@ TEST(Serve, PipelinedEditsBatchAndStayDeterministic) {
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"p","design":"chain"})")));
 
   // Fire a burst of pipelined edits without reading a single response:
-  // the connection plane may coalesce them into fewer pool jobs, but the
+  // the host may run them in fewer drain turns, but the
   // responses must come back in order with seq == arrival order, and the
   // final diagram must be byte-identical to unbatched execution.
   constexpr int kEdits = 14;
@@ -578,21 +581,12 @@ TEST(Serve, PipelinedEditsBatchAndStayDeterministic) {
   EXPECT_EQ(field_payload(c.request(R"({"op":"get","session":"p"})")),
             composed_reference("chain", "p", kEdits));
 
-  // Every edit request rode in exactly one edit-carrying job; how many
-  // jobs depends on timing, but the accounting must balance.
-  const std::string metrics = c.request(R"({"op":"metrics"})");
-  EXPECT_EQ(metric_value(metrics, "serve.batch.edits"), kEdits + 0);
-  const long long jobs = metric_value(metrics, "serve.batch.jobs");
-  EXPECT_GE(jobs, 1);
-  EXPECT_LE(jobs, kEdits);
-
   // Multi-edit regen: the whole uninterrupted run flushed through exactly
-  // one RegenSession update at the get — not one per edit, and unlike the
-  // job count this is protocol-determined, not timing-determined.
+  // one RegenSession update at the get — not one per edit, and however the
+  // requests fell into drain turns: the count is protocol-determined.
+  const std::string metrics = c.request(R"({"op":"metrics"})");
   EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 1);
   EXPECT_EQ(metric_value(metrics, "serve.batch.composed"), kEdits + 0);
-  EXPECT_LT(metric_value(metrics, "serve.batch.regens"),
-            metric_value(metrics, "serve.batch.edits"));
   EXPECT_EQ(metric_value(metrics, "regen.edits_composed"), kEdits + 0);
 }
 
@@ -803,9 +797,6 @@ TEST(MultiEdit, StatsCountComposedRegens) {
   EXPECT_EQ(metric_value(metrics, "serve.pending_edits"), 0);
   EXPECT_EQ(metric_value(metrics, "serve.batch.regens"), 1);
   EXPECT_EQ(metric_value(metrics, "serve.batch.composed"), 3);
-  EXPECT_EQ(metric_value(metrics, "serve.batch.edits"), 3);
-  EXPECT_LT(metric_value(metrics, "serve.batch.regens"),
-            metric_value(metrics, "serve.batch.edits"));
 
   // An idle get flushes nothing and runs no further update.
   ASSERT_TRUE(is_ok(c.request(R"({"op":"get","session":"cc"})")));
@@ -949,9 +940,9 @@ TEST(MultiEdit, PipelinedRepliesMatchPinnedDigest) {
 
 TEST(MultiEdit, BatchedAndUnbatchedRepliesAreByteIdentical) {
   // The byte-identity acceptance bar, fuzzed: stream a seeded random
-  // request mix pipelined (edits coalesce and compose into few flushes)
-  // and replay it request-per-response on a second server (every op its
-  // own drain job).  Every response — seq numbers, batched markers,
+  // request mix pipelined (many requests share a drain turn, and edits
+  // compose into few flushes) and replay it request-per-response on a
+  // second server (every op its own turn).  Every response — seq numbers, batched markers,
   // flushed_edits, error messages, save blobs, the final diagram — must
   // match byte for byte, because all of them are functions of request
   // order alone, never of how the queue was sliced.
