@@ -60,52 +60,13 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
   }
 }
 
-}  // namespace
-
-std::vector<geom::Rect> shard_regions(geom::Rect area, int shards) {
-  std::vector<geom::Rect> out;
-  if (area.empty() || shards < 1) return out;
-  const int cols = area.width() + 1;
-  const int n = std::min(shards, cols);
-  out.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    // Column ranges [i*cols/n, (i+1)*cols/n): exact cover, widths within 1.
-    const int x0 = area.lo.x + static_cast<int>(static_cast<long long>(cols) * i / n);
-    const int x1 = area.lo.x + static_cast<int>(static_cast<long long>(cols) * (i + 1) / n) - 1;
-    out.push_back({{x0, area.lo.y}, {x1, area.hi.y}});
-  }
-  return out;
-}
-
-RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
-                            const ShardOptions& sopt, ShardRouteStats* stats) {
-  if (stats) *stats = {};
-  DriverSetup setup = detail::prepare_driver(dia, opt);
-  const std::vector<NetId> order = detail::ordered_nets(dia, opt);
-  RouteReport report;
-  detail::SearchWorkspace ws;
-
-  const std::vector<geom::Rect> regions =
-      shard_regions(setup.grid.area(), sopt.shards);
-
-  if (regions.size() <= 1) {
-    // Degenerate single shard: the exact sequential route_all loop.
-    if (stats) {
-      int assigned = 0;
-      for (NetId n : order) assigned += setup.pending[n].empty() ? 0 : 1;
-      stats->shard_nets = {assigned};
-      stats->nets_intra = assigned;
-    }
-    {
-      NA_TRACE_SPAN(span, "route.pass1");
-      span.arg("nets", static_cast<long long>(order.size()));
-      detail::route_nets(dia, opt, setup, order, report, ws);
-    }
-    detail::retry_pass(dia, opt, setup, order, report, ws);
-    detail::finish_report(dia, setup, report);
-    return report;
-  }
-
+/// Pass 1 over more than one region: shard jobs, their merge in shard
+/// order, then the stitch nets on the live plane.
+void route_sharded(Diagram& dia, const RouterOptions& opt,
+                   const ShardOptions& sopt,
+                   const std::vector<geom::Rect>& regions, DriverSetup& setup,
+                   const std::vector<NetId>& order, RouteReport& report,
+                   detail::SearchWorkspace& ws, ShardRouteStats* stats) {
   // ----- assignment ----------------------------------------------------------
   // A net belongs to shard s iff the hull of its pending terminals and its
   // prerouted geometry, inflated by one track (claimpoints sit one step
@@ -199,7 +160,51 @@ RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
       stats->balance = static_cast<double>(peak) / mean;
     }
   }
+}
 
+}  // namespace
+
+std::vector<geom::Rect> shard_regions(geom::Rect area, int shards) {
+  std::vector<geom::Rect> out;
+  if (area.empty() || shards < 1) return out;
+  const int cols = area.width() + 1;
+  const int n = std::min(shards, cols);
+  out.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    // Column ranges [i*cols/n, (i+1)*cols/n): exact cover, widths within 1.
+    const int x0 = area.lo.x + static_cast<int>(static_cast<long long>(cols) * i / n);
+    const int x1 = area.lo.x + static_cast<int>(static_cast<long long>(cols) * (i + 1) / n) - 1;
+    out.push_back({{x0, area.lo.y}, {x1, area.hi.y}});
+  }
+  return out;
+}
+
+RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
+                            const ShardOptions& sopt, ShardRouteStats* stats) {
+  if (stats) *stats = {};
+  DriverSetup setup = detail::prepare_driver(dia, opt);
+  const std::vector<NetId> order = detail::ordered_nets(dia, opt);
+  RouteReport report;
+  detail::SearchWorkspace ws;
+
+  const std::vector<geom::Rect> regions =
+      shard_regions(setup.grid.area(), sopt.shards);
+  if (regions.size() <= 1) {
+    // One region: the sequential pass 1 over the whole plane.
+    if (stats) {
+      int assigned = 0;
+      for (NetId n : order) assigned += setup.pending[n].empty() ? 0 : 1;
+      stats->shard_nets = {assigned};
+      stats->nets_intra = assigned;
+    }
+    NA_TRACE_SPAN(span, "route.pass1");
+    span.arg("nets", static_cast<long long>(order.size()));
+    detail::route_nets(dia, opt, setup, order, report, ws);
+  } else {
+    route_sharded(dia, opt, sopt, regions, setup, order, report, ws, stats);
+  }
+
+  // ----- pass 2: retry after every claim is gone (section 5.7) ---------------
   detail::retry_pass(dia, opt, setup, order, report, ws);
   detail::finish_report(dia, setup, report);
   return report;

@@ -20,8 +20,8 @@
 // The section-5.7 retry pass and the report accounting are shared with
 // route_all.
 //
-// With shards <= 1 the driver degenerates to the exact sequential
-// route_all loop (byte-identical diagram and report).
+// With shards <= 1 the driver is the sequential loop: route_all is this
+// driver at one shard.
 #pragma once
 
 #include <vector>

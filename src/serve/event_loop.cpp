@@ -16,6 +16,12 @@ namespace {
 
 /// Parsed-line backlog per connection before the socket stops being read.
 constexpr size_t kMaxPendingLines = 256;
+/// Write-buffer size above which the connection stops being read until
+/// the peer drains it.
+constexpr size_t kWriteHighWater = 256u << 10;
+/// During drain, how long a connection may sit on unflushed output (with
+/// no request in flight) before it is force-closed.
+constexpr std::chrono::milliseconds kDrainGrace{5000};
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -104,8 +110,7 @@ void EventLoop::begin_drain() {
   post([this] {
     if (draining_) return;
     draining_ = true;
-    drain_deadline_ = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(opt_.drain_grace_ms);
+    drain_deadline_ = std::chrono::steady_clock::now() + kDrainGrace;
     std::vector<uint64_t> ids;
     ids.reserve(conns_.size());
     for (auto& [id, c] : conns_) ids.push_back(id);
@@ -213,7 +218,7 @@ void EventLoop::handle_readable(uint64_t id, Conn& c) {
       c.in.append(chunk, static_cast<size_t>(n));
       split_lines(c);
       if (c.pending.size() > kMaxPendingLines ||
-          c.out.size() - c.out_off > opt_.write_high_water) {
+          c.out.size() - c.out_off > kWriteHighWater) {
         c.reading = false;  // backpressure: stop reading until drained
       }
       if (static_cast<size_t>(n) < sizeof(chunk)) break;
@@ -290,7 +295,7 @@ void EventLoop::pump(uint64_t id, Conn& c) {
     cb_.on_line(id, ticket, p.text);
   }
   if (!c.reading && c.read_open && c.pending.size() <= kMaxPendingLines / 2 &&
-      c.out.size() - c.out_off <= opt_.write_high_water / 2) {
+      c.out.size() - c.out_off <= kWriteHighWater / 2) {
     c.reading = true;  // backpressure released
   }
 }

@@ -40,12 +40,6 @@ class EventLoop {
     /// lines wait in the pending queue (and, past kMaxPendingLines, the
     /// socket stops being read).
     size_t max_in_flight = 128;
-    /// Write-buffer size above which the connection stops being read
-    /// until the peer drains it.
-    size_t write_high_water = 256u << 10;
-    /// During drain, how long a connection may sit on unflushed output
-    /// (with no request in flight) before it is force-closed.
-    int drain_grace_ms = 5000;
   };
 
   struct Callbacks {
