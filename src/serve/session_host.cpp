@@ -117,7 +117,7 @@ std::string SessionHost::state_path(const std::string& name) const {
 // ----- the per-session op queue ---------------------------------------------
 
 void SessionHost::submit(Request req, HostCallback done) {
-  const std::string name = req.session;
+  const std::string& name = req.session;
   std::shared_ptr<Session> session;
   if (req.op == Op::kOpen) {
     if (!valid_session_name(name)) {
@@ -186,10 +186,15 @@ HostResult SessionHost::call(Request req) {
 }
 
 void SessionHost::drain(const std::shared_ptr<Session>& session) {
+  // Reused across turns: the swap hands the queue the previous turn's
+  // emptied buffer, so a busy session stops allocating queue storage.
+  std::vector<PendingOp> turn;
+  std::vector<HostResult> results;
   for (;;) {
     // One turn: everything queued, in queue order.  Requests queued while
     // the turn runs form the next one.
-    std::vector<PendingOp> turn;
+    turn.clear();
+    results.clear();
     {
       std::lock_guard lock(session->qmu);
       if (session->queue.empty()) {
@@ -199,8 +204,6 @@ void SessionHost::drain(const std::shared_ptr<Session>& session) {
       turn.swap(session->queue);
     }
 
-    std::vector<HostResult> results;
-    results.reserve(turn.size());
     {
       // Shared side of the trace-flush gate: a flight dump only runs when
       // no op body is emitting trace events.

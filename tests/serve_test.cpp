@@ -565,9 +565,9 @@ TEST(Serve, PipelinedEditsBatchAndStayDeterministic) {
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"p","design":"chain"})")));
 
   // Fire a burst of pipelined edits without reading a single response:
-  // the host may run them in fewer drain turns, but the
-  // responses must come back in order with seq == arrival order, and the
-  // final diagram must be byte-identical to unbatched execution.
+  // the host may run them in fewer drain turns, but the responses must
+  // come back in order with seq == arrival order, and the final diagram
+  // must be byte-identical to unbatched execution.
   constexpr int kEdits = 14;
   for (int i = 0; i < kEdits; ++i) {
     ASSERT_TRUE(c.send_line(edit_line("p", i)));
@@ -942,10 +942,11 @@ TEST(MultiEdit, BatchedAndUnbatchedRepliesAreByteIdentical) {
   // The byte-identity acceptance bar, fuzzed: stream a seeded random
   // request mix pipelined (many requests share a drain turn, and edits
   // compose into few flushes) and replay it request-per-response on a
-  // second server (every op its own turn).  Every response — seq numbers, batched markers,
-  // flushed_edits, error messages, save blobs, the final diagram — must
-  // match byte for byte, because all of them are functions of request
-  // order alone, never of how the queue was sliced.
+  // second server (every op its own turn).  Every response — seq
+  // numbers, batched markers, flushed_edits, error messages, save blobs,
+  // the final diagram — must match byte for byte, because all of them
+  // are functions of request order alone, never of how the queue was
+  // sliced.
   const std::vector<std::string> lines = fuzz_schedule(0x5eed, 40);
   const std::vector<std::string> pipelined = pipelined_replies(lines);
 
