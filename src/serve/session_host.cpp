@@ -233,7 +233,11 @@ HostResult SessionHost::execute(Session& s, const Request& req) {
       case Op::kSave:
         return save_locked(s, req.session);
       case Op::kClose:
-        return exec_close(s, req.session);
+        // Close saves unsaved edits when a state dir can keep them.
+        if (s.dirty && !opt_.state_dir.empty()) {
+          return save_locked(s, req.session);
+        }
+        return HostResult{};
       default:
         break;
     }
@@ -326,13 +330,6 @@ HostResult SessionHost::exec_get(Session& s, const Request& req) {
   }
   r.seq = s.seq;
   return r;
-}
-
-HostResult SessionHost::exec_close(Session& s, const std::string& name) {
-  if (s.dirty && !opt_.state_dir.empty()) {
-    return save_locked(s, name);
-  }
-  return HostResult{};
 }
 
 HostResult SessionHost::save_locked(Session& s, const std::string& name) {

@@ -178,7 +178,6 @@ class SessionHost {
   HostResult exec_open(Session& s, const Request& req);
   HostResult exec_edit(Session& s, const std::vector<EditCmd>& cmds);
   HostResult exec_get(Session& s, const Request& req);
-  HostResult exec_close(Session& s, const std::string& name);
   HostResult save_locked(Session& s, const std::string& name);
   /// Regenerates from the pending composition (one diff, one update for
   /// however many edits are pending); returns how many it flushed.  Called
