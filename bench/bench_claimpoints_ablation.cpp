@@ -8,7 +8,6 @@
 // have been removed").
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -20,25 +19,13 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-/// A Diagram references its Network, so both live behind stable pointers.
-struct Workload {
-  std::string name;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<Diagram> placed;
-};
-
 /// Congested workloads: the LIFE board (hand and auto placement) plus
 /// random networks placed with tight spacing.
-std::vector<Workload>& workloads() {
-  static std::vector<Workload> all = [] {
-    std::vector<Workload> w;
-    auto add = [&w](std::string name, Network net) -> Workload& {
-      Workload item;
-      item.name = std::move(name);
-      item.net = std::make_unique<Network>(std::move(net));
-      item.placed = std::make_unique<Diagram>(*item.net);
-      w.push_back(std::move(item));
-      return w.back();
+std::vector<PlacedWorkload>& workloads() {
+  static std::vector<PlacedWorkload> all = [] {
+    std::vector<PlacedWorkload> w;
+    auto add = [&w](std::string name, Network net) -> PlacedWorkload& {
+      return add_workload(w, std::move(name), std::move(net));
     };
     // Facing-pair channels (the scaled figure 5.10 scenario): the failure
     // mode claimpoints target.  Channel widths 3 and 4 bracket the paper's
@@ -48,9 +35,9 @@ std::vector<Workload>& workloads() {
         gen::FacingOptions fopt;
         fopt.channel = channel;
         fopt.seed = seed;
-        Workload& f = add("facing-c" + std::to_string(channel) + "-s" +
-                              std::to_string(seed),
-                          gen::facing_pairs(fopt));
+        auto& f = add("facing-c" + std::to_string(channel) + "-s" +
+                          std::to_string(seed),
+                      gen::facing_pairs(fopt));
         gen::facing_placement(*f.placed, fopt);
       }
     }
@@ -63,7 +50,7 @@ std::vector<Workload>& workloads() {
   return all;
 }
 
-int route_failures(const Workload& w, bool claims, bool retry) {
+int route_failures(const PlacedWorkload& w, bool claims, bool retry) {
   Diagram dia = *w.placed;
   RouterOptions opt;
   opt.use_claimpoints = claims;
@@ -77,7 +64,7 @@ void BM_Route_Claims(benchmark::State& state) {
   int total_failed = 0;
   for (auto _ : state) {
     total_failed = 0;
-    for (const Workload& w : workloads()) {
+    for (const PlacedWorkload& w : workloads()) {
       total_failed += route_failures(w, claims, true);
     }
   }
@@ -97,7 +84,7 @@ int main(int argc, char** argv) {
               "retry-only", "claims+retry");
   int sum_none = 0, sum_claims = 0, sum_retry = 0, sum_full = 0;
   int facing_none = 0, facing_full = 0;
-  for (const Workload& w : workloads()) {
+  for (const PlacedWorkload& w : workloads()) {
     const int none = route_failures(w, false, false);
     const int claims_only = route_failures(w, true, false);
     const int retry_only = route_failures(w, false, true);

@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
   using namespace na::bench;
 
   // --- structural reproduction of figure 6.1 --------------------------------
-  const Network net = gen::chain_network({});
-  require_counts(net, 6, 6, "figure 6.1 chain");
+  const Network& net = chain_net();
   GeneratorOptions opt = fig61_options();
   GeneratorResult result;
   const Diagram dia = generate_diagram(net, opt, &result);

@@ -23,15 +23,6 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-const Network& ctrl_net() {
-  static const Network net = [] {
-    Network n = gen::controller_network();
-    require_counts(n, 16, 24, "figures 6.2-6.5 controller network");
-    return n;
-  }();
-  return net;
-}
-
 void config_bench(benchmark::State& state, const GeneratorOptions& opt) {
   const Network& net = ctrl_net();
   int unrouted = 0;
@@ -92,9 +83,8 @@ int main(int argc, char** argv) {
     const Diagram dia = generate_diagram(net, cfg.opt, &result);
     require_valid(dia, cfg.name);
     print_row(cfg.name, result.stats);
-    std::printf("    partitions=%zu  flow-violations=%d  place=%.1fms route=%.1fms\n",
-                result.placement.partitions.size(), result.stats.flow_violations,
-                result.place_seconds * 1e3, result.route_seconds * 1e3);
+    std::printf("    partitions=%zu  flow-violations=%d\n",
+                result.placement.partitions.size(), result.stats.flow_violations);
   }
 
   // Figure 6.5: manual adjustment of the 6.2 placement.

@@ -13,9 +13,6 @@
 // crossings and longer wire than the hand placement.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-
 #include "bench_util.hpp"
 #include "place/placer.hpp"
 #include "schematic/metrics.hpp"
@@ -25,17 +22,8 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-const Network& life() {
-  static const Network net = [] {
-    Network n = gen::life_network();
-    require_counts(n, 27, 222, "LIFE network");
-    return n;
-  }();
-  return net;
-}
-
 void BM_Fig66_HandPlusRoute(benchmark::State& state) {
-  Diagram placed(life());
+  Diagram placed(life_net());
   gen::life_hand_placement(placed);
   const GeneratorOptions opt = life_router_options();
   int unrouted = 0;
@@ -51,7 +39,7 @@ void BM_Fig67_FullyAutomatic(benchmark::State& state) {
   int unrouted = 0;
   for (auto _ : state) {
     GeneratorResult result;
-    const Diagram dia = generate_diagram(life(), opt, &result);
+    const Diagram dia = generate_diagram(life_net(), opt, &result);
     unrouted = result.route.nets_failed;
     benchmark::DoNotOptimize(dia.routed_count());
   }
@@ -66,7 +54,7 @@ void BM_Fig67_HistoricalOrder(benchmark::State& state) {
   int unrouted = 0;
   for (auto _ : state) {
     GeneratorResult result;
-    const Diagram dia = generate_diagram(life(), opt, &result);
+    const Diagram dia = generate_diagram(life_net(), opt, &result);
     unrouted = result.route.nets_failed;
     benchmark::DoNotOptimize(dia.routed_count());
   }
@@ -88,51 +76,28 @@ int main(int argc, char** argv) {
                "routing ~7x slower than 6.6");
 
   {
-    Diagram dia(life());
+    Diagram dia(life_net());
     gen::life_hand_placement(dia);
     const GeneratorOptions opt = life_router_options();
     const GeneratorResult r = generate(dia, opt);
     require_valid(dia, "fig 6.6");
     print_row("fig 6.6: hand + route", r.stats);
-    std::printf("    route=%.0fms retried=%d\n", r.route_seconds * 1e3,
-                r.route.retried_connections);
+    std::printf("    retried=%d expansions=%ld\n", r.route.retried_connections,
+                r.route.total_expansions);
   }
   {
     GeneratorResult r;
-    const Diagram dia = generate_diagram(life(), fig67_options(), &r);
+    const Diagram dia = generate_diagram(life_net(), fig67_options(), &r);
     require_valid(dia, "fig 6.7");
     print_row("fig 6.7: fully automatic", r.stats);
-    std::printf("    place=%.0fms route=%.0fms\n", r.place_seconds * 1e3,
-                r.route_seconds * 1e3);
   }
   {
     GeneratorOptions opt = fig67_options();
     opt.router.order_criterion = 0;
     GeneratorResult r;
-    const Diagram dia = generate_diagram(life(), opt, &r);
+    const Diagram dia = generate_diagram(life_net(), opt, &r);
     require_valid(dia, "fig 6.7 historical order");
     print_row("fig 6.7 (netlist order)", r.stats);
-  }
-
-  // Routing time of the hand placement (the fig 6.6 workload), best of
-  // three runs.
-  {
-    Diagram placed(life());
-    gen::life_hand_placement(placed);
-    const GeneratorOptions opt = life_router_options();
-    double best = 1e18;
-    long expansions = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      Diagram dia = placed;
-      const auto t0 = std::chrono::steady_clock::now();
-      const RouteReport r = route_all(dia, opt.router);
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double, std::milli>(t1 - t0).count());
-      expansions = r.total_expansions;
-    }
-    std::printf("    fig 6.6 route threads=1: %.0fms (%ld expansions)\n", best,
-                expansions);
   }
 
   benchmark::Initialize(&argc, argv);

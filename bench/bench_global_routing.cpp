@@ -9,7 +9,6 @@
 // LIFE board is exactly where the forecast lights up.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -21,22 +20,11 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-struct Workload {
-  std::string name;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<Diagram> placed;
-};
-
-std::vector<Workload>& workloads() {
-  static std::vector<Workload> all = [] {
-    std::vector<Workload> w;
-    auto add = [&w](std::string name, Network net) -> Workload& {
-      Workload item;
-      item.name = std::move(name);
-      item.net = std::make_unique<Network>(std::move(net));
-      item.placed = std::make_unique<Diagram>(*item.net);
-      w.push_back(std::move(item));
-      return w.back();
+std::vector<PlacedWorkload>& workloads() {
+  static std::vector<PlacedWorkload> all = [] {
+    std::vector<PlacedWorkload> w;
+    auto add = [&w](std::string name, Network net) -> PlacedWorkload& {
+      return add_workload(w, std::move(name), std::move(net));
     };
     place(*add("chain", gen::chain_network({})).placed, fig61_options().placer);
     place(*add("controller", gen::controller_network()).placed,
@@ -49,7 +37,7 @@ std::vector<Workload>& workloads() {
 }
 
 void BM_GlobalRoute(benchmark::State& state) {
-  const Workload& w = workloads()[static_cast<size_t>(state.range(0))];
+  const PlacedWorkload& w = workloads()[static_cast<size_t>(state.range(0))];
   int overflow = 0;
   for (auto _ : state) {
     const GlobalRouteResult r = global_route(*w.placed);
@@ -73,7 +61,7 @@ int main(int argc, char** argv) {
               "diagrams\n");
   std::printf("%-12s %8s %9s %9s %10s | %9s\n", "workload", "gcells", "overflow",
               "max-dem", "assigned", "det.fail");
-  for (const Workload& w : workloads()) {
+  for (const PlacedWorkload& w : workloads()) {
     const GlobalRouteResult g = global_route(*w.placed);
     Diagram dia = *w.placed;
     RouterOptions ropt;

@@ -8,7 +8,6 @@
 // >= 3x faster than the full regeneration.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <functional>
 
 #include "bench_util.hpp"
@@ -22,15 +21,6 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-const Network& life() {
-  static const Network net = [] {
-    Network n = gen::life_network();
-    require_counts(n, 27, 222, "LIFE network");
-    return n;
-  }();
-  return net;
-}
-
 RegenOptions life_session_options() {
   RegenOptions opt;
   opt.generator = fig67_options();
@@ -40,7 +30,7 @@ RegenOptions life_session_options() {
 /// The routed hand-placed LIFE diagram every LIFE scenario starts from.
 const Diagram& life_baseline() {
   static const Diagram dia = [] {
-    Diagram d(life());
+    Diagram d(life_net());
     gen::life_hand_placement(d);
     route_all(d, life_session_options().generator.router);
     require_valid(d, "LIFE baseline");
@@ -52,13 +42,13 @@ const Diagram& life_baseline() {
 // ----- the edit scripts ------------------------------------------------------
 
 Network life_repin() {  // single-module edit: move rule11's write-enable pin
-  NetworkEditor ed(life());
+  NetworkEditor ed(life_net());
   ed.move_terminal("rule11", "we", {6, 11});
   return ed.build();
 }
 
 Network life_add_module() {  // attach a probe module to the global mode net
-  NetworkEditor ed(life());
+  NetworkEditor ed(life_net());
   ed.add_module("probe", "probe", {4, 4});
   ed.add_module_terminal("probe", "i", TermType::In, {0, 2});
   ed.connect("mode", "probe", "i");
@@ -66,7 +56,7 @@ Network life_add_module() {  // attach a probe module to the global mode net
 }
 
 Network life_delete_net() {  // drop one observation tap
-  NetworkEditor ed(life());
+  NetworkEditor ed(life_net());
   ed.remove_net("alive0");
   return ed.build();
 }
@@ -75,30 +65,31 @@ Network life_delete_net() {  // drop one observation tap
 
 struct Timing {
   double ms = 1e18;  ///< best of the repetitions
+  double validate_ms = 0;  ///< the best repetition's regen.validate time
   RegenCounters counters;
 };
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+/// Keeps the repetition whose `bench.update` span was shortest.
+void keep_best(Timing& best, const std::vector<obs::SpanStats>& spans) {
+  const double ms = obs::span_total_ms(spans, "bench.update");
+  if (ms < best.ms) {
+    best.ms = ms;
+    best.validate_ms = obs::span_total_ms(spans, "regen.validate");
+  }
 }
 
 /// Times session.update(edited) on a session freshly adopted from the
-/// routed LIFE baseline.  Adoption happens outside the timed region: the
+/// routed LIFE baseline.  Adoption happens outside the timed span: the
 /// editor pays it once per loaded diagram, not once per edit.
-/// `validate_full` forces the pre-region whole-diagram check — the
-/// baseline the region-scoped validation share is measured against.
-Timing time_life_incremental(const Network& edited, bool validate_full = false) {
+Timing time_life_incremental(const Network& edited) {
   Timing best;
   for (int rep = 0; rep < 5; ++rep) {
-    RegenOptions opt = life_session_options();
-    opt.validate_full = validate_full;
-    RegenSession session(opt);
-    session.adopt(life(), life_baseline());
-    const auto t0 = std::chrono::steady_clock::now();
-    session.update(edited);
-    best.ms = std::min(best.ms, ms_since(t0));
+    RegenSession session(life_session_options());
+    session.adopt(life_net(), life_baseline());
+    keep_best(best, traced([&] {
+                NA_TRACE_SCOPE("bench.update");
+                session.update(edited);
+              }));
     best.counters = session.last();
     require_valid(session.diagram(), "incremental LIFE update");
   }
@@ -111,12 +102,14 @@ Timing time_life_incremental(const Network& edited, bool validate_full = false) 
 Timing time_life_full(const Network& edited) {
   Timing best;
   for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
     Diagram dia(edited);
-    gen::life_hand_placement(dia);
-    const GeneratorResult r = generate(dia, life_session_options().generator);
-    best.ms = std::min(best.ms, ms_since(t0));
-    best.counters.nets_rerouted = r.route.nets_routed;
+    keep_best(best, traced([&] {
+                NA_TRACE_SCOPE("bench.update");
+                gen::life_hand_placement(dia);
+                best.counters.nets_rerouted =
+                    generate(dia, life_session_options().generator)
+                        .route.nets_routed;
+              }));
     require_valid(dia, "from-scratch LIFE regen");
   }
   return best;
@@ -131,8 +124,7 @@ void report_scenario(const char* name, const Timing& inc, const Timing& full,
       name, inc.ms, full.ms, full.ms / inc.ms, inc.counters.nets_rerouted,
       net_count, inc.counters.nets_kept, inc.counters.nets_extended,
       inc.counters.cells_scrubbed, inc.counters.modules_replaced,
-      inc.counters.modules_frozen,
-      inc.counters.validate_ms,
+      inc.counters.modules_frozen, inc.validate_ms,
       inc.counters.full_validations ? "full" : "region");
 }
 
@@ -144,7 +136,7 @@ void BM_LifeRepin_Incremental(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     RegenSession session(life_session_options());
-    session.adopt(life(), life_baseline());
+    session.adopt(life_net(), life_baseline());
     state.ResumeTiming();
     session.update(edited);
     rerouted = session.last().nets_rerouted;
@@ -199,7 +191,7 @@ int main(int argc, char** argv) {
                "no historical counterpart; acceptance: single-module LIFE edit "
                "re-routes < 25% of nets, >= 3x faster than full regen");
 
-  const int nets = life().net_count();
+  const int nets = life_net().net_count();
   struct Scenario {
     const char* name;
     Network edited;
@@ -218,20 +210,6 @@ int main(int argc, char** argv) {
       std::abort();
     }
   }
-
-  // Validation-share comparison on the repin scenario: the same patch
-  // checked by the whole-diagram validator (pre-region behaviour) vs the
-  // region-scoped one RegenSession now uses by default.
-  const Network repin = life_repin();
-  const Timing check_full = time_life_incremental(repin, /*validate_full=*/true);
-  const Timing check_region = time_life_incremental(repin);
-  std::printf(
-      "    %-16s full check %.2fms of %.1fms (%.0f%%)  region check %.2fms of "
-      "%.1fms (%.0f%%)\n",
-      "repin_validation", check_full.counters.validate_ms, check_full.ms,
-      100.0 * check_full.counters.validate_ms / check_full.ms,
-      check_region.counters.validate_ms, check_region.ms,
-      100.0 * check_region.counters.validate_ms / check_region.ms);
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -11,7 +11,6 @@
 // line expansion produces the fewest bends.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -23,22 +22,11 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-struct Workload {
-  std::string name;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<Diagram> placed;
-};
-
-std::vector<Workload>& workloads() {
-  static std::vector<Workload> all = [] {
-    std::vector<Workload> w;
-    auto add = [&w](std::string name, Network net) -> Workload& {
-      Workload item;
-      item.name = std::move(name);
-      item.net = std::make_unique<Network>(std::move(net));
-      item.placed = std::make_unique<Diagram>(*item.net);
-      w.push_back(std::move(item));
-      return w.back();
+std::vector<PlacedWorkload>& workloads() {
+  static std::vector<PlacedWorkload> all = [] {
+    std::vector<PlacedWorkload> w;
+    auto add = [&w](std::string name, Network net) -> PlacedWorkload& {
+      return add_workload(w, std::move(name), std::move(net));
     };
     place(*add("chain", gen::chain_network({})).placed, fig61_options().placer);
     place(*add("controller", gen::controller_network()).placed,
@@ -49,7 +37,7 @@ std::vector<Workload>& workloads() {
       gopt.modules = 14;
       gopt.extra_nets = 10;
       gopt.seed = seed;
-      Workload& r = add("random-" + std::to_string(seed), gen::random_network(gopt));
+      auto& r = add("random-" + std::to_string(seed), gen::random_network(gopt));
       PlacerOptions popt;
       popt.max_part_size = 4;
       popt.max_box_size = 3;
@@ -67,7 +55,7 @@ struct EngineRow {
   long expansions = 0;
 };
 
-EngineRow route_with(const Workload& w, Engine engine) {
+EngineRow route_with(const PlacedWorkload& w, Engine engine) {
   Diagram dia = *w.placed;
   RouterOptions opt;
   opt.engine = engine;
@@ -84,7 +72,7 @@ void BM_Engine(benchmark::State& state) {
   int unrouted = 0;
   for (auto _ : state) {
     unrouted = 0;
-    for (const Workload& w : workloads()) unrouted += route_with(w, engine).unrouted;
+    for (const auto& w : workloads()) unrouted += route_with(w, engine).unrouted;
   }
   state.counters["unrouted_total"] = unrouted;
   static const char* names[] = {"line-expansion", "lee", "hightower",
@@ -110,7 +98,7 @@ int main(int argc, char** argv) {
               "fail", "bends", "length", "fail", "bends", "length");
   int lx_bends = 0, lee_bends = 0;
   int lx_len = 0, lee_len = 0;
-  for (const Workload& w : workloads()) {
+  for (const PlacedWorkload& w : workloads()) {
     const EngineRow lx = route_with(w, Engine::LineExpansion);
     const EngineRow lee = route_with(w, Engine::Lee);
     const EngineRow ht = route_with(w, Engine::Hightower);

@@ -9,7 +9,6 @@
 // the bends/crossings/length trade-off.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -21,22 +20,11 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-struct Workload {
-  std::string name;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<Diagram> placed;
-};
-
-std::vector<Workload>& workloads() {
-  static std::vector<Workload> all = [] {
-    std::vector<Workload> w;
-    auto add = [&w](std::string name, Network net) -> Workload& {
-      Workload item;
-      item.name = std::move(name);
-      item.net = std::make_unique<Network>(std::move(net));
-      item.placed = std::make_unique<Diagram>(*item.net);
-      w.push_back(std::move(item));
-      return w.back();
+std::vector<PlacedWorkload>& workloads() {
+  static std::vector<PlacedWorkload> all = [] {
+    std::vector<PlacedWorkload> w;
+    auto add = [&w](std::string name, Network net) -> PlacedWorkload& {
+      return add_workload(w, std::move(name), std::move(net));
     };
     place(*add("controller", gen::controller_network()).placed,
           fig63_options().placer);
@@ -46,7 +34,7 @@ std::vector<Workload>& workloads() {
       gopt.modules = 14;
       gopt.extra_nets = 10;
       gopt.seed = seed;
-      Workload& r = add("random-" + std::to_string(seed), gen::random_network(gopt));
+      auto& r = add("random-" + std::to_string(seed), gen::random_network(gopt));
       PlacerOptions popt;
       popt.max_part_size = 4;
       popt.max_box_size = 3;
@@ -57,7 +45,7 @@ std::vector<Workload>& workloads() {
   return all;
 }
 
-DiagramStats route_with(const Workload& w, CostOrder order, int criterion) {
+DiagramStats route_with(const PlacedWorkload& w, CostOrder order, int criterion) {
   Diagram dia = *w.placed;
   RouterOptions opt;
   opt.order = order;
@@ -72,7 +60,7 @@ void BM_Objective(benchmark::State& state) {
   const CostOrder order = state.range(0) == 0 ? CostOrder::BendsCrossingsLength
                                               : CostOrder::BendsLengthCrossings;
   for (auto _ : state) {
-    for (const Workload& w : workloads()) {
+    for (const PlacedWorkload& w : workloads()) {
       benchmark::DoNotOptimize(route_with(w, order, 0).bends);
     }
   }
@@ -92,7 +80,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s | %21s | %21s\n", "", "default (b,c,l)", "-s (b,l,c)");
   std::printf("%-14s | %6s %6s %7s | %6s %6s %7s\n", "workload", "bends", "cross",
               "length", "bends", "cross", "length");
-  for (const Workload& w : workloads()) {
+  for (const PlacedWorkload& w : workloads()) {
     const DiagramStats d = route_with(w, CostOrder::BendsCrossingsLength, 0);
     const DiagramStats s = route_with(w, CostOrder::BendsLengthCrossings, 0);
     std::printf("%-14s | %6d %6d %7d | %6d %6d %7d\n", w.name.c_str(), d.bends,
@@ -102,7 +90,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- section 7 — net ordering criteria (unrouted / bends) ---\n");
   std::printf("%-14s %10s %10s %10s %10s %10s\n", "workload", "as-given",
               "short-1st", "long-1st", "few-terms", "many-terms");
-  for (const Workload& w : workloads()) {
+  for (const PlacedWorkload& w : workloads()) {
     std::printf("%-14s", w.name.c_str());
     for (int crit = 0; crit < 5; ++crit) {
       const DiagramStats st = route_with(w, CostOrder::BendsCrossingsLength, crit);

@@ -4,12 +4,13 @@
 //
 // Prints one line per (size, configuration) with modules/sec, validation
 // time, peak RSS, shard balance and the stitch-net share — the numbers
-// EXPERIMENTS.md's "Scale tier" table quotes.
+// EXPERIMENTS.md's "Scale tier" table quotes.  The times are span rollups:
+// the bench's own place and route spans and the validator's
+// validate.full span.  The recorder's buffers count towards the RSS.
 //
 // NA_SCALE_MAX_MODULES caps the sweep (the ctest `scale` smoke runs with
 // 1000 so the default suite stays fast; the full 10k/100k sweep is
 // bench-only).
-#include <chrono>
 #include <cstdlib>
 
 #include "bench_util.hpp"
@@ -31,17 +32,12 @@ GeneratorOptions scale_options() {
   return opt;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct RunResult {
-  double place_s = 0;
-  double route_s = 0;
-  double validate_s = 0;
+  std::vector<obs::SpanStats> spans;
   RouteReport report;
   ShardRouteStats shard_stats;
+
+  double ms(const char* span) const { return obs::span_total_ms(spans, span); }
 };
 
 /// Places a fresh diagram, routes it with the given shard setup and
@@ -50,21 +46,23 @@ RunResult run_one(const Network& net, const GeneratorOptions& opt,
                   const ShardOptions& sopt, const char* config) {
   RunResult r;
   Diagram dia(net);
-  auto t0 = std::chrono::steady_clock::now();
-  place(dia, opt.placer);
-  r.place_s = seconds_since(t0);
-  t0 = std::chrono::steady_clock::now();
-  r.report = shard_route_all(dia, opt.router, sopt, &r.shard_stats);
-  r.route_s = seconds_since(t0);
-  t0 = std::chrono::steady_clock::now();
-  require_valid(dia, config);
-  r.validate_s = seconds_since(t0);
+  r.spans = traced([&] {
+    {
+      NA_TRACE_SCOPE("place");
+      place(dia, opt.placer);
+    }
+    {
+      NA_TRACE_SCOPE("route");
+      r.report = shard_route_all(dia, opt.router, sopt, &r.shard_stats);
+    }
+    require_valid(dia, config);
+  });
   return r;
 }
 
 void print_result(const char* config, int modules, const RunResult& r) {
-  const double total_s = r.place_s + r.route_s;
-  const double mps = total_s > 0 ? modules / total_s : 0;
+  const double total_ms = r.ms("place") + r.ms("route");
+  const double mps = total_ms > 0 ? modules / total_ms * 1e3 : 0;
   const double stitch_share =
       r.shard_stats.nets_intra + r.shard_stats.nets_stitch > 0
           ? static_cast<double>(r.shard_stats.nets_stitch) /
@@ -73,7 +71,7 @@ void print_result(const char* config, int modules, const RunResult& r) {
   std::printf(
       "%-28s %8d modules  place %8.1f ms  route %9.1f ms  validate %8.1f ms  "
       "%8.0f mod/s  unrouted %d  stitch %4.1f%%  balance %.2f  rss %lld MB\n",
-      config, modules, r.place_s * 1e3, r.route_s * 1e3, r.validate_s * 1e3, mps,
+      config, modules, r.ms("place"), r.ms("route"), r.ms("validate.full"), mps,
       r.report.nets_failed, stitch_share * 100, r.shard_stats.balance,
       obs::peak_rss_bytes() >> 20);
 }
@@ -114,7 +112,7 @@ int main() {
       const RunResult baseline = run_one(net, opt, ShardOptions{1, 16, 1}, base_cfg);
       print_result(base_cfg, net.module_count(), baseline);
       std::printf("10k speedup (route wall-clock): %.2fx\n",
-                  baseline.route_s / sharded.route_s);
+                  baseline.ms("route") / sharded.ms("route"));
     }
   }
   return 0;

@@ -66,11 +66,14 @@ int main(int argc, char** argv) {
   for (int bits : {2, 4, 8, 12, 16}) {
     const Network net = gen::datapath_network({bits});
     GeneratorResult r;
-    const Diagram dia = generate_diagram(net, scaling_options(), &r);
+    Diagram dia(net);
+    const std::vector<obs::SpanStats> spans =
+        traced([&] { r = generate(dia, scaling_options()); });
     require_valid(dia, "datapath");
     std::printf("%6d %8d %6d %9d %6d %6d %9.2f %9.1f\n", bits, r.stats.modules,
                 r.stats.nets, r.stats.unrouted, r.stats.bends, r.stats.crossings,
-                r.place_seconds * 1e3, r.route_seconds * 1e3);
+                obs::span_total_ms(spans, "place"),
+                obs::span_total_ms(spans, "route"));
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

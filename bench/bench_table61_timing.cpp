@@ -25,33 +25,6 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-const Network& chain_net() {
-  static const Network net = [] {
-    Network n = gen::chain_network({});
-    require_counts(n, 6, 6, "figure 6.1 chain");
-    return n;
-  }();
-  return net;
-}
-
-const Network& ctrl_net() {
-  static const Network net = [] {
-    Network n = gen::controller_network();
-    require_counts(n, 16, 24, "figure 6.2 controller");
-    return n;
-  }();
-  return net;
-}
-
-const Network& life_net() {
-  static const Network net = [] {
-    Network n = gen::life_network();
-    require_counts(n, 27, 222, "figure 6.6 LIFE");
-    return n;
-  }();
-  return net;
-}
-
 void placement_bench(benchmark::State& state, const Network& net,
                      const GeneratorOptions& opt) {
   for (auto _ : state) {

@@ -1,13 +1,17 @@
 // Shared helpers for the experiment benches: the paper's workloads with
-// their published option settings, and a row printer for the
-// paper-vs-measured tables each bench emits before the timing runs.
+// their published option settings, a row printer for the
+// paper-vs-measured tables each bench emits before the timing runs, and
+// the span rollup those tables read their times from.
 #pragma once
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/generator.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "gen/chain.hpp"
 #include "gen/controller.hpp"
 #include "gen/life.hpp"
@@ -77,6 +81,43 @@ inline void require_counts(const Network& net, int modules, int nets,
   }
 }
 
+/// The paper's three networks, built once and checked against their
+/// published sizes.
+inline const Network& chain_net() {
+  static const Network net = gen::chain_network({});
+  require_counts(net, 6, 6, "figure 6.1 chain");
+  return net;
+}
+
+inline const Network& ctrl_net() {
+  static const Network net = gen::controller_network();
+  require_counts(net, 16, 24, "figures 6.2-6.5 controller network");
+  return net;
+}
+
+inline const Network& life_net() {
+  static const Network net = gen::life_network();
+  require_counts(net, 27, 222, "LIFE network");
+  return net;
+}
+
+/// A named network with a diagram over it that the bench fills; owning
+/// both keeps the diagram's network reference stable.
+struct PlacedWorkload {
+  std::string name;
+  std::unique_ptr<Network> net;
+  std::unique_ptr<Diagram> placed;
+};
+
+/// Appends a workload for `net` with an empty diagram and returns it.
+inline PlacedWorkload& add_workload(std::vector<PlacedWorkload>& all,
+                                    std::string name, Network net) {
+  auto owned = std::make_unique<Network>(std::move(net));
+  auto placed = std::make_unique<Diagram>(*owned);
+  all.push_back({std::move(name), std::move(owned), std::move(placed)});
+  return all.back();
+}
+
 /// Aborts when a diagram violates the drawing rules — benches must never
 /// time invalid output.
 inline void require_valid(const Diagram& dia, const char* what) {
@@ -86,6 +127,22 @@ inline void require_valid(const Diagram& dia, const char* what) {
                  problems.front().c_str());
     std::abort();
   }
+}
+
+/// Runs `work` with the trace recorder on and returns the span rollup of
+/// what it recorded — the benches' one timing source (a bench may open
+/// its own span around a phase).  The recorder is reset on both sides, so
+/// each call rolls up only its own events.  Under NA_TRACE=OFF the rollup
+/// is empty and every time reads 0.
+template <typename Work>
+std::vector<obs::SpanStats> traced(Work&& work) {
+  obs::trace_reset();
+  obs::trace_enable();
+  work();
+  obs::trace_disable();
+  std::vector<obs::SpanStats> rollup = obs::span_rollup(obs::trace_events());
+  obs::trace_reset();
+  return rollup;
 }
 
 /// The one table every bench's paper-vs-measured block renders through

@@ -7,15 +7,18 @@
 //
 //   $ ./life_game [out_dir] [--trace file] [--stats text|json|off]
 //
-// With --stats json the emission holds both figures' counters under the
-// fig66./fig67. prefixes — the breakdown behind the paper's Table 6.1.
+// With --stats json the emission holds both figures' counters and span
+// rollups under the fig66./fig67. prefixes — the breakdown behind the
+// paper's Table 6.1.
 #include <fstream>
 #include <iostream>
+#include <span>
 
 #include "core/generator.hpp"
 #include "core/options.hpp"
 #include "gen/life.hpp"
 #include "obs/stats_absorb.hpp"
+#include "obs/trace.hpp"
 #include "route/net_order.hpp"
 #include "schematic/metrics.hpp"
 #include "schematic/svg_writer.hpp"
@@ -37,6 +40,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs::obs_begin(obs);
+  // The per-figure place and route times are the span rollup of that
+  // figure's events, so the recorder runs whether or not a trace or stats
+  // were asked for.
+  obs::trace_enable();
   obs::MetricsRegistry reg;
   const Network net = gen::life_network();
   std::cout << "LIFE network: " << net.module_count() << " modules, "
@@ -59,10 +66,15 @@ int main(int argc, char** argv) {
     // nets routed first (the ordering criterion section 7 recommends).
     opt.router.margin = 12;
     opt.router.order_criterion = static_cast<int>(NetOrderCriterion::LongestFirst);
+    const size_t first_event = obs::trace_events().size();
     const GeneratorResult result = generate(dia, opt);
+    const std::vector<obs::TraceEventView> events = obs::trace_events();
+    const std::vector<obs::SpanStats> spans =
+        obs::span_rollup(std::span(events).subspan(first_event));
     std::cout << "=== " << title << " ===\n"
-              << "placement: " << result.place_seconds << " s, routing: "
-              << result.route_seconds << " s\n"
+              << "placement: " << obs::span_total_ms(spans, "place") / 1e3
+              << " s, routing: " << obs::span_total_ms(spans, "route") / 1e3
+              << " s\n"
               << "routed " << result.route.nets_routed << "/"
               << (result.route.nets_routed + result.route.nets_failed)
               << " nets (" << result.route.nets_failed << " unrouted, "
@@ -74,6 +86,7 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry one;
     obs::absorb(one, result);
+    obs::absorb(one, spans);
     reg.merge_prefixed(one, prefix);
 
     std::ofstream svg(out_dir + "/" + file);

@@ -37,7 +37,8 @@ void usage(const char* argv0) {
       "                    a ring; SIGUSR1 dumps them (see --flight-dump)\n"
       "  --flight-dump PATH  where a SIGUSR1 dump lands (default\n"
       "                    na_flight.json)\n"
-      "  --watchdog-ms N   gauge sampler interval (0 = off; default 1000)\n"
+      "  --watchdog-ms N   event-loop lag probe interval (0 = off;\n"
+      "                    default 1000)\n"
       "  --stats text|json|off  emit service counters on exit\n"
       "                    (default off)\n",
       argv0);

@@ -19,12 +19,12 @@ struct GeneratorOptions {
   RouterOptions router;
 };
 
+/// What one run produced.  Its phase times are the `place` and `route`
+/// trace spans (obs::span_rollup).
 struct GeneratorResult {
   PlacementInfo placement;
   RouteReport route;
   DiagramStats stats;
-  double place_seconds = 0.0;
-  double route_seconds = 0.0;
 };
 
 /// Runs placement (unless the diagram is already fully placed) and routing

@@ -1,7 +1,6 @@
 #include "incremental/session.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -334,7 +333,6 @@ RegenCounters& RegenCounters::operator+=(const RegenCounters& o) {
   route_expansions += o.route_expansions;
   region_validations += o.region_validations;
   full_validations += o.full_validations;
-  validate_ms += o.validate_ms;
   dirty_region = dirty_region.hull(o.dirty_region);
   return *this;
 }
@@ -432,25 +430,14 @@ const Diagram& RegenSession::update(const Network& next) {
   // — the region verdict is trusted only when it is clean.
   int region_validations = 0;
   int full_validations = 0;
-  double validate_ms = 0.0;
   if (opt_.validate) {
     NA_TRACE_SPAN(span, "regen.validate");
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::string> issues;
-    if (opt_.validate_full) {
+    std::vector<std::string> issues = validate_region(*dia, routed.dirty_region);
+    ++region_validations;
+    if (!issues.empty()) {
       issues = validate_diagram(*dia);
       ++full_validations;
-    } else {
-      issues = validate_region(*dia, routed.dirty_region);
-      ++region_validations;
-      if (!issues.empty()) {
-        issues = validate_diagram(*dia);
-        ++full_validations;
-      }
     }
-    validate_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     span.arg("region", region_validations);
     span.arg("full", full_validations);
     span.arg("issues", static_cast<long long>(issues.size()));
@@ -476,7 +463,6 @@ const Diagram& RegenSession::update(const Network& next) {
   one.route_expansions = routed.report.total_expansions;
   one.region_validations = region_validations;
   one.full_validations = full_validations;
-  one.validate_ms = validate_ms;
   one.dirty_region = routed.dirty_region;
   account(one);
   return *dia_;

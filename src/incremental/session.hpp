@@ -36,8 +36,7 @@ struct RegenCounters {
   int cells_scrubbed = 0;
   long route_expansions = 0;  ///< search work of the (patch) routing pass
   int region_validations = 0;  ///< patches checked by validate_region only
-  int full_validations = 0;    ///< whole-diagram checks (forced or fallback)
-  double validate_ms = 0.0;    ///< wall time spent validating the patch
+  int full_validations = 0;    ///< whole-diagram checks after a region issue
   /// Dirty hull the last patch validated (empty for full regens and no-op
   /// updates); in totals() the hull of every patch's region.
   geom::Rect dirty_region;
@@ -58,10 +57,6 @@ struct RegenOptions {
   /// whole-diagram validate_diagram only when the region reports an
   /// issue); disable only when the caller validates anyway.
   bool validate = true;
-  /// Force the whole-diagram check on every patch instead of the region-
-  /// scoped one — the pre-region behavior, kept for measurement and as an
-  /// escape hatch.
-  bool validate_full = false;
 };
 
 class RegenSession {

@@ -107,8 +107,9 @@ class MetricsRegistry {
   std::string to_json() const;
 
   /// Format version of to_json() — bump when fields change meaning.
-  /// 3: histograms.
-  static constexpr int kSchemaVersion = 3;
+  /// 3: histograms.  4: span.<name>.* rollup rows replace the
+  /// generate.*_ms and regen.validate_ms timers.
+  static constexpr int kSchemaVersion = 4;
 
  private:
   struct Entry {

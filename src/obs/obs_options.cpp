@@ -16,20 +16,29 @@ ObsOptions::Stats parse_stats_mode(const std::string& value) {
                            "' for --stats (use text, json or off)");
 }
 
+namespace {
+
+/// obs_begin turned the recorder on: obs_finish rolls up only then, so a
+/// daemon's flight rings stay out of its exit stats.
+bool g_began = false;
+
+}  // namespace
+
 void obs_begin(const ObsOptions& opt) {
-  if (opt.trace_path.empty()) return;
-  if (!trace_compiled_in()) {
+  if (opt.trace_path.empty() && opt.stats == ObsOptions::Stats::kOff) return;
+  if (!opt.trace_path.empty() && !trace_compiled_in()) {
     diagf("obs", kDiagDefaultLimit,
           "--trace requested but tracing was compiled out (NA_TRACE=OFF); "
           "the trace file will contain no events");
   }
   trace_enable();
+  g_began = true;
 }
 
 bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg) {
   bool ok = true;
+  if (g_began) trace_disable();
   if (!opt.trace_path.empty()) {
-    trace_disable();
     if (trace_write(opt.trace_path)) {
       std::fprintf(stderr, "na[obs] wrote trace %s\n", opt.trace_path.c_str());
     } else {
@@ -39,10 +48,11 @@ bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg) {
     }
   }
   if (opt.stats == ObsOptions::Stats::kOff) return ok;
-  // Emit a copy extended with the diagnostics counters: categories that
-  // fired show up as diag.lines.<cat>/diag.suppressed.<cat>, so rate-
-  // limited warnings stay visible in the machine-readable output.
+  // Emit a copy extended with the span rollup and the diagnostics
+  // counters: categories that fired show up as diag.lines.<cat>/
+  // diag.suppressed.<cat>, so rate-limited warnings stay visible.
   MetricsRegistry out = reg;
+  if (g_began) absorb(out, span_rollup(trace_events()));
   diag_absorb(out);
   switch (opt.stats) {
     case ObsOptions::Stats::kOff:

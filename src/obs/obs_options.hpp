@@ -5,7 +5,7 @@
 //
 //   ObsOptions obs;
 //   ...parse flags into obs...
-//   obs_begin(obs);                  // enables tracing when requested
+//   obs_begin(obs);                  // records spans when requested
 //   ...instrumented work...
 //   obs_finish(obs, registry);       // writes the trace, emits the stats
 #pragma once
@@ -27,16 +27,16 @@ struct ObsOptions {
 /// anything but "text", "json" or "off".
 ObsOptions::Stats parse_stats_mode(const std::string& value);
 
-/// Enables the trace recorder when a trace path was requested.  Warns on
-/// stderr (and keeps going) when tracing was compiled out (NA_TRACE=OFF).
+/// Enables the trace recorder when a trace or stats were requested.  Warns
+/// on stderr (and keeps going) when a trace was requested but tracing was
+/// compiled out (NA_TRACE=OFF).
 void obs_begin(const ObsOptions& opt);
 
 /// Writes the trace file (when requested) and emits the registry to
-/// stdout in the chosen format.  The emission also carries the diag.lines.* /
-/// diag.suppressed.* counters of every diagnostic category that fired,
-/// so suppressed warnings are visible in stats even when they never
-/// reached stderr.  Returns false when the trace file could not be
-/// written (after printing a diagnostic).
+/// stdout in the chosen format, with the span rollup of what obs_begin
+/// recorded (span.<name>.*) and the diag.lines.* / diag.suppressed.*
+/// counters of every diagnostic category that fired.  Returns false when
+/// the trace file could not be written (after printing a diagnostic).
 bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg);
 
 /// Usage snippet for the examples' help text.

@@ -6,8 +6,9 @@
 // na_obs and the struct's library can include this without creating a
 // dependency cycle between the static libraries.
 //
-// Naming scheme: <subsystem>.<counter>, timers suffixed "_ms", so a JSON
-// consumer can group by prefix and a human can scan the text emission.
+// Naming scheme: <subsystem>.<counter>, so a JSON consumer can group by
+// prefix and a human can scan the text emission.  Times are not absorbed
+// here: they come from the span rollup (span.<name>.*_ms).
 #pragma once
 
 #include "core/generator.hpp"
@@ -55,13 +56,11 @@ inline void absorb(MetricsRegistry& reg, const RegenCounters& c) {
   reg.set("regen.route_expansions", c.route_expansions);
   reg.set("regen.region_validations", c.region_validations);
   reg.set("regen.full_validations", c.full_validations);
-  reg.set("regen.validate_ms", c.validate_ms);
 }
 
-/// Phase timings of one generator run.
+/// Counters of one generator run; its phase times are the place and
+/// route spans (obs/trace.hpp span_rollup).
 inline void absorb(MetricsRegistry& reg, const GeneratorResult& r) {
-  reg.set("generate.place_ms", r.place_seconds * 1e3);
-  reg.set("generate.route_ms", r.route_seconds * 1e3);
   absorb(reg, r.route);
   absorb(reg, r.stats);
 }

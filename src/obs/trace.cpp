@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <tuple>
+
+#include "obs/metrics.hpp"
 
 namespace na::obs {
 namespace {
@@ -317,6 +323,85 @@ size_t trace_buffered_events() {
   size_t n = 0;
   for (const auto& buf : reg.buffers) n += buf->events.size();
   return n;
+}
+
+// ----- span rollup -----------------------------------------------------------
+
+std::vector<SpanStats> span_rollup(std::span<const TraceEventView> events) {
+  // Complete spans by (thread, start, longer first).  Walking a thread's
+  // spans with a stack of the open ones, a span's parent is the innermost
+  // open span it starts in; children reach their parent in start order,
+  // so one running reach per parent sums the union of their clipped
+  // intervals.
+  std::vector<const TraceEventView*> s;
+  for (const TraceEventView& e : events) {
+    if (e.ph == 'X') s.push_back(&e);
+  }
+  std::stable_sort(s.begin(), s.end(), [](const auto* x, const auto* y) {
+    return std::tuple(x->tid, x->ts, ~x->dur) < std::tuple(y->tid, y->ts, ~y->dur);
+  });
+  auto end = [&](size_t i) { return s[i]->ts + s[i]->dur; };
+  std::vector<std::uint64_t> covered(s.size(), 0);
+  std::vector<std::uint64_t> reach(s.size());
+  std::vector<size_t> open;
+  for (size_t i = 0; i < s.size(); ++i) {
+    reach[i] = s[i]->ts;
+    if (i > 0 && s[i - 1]->tid != s[i]->tid) open.clear();
+    while (!open.empty() && end(open.back()) <= s[i]->ts) open.pop_back();
+    if (!open.empty()) {
+      const size_t p = open.back();
+      const std::uint64_t lo = std::max(s[i]->ts, reach[p]);
+      const std::uint64_t hi = std::min(end(i), end(p));
+      if (hi > lo) {
+        covered[p] += hi - lo;
+        reach[p] = hi;
+      }
+    }
+    open.push_back(i);
+  }
+
+  std::map<std::string, std::pair<std::vector<std::uint64_t>, std::uint64_t>>
+      by_name;  // durations, summed self time
+  for (size_t i = 0; i < s.size(); ++i) {
+    auto& [durs, self] = by_name[s[i]->name];
+    durs.push_back(s[i]->dur);
+    self += s[i]->dur - covered[i];
+  }
+  auto ms = [](std::uint64_t ns) { return static_cast<double>(ns) / 1e6; };
+  std::vector<SpanStats> rollup;
+  for (auto& [name, acc] : by_name) {
+    std::vector<std::uint64_t>& durs = acc.first;
+    std::sort(durs.begin(), durs.end());
+    // Nearest rank: the smallest duration covering a q share.
+    auto pct = [&](double q) {
+      const double rank = std::ceil(q * static_cast<double>(durs.size()));
+      return ms(durs[std::max<size_t>(1, static_cast<size_t>(rank)) - 1]);
+    };
+    rollup.push_back(
+        {name, static_cast<long long>(durs.size()),
+         ms(std::accumulate(durs.begin(), durs.end(), std::uint64_t{0})),
+         ms(acc.second), pct(0.5), pct(0.99)});
+  }
+  return rollup;
+}
+
+double span_total_ms(const std::vector<SpanStats>& rollup,
+                     std::string_view name) {
+  for (const SpanStats& s : rollup) {
+    if (s.name == name) return s.total_ms;
+  }
+  return 0.0;
+}
+
+void absorb(MetricsRegistry& reg, const std::vector<SpanStats>& rollup) {
+  for (const SpanStats& s : rollup) {
+    const std::string prefix = "span." + s.name + ".";
+    reg.set(prefix + "count", s.count);
+    reg.set(prefix + "total_ms", s.total_ms);
+    reg.set(prefix + "self_ms", s.self_ms);
+    reg.set(prefix + "p50_ms", s.p50_ms);
+    reg.set(prefix + "p99_ms", s.p99_ms);
+  }
 }
 
 // ----- flight recorder -------------------------------------------------------

@@ -31,7 +31,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #ifndef NA_TRACE_ENABLED
@@ -125,6 +127,35 @@ std::uint64_t trace_flight_dropped();
 /// Same quiescence contract as trace_write(); false when the flight
 /// recorder is off or the file cannot be written.
 bool trace_flight_dump(const std::string& path);
+
+// ----- span rollup -----------------------------------------------------------
+// The one timing source of the CLIs' --stats and the benches' tables, with
+// the definitions of perfbench/run.py's rollup, so both agree on a trace.
+
+class MetricsRegistry;
+
+/// Rollup row of one span name; times in milliseconds.  Self time leaves
+/// out the union of the same-thread child spans' intervals, each clipped
+/// to its parent; p50/p99 are nearest-rank.
+struct SpanStats {
+  std::string name;
+  long long count = 0;
+  double total_ms = 0.0;
+  double self_ms = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+/// Rolls up the complete ("X") spans of `events` (trace_events() or a
+/// slice of it), one row per span name, sorted by name.
+std::vector<SpanStats> span_rollup(std::span<const TraceEventView> events);
+
+/// Total time of span `name` in `rollup`; 0 when no such span ran.
+double span_total_ms(const std::vector<SpanStats>& rollup,
+                     std::string_view name);
+
+/// Writes span.<name>.{count,total_ms,self_ms,p50_ms,p99_ms} per row.
+void absorb(MetricsRegistry& reg, const std::vector<SpanStats>& rollup);
 
 namespace detail {
 

@@ -38,8 +38,8 @@
 //   registry: serve.connections / serve.requests / serve.errors, the
 //   multi-edit flush counters (serve.batch.regens flushes covering
 //   serve.batch.composed edits), aggregated per-session regen
-//   totals, the process gauges (peak RSS, uptime), the watchdog gauges,
-//   and the latency histograms (serve.lat.open/edit/get/save,
+//   totals, the live gauges (pool queue depth, peak RSS, uptime), and
+//   the latency histograms (serve.lat.open/edit/get/save,
 //   serve.lat.flush, serve.lat.loop_tick, serve.pool.queue_wait) under
 //   "histograms" — count/sum/min/max, p50/p90/p99 and the non-empty
 //   [lower, count] buckets, all in microseconds.  The metrics request

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -113,23 +114,24 @@ void Server::run() {
       loops_.pop_back();
     }
   }
-  // Only after loops_ has settled: the watchdog iterates it to post its
-  // lag probes, so its thread must not overlap the appends above.
-  if (opt_.watchdog_ms > 0) {
-    watchdog_ = std::thread([this] { watchdog_main(); });
-  }
-
-  // Accept loop with a ~100ms stop tick: poll() wakes either for a new
-  // connection or to re-check the (signal-settable) stop flag.
+  // Accept loop with an admin tick (~100ms, or the watchdog interval if
+  // shorter): poll() wakes either for a new connection or to re-check the
+  // (signal-settable) stop flag, perform any requested flight-recorder
+  // dump off the signal handler, and post the due lag probes.
+  const int tick_ms = opt_.watchdog_ms > 0 ? std::min(100, opt_.watchdog_ms) : 100;
+  auto next_probe = std::chrono::steady_clock::now();
   size_t next_loop = 0;
   while (!stopping() && !loops_.empty()) {
-    // ~100ms admin tick: re-check the (signal-settable) stop flag and
-    // perform any requested flight-recorder dump off the signal handler.
     if (flight_dump_.exchange(false, std::memory_order_relaxed)) {
       dump_flight(opt_.flight_dump_path);
     }
+    if (opt_.watchdog_ms > 0 && std::chrono::steady_clock::now() >= next_probe) {
+      watchdog_tick();
+      next_probe = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(opt_.watchdog_ms);
+    }
     pollfd p{listen_fd_, POLLIN, 0};
-    const int r = ::poll(&p, 1, 100);
+    const int r = ::poll(&p, 1, tick_ms);
     if (r <= 0) continue;  // timeout, EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
@@ -141,19 +143,11 @@ void Server::run() {
     next_loop = (next_loop + 1) % loops_.size();
   }
 
-  // Graceful drain: no new connections, the watchdog stops posting its
-  // loop probes, every loop stops reading (the requests it is serving
-  // still complete and flush their responses), join, persist.
+  // Graceful drain: no new connections and no more lag probes, every
+  // loop stops reading (the requests it is serving still complete and
+  // flush their responses), join, persist.
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard lock(watchdog_mu_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
   for (auto& loop : loops_) loop->begin_drain();
   for (auto& loop : loops_) loop->join();
 
@@ -318,10 +312,6 @@ void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
     reg.set("serve.flight.dropped",
             static_cast<long long>(obs::trace_flight_dropped()));
   }
-  {
-    std::lock_guard lock(gauges_mu_);
-    reg.merge_prefixed(gauges_, "");
-  }
 }
 
 std::string Server::build_metrics_response(long long id) {
@@ -348,35 +338,6 @@ void Server::watchdog_tick() {
                            std::chrono::steady_clock::now() - t0)
                            .count());
     });
-  }
-  // Live gauges, sampled off the request path.
-  const long long queue_depth = host_.pool().queue_depth();
-  const long long sessions = host_.open_sessions();
-  const long long pending = host_.pending_edits();
-  const long long rss = obs::peak_rss_bytes();
-  const long long uptime_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - started_at_)
-          .count();
-  {
-    std::lock_guard lock(gauges_mu_);
-    gauges_.set("serve.gauge.pool_queue_depth", queue_depth);
-    gauges_.set("serve.gauge.sessions_open", sessions);
-    gauges_.set("serve.gauge.pending_edits", pending);
-    gauges_.set("serve.gauge.rss_bytes", rss);
-    gauges_.set("serve.gauge.uptime_ms", uptime_ms);
-    gauges_.add("serve.gauge.watchdog_ticks", 1);
-  }
-}
-
-void Server::watchdog_main() {
-  std::unique_lock lk(watchdog_mu_);
-  while (!watchdog_stop_) {
-    lk.unlock();
-    watchdog_tick();
-    lk.lock();
-    watchdog_cv_.wait_for(lk, std::chrono::milliseconds(opt_.watchdog_ms),
-                          [this] { return watchdog_stop_; });
   }
 }
 

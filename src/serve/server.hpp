@@ -32,11 +32,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -59,9 +57,8 @@ struct ServerOptions {
   int io_threads = 2;
   /// Pipelined-request cap per connection (event-loop in-flight window).
   size_t max_in_flight = 128;
-  /// Watchdog sampler interval: every tick publishes the live gauges
-  /// (event-loop tick lag, pool queue depth, pending edits, open
-  /// sessions, RSS, uptime).  0 disables the thread.
+  /// Watchdog interval: the accept loop posts a lag probe through each
+  /// event loop this often (serve.lat.loop_tick).  0 disables the probes.
   int watchdog_ms = 1000;
   /// Where a SIGUSR1-triggered flight-recorder dump lands.
   std::string flight_dump_path = "na_flight.json";
@@ -104,7 +101,7 @@ class Server {
 
   /// Full telemetry registry — what the `metrics` op and the daemon's
   /// exit-stats block report: connection/request counters, host + regen
-  /// totals, peak RSS and uptime, the watchdog gauges, the flight-recorder
+  /// totals, pool queue depth, peak RSS and uptime, the flight-recorder
   /// counters, and every latency histogram (serve.lat.open/edit/get/save
   /// from dispatch, serve.lat.flush and serve.pool.queue_wait from the
   /// host, serve.lat.loop_tick from the watchdog probes).  One absorb, so
@@ -137,7 +134,7 @@ class Server {
   /// The per-op latency histogram for `op`; nullptr for the inline ops
   /// (ping/metrics/shutdown) which are not worth a series.
   obs::Histogram* latency_hist(Op op);
-  void watchdog_main();
+  /// Posts one lag probe through every event loop.
   void watchdog_tick();
 
   ServerOptions opt_;
@@ -163,15 +160,6 @@ class Server {
   /// how long a completion currently waits for its loop thread.
   obs::Histogram lat_loop_;
 
-  /// Last watchdog sample of every live gauge (serve.gauge.*), merged
-  /// into the metrics response.
-  mutable std::mutex gauges_mu_;
-  obs::MetricsRegistry gauges_;
-
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
 
   /// Declared last: the host's pool (whose jobs post completions into the
   /// loops above) must be torn down before the loops are.

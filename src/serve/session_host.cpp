@@ -133,6 +133,11 @@ void SessionHost::submit(Request req, HostCallback done) {
     {
       std::lock_guard lock(sessions_mu_);
       inserted = sessions_.emplace(name, session).second;
+      // A pending close of this name starts our job once it completed.
+      if (const auto it = closing_.find(name); inserted && it != closing_.end()) {
+        it->second->successor = session;
+        session->running = true;
+      }
     }
     if (!inserted) {
       done(HostResult::error(err::kSessionExists,
@@ -156,7 +161,10 @@ void SessionHost::submit(Request req, HostCallback done) {
       session = it->second;
       // A close leaves the table now; its op runs after every op queued
       // before it, then saves final state.
-      if (req.op == Op::kClose) sessions_.erase(it);
+      if (req.op == Op::kClose) {
+        sessions_.erase(it);
+        closing_[name] = session;
+      }
     }
   }
   if (session == nullptr) {
@@ -216,7 +224,23 @@ void SessionHost::drain(const std::shared_ptr<Session>& session) {
     for (size_t i = 0; i < turn.size(); ++i) {
       turn[i].done(std::move(results[i]));
     }
+    // A same-name open waiting on a close of this turn can start now.
+    for (const PendingOp& op : turn) {
+      if (op.req.op == Op::kClose) closed(session, op.req.session);
+    }
   }
+}
+
+void SessionHost::closed(const std::shared_ptr<Session>& session,
+                         const std::string& name) {
+  std::shared_ptr<Session> next;
+  {
+    std::lock_guard lock(sessions_mu_);
+    const auto it = closing_.find(name);
+    if (it != closing_.end() && it->second == session) closing_.erase(it);
+    next = std::move(session->successor);
+  }
+  if (next != nullptr) pool_.submit([this, next] { drain(next); });
 }
 
 // ----- op bodies (run on the pool, session->mu held) -------------------------
@@ -416,25 +440,11 @@ void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
   }
   obs::absorb(reg, sum);
   reg.set("serve.pool.peak_queued", pool_.stats().peak_queued);
+  reg.set("serve.pool.queue_depth", pool_.queue_depth());
   reg.set("serve.trace_buffered_events",
           static_cast<long long>(obs::trace_buffered_events()));
   reg.set_histogram("serve.lat.flush", flush_hist_.snapshot());
   reg.set_histogram("serve.pool.queue_wait", pool_wait_hist_.snapshot());
-}
-
-long long SessionHost::pending_edits() const {
-  std::vector<std::shared_ptr<Session>> all;
-  {
-    std::lock_guard lock(sessions_mu_);
-    all.reserve(sessions_.size());
-    for (const auto& [name, session] : sessions_) all.push_back(session);
-  }
-  long long pending = 0;
-  for (const auto& session : all) {
-    std::lock_guard lock(session->mu);
-    pending += session->pending.steps();
-  }
-  return pending;
 }
 
 }  // namespace na::serve

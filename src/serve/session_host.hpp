@@ -22,7 +22,10 @@
 //     edit composed since the previous flush (`serve.batch.regens` counts
 //     flushes, `serve.batch.composed` the edits they covered);
 //   * the session table itself is a short-hold mutex (lookup and insert
-//     only — never held while a session works).
+//     only — never held while a session works);
+//   * a same-name open submitted while a close is pending gets a session
+//     whose drain job that close starts when it completes, so a restore
+//     reads the close's save and later saves land after it.
 //
 // Why deferral preserves byte-identity where eager composition cannot:
 // the incremental engine is path-dependent (gravity placement scores
@@ -116,7 +119,8 @@ class SessionHost {
   ///     inline in the result payload without a state dir;
   ///   * close drops the session from the table at once and, after every
   ///     op queued before it, saves it when a state dir is configured and
-  ///     it has unsaved edits.
+  ///     it has unsaved edits.  A same-name open submitted before that
+  ///     close completes runs after it.
   void submit(Request req, HostCallback done);
 
   /// Blocking `submit`, for tests, demos and benches driving the host
@@ -127,15 +131,11 @@ class SessionHost {
   /// written.  The graceful-shutdown path.  No-op without a state dir.
   int save_dirty_sessions();
 
-  /// Service-level counters, per-session regen totals (aggregated) and
-  /// the host-side latency histograms (microseconds): serve.lat.flush
-  /// (the deferred regen a get/save/close triggered) and
+  /// Service-level counters, per-session regen totals (aggregated), the
+  /// pool queue depth and the host-side latency histograms (µs):
+  /// serve.lat.flush (the deferred regen a get/save/close triggered) and
   /// serve.pool.queue_wait (submit-to-dequeue wait of the shared pool).
   void absorb_metrics(obs::MetricsRegistry& reg) const;
-
-  /// Edits composed but not yet flushed, across every open session — the
-  /// watchdog's pending-work gauge.  Takes each session mutex briefly.
-  long long pending_edits() const;
 
   int open_sessions() const;
   ThreadPool& pool() { return pool_; }
@@ -164,7 +164,10 @@ class SessionHost {
 
     std::mutex qmu;  ///< op queue + running flag (short hold)
     std::vector<PendingOp> queue;
-    bool running = false;  ///< a drain job is on the pool
+    bool running = false;  ///< a drain job is on the pool, or waits on a close
+    /// Opened under this name while this session's close was pending;
+    /// started when the close completes.  Guarded by sessions_mu_.
+    std::shared_ptr<Session> successor;
 
     explicit Session(RegenOptions opt)
         : regen(std::move(opt)), pending(Network{}) {}
@@ -173,6 +176,8 @@ class SessionHost {
   std::string state_path(const std::string& name) const;
   /// The per-session pool job: runs the queue turn by turn.
   void drain(const std::shared_ptr<Session>& session);
+  /// After `session`'s close answered: starts its successor's drain job.
+  void closed(const std::shared_ptr<Session>& session, const std::string& name);
   /// One op body, session->mu held; every throw becomes an error result.
   HostResult execute(Session& s, const Request& req);
   HostResult exec_open(Session& s, const Request& req);
@@ -193,6 +198,8 @@ class SessionHost {
   ThreadPool pool_;
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
+  /// Sessions whose close is queued but not yet completed, by name.
+  std::map<std::string, std::shared_ptr<Session>> closing_;
   mutable std::mutex flush_mu_;
   long long flush_regens_ = 0;    ///< serve.batch.regens: flushes run
   long long flush_composed_ = 0;  ///< serve.batch.composed: edits covered

@@ -297,13 +297,25 @@ TEST(Options, Errors) {
   EXPECT_THROW(parse_generator_args({"-zz"}, opt), std::runtime_error);
 }
 
+/// How many `name` spans a rollup holds; the phase times live in them.
+long long span_count(const std::vector<obs::SpanStats>& rollup,
+                     const std::string& name) {
+  for (const obs::SpanStats& s : rollup) {
+    if (s.name == name) return s.count;
+  }
+  return 0;
+}
+
 TEST(Generator, TimingsPopulated) {
   const Network net = gen::chain_network({});
   GeneratorResult result;
-  generate_diagram(net, {}, &result);
-  EXPECT_GE(result.place_seconds, 0.0);
-  EXPECT_GE(result.route_seconds, 0.0);
+  const auto spans =
+      bench::traced([&] { generate_diagram(net, {}, &result); });
   EXPECT_EQ(result.stats.modules, 6);
+  if (obs::trace_compiled_in()) {
+    EXPECT_EQ(span_count(spans, "place"), 1);
+    EXPECT_EQ(span_count(spans, "route"), 1);
+  }
 }
 
 TEST(Generator, SkipsPlacementWhenFullyPlaced) {
@@ -312,9 +324,13 @@ TEST(Generator, SkipsPlacementWhenFullyPlaced) {
   gen::life_hand_placement(dia);
   GeneratorOptions opt;
   opt.router.margin = 12;
-  const GeneratorResult result = generate(dia, opt);
-  EXPECT_EQ(result.place_seconds, 0.0);
+  GeneratorResult result;
+  const auto spans = bench::traced([&] { result = generate(dia, opt); });
   EXPECT_TRUE(result.placement.partitions.empty());
+  EXPECT_EQ(span_count(spans, "place"), 0);
+  if (obs::trace_compiled_in()) {
+    EXPECT_EQ(span_count(spans, "route"), 1);
+  }
 }
 
 }  // namespace

@@ -536,6 +536,60 @@ TEST(Metrics, MergePrefixedKeepsRunsApart) {
   EXPECT_EQ(both.find("fig67.route.nets_routed")->i, 20);
 }
 
+// ----- span rollup -----------------------------------------------------------
+
+/// A recorded event as trace_events() reports it; times in microseconds.
+obs::TraceEventView view(const char* name, int tid, std::uint64_t start_us,
+                         std::uint64_t dur_us, char ph = 'X') {
+  return {name, start_us * 1000, dur_us * 1000, tid, 0, ph, {}};
+}
+
+TEST(SpanRollup, MatchesPerfbenchFixture) {
+  // perfbench/run.py's self_check fixture: "p" holds "a" (which holds
+  // "g"), "b" and "c"; "other" overlaps them on another thread.
+  const std::vector<obs::TraceEventView> nested = {
+      view("p", 1, 0, 100),     view("a", 1, 10, 20), view("other", 2, 10, 80),
+      view("g", 1, 12, 3),      view("b", 1, 50, 10), view("c", 1, 95, 5),
+      view("mark", 1, 60, 0, 'i')};
+  const std::vector<obs::SpanStats> rollup = obs::span_rollup(nested);
+  const std::vector<std::pair<std::string, double>> want_self = {
+      {"a", 17}, {"b", 10}, {"c", 5}, {"g", 3}, {"other", 80}, {"p", 65}};
+  ASSERT_EQ(rollup.size(), want_self.size());  // the instant is no span
+  for (size_t i = 0; i < rollup.size(); ++i) {
+    EXPECT_EQ(rollup[i].name, want_self[i].first);  // sorted by name
+    EXPECT_EQ(rollup[i].count, 1);
+    EXPECT_DOUBLE_EQ(rollup[i].self_ms, want_self[i].second / 1e3);
+    EXPECT_DOUBLE_EQ(rollup[i].p50_ms, rollup[i].total_ms);
+  }
+  EXPECT_DOUBLE_EQ(obs::span_total_ms(rollup, "p"), 0.1);
+  EXPECT_DOUBLE_EQ(obs::span_total_ms(rollup, "missing"), 0.0);
+
+  // A child running past its parent's end only covers the parent's part.
+  const std::vector<obs::TraceEventView> overrun = {view("p", 1, 0, 10),
+                                                    view("c", 1, 8, 5)};
+  const std::vector<obs::SpanStats> clipped = obs::span_rollup(overrun);
+  ASSERT_EQ(clipped.size(), 2u);
+  EXPECT_DOUBLE_EQ(clipped[1].self_ms, 0.008);  // "p"
+  EXPECT_DOUBLE_EQ(clipped[0].self_ms, 0.005);  // "c"
+
+  // Nearest-rank percentiles over one name's durations [5, 1, 3].
+  const std::vector<obs::TraceEventView> repeated = {
+      view("x", 1, 0, 5), view("x", 1, 10, 1), view("x", 1, 20, 3)};
+  const std::vector<obs::SpanStats> pct = obs::span_rollup(repeated);
+  ASSERT_EQ(pct.size(), 1u);
+  EXPECT_EQ(pct[0].count, 3);
+  EXPECT_DOUBLE_EQ(pct[0].total_ms, 0.009);
+  EXPECT_DOUBLE_EQ(pct[0].p50_ms, 0.003);
+  EXPECT_DOUBLE_EQ(pct[0].p99_ms, 0.005);
+
+  obs::MetricsRegistry reg;
+  obs::absorb(reg, pct);
+  ASSERT_NE(reg.find("span.x.count"), nullptr);
+  EXPECT_EQ(reg.find("span.x.count")->i, 3);
+  ASSERT_NE(reg.find("span.x.p99_ms"), nullptr);
+  EXPECT_DOUBLE_EQ(reg.find("span.x.p99_ms")->d, 0.005);
+}
+
 // ----- diagnostics -----------------------------------------------------------
 
 TEST(Diag, RateLimitsPerCategory) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <random>
 #include <string>
@@ -303,11 +304,11 @@ std::string read_file(const std::string& path) {
 /// A host with a fresh state dir holding one saved, edited chain session
 /// "a"; removes the dir on destruction.
 struct SavedHost {
-  SavedHost()
+  explicit SavedHost(int threads = 1)
       : state((std::filesystem::temp_directory_path() /
                ("na_serve_save_test_" + std::to_string(::getpid())))
                   .string()),
-        host(options(state)) {
+        host(options(state, threads)) {
     EXPECT_TRUE(
         host.call(parse_request(R"({"op":"open","session":"a","design":"chain"})"))
             .ok);
@@ -315,10 +316,10 @@ struct SavedHost {
     EXPECT_TRUE(host.call(parse_request(R"({"op":"save","session":"a"})")).ok);
   }
   ~SavedHost() { std::filesystem::remove_all(state); }
-  static HostOptions options(const std::string& dir) {
+  static HostOptions options(const std::string& dir, int threads) {
     std::filesystem::remove_all(dir);
     HostOptions opt;
-    opt.threads = 1;
+    opt.threads = threads;
     opt.state_dir = dir;
     return opt;
   }
@@ -351,6 +352,36 @@ TEST(Serve, SaveLeavesNoTempFile) {
   SavedHost h;
   EXPECT_TRUE(std::filesystem::exists(h.state + "/a.session"));
   EXPECT_FALSE(std::filesystem::exists(h.state + "/a.session.tmp"));
+}
+
+TEST(Serve, CloseThenRestoreInOneBurstRestoresClosedState) {
+  // One burst, nothing awaited: an edit, a close that must save it, and a
+  // same-name open+restore followed by a get.  The restore has to read
+  // the close's save, never the save before it.
+  const std::string want = local_reference("chain", "a", 2);
+  for (int run = 0; run < 10; ++run) {
+    SavedHost h(4);
+    const std::string burst[] = {
+        edit_line("a", 1), R"({"op":"close","session":"a"})",
+        R"({"op":"open","session":"a","restore":true})",
+        R"({"op":"get","session":"a"})"};
+    std::promise<HostResult> done[4];
+    std::future<HostResult> results[4];
+    for (int i = 0; i < 4; ++i) {
+      results[i] = done[i].get_future();
+      h.host.submit(parse_request(burst[i]), [&done, i](HostResult r) {
+        done[i].set_value(std::move(r));
+      });
+    }
+    for (int i = 0; i < 3; ++i) {
+      const HostResult r = results[i].get();
+      ASSERT_TRUE(r.ok) << burst[i] << ": " << r.message;
+    }
+    const HostResult got = results[3].get();
+    ASSERT_TRUE(got.ok) << got.message;
+    EXPECT_EQ(got.payload, want)
+        << "run " << run << ": the restore read the save before the close";
+  }
 }
 
 TEST(Serve, MalformedTrafficKeepsConnectionAlive) {
@@ -680,31 +711,28 @@ TEST(Serve, RemovedStatsOpAnswersUnknownOpAndKeepsConnection) {
   EXPECT_TRUE(is_ok(c.request(R"({"op":"metrics"})")));
 }
 
-TEST(Serve, WatchdogPublishesGauges) {
+TEST(Serve, WatchdogProbesLoopLag) {
   ServerOptions opt;
   opt.watchdog_ms = 20;
   LiveServer live(opt);
   BlockingClient c = live.connect();
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"w","design":"chain"})")));
 
-  // Wait until a sampler tick taken *after* the open has landed and its
-  // loop-lag probes have run (generous bound; the interval is 20ms).
+  // Wait until a watchdog tick's loop-lag probes have run (generous
+  // bound; the interval is 20ms).
   std::string r;
   for (int i = 0; i < 200; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     r = c.request(R"({"op":"metrics"})");
-    if (metric_value(r, "serve.gauge.sessions_open") == 1 &&
-        hist_field(r, "serve.lat.loop_tick", "count") >= 1) {
-      break;
-    }
+    if (hist_field(r, "serve.lat.loop_tick", "count") >= 1) break;
   }
-  EXPECT_GE(metric_value(r, "serve.gauge.watchdog_ticks"), 1);
-  EXPECT_EQ(metric_value(r, "serve.gauge.sessions_open"), 1);
-  EXPECT_GE(metric_value(r, "serve.gauge.pool_queue_depth"), 0);
-  EXPECT_GE(metric_value(r, "serve.gauge.pending_edits"), 0);
-  EXPECT_GT(metric_value(r, "serve.gauge.rss_bytes"), 0);
   // Loop-lag probes record into the loop_tick histogram.
   EXPECT_GE(hist_field(r, "serve.lat.loop_tick", "count"), 1);
+  // The gauges are computed live by the metrics op itself.
+  EXPECT_EQ(metric_value(r, "serve.sessions_open"), 1);
+  EXPECT_GE(metric_value(r, "serve.pending_edits"), 0);
+  EXPECT_GT(metric_value(r, "serve.peak_rss_bytes"), 0);
+  EXPECT_GE(metric_value(r, "serve.pool.queue_depth"), 0);
 }
 
 TEST(Serve, FlightDumpWritesTheRetainedRings) {
