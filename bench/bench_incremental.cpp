@@ -65,7 +65,7 @@ Network life_delete_net() {  // drop one observation tap
 
 struct Timing {
   double ms = 1e18;  ///< best of the repetitions
-  double validate_ms = 0;  ///< the best repetition's regen.validate time
+  double validation_ms = 0;  ///< the best repetition's regen.validate time
   RegenCounters counters;
 };
 
@@ -74,7 +74,7 @@ void keep_best(Timing& best, const std::vector<obs::SpanStats>& spans) {
   const double ms = obs::span_total_ms(spans, "bench.update");
   if (ms < best.ms) {
     best.ms = ms;
-    best.validate_ms = obs::span_total_ms(spans, "regen.validate");
+    best.validation_ms = obs::span_total_ms(spans, "regen.validate");
   }
 }
 
@@ -124,7 +124,7 @@ void report_scenario(const char* name, const Timing& inc, const Timing& full,
       name, inc.ms, full.ms, full.ms / inc.ms, inc.counters.nets_rerouted,
       net_count, inc.counters.nets_kept, inc.counters.nets_extended,
       inc.counters.cells_scrubbed, inc.counters.modules_replaced,
-      inc.counters.modules_frozen, inc.validate_ms,
+      inc.counters.modules_frozen, inc.validation_ms,
       inc.counters.full_validations ? "full" : "region");
 }
 

@@ -107,8 +107,7 @@ class MetricsRegistry {
   std::string to_json() const;
 
   /// Format version of to_json() — bump when fields change meaning.
-  /// 3: histograms.  4: span.<name>.* rollup rows replace the
-  /// generate.*_ms and regen.validate_ms timers.
+  /// 3: histograms.  4: phase times are span.<name>.* rollup rows.
   static constexpr int kSchemaVersion = 4;
 
  private:

@@ -43,7 +43,7 @@ run_stats(net2art_out "${NET2ART}" --synth grid:4 --stats json
           -o "${OUT_DIR}/cli_stats")
 run_stats(regen_out "${REGEN}" --stats json)
 expect_no_key("${net2art_out}" "generate.")
-expect_no_key("${regen_out}" "regen.validate_ms")
+expect_no_key("${regen_out}" "regen.validate")
 if(TRACE)
   expect_key("${net2art_out}" "span.place.total_ms")
   expect_key("${net2art_out}" "span.route.total_ms")
