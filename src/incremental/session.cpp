@@ -331,6 +331,9 @@ RegenCounters& RegenCounters::operator+=(const RegenCounters& o) {
   nets_extended += o.nets_extended;
   cells_scrubbed += o.cells_scrubbed;
   route_expansions += o.route_expansions;
+  failed_searches += o.failed_searches;
+  failed_expansions += o.failed_expansions;
+  pocket_proofs += o.pocket_proofs;
   region_validations += o.region_validations;
   full_validations += o.full_validations;
   dirty_region = dirty_region.hull(o.dirty_region);
@@ -358,6 +361,9 @@ void RegenSession::full_regen(const Network& next) {
   one.modules_replaced = next.module_count();
   one.nets_rerouted = result.route.nets_routed;
   one.route_expansions = result.route.total_expansions;
+  one.failed_searches = result.route.failed_searches;
+  one.failed_expansions = result.route.failed_expansions;
+  one.pocket_proofs = result.route.pocket_proofs;
   account(one);
 }
 
@@ -461,6 +467,9 @@ const Diagram& RegenSession::update(const Network& next) {
   one.nets_extended = routed.nets_extended;
   one.cells_scrubbed = routed.cells_scrubbed;
   one.route_expansions = routed.report.total_expansions;
+  one.failed_searches = routed.report.failed_searches;
+  one.failed_expansions = routed.report.failed_expansions;
+  one.pocket_proofs = routed.report.pocket_proofs;
   one.region_validations = region_validations;
   one.full_validations = full_validations;
   one.dirty_region = routed.dirty_region;

@@ -34,7 +34,10 @@ struct RegenCounters {
   int nets_rerouted = 0;
   int nets_extended = 0;  ///< rerouted nets that kept partial geometry
   int cells_scrubbed = 0;
-  long route_expansions = 0;  ///< search work of the (patch) routing pass
+  long route_expansions = 0;  ///< successful search work of the routing pass
+  int failed_searches = 0;    ///< that pass's searches that found no path
+  long failed_expansions = 0; ///< states those searches expanded
+  int pocket_proofs = 0;      ///< failed searches ended by the pocket proof
   int region_validations = 0;  ///< patches checked by validate_region only
   int full_validations = 0;    ///< whole-diagram checks after a region issue
   /// Dirty hull the last patch validated (empty for full regens and no-op

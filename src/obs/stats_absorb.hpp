@@ -26,6 +26,9 @@ inline void absorb(MetricsRegistry& reg, const RouteReport& r) {
   reg.set("route.connections_failed", r.connections_failed);
   reg.set("route.retried_connections", r.retried_connections);
   reg.set("route.total_expansions", r.total_expansions);
+  reg.set("route.failed_searches", r.failed_searches);
+  reg.set("route.failed_expansions", r.failed_expansions);
+  reg.set("route.pocket_proofs", r.pocket_proofs);
 }
 
 inline void absorb(MetricsRegistry& reg, const DiagramStats& s) {
@@ -54,6 +57,9 @@ inline void absorb(MetricsRegistry& reg, const RegenCounters& c) {
   reg.set("regen.nets_extended", c.nets_extended);
   reg.set("regen.cells_scrubbed", c.cells_scrubbed);
   reg.set("regen.route_expansions", c.route_expansions);
+  reg.set("regen.failed_searches", c.failed_searches);
+  reg.set("regen.failed_expansions", c.failed_expansions);
+  reg.set("regen.pocket_proofs", c.pocket_proofs);
   reg.set("regen.region_validations", c.region_validations);
   reg.set("regen.full_validations", c.full_validations);
 }

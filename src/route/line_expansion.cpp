@@ -73,12 +73,13 @@ SearchCosts unpack(std::uint64_t key, CostMode mode) {
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
                                         const SearchProblem& prob, CostMode mode,
                                         SearchWorkspace* ws) {
+  SearchWorkspace local;
+  if (!ws) ws = &local;
+  ws->last_failure() = {};
   if (prob.starts.empty()) return std::nullopt;
   if (!prob.target && !prob.join_own_net) {
     throw std::invalid_argument("search problem without destination");
   }
-  SearchWorkspace local;
-  if (!ws) ws = &local;
   const bool windowed = prob.window.has_value();
   const geom::Rect ext =
       windowed ? prob.window->intersect(grid.area()) : grid.area();
@@ -146,7 +147,10 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
       goal_costs = costs_of(e);
       break;
     }
-    if (++expansions > prob.max_expansions) return std::nullopt;
+    if (++expansions > prob.max_expansions) {
+      ws->last_failure() = {expansions - 1, false};
+      return std::nullopt;
+    }
 
     const geom::Point p = point_of(e.state);
     const geom::Dir d = dir_of(e.state);
@@ -195,7 +199,10 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     }
   }
 
-  if (ws->best(goal_state) == SearchWorkspace::kUnvisited) return std::nullopt;
+  if (ws->best(goal_state) == SearchWorkspace::kUnvisited) {
+    ws->last_failure() = {expansions, false};
+    return std::nullopt;
+  }
 
   // Trace back the state chain and compress it into polyline corners.
   std::vector<geom::Point> chain;

@@ -65,6 +65,7 @@ std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
     case Engine::Lee:
       return grid_search(grid, prob, CostMode::LengthOnly, &ws);
     default:
+      ws.last_failure() = {};  // the baselines report no effort
       return find_path(e, grid, prob);
   }
 }
@@ -93,6 +94,17 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
     has_geometry = true;
   };
 
+  // One engine search; a failure's effort goes into the net's tally.
+  auto search = [&](const SearchProblem& prob) {
+    std::optional<SearchResult> r = find_path_ws(opt.engine, grid, prob, ws);
+    if (!r) {
+      ++out.failed_searches;
+      out.failed_expansions += ws.last_failure().expansions;
+      out.pocket_proofs += ws.last_failure().pocket_proof ? 1 : 0;
+    }
+    return r;
+  };
+
   // Windowed search with full-plane fallback (identical results whenever
   // the windowed attempt fails; a windowed success may be a window-local
   // optimum, which is why the knob defaults to off).
@@ -102,12 +114,12 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
       const geom::Rect win = focus.expanded(opt.window_slack);
       if (!win.contains(grid.area())) {
         prob.window = win;
-        auto r = find_path_ws(opt.engine, grid, prob, ws);
+        auto r = search(prob);
         prob.window.reset();
         if (r) return r;
       }
     }
-    return find_path_ws(opt.engine, grid, prob, ws);
+    return search(prob);
   };
 
   // ----- initiation: first point-to-point connection --------------------
@@ -219,6 +231,8 @@ NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
   }
   span.arg("connections", static_cast<long long>(out.connections.size()));
   span.arg("failed_terms", static_cast<long long>(out.failed.size()));
+  span.arg("failed_expansions", static_cast<long long>(out.failed_expansions));
+  span.arg("pocket_proofs", out.pocket_proofs);
   return out;
 }
 
@@ -311,6 +325,9 @@ void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
     ++report.connections_made;
     report.total_expansions += c.expansions;
   }
+  report.failed_searches += res.failed_searches;
+  report.failed_expansions += res.failed_expansions;
+  report.pocket_proofs += res.pocket_proofs;
 }
 
 void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,

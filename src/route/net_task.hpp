@@ -28,6 +28,9 @@ namespace na::detail {
 struct NetTaskResult {
   std::vector<SearchResult> connections;
   std::vector<TermId> failed;
+  int failed_searches = 0;     ///< engine searches that found no path
+  long failed_expansions = 0;  ///< states those searches expanded
+  int pocket_proofs = 0;       ///< failed searches the pocket proof ended
 };
 
 /// Routes as much of net `n` as possible on `grid`, starting from the

@@ -106,7 +106,10 @@ struct RouteReport {
   int connections_made = 0;     ///< individual point-to-point/net connections
   int connections_failed = 0;
   int retried_connections = 0;  ///< connections completed only in pass 2
-  long total_expansions = 0;
+  long total_expansions = 0;    ///< states expanded by searches that succeeded
+  int failed_searches = 0;      ///< engine searches that found no path
+  long failed_expansions = 0;   ///< states expanded by those searches
+  int pocket_proofs = 0;        ///< failed searches ended by the pocket proof
   std::vector<NetId> failed_nets;
 };
 

@@ -164,6 +164,16 @@ class SearchWorkspace {
   /// Heap storage for the open set (managed by the search loop).
   std::vector<HeapEntry>& heap() { return heap_; }
 
+  /// How the last search through this workspace ended when it found no
+  /// path: the states it expanded, and whether the pocket proof (rather
+  /// than exhaustion or the expansion cap) stopped it.  The search writes
+  /// it on every failure; it is meaningless after a success.
+  struct Failure {
+    long expansions = 0;
+    bool pocket_proof = false;
+  };
+  Failure& last_failure() { return failure_; }
+
   /// Per-state bends and crossings for a length-only search over
   /// `nstates` states; grown on first use, so the other modes never pay
   /// for it.  Entry `s` is meaningful only while `s` is recorded in the
@@ -178,6 +188,7 @@ class SearchWorkspace {
   std::vector<std::int32_t> parent_;
   std::vector<HeapEntry> heap_;
   std::vector<SideCosts> side_;
+  Failure failure_;
   std::uint32_t stamp_ = 0;
   size_t dirty_ = 0;  ///< slots [0, dirty_) may hold non-zero stamps
 };
