@@ -24,8 +24,17 @@ enum class CostMode {
   LengthOnly,  ///< Lee
 };
 
+/// The pop at which a search checks once whether its destination can be
+/// reached at all (the pocket proof in line_expansion.cpp), and how many
+/// states the proof's backward walk may visit before it gives up.  A
+/// search that pops this many states without finding a path is usually
+/// flooding the plane around a destination that is sealed off.
+inline constexpr long kPocketCheckAt = 4096;
+inline constexpr long kPocketBudget = 4096;
+
 /// Runs the search; returns std::nullopt when no path exists (or the
-/// expansion budget is exhausted).  With a workspace the search reuses its
+/// expansion budget is exhausted) and leaves the failed search's effort
+/// in the workspace's last_failure().  With a workspace the search reuses its
 /// scratch arrays instead of allocating per call (identical results either
 /// way).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,

@@ -20,6 +20,13 @@
 // grid predicate is false outside the plane, so the clip changes no
 // result, and heap order depends only on keys and insertion order, never
 // on state ids.
+//
+// A search that fails can only say so after expanding every state its
+// starts reach, which on a large plane means flooding it.  So at its
+// kPocketCheckAt-th pop a search checks once, with a short backward walk
+// from the destination, whether the destination sits in a pocket that no
+// start reaches (pocket_sealed).  The proof only stops searches the
+// exhaustive loop would also fail, so every result is unchanged.
 #include "route/dijkstra.hpp"
 
 #include <algorithm>
@@ -64,6 +71,105 @@ SearchCosts unpack(std::uint64_t key, CostMode mode) {
   return {};
 }
 
+/// The states of a search extent: state = cell * 4 + heading, with cells
+/// numbered row by row from the extent's lower-left corner.
+struct StateIndex {
+  geom::Rect ext;
+  int w;  ///< the extent's width in cells
+
+  int of(geom::Point p, geom::Dir d) const {
+    return ((p.y - ext.lo.y) * w + (p.x - ext.lo.x)) * 4 + static_cast<int>(d);
+  }
+  geom::Point point(int state) const {
+    const int cell = state / 4;
+    return {ext.lo.x + cell % w, ext.lo.y + cell / w};
+  }
+  static geom::Dir dir(int state) { return static_cast<geom::Dir>(state % 4); }
+};
+
+/// The pocket proof: true when no state that steps into the destination
+/// can be reached from a start, so the search may stop with nullopt.
+///
+/// It walks the reversed move graph depth-first from the destination.
+/// The seeds are the states that step into it: into the target cell
+/// (along its entry direction), or into any arrivable cell of the net's
+/// own geometry for a join.  A state (q,d) has the predecessor (q-δd, d)
+/// when q is enterable, its d-orientation track is free and q is not an
+/// own cell, and the predecessors (q, d⊥) when a turn is allowed at q.
+/// Every forward move is among these, so a walk that runs out of states
+/// proves that no forward path exists.  The walk gives up (false) when it
+/// reaches a state the forward search has recorded, because that state is
+/// reachable from a start by real moves (the start states themselves are
+/// recorded before the first pop), or when it has walked more than
+/// kPocketBudget states.  It marks the states it walks in the forward
+/// search's own slots with marks the search reads as unvisited, so a
+/// walk that gives up leaves the search exactly as it was.
+bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
+                   const StateIndex& ix, const SearchWorkspace::View& visited,
+                   SearchWorkspace& ws) {
+  const NetId net = prob.net;
+  const std::uint64_t walk = ws.next_walk();
+  std::vector<int>& stack = ws.walk_stack();
+  stack.clear();
+  long walked = 0;
+  bool open = false;  // the walk gave up
+  auto visit = [&](int state) {
+    if (visited.walked(state, walk)) return;
+    if (visited.best(state) != SearchWorkspace::kUnvisited ||
+        ++walked > kPocketBudget) {
+      open = true;
+      return;
+    }
+    visited.mark_walked(state, walk);
+    stack.push_back(state);
+  };
+  // Seeds: the states whose straight step enters an arrivable cell q.
+  auto seed_into = [&](geom::Point q, std::optional<geom::Dir> only) {
+    for (geom::Dir d : geom::kAllDirs) {
+      if (only && d != *only) continue;
+      const geom::Point p = q - geom::delta(d);
+      if (ix.ext.contains(p)) visit(ix.of(p, d));
+    }
+  };
+  if (prob.target && ix.ext.contains(prob.target->p)) {
+    const RoutingGrid::Cell& cell = grid.cell(prob.target->p);
+    if (cell.enterable(net) && cell.node_free(net)) {
+      const std::optional<geom::Dir> facing = prob.target->facing;
+      seed_into(prob.target->p,
+                facing ? std::optional(geom::opposite(*facing)) : std::nullopt);
+    }
+  }
+  if (prob.join_own_net) {
+    const geom::Rect own = grid.net_extent(net).intersect(ix.ext);
+    for (int y = own.lo.y; y <= own.hi.y && !open; ++y) {
+      for (int x = own.lo.x; x <= own.hi.x && !open; ++x) {
+        const RoutingGrid::Cell& cell = grid.cell({x, y});
+        if (cell.occupied_by(net) && cell.enterable(net) && cell.node_free(net)) {
+          seed_into({x, y}, std::nullopt);
+        }
+      }
+    }
+  }
+  while (!open && !stack.empty()) {
+    const int state = stack.back();
+    stack.pop_back();
+    const geom::Point q = ix.point(state);
+    const geom::Dir d = StateIndex::dir(state);
+    const RoutingGrid::Cell& cell = grid.cell(q);
+    const NetId along = geom::is_horizontal(d) ? cell.h : cell.v;
+    if (cell.enterable(net) && along == kNone && !cell.occupied_by(net)) {
+      const geom::Point p = q - geom::delta(d);
+      if (ix.ext.contains(p)) visit(ix.of(p, d));
+    }
+    if (cell.can_turn(net)) {
+      for (geom::Dir nd : geom::kAllDirs) {
+        if (geom::is_horizontal(nd) != geom::is_horizontal(d)) visit(ix.of(q, nd));
+      }
+    }
+  }
+  return !open;
+}
+
 }  // namespace
 
 // Deliberately one function with runtime checks for the window and the
@@ -90,17 +196,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   const int nstates = ncells * 4;
   const int goal_state = nstates;  // virtual goal
 
-  auto cell_index = [&](geom::Point p) {
-    return (p.y - ext.lo.y) * w + (p.x - ext.lo.x);
-  };
-  auto state_of = [&](geom::Point p, geom::Dir d) {
-    return cell_index(p) * 4 + static_cast<int>(d);
-  };
-  auto point_of = [&](int state) {
-    const int cell = state / 4;
-    return geom::Point{ext.lo.x + cell % w, ext.lo.y + cell / w};
-  };
-  auto dir_of = [&](int state) { return static_cast<geom::Dir>(state % 4); };
+  const StateIndex ix{ext, w};
 
   ws->begin(nstates + 1);
   const SearchWorkspace::View visited = ws->view();
@@ -131,9 +227,9 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     // The start point becomes a node of this net as well.
     if (!ext.contains(s.p) || !grid.node_free(s.p, prob.net)) continue;
     if (s.dir) {
-      relax(state_of(s.p, *s.dir), -1, {});
+      relax(ix.of(s.p, *s.dir), -1, {});
     } else {
-      for (geom::Dir d : geom::kAllDirs) relax(state_of(s.p, d), -1, {});
+      for (geom::Dir d : geom::kAllDirs) relax(ix.of(s.p, d), -1, {});
     }
   }
 
@@ -151,9 +247,13 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
       ws->last_failure() = {expansions - 1, false};
       return std::nullopt;
     }
+    if (expansions == kPocketCheckAt && pocket_sealed(grid, prob, ix, visited, *ws)) {
+      ws->last_failure() = {expansions, true};
+      return std::nullopt;
+    }
 
-    const geom::Point p = point_of(e.state);
-    const geom::Dir d = dir_of(e.state);
+    const geom::Point p = ix.point(e.state);
+    const geom::Dir d = ix.dir(e.state);
     const SearchCosts costs = costs_of(e);
 
     // Straight step: extend the escape line one track.  Every predicate is
@@ -183,7 +283,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
           relax(goal_state, e.state, c);
         } else if (along == kNone && !own) {
           c.crossings += across != kNone ? 1 : 0;
-          relax(state_of(q, d), e.state, c);
+          relax(ix.of(q, d), e.state, c);
         }
       }
     }
@@ -194,7 +294,7 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
         if (geom::is_horizontal(nd) == geom::is_horizontal(d)) continue;
         SearchCosts c = costs;
         c.bends += 1;
-        relax(state_of(p, nd), e.state, c);
+        relax(ix.of(p, nd), e.state, c);
       }
     }
   }
@@ -207,12 +307,12 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
   // Trace back the state chain and compress it into polyline corners.
   std::vector<geom::Point> chain;
   for (int s = ws->parent(goal_state); s != -1; s = ws->parent(s)) {
-    chain.push_back(point_of(s));
+    chain.push_back(ix.point(s));
   }
   std::reverse(chain.begin(), chain.end());
   chain.push_back(prob.target ? prob.target->p
-                              : point_of(ws->parent(goal_state)) +
-                                    geom::delta(dir_of(ws->parent(goal_state))));
+                              : ix.point(ws->parent(goal_state)) +
+                                    geom::delta(ix.dir(ws->parent(goal_state))));
   std::vector<geom::Point> path;
   for (const geom::Point& p : chain) {
     if (!path.empty() && path.back() == p) continue;  // turn-in-place states

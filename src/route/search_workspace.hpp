@@ -147,6 +147,11 @@ class SearchWorkspace {
       slots[s] = key | tag;
       parent[s] = from;
     }
+    /// Pocket-walk marks carry no stamp, so best() reads a marked slot as
+    /// unvisited in every generation and the scrub clears it like any
+    /// other; the walk's id tells its own marks from an earlier walk's.
+    bool walked(int s, std::uint64_t walk) const { return slots[s] == walk; }
+    void mark_walked(int s, std::uint64_t walk) const { slots[s] = walk; }
   };
   View view() {
     return {slots_.data(), parent_.data(),
@@ -174,6 +179,11 @@ class SearchWorkspace {
   };
   Failure& last_failure() { return failure_; }
 
+  /// A fresh id for one pocket walk (never 0, never stamped) and the
+  /// walk's stack, which grows with the states walked.
+  std::uint64_t next_walk() { return walk_id_ = walk_id_ % kKeyMask + 1; }
+  std::vector<int>& walk_stack() { return walk_stack_; }
+
   /// Per-state bends and crossings for a length-only search over
   /// `nstates` states; grown on first use, so the other modes never pay
   /// for it.  Entry `s` is meaningful only while `s` is recorded in the
@@ -189,6 +199,8 @@ class SearchWorkspace {
   std::vector<HeapEntry> heap_;
   std::vector<SideCosts> side_;
   Failure failure_;
+  std::vector<int> walk_stack_;
+  std::uint64_t walk_id_ = 0;
   std::uint32_t stamp_ = 0;
   size_t dirty_ = 0;  ///< slots [0, dirty_) may hold non-zero stamps
 };

@@ -58,12 +58,20 @@ void RoutingGrid::occupy_polyline(NetId n, std::span<const geom::Point> pts) {
       take(p, horizontal);
       if (p == b) break;
     }
+    grow_extent(n, geom::Rect{a, a}.hull(b));
   }
 }
 
 void RoutingGrid::set_track(geom::Point p, bool horizontal, NetId n) {
   Cell& c = at(p);
   (horizontal ? c.h : c.v) = n;
+  grow_extent(n, {p, p});
+}
+
+void RoutingGrid::grow_extent(NetId n, geom::Rect r) {
+  if (n < 0) return;
+  if (static_cast<size_t>(n) >= extent_.size()) extent_.resize(n + 1);
+  extent_[n] = extent_[n].hull(r);
 }
 
 RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
@@ -75,6 +83,7 @@ RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
       g.at({x, y}) = cell({x, y});
     }
   }
+  g.extent_ = extent_;
   return g;
 }
 

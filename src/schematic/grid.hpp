@@ -136,6 +136,13 @@ class RoutingGrid {
   /// make the loose ends of prerouted polylines nodes of their net).
   void set_track(geom::Point p, bool horizontal, NetId n);
 
+  /// Hull of every track net `n` has occupied on this grid (empty when it
+  /// has none): a bound on the cells a join search for `n` can arrive at.
+  geom::Rect net_extent(NetId n) const {
+    return n >= 0 && static_cast<size_t>(n) < extent_.size() ? extent_[n]
+                                                             : geom::Rect{};
+  }
+
   /// Statistics helper: number of grid points where two different nets
   /// cross (one horizontal, one vertical).
   int crossing_count() const;
@@ -153,10 +160,12 @@ class RoutingGrid {
     return static_cast<size_t>(p.y - area_.lo.y) * width_ + (p.x - area_.lo.x);
   }
   Cell& at(geom::Point p) { return cells_[index(p)]; }
+  void grow_extent(NetId n, geom::Rect r);
 
   geom::Rect area_;
   int width_ = 0;  // number of columns
   std::vector<Cell> cells_;
+  std::vector<geom::Rect> extent_;  ///< per net id, see net_extent()
 };
 
 /// Builds the routing plane for a fully placed diagram: the placement

@@ -454,6 +454,44 @@ TEST(Incremental, EditCorpusMatchesPinnedDigests) {
                       {0xed7b320120663c1dull, 1, 298, 1, 1, 0}});
 }
 
+// The daemon's LIFE path: `open life` regenerates with RegenOptions{}, which
+// leaves many nets unrouted, so every flush re-searches them and most of
+// those searches fail.  Eight updates alternate the editor loop's edit
+// (add a probe module whose terminal joins a seeded net) with its removal;
+// each update's ESCHER bytes and unrouted count are pinned.
+TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
+  struct Pin {
+    std::uint64_t digest;
+    int unrouted;
+  };
+  const Pin pins[] = {{0x09bca4d4dd9884a3ull, 104}, {0x3faaebab2c18dd85ull, 93},
+                      {0x151756578fa45e87ull, 85},  {0xbfbe6db1873e8501ull, 78},
+                      {0xf70764b04b7244feull, 78},  {0x66f99a4fc98daadcull, 78},
+                      {0x3d05d4ca69e643d8ull, 78},  {0xa312b543b83765e2ull, 78}};
+  RegenSession session{RegenOptions{}};
+  Network net = gen::life_network();
+  session.update(net);
+  CorpusRng rng{11};
+  for (int i = 0; i < 8; ++i) {
+    NetworkEditor ed(net);
+    if (i % 2 == 0) {
+      ed.add_module("probe", "", {4, 3});
+      ed.add_module_terminal("probe", "p", TermType::In, {0, 1});
+      ed.connect(net.net(rng.below(net.net_count())).name, "probe", "p");
+    } else {
+      ed.remove_module("probe");
+    }
+    net = ed.build();
+    const Diagram& dia = session.update(net);
+    EXPECT_EQ(session.last().full_regens, 0) << "update " << i;
+    const Pin got{fnv1a(to_escher_diagram(dia, "replay")),
+                  compute_stats(dia).unrouted};
+    EXPECT_EQ(got.digest, pins[i].digest)
+        << "update " << i << std::hex << " digest 0x" << got.digest;
+    EXPECT_EQ(got.unrouted, pins[i].unrouted) << "update " << i;
+  }
+}
+
 // ----- session save/restore --------------------------------------------------
 
 // The daemon contract (na_serve kill/restart): save() captures network,

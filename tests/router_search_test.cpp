@@ -705,5 +705,119 @@ TEST(GridSearch, ReportedCostMatchesPath) {
   EXPECT_GT(found, 100);
 }
 
+// ----- the pocket proof ----------------------------------------------------------
+
+constexpr detail::CostMode kAllModes[] = {detail::CostMode::BendsCrossingsLength,
+                                          detail::CostMode::BendsLengthCrossings,
+                                          detail::CostMode::LengthOnly};
+
+/// Every mode fails, and the pocket proof, not exhaustion, ends the search
+/// at the check point.
+void expect_sealed(const RoutingGrid& grid, const SearchProblem& prob) {
+  for (const detail::CostMode mode : kAllModes) {
+    SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+    detail::SearchWorkspace ws;
+    EXPECT_FALSE(detail::grid_search(grid, prob, mode, &ws).has_value());
+    EXPECT_EQ(ws.last_failure().expansions, detail::kPocketCheckAt);
+    EXPECT_TRUE(ws.last_failure().pocket_proof);
+  }
+  // The segment engine has no proof: it agrees by exhausting the plane.
+  EXPECT_FALSE(segment_expansion_search(grid, prob).has_value());
+}
+
+/// A 64x64 plane with a start terminal near one corner that opens to the
+/// right; the searches from it flood far more than kPocketCheckAt states.
+RoutingGrid pocket_plane() {
+  RoutingGrid grid({{0, 0}, {63, 63}});
+  make_terminal(grid, {5, 5}, 0, geom::Dir::Right);
+  return grid;
+}
+
+TEST(PocketProof, TargetSealedByAWireAlongItsFront) {
+  // The target opens upward, and a foreign wire runs up its column from
+  // the cell in front of it: the one entry, a downward step, would run
+  // along that wire.
+  RoutingGrid grid = pocket_plane();
+  make_terminal(grid, {40, 40}, 0, geom::Dir::Up);
+  const SearchProblem prob =
+      p2p(0, {5, 5}, geom::Dir::Right, {40, 40}, geom::Dir::Up);
+  ASSERT_TRUE(line_expansion_search(grid, prob).has_value());
+  const geom::Point wire[] = {{40, 41}, {40, 60}};
+  grid.occupy_polyline(7, wire);
+  expect_sealed(grid, prob);
+}
+
+TEST(PocketProof, JoinWithWalledInGeometry) {
+  RoutingGrid grid = pocket_plane();
+  const geom::Point own[] = {{30, 30}, {34, 30}, {34, 31}};
+  grid.occupy_polyline(0, own);
+  SearchProblem prob;
+  prob.net = 0;
+  prob.starts = {{{5, 5}, geom::Dir::Right}};
+  prob.join_own_net = true;
+  ASSERT_TRUE(line_expansion_search(grid, prob).has_value());
+  // A closed ring of walls around the net's geometry.
+  for (int x = 27; x <= 37; ++x) {
+    grid.block({x, 27});
+    grid.block({x, 34});
+  }
+  for (int y = 27; y <= 34; ++y) {
+    grid.block({27, y});
+    grid.block({37, y});
+  }
+  expect_sealed(grid, prob);
+}
+
+TEST(PocketProof, StartAndTargetInOnePocketStillRoute) {
+  // A closed ring holds both terminals and a serpentine of walls between
+  // them, so the search passes the check point before it finds the path
+  // and the proof's walk must give up.
+  RoutingGrid grid({{0, 0}, {63, 63}});
+  for (int i = 8; i <= 56; ++i) {
+    grid.block({i, 8});
+    grid.block({i, 56});
+    grid.block({8, i});
+    grid.block({56, i});
+  }
+  for (int x = 13; x <= 51; x += 4) {
+    const bool gap_at_top = (x / 4) % 2 == 0;
+    grid.block_rect({{x, gap_at_top ? 9 : 11}, {x, gap_at_top ? 53 : 55}});
+  }
+  const SearchProblem prob = p2p(0, {10, 10}, std::nullopt, {54, 54}, std::nullopt);
+  for (const detail::CostMode mode : kAllModes) {
+    SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+    const auto r = detail::grid_search(grid, prob, mode);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_GT(r->expansions, detail::kPocketCheckAt);
+    expect_path_ok(*r, {10, 10}, {54, 54});
+  }
+  const auto unit = line_expansion_search(grid, prob);
+  const auto segm = segment_expansion_search(grid, prob);
+  ASSERT_TRUE(unit.has_value() && segm.has_value());
+  EXPECT_EQ(unit->cost.bends, segm->cost.bends);
+}
+
+TEST(PocketProof, OpenTargetPastTheCheckPointKeepsItsPath) {
+  // An open target whose search pops more than kPocketCheckAt states; the
+  // path, cost and expansion count are pinned from before the proof.
+  RoutingGrid grid = pocket_plane();
+  grid.block_rect({{20, 0}, {21, 50}});
+  grid.block_rect({{40, 13}, {41, 63}});
+  const geom::Point wire[] = {{0, 30}, {63, 30}};
+  grid.occupy_polyline(7, wire);
+  make_terminal(grid, {58, 20}, 0, geom::Dir::Left);
+  const auto r = line_expansion_search(
+      grid, p2p(0, {5, 5}, geom::Dir::Right, {58, 20}, geom::Dir::Left));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_GT(r->expansions, detail::kPocketCheckAt);
+  EXPECT_EQ(r->path, (std::vector<geom::Point>{{5, 5}, {19, 5}, {19, 51},
+                                                {39, 51}, {39, 12}, {57, 12},
+                                                {57, 20}, {58, 20}}));
+  EXPECT_EQ(r->cost.bends, 6);
+  EXPECT_EQ(r->cost.crossings, 2);
+  EXPECT_EQ(r->cost.length, 146);
+  EXPECT_EQ(r->expansions, 12487);
+}
+
 }  // namespace
 }  // namespace na
