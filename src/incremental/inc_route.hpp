@@ -13,9 +13,9 @@
 // the open terminals to it.  Adding one terminal to a global net is then a
 // local insertion near the new pin instead of a whole-plane re-search.
 //
-// The actual searching is the ordinary route_all driver (rip-up semantics
-// of route/ripup.cpp: surviving geometry acts as obstacles and as join
-// targets for its own net), so the patch pass inherits claimpoints and the
+// The actual searching is the ordinary route_all driver (surviving
+// geometry acts as obstacles and as join targets for its own net, as
+// prerouted nets do), so the patch pass inherits claimpoints and the
 // section-5.7 retry pass unchanged.
 #pragma once
 

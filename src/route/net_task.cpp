@@ -297,24 +297,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
 }
 
 std::vector<NetId> ordered_nets(const Diagram& dia, const RouterOptions& opt) {
-  auto order =
-      order_nets(dia, static_cast<NetOrderCriterion>(opt.order_criterion));
-  if (!opt.route_first.empty()) {
-    const int count = dia.network().net_count();
-    std::vector<NetId> prioritized;
-    std::vector<bool> is_first(count, false);
-    for (NetId n : opt.route_first) {
-      if (n >= 0 && n < count && !is_first[n]) {
-        is_first[n] = true;
-        prioritized.push_back(n);
-      }
-    }
-    for (NetId n : order) {
-      if (!is_first[n]) prioritized.push_back(n);
-    }
-    order = std::move(prioritized);
-  }
-  return order;
+  return order_nets(dia, static_cast<NetOrderCriterion>(opt.order_criterion));
 }
 
 void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,

@@ -66,8 +66,7 @@ void restore_claim(RoutingGrid& grid, const Diagram& dia,
 /// for a placed diagram (the common preamble of both drivers).
 DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt);
 
-/// Net processing order: the configured criterion with the route_first
-/// overrides applied.
+/// Net processing order: the configured criterion.
 std::vector<NetId> ordered_nets(const Diagram& dia, const RouterOptions& opt);
 
 /// Adds a net-task result to the diagram and the report (the grid was

@@ -89,10 +89,6 @@ struct RouterOptions {
   /// Net processing order (section 7 recommends studying this; see
   /// net_order.hpp for the available criteria).
   int order_criterion = 0;
-  /// Nets routed before everything else (in the given order), overriding
-  /// the criterion — used by the repair loop to give previously failed
-  /// nets first pick of the freed tracks.
-  std::vector<NetId> route_first;
   /// >= 0 enables windowed searches: each connection first searches inside
   /// the hull of its endpoints (or of the net's geometry) inflated by this
   /// many tracks, falling back to the full plane when that fails.  Faster

@@ -6,6 +6,7 @@
 #include "gen/chain.hpp"
 #include "gen/channel_gen.hpp"
 #include "gen/controller.hpp"
+#include "gen/facing.hpp"
 #include "gen/life.hpp"
 #include "gen/random_net.hpp"
 #include "schematic/validate.hpp"
@@ -153,6 +154,29 @@ TEST(ChannelGen, PinCounts) {
     if (v != ChannelTrunk::kNoNet) pins[v]++;
   }
   for (int n = 0; n < 12; ++n) EXPECT_GE(pins[n], 2) << "net " << n;
+}
+
+TEST(FacingGen, Structure) {
+  const gen::FacingOptions fopt{3, 6, 4, 2};
+  const Network net = gen::facing_pairs(fopt);
+  EXPECT_EQ(net.module_count(), 6);
+  EXPECT_EQ(net.net_count(), 18);
+  EXPECT_TRUE(net.validate().empty());
+  Diagram dia(net);
+  gen::facing_placement(dia, fopt);
+  EXPECT_TRUE(validate_diagram(dia).empty());
+  // The channel between facing modules is exactly `channel` tracks wide.
+  EXPECT_EQ(dia.module_rect(1).lo.x - dia.module_rect(0).hi.x - 1, fopt.channel);
+}
+
+TEST(FacingGen, SeedsPermuteDifferently) {
+  const Network a = gen::facing_pairs({1, 6, 4, 1});
+  const Network b = gen::facing_pairs({1, 6, 4, 2});
+  bool differ = false;
+  for (int n = 0; n < a.net_count() && !differ; ++n) {
+    differ = a.net(n).terms != b.net(n).terms;
+  }
+  EXPECT_TRUE(differ);
 }
 
 }  // namespace

@@ -216,18 +216,6 @@ TEST(RouteAll, SegmentEngineViaOptions) {
   EXPECT_TRUE(validate_diagram(dia, true).empty());
 }
 
-TEST(RouteAll, RouteFirstOverridesOrder) {
-  const gen::FacingOptions fopt{1, 4, 6, 2};
-  const Network net = gen::facing_pairs(fopt);
-  Diagram dia(net);
-  gen::facing_placement(dia, fopt);
-  RouterOptions opt;
-  opt.route_first = {3, 2};  // still routes everything, in a custom order
-  const RouteReport r = route_all(dia, opt);
-  EXPECT_EQ(r.nets_failed, 0);
-  EXPECT_TRUE(validate_diagram(dia, true).empty());
-}
-
 // --- rotated placement end to end ------------------------------------------------
 
 TEST(Pipeline, RotatedModulesRouteCleanly) {
