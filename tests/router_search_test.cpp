@@ -797,14 +797,22 @@ TEST(PocketProof, StartAndTargetInOnePocketStillRoute) {
   EXPECT_EQ(unit->cost.bends, segm->cost.bends);
 }
 
-TEST(PocketProof, OpenTargetPastTheCheckPointKeepsItsPath) {
-  // An open target whose search pops more than kPocketCheckAt states; the
-  // path, cost and expansion count are pinned from before the proof.
+/// pocket_plane() with two wall bars and a foreign wire to detour around:
+/// the searches below pop more than kPocketCheckAt states before they
+/// reach the far side.
+RoutingGrid detour_plane() {
   RoutingGrid grid = pocket_plane();
   grid.block_rect({{20, 0}, {21, 50}});
   grid.block_rect({{40, 13}, {41, 63}});
   const geom::Point wire[] = {{0, 30}, {63, 30}};
   grid.occupy_polyline(7, wire);
+  return grid;
+}
+
+TEST(PocketProof, OpenTargetPastTheCheckPointKeepsItsPath) {
+  // An open target whose search pops more than kPocketCheckAt states; the
+  // path, cost and expansion count are pinned from before the proof.
+  RoutingGrid grid = detour_plane();
   make_terminal(grid, {58, 20}, 0, geom::Dir::Left);
   const auto r = line_expansion_search(
       grid, p2p(0, {5, 5}, geom::Dir::Right, {58, 20}, geom::Dir::Left));
@@ -817,6 +825,46 @@ TEST(PocketProof, OpenTargetPastTheCheckPointKeepsItsPath) {
   EXPECT_EQ(r->cost.crossings, 2);
   EXPECT_EQ(r->cost.length, 146);
   EXPECT_EQ(r->expansions, 12487);
+
+  // A join with the same reach: open own geometry near that target.
+  const geom::Point own[] = {{55, 22}, {60, 22}};
+  grid.occupy_polyline(0, own);
+  SearchProblem join;
+  join.net = 0;
+  join.starts = {{{5, 5}, geom::Dir::Right}};
+  join.join_own_net = true;
+  const auto j = line_expansion_search(grid, join);
+  ASSERT_TRUE(j.has_value());
+  EXPECT_GT(j->expansions, detail::kPocketCheckAt);
+  const auto segm = segment_expansion_search(grid, join);
+  ASSERT_TRUE(segm.has_value());
+  EXPECT_EQ(j->cost.bends, segm->cost.bends);
+}
+
+TEST(PocketProof, JoinThroughACrossedDoorStillRoutes) {
+  // The net's geometry sits in a walled slot whose one door is crossed by a
+  // foreign wire: no turn is allowed in the door, so the walk must follow
+  // the moves backwards (into the door from above), not forwards, to see
+  // that the slot is open.
+  RoutingGrid grid = detour_plane();
+  grid.block_rect({{49, 49}, {49, 55}});
+  grid.block_rect({{51, 49}, {51, 55}});
+  grid.block({50, 49});
+  const geom::Point door_wire[] = {{44, 56}, {56, 56}};
+  grid.occupy_polyline(8, door_wire);
+  const geom::Point own[] = {{50, 50}, {50, 55}};
+  grid.occupy_polyline(0, own);
+  SearchProblem join;
+  join.net = 0;
+  join.starts = {{{5, 5}, geom::Dir::Right}};
+  join.join_own_net = true;
+  for (const detail::CostMode mode : kAllModes) {
+    SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode));
+    const auto r = detail::grid_search(grid, join, mode);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_GT(r->expansions, detail::kPocketCheckAt);
+    EXPECT_EQ(r->path.back(), (geom::Point{50, 55}));
+  }
 }
 
 }  // namespace
