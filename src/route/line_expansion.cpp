@@ -144,7 +144,8 @@ bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
     for (int y = own.lo.y; y <= own.hi.y && !open; ++y) {
       for (int x = own.lo.x; x <= own.hi.x && !open; ++x) {
         const RoutingGrid::Cell& cell = grid.cell({x, y});
-        if (cell.occupied_by(net) && cell.enterable(net) && cell.node_free(net)) {
+        if (cell.occupied_by(net) && cell.enterable(net) &&
+            cell.node_free(net)) {
           seed_into({x, y}, std::nullopt);
         }
       }
@@ -156,15 +157,20 @@ bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
     const geom::Point q = ix.point(state);
     const geom::Dir d = StateIndex::dir(state);
     const RoutingGrid::Cell& cell = grid.cell(q);
+    // The straight predecessor goes on the stack last, so the walk runs
+    // along lines first: a walk that is not sealed in meets the forward
+    // search's lines sooner (half the wasted steps on the LIFE figures).
+    if (cell.can_turn(net)) {
+      for (geom::Dir nd : geom::kAllDirs) {
+        if (geom::is_horizontal(nd) != geom::is_horizontal(d)) {
+          visit(ix.of(q, nd));
+        }
+      }
+    }
     const NetId along = geom::is_horizontal(d) ? cell.h : cell.v;
     if (cell.enterable(net) && along == kNone && !cell.occupied_by(net)) {
       const geom::Point p = q - geom::delta(d);
       if (ix.ext.contains(p)) visit(ix.of(p, d));
-    }
-    if (cell.can_turn(net)) {
-      for (geom::Dir nd : geom::kAllDirs) {
-        if (geom::is_horizontal(nd) != geom::is_horizontal(d)) visit(ix.of(q, nd));
-      }
     }
   }
   return !open;
@@ -247,7 +253,8 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
       ws->last_failure() = {expansions - 1, false};
       return std::nullopt;
     }
-    if (expansions == kPocketCheckAt && pocket_sealed(grid, prob, ix, visited, *ws)) {
+    if (expansions == kPocketCheckAt &&
+        pocket_sealed(grid, prob, ix, visited, *ws)) {
       ws->last_failure() = {expansions, true};
       return std::nullopt;
     }
