@@ -33,8 +33,8 @@ inline constexpr long kPocketCheckAt = 4096;
 inline constexpr long kPocketBudget = 4096;
 
 /// Runs the search; returns std::nullopt when no path exists (or the
-/// expansion budget is exhausted) and leaves the failed search's effort
-/// in the workspace's last_failure().  With a workspace the search reuses its
+/// expansion budget is exhausted) and leaves the failed search's effort in
+/// the workspace's last_failure().  With a workspace the search reuses its
 /// scratch arrays instead of allocating per call (identical results either
 /// way).
 std::optional<SearchResult> grid_search(const RoutingGrid& grid,
