@@ -63,16 +63,17 @@ RunResult run_one(const Network& net, const GeneratorOptions& opt,
 void print_result(const char* config, int modules, const RunResult& r) {
   const double total_ms = r.ms("place") + r.ms("route");
   const double mps = total_ms > 0 ? modules / total_ms * 1e3 : 0;
-  const double stitch_share =
-      r.shard_stats.nets_intra + r.shard_stats.nets_stitch > 0
-          ? static_cast<double>(r.shard_stats.nets_stitch) /
-                (r.shard_stats.nets_intra + r.shard_stats.nets_stitch)
-          : 0.0;
+  const int base = r.shard_stats.nets_intra + r.shard_stats.nets_stitch;
+  auto share = [base](int nets) {
+    return base > 0 ? 100.0 * nets / base : 0.0;
+  };
   std::printf(
       "%-28s %8d modules  place %8.1f ms  route %9.1f ms  validate %8.1f ms  "
-      "%8.0f mod/s  unrouted %d  stitch %4.1f%%  balance %.2f  rss %lld MB\n",
+      "%8.0f mod/s  unrouted %d  stitch %4.1f%%  residual %4.1f%%  "
+      "balance %.2f  rss %lld MB\n",
       config, modules, r.ms("place"), r.ms("route"), r.ms("validate.full"), mps,
-      r.report.nets_failed, stitch_share * 100, r.shard_stats.balance,
+      r.report.nets_failed, share(r.shard_stats.nets_stitch),
+      share(r.shard_stats.nets_residual), r.shard_stats.balance,
       obs::peak_rss_bytes() >> 20);
 }
 

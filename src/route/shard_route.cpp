@@ -1,6 +1,7 @@
 #include "route/shard_route.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "core/thread_pool.hpp"
@@ -33,8 +34,10 @@ struct ShardJob {
 /// function of (setup snapshot, dia, job.nets, opt) — safe to run
 /// concurrently with other shards, and byte-identical at any thread count.
 void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
-               const RouterOptions& opt, int shard_idx) {
+               const RouterOptions& opt, int tiling, int shard_idx) {
+  if (job.nets.empty()) return;  // no strip copy for an idle region
   NA_TRACE_SPAN(span, "route.shard");
+  span.arg("tiling", tiling);
   span.arg("shard", shard_idx);
   span.arg("nets", static_cast<long long>(job.nets.size()));
   RoutingGrid local = setup.grid.clipped(job.region);
@@ -60,21 +63,25 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
   }
 }
 
-/// Pass 1 over more than one region: shard jobs, their merge in shard
-/// order, then the stitch nets on the live plane.
-void route_sharded(Diagram& dia, const RouterOptions& opt,
-                   const ShardOptions& sopt,
-                   const std::vector<geom::Rect>& regions, DriverSetup& setup,
-                   const std::vector<NetId>& order, RouteReport& report,
-                   detail::SearchWorkspace& ws, ShardRouteStats* stats) {
+/// One sharded pass over a tiling (0: the strips, 1: the offset strips):
+/// assigns each of `nets` to the first region that holds it, routes the
+/// regions' jobs on `pool` (inline when null) and merges their results
+/// into the live plane in region order.  Returns the nets no region
+/// holds, in order; `region_nets`, when given, gets each region's count.
+std::vector<NetId> shard_pass(Diagram& dia, const RouterOptions& opt,
+                              const std::vector<geom::Rect>& regions,
+                              int tiling, const std::vector<NetId>& nets,
+                              DriverSetup& setup, ThreadPool* pool,
+                              RouteReport& report,
+                              std::vector<int>* region_nets) {
   // ----- assignment ----------------------------------------------------------
-  // A net belongs to shard s iff the hull of its pending terminals and its
+  // A net belongs to region s iff the hull of its pending terminals and its
   // prerouted geometry, inflated by one track (claimpoints sit one step
-  // outside a terminal), fits inside region s.  Everything else stitches.
+  // outside a terminal), fits inside region s.
   std::vector<ShardJob> jobs(regions.size());
   for (size_t s = 0; s < regions.size(); ++s) jobs[s].region = regions[s];
-  std::vector<NetId> stitch;
-  for (NetId n : order) {
+  std::vector<NetId> rest;
+  for (NetId n : nets) {
     if (setup.pending[n].empty()) continue;
     geom::Rect hull;
     for (TermId t : setup.pending[n]) hull = hull.hull(dia.term_pos(t));
@@ -82,44 +89,38 @@ void route_sharded(Diagram& dia, const RouterOptions& opt,
       for (geom::Point p : pl) hull = hull.hull(p);
     }
     const geom::Rect need = hull.expanded(1);
-    bool placed = false;
-    for (size_t s = 0; s < regions.size(); ++s) {
-      if (regions[s].contains(need)) {
-        jobs[s].nets.push_back(n);
-        placed = true;
-        break;
-      }
+    const auto it = std::find_if(regions.begin(), regions.end(),
+                                 [&](const geom::Rect& r) { return r.contains(need); });
+    if (it == regions.end()) {
+      rest.push_back(n);
+    } else {
+      jobs[static_cast<size_t>(it - regions.begin())].nets.push_back(n);
     }
-    if (!placed) stitch.push_back(n);
   }
 
-  // ----- shard pass ----------------------------------------------------------
+  // ----- jobs ----------------------------------------------------------------
   {
-    NA_TRACE_SPAN(span, "route.shard_pass");
+    NA_TRACE_SPAN(span, tiling == 0 ? "route.shard_pass" : "route.offset_pass");
     span.arg("shards", static_cast<long long>(jobs.size()));
-    span.arg("stitch_nets", static_cast<long long>(stitch.size()));
-    int threads = sopt.threads;
-    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min<int>(threads, static_cast<int>(jobs.size()));
-    if (threads > 1) {
-      span.arg("threads", threads);
-      ThreadPool pool(threads);
+    span.arg("rest", static_cast<long long>(rest.size()));
+    if (pool) {
+      span.arg("threads", pool->size());
       for (size_t s = 0; s < jobs.size(); ++s) {
-        pool.submit([&, s] {
-          run_shard(jobs[s], setup, dia, opt, static_cast<int>(s));
+        pool->submit([&, s] {
+          run_shard(jobs[s], setup, dia, opt, tiling, static_cast<int>(s));
         });
       }
-      pool.wait_idle();
+      pool->wait_idle();
     } else {
       for (size_t s = 0; s < jobs.size(); ++s) {
-        run_shard(jobs[s], setup, dia, opt, static_cast<int>(s));
+        run_shard(jobs[s], setup, dia, opt, tiling, static_cast<int>(s));
       }
     }
   }
 
-  // ----- merge (shard index order — deterministic) ---------------------------
+  // ----- merge (region order — deterministic) --------------------------------
   {
-    NA_TRACE_SCOPE("route.shard_merge");
+    NA_TRACE_SCOPE(tiling == 0 ? "route.shard_merge" : "route.offset_merge");
     for (ShardJob& job : jobs) {
       for (ShardNetResult& r : job.results) {
         setup.release_claims(r.net);
@@ -136,25 +137,57 @@ void route_sharded(Diagram& dia, const RouterOptions& opt,
     }
   }
 
-  // ----- stitch pass: boundary-spanning nets on the live plane ---------------
+  if (region_nets) {
+    for (const ShardJob& job : jobs) {
+      region_nets->push_back(static_cast<int>(job.nets.size()));
+    }
+  }
+  return rest;
+}
+
+/// Pass 1 over more than one strip: a sharded pass over the strips, a
+/// second over the offset strips for the nets that cross a cut (the
+/// stitch nets), then the residual sequentially on the live plane.
+void route_sharded(Diagram& dia, const RouterOptions& opt,
+                   const ShardOptions& sopt,
+                   const std::vector<geom::Rect>& regions, DriverSetup& setup,
+                   const std::vector<NetId>& order, RouteReport& report,
+                   detail::SearchWorkspace& ws, ShardRouteStats* stats) {
+  const std::vector<geom::Rect> offset = offset_regions(regions);
+  int threads = sopt.threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  threads = std::min<int>(threads, static_cast<int>(offset.size()));
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  ThreadPool* workers = pool ? &*pool : nullptr;
+
+  std::vector<int> shard_nets;
+  const std::vector<NetId> stitch = shard_pass(
+      dia, opt, regions, 0, order, setup, workers, report, &shard_nets);
+
+  // ----- stitch: the offset tiling, then the residual on the live plane ------
+  // Both search inside the halo window around the net's hull; a failed
+  // windowed search falls back to the whole offset strip or plane.
+  std::vector<NetId> residual;
   {
     NA_TRACE_SPAN(span, "route.stitch");
     span.arg("nets", static_cast<long long>(stitch.size()));
     RouterOptions stitch_opt = opt;
     stitch_opt.window_slack = std::max(sopt.halo, opt.window_slack);
-    detail::route_nets(dia, stitch_opt, setup, stitch, report, ws);
+    residual = shard_pass(dia, stitch_opt, offset, 1, stitch, setup, workers,
+                          report, nullptr);
+    span.arg("residual", static_cast<long long>(residual.size()));
+    detail::route_nets(dia, stitch_opt, setup, residual, report, ws);
   }
 
   if (stats) {
-    stats->shard_nets.reserve(jobs.size());
-    for (const ShardJob& job : jobs) {
-      stats->shard_nets.push_back(static_cast<int>(job.nets.size()));
-      stats->nets_intra += static_cast<int>(job.nets.size());
-    }
+    stats->shard_nets = std::move(shard_nets);
+    for (int count : stats->shard_nets) stats->nets_intra += count;
     stats->nets_stitch = static_cast<int>(stitch.size());
+    stats->nets_residual = static_cast<int>(residual.size());
     if (stats->nets_intra > 0) {
-      const double mean =
-          static_cast<double>(stats->nets_intra) / static_cast<double>(jobs.size());
+      const double mean = static_cast<double>(stats->nets_intra) /
+                          static_cast<double>(stats->shard_nets.size());
       const int peak =
           *std::max_element(stats->shard_nets.begin(), stats->shard_nets.end());
       stats->balance = static_cast<double>(peak) / mean;
@@ -176,6 +209,22 @@ std::vector<geom::Rect> shard_regions(geom::Rect area, int shards) {
     const int x1 = area.lo.x + static_cast<int>(static_cast<long long>(cols) * (i + 1) / n) - 1;
     out.push_back({{x0, area.lo.y}, {x1, area.hi.y}});
   }
+  return out;
+}
+
+std::vector<geom::Rect> offset_regions(const std::vector<geom::Rect>& strips) {
+  std::vector<geom::Rect> out;
+  if (strips.empty()) return out;
+  const geom::Rect& first = strips.front();
+  int x0 = first.lo.x;
+  for (const geom::Rect& s : strips) {
+    // Cut at the strip's midpoint column; a strip one column wide has none.
+    const int mid = s.lo.x + (s.width() + 1) / 2;
+    if (mid == s.lo.x) continue;
+    out.push_back({{x0, first.lo.y}, {mid - 1, first.hi.y}});
+    x0 = mid;
+  }
+  out.push_back({{x0, first.lo.y}, {strips.back().hi.x, first.hi.y}});
   return out;
 }
 

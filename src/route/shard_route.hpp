@@ -10,13 +10,19 @@
 // index order, so any thread count produces a byte-identical diagram and
 // report for a fixed shard count.
 //
-// Nets spanning a shard boundary are *stitch* nets: they are routed after
-// the merge, sequentially on the live plane, with a halo search window
-// (the hull of the net inflated by `halo` tracks, full-plane fallback) —
-// the cross-shard stitch protocol.  A windowed search indexes its state
-// over the window, so a stitch search touches O(window) state even on
-// the live plane; only a fallback search pays O(plane).  Claimpoints are
-// kept per net, so the merge replays and releases only each net's own.
+// Nets spanning a cut are *stitch* nets.  After the merge they go through
+// a second sharded pass over the *offset* strips, whose cuts sit at the
+// first strips' midpoints: a net that crosses one cut of the first tiling
+// usually lies inside one offset strip.  That pass reads the merged live
+// plane and searches inside a halo window (the hull of the net inflated by
+// `halo` tracks, falling back to the whole strip), because an unwindowed
+// search floods the strip.  Its jobs run on the same pool and merge in
+// strip order.  The *residual* — nets neither tiling holds — is routed
+// sequentially on the live plane with the same halo window and a
+// full-plane fallback.  A windowed search indexes its state over the
+// window, so a residual search touches O(window) state even on the live
+// plane; only a fallback search pays O(plane).  Claimpoints are kept per
+// net, so a merge replays and releases only each net's own.
 // The section-5.7 retry pass and the report accounting are shared with
 // route_all.
 //
@@ -34,8 +40,9 @@ struct ShardOptions {
   /// Number of vertical region shards the plane is cut into (<= 1 routes
   /// sequentially on the whole plane).
   int shards = 1;
-  /// Stitch-pass search window slack in tracks around a stitch net's hull
-  /// (full-plane fallback when the windowed search fails).
+  /// Search window slack in tracks around a stitch net's hull, in the
+  /// offset pass (whole-strip fallback) and the residual pass (full-plane
+  /// fallback).
   int halo = 16;
   /// Worker threads for the shard jobs: 1 runs them inline in shard
   /// order, 0 uses the hardware concurrency.  Byte-identical output at
@@ -48,7 +55,8 @@ struct ShardOptions {
 struct ShardRouteStats {
   std::vector<int> shard_nets;  ///< nets assigned to each shard
   int nets_intra = 0;           ///< nets routed inside one shard
-  int nets_stitch = 0;          ///< boundary-spanning nets (halo pass)
+  int nets_stitch = 0;          ///< nets crossing a cut of the strips
+  int nets_residual = 0;        ///< stitch nets no offset strip holds
   /// max(shard_nets) / mean(shard_nets); 1.0 is a perfectly even split.
   double balance = 1.0;
 };
@@ -57,6 +65,12 @@ struct ShardRouteStats {
 /// `shards` rects covering `area` exactly, widths differing by at most
 /// one column.  Exposed for tests and the scale bench.
 std::vector<geom::Rect> shard_regions(geom::Rect area, int shards);
+
+/// The offset tiling of `strips` (adjacent, left to right): cut at each
+/// strip's midpoint column, so n strips give n+1, with half-width strips
+/// at both ends.  A strip one column wide has no midpoint and is not cut,
+/// so no offset strip is empty.
+std::vector<geom::Rect> offset_regions(const std::vector<geom::Rect>& strips);
 
 /// Routes every unrouted net of a placed diagram in place, sharded.
 RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
