@@ -1,7 +1,8 @@
 # Span-rollup check, run as the `cli_stats` ctest: `--stats json` reports
 # phase times as span.<name>.* rows from the span rollup, and the deleted
 # hand timers stay gone.  In a -DNA_TRACE=OFF build nothing is recorded,
-# so no span row may appear.
+# so no span row may appear.  A trace file that cannot be written fails
+# the run with a one-line na[obs] message on stderr.
 #
 # Usage: cmake -DNET2ART=<exe> -DREGEN=<exe> -DTRACE=<ON|OFF>
 #              -DOUT_DIR=<dir> -P cli_stats.cmake
@@ -42,6 +43,22 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 run_stats(net2art_out "${NET2ART}" --synth grid:4 --stats json
           -o "${OUT_DIR}/cli_stats")
 run_stats(regen_out "${REGEN}" --stats json)
+# A trace path in a missing directory: exit 1, and say why on stderr.
+execute_process(COMMAND "${NET2ART}" --synth grid:4
+                        --trace "${OUT_DIR}/cli_stats_missing/t.json"
+                        --stats json -o "${OUT_DIR}/cli_stats"
+                RESULT_VARIABLE bad_rc
+                OUTPUT_VARIABLE bad_out
+                ERROR_VARIABLE bad_err
+                TIMEOUT 120)
+if(NOT bad_rc STREQUAL "1")
+  list(APPEND failures "--trace into a missing directory exited ${bad_rc}, not 1")
+endif()
+string(FIND "${bad_err}" "na[obs] cannot write trace file" at)
+if(at EQUAL -1)
+  list(APPEND failures "no 'na[obs] cannot write trace file' on stderr: ${bad_err}")
+endif()
+
 expect_no_key("${net2art_out}" "generate.")
 expect_no_key("${regen_out}" "regen.validate")
 if(TRACE)
