@@ -110,7 +110,7 @@ int main() {
     // A/B at 10k: the same workload on the single-shard sequential driver.
     if (tier.modules == 10000) {
       const char* base_cfg = "mesh10000 shards=1 (base)";
-      const RunResult baseline = run_one(net, opt, ShardOptions{1, 16, 1}, base_cfg);
+      const RunResult baseline = run_one(net, opt, ShardOptions{1, 1}, base_cfg);
       print_result(base_cfg, net.module_count(), baseline);
       std::printf("10k speedup (route wall-clock): %.2fx\n",
                   baseline.ms("route") / sharded.ms("route"));

@@ -1,8 +1,5 @@
 #include "geom/polyline.hpp"
 
-#include <algorithm>
-#include <optional>
-
 namespace na::geom {
 
 std::vector<Polyline> split_polyline(
@@ -21,47 +18,6 @@ std::vector<Polyline> split_polyline(
     }
   }
   if (!run.empty()) out.push_back(std::move(run));
-  return out;
-}
-
-namespace {
-
-/// Clamps an axis-parallel segment to `rect`.  Returns the clipped segment
-/// (possibly degenerate) or nothing when the segment misses the rectangle.
-std::optional<Segment> clip_segment(const Segment& seg, const Rect& rect) {
-  if (!seg.bounds().overlaps(rect)) return std::nullopt;
-  Segment c = seg;
-  c.a.x = std::clamp(c.a.x, rect.lo.x, rect.hi.x);
-  c.a.y = std::clamp(c.a.y, rect.lo.y, rect.hi.y);
-  c.b.x = std::clamp(c.b.x, rect.lo.x, rect.hi.x);
-  c.b.y = std::clamp(c.b.y, rect.lo.y, rect.hi.y);
-  return c;
-}
-
-}  // namespace
-
-std::vector<Polyline> clip_polyline(const Polyline& pl, const Rect& rect) {
-  std::vector<Polyline> out;
-  if (pl.size() < 2 || rect.empty()) return out;
-  Polyline run;
-  for (size_t i = 0; i + 1 < pl.size(); ++i) {
-    const auto clipped = clip_segment({pl[i], pl[i + 1]}, rect);
-    if (!clipped || clipped->degenerate()) {
-      // Outside, or only touching: a degenerate clip carries no segment —
-      // flush whatever run is open.  (A corner point shared by two kept
-      // segments is re-added by the next kept segment.)
-      if (run.size() >= 2) out.push_back(std::move(run));
-      run.clear();
-      continue;
-    }
-    if (run.empty() || run.back() != clipped->a) {
-      if (run.size() >= 2) out.push_back(std::move(run));
-      run.clear();
-      run.push_back(clipped->a);
-    }
-    run.push_back(clipped->b);
-  }
-  if (run.size() >= 2) out.push_back(std::move(run));
   return out;
 }
 

@@ -1,16 +1,11 @@
-// Orthogonal polyline chains: splitting and clipping.
+// Orthogonal polyline chains: walking their cells and splitting them.
 //
-// Routed nets are stored as corner-point chains.  Two consumers need to
-// take such a chain apart:
-//   * the incremental patch router keeps the clean runs of a polyline
-//     whose middle crosses a dirty region — split_polyline cuts at
-//     segment granularity, so every cut lands on an existing corner (a
-//     node the net already owned, which no other net may touch — the new
-//     endpoints stay safe under the validator's node-contact rule);
-//   * the sharded router attributes stitch-net geometry to region shards
-//     — clip_polyline cuts segments exactly at a rectangle's boundary
-//     (pure accounting; clipped pieces are never re-committed as
-//     geometry).
+// Routed nets are stored as corner-point chains.  The incremental patch
+// router keeps the clean runs of a polyline whose middle crosses a dirty
+// region: split_polyline cuts at segment granularity, so every cut lands
+// on an existing corner (a node the net already owned, which no other net
+// may touch — the new endpoints stay safe under the validator's
+// node-contact rule).
 #pragma once
 
 #include <functional>
@@ -50,10 +45,5 @@ void for_each_cell(const Polyline& pl, F&& f) {
 /// points yields nothing.
 std::vector<Polyline> split_polyline(const Polyline& pl,
                                      const std::function<bool(const Segment&)>& keep);
-
-/// The sub-chains of `pl` inside `rect`.  Segments crossing the boundary
-/// are cut at it (introducing non-corner cut points), segments fully
-/// outside are dropped.  Degenerate single-point pieces are dropped.
-std::vector<Polyline> clip_polyline(const Polyline& pl, const Rect& rect);
 
 }  // namespace na::geom

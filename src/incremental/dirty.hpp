@@ -31,9 +31,9 @@ struct DirtyInfo {
   int dirty_modules = 0;
   int dirty_partitions = 0;
 
-  /// Share of partitions invalidated — the fallback criterion: above the
-  /// threshold (RegenOptions::max_dirty_fraction, default 0.5) a full
-  /// re-place is cheaper and better than patching.
+  /// Share of partitions invalidated — the fallback criterion: above one
+  /// half (a constant in session.cpp) a full re-place is cheaper and
+  /// better than patching.
   double dirty_fraction() const {
     return partition_dirty.empty()
                ? 1.0

@@ -19,6 +19,11 @@
 namespace na {
 namespace {
 
+/// Fallback rule, part 1: an edit that dirties more than this share of the
+/// partitions is re-placed in full, which is cheaper and better than
+/// patching.
+constexpr double kMaxDirtyFraction = 0.5;
+
 /// Copies placement and routing of `src` onto a diagram over `net` — the
 /// session's own network copy.  Ids must correspond 1:1 (same build order).
 Diagram clone_onto(const Network& net, const Diagram& src) {
@@ -400,7 +405,7 @@ const Diagram& RegenSession::update(const Network& next) {
   // Fallback rule, part 1: edit too large for patching.
   const DirtyInfo dirty = map_dirty(diff, *net_, next, info_);
   if (next.module_count() == 0 ||
-      dirty.dirty_fraction() > opt_.max_dirty_fraction) {
+      dirty.dirty_fraction() > kMaxDirtyFraction) {
     full_regen(next);
     return *dia_;
   }

@@ -3,8 +3,8 @@
 // talks to.  It owns the cached network copy, diagram and partition
 // structure, and turns each edited Network handed to update() into a new
 // diagram by diffing, patching placement, and patch-routing — falling back
-// to a full regeneration when the edit is too large (dirty-partition share
-// above `max_dirty_fraction`), the frozen placement becomes infeasible, or
+// to a full regeneration when the edit is too large (more than half the
+// partitions dirty), the frozen placement becomes infeasible, or
 // the patched diagram fails the geometric validity check.
 //
 //   RegenSession session(options);
@@ -51,9 +51,6 @@ struct RegenCounters {
 
 struct RegenOptions {
   GeneratorOptions generator;
-  /// Fallback rule, part 1: full re-place when more than this share of
-  /// partitions is dirtied by the edit.
-  double max_dirty_fraction = 0.5;
   /// Check every patched result against the drawing rules and fall back to
   /// a full regeneration when it reports problems.  The check is region-
   /// scoped (validate_region over the patch's dirty hull, escalating to a

@@ -64,8 +64,6 @@ struct Module {
 struct Net {
   std::string name;
   std::vector<TermId> terms;
-
-  bool is_multipoint() const { return terms.size() > 2; }
 };
 
 /// An immutable-after-build electrical network.

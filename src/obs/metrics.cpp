@@ -169,14 +169,6 @@ const MetricValue* MetricsRegistry::find(std::string_view name) const {
   return nullptr;
 }
 
-const HistogramData* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  for (const HistEntry& e : histograms_) {
-    if (e.name == name) return &e.data;
-  }
-  return nullptr;
-}
-
 std::string MetricsRegistry::to_text() const {
   size_t width = 0;
   for (const Entry& e : entries_) width = std::max(width, e.name.size());

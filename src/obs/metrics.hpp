@@ -97,7 +97,6 @@ class MetricsRegistry {
   size_t size() const { return entries_.size(); }
   /// Lookup for tests; nullptr when absent.
   const MetricValue* find(std::string_view name) const;
-  const HistogramData* find_histogram(std::string_view name) const;
 
   /// Aligned `name  value` lines; histograms render one summary line each
   /// (count plus ms quantiles, assuming microsecond values).

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/diag.hpp"
 #include "obs/trace.hpp"
 
 namespace na::obs {
@@ -27,9 +26,9 @@ bool g_began = false;
 void obs_begin(const ObsOptions& opt) {
   if (opt.trace_path.empty() && opt.stats == ObsOptions::Stats::kOff) return;
   if (!opt.trace_path.empty() && !trace_compiled_in()) {
-    diagf("obs", kDiagDefaultLimit,
-          "--trace requested but tracing was compiled out (NA_TRACE=OFF); "
-          "the trace file will contain no events");
+    std::fprintf(stderr,
+                 "na[obs] --trace requested but tracing was compiled out "
+                 "(NA_TRACE=OFF); the trace file will contain no events\n");
   }
   trace_enable();
   g_began = true;
@@ -42,18 +41,15 @@ bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg) {
     if (trace_write(opt.trace_path)) {
       std::fprintf(stderr, "na[obs] wrote trace %s\n", opt.trace_path.c_str());
     } else {
-      diagf("obs", kDiagDefaultLimit, "cannot write trace file '%s'",
-            opt.trace_path.c_str());
+      std::fprintf(stderr, "na[obs] cannot write trace file '%s'\n",
+                   opt.trace_path.c_str());
       ok = false;
     }
   }
   if (opt.stats == ObsOptions::Stats::kOff) return ok;
-  // Emit a copy extended with the span rollup and the diagnostics
-  // counters: categories that fired show up as diag.lines.<cat>/
-  // diag.suppressed.<cat>, so rate-limited warnings stay visible.
+  // Emit a copy extended with the span rollup.
   MetricsRegistry out = reg;
   if (g_began) absorb(out, span_rollup(trace_events()));
-  diag_absorb(out);
   switch (opt.stats) {
     case ObsOptions::Stats::kOff:
       break;

@@ -34,9 +34,8 @@ void obs_begin(const ObsOptions& opt);
 
 /// Writes the trace file (when requested) and emits the registry to
 /// stdout in the chosen format, with the span rollup of what obs_begin
-/// recorded (span.<name>.*) and the diag.lines.* / diag.suppressed.*
-/// counters of every diagnostic category that fired.  Returns false when
-/// the trace file could not be written (after printing a diagnostic).
+/// recorded (span.<name>.*).  Returns false when the trace file could not
+/// be written (after saying so on stderr).
 bool obs_finish(const ObsOptions& opt, const MetricsRegistry& reg);
 
 /// Usage snippet for the examples' help text.

@@ -21,7 +21,7 @@ struct Event {
   const char* name;
   std::uint64_t ts;
   std::uint64_t dur;
-  char ph;  // 'X' or 'i'
+  char ph;  // 'X' or 'C'
   std::uint8_t nargs;
   TraceArg args[kMaxTraceArgs] = {};
 };
@@ -162,8 +162,6 @@ void append_event_json(std::string& out, const TraceEventView& e) {
   if (e.ph == 'X') {
     out += ",\"dur\":";
     append_us(out, e.dur);
-  } else if (e.ph == 'i') {
-    out += ",\"s\":\"t\"";  // thread-scoped instant
   }  // counters ('C') carry only their args
   std::snprintf(buf, sizeof buf, ",\"pid\":1,\"tid\":%d", e.tid);
   out += buf;
@@ -207,13 +205,6 @@ void record_complete(const char* name, std::uint64_t ts, std::uint64_t dur,
                      const TraceArg* args, int nargs) {
   ThreadBuffer& buf = local_buffer();
   Event e{name, ts, dur, 'X', static_cast<std::uint8_t>(nargs), {}};
-  for (int i = 0; i < nargs && i < kMaxTraceArgs; ++i) e.args[i] = args[i];
-  push_event(buf, e);
-}
-
-void record_instant(const char* name, const TraceArg* args, int nargs) {
-  ThreadBuffer& buf = local_buffer();
-  Event e{name, now_ns(), 0, 'i', static_cast<std::uint8_t>(nargs), {}};
   for (int i = 0; i < nargs && i < kMaxTraceArgs; ++i) e.args[i] = args[i];
   push_event(buf, e);
 }

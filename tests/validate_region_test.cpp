@@ -535,7 +535,7 @@ Diagram routed_mesh_with_spare(const Network& net) {
   place(dia, popt);
   RouterOptions ropt;
   ropt.margin = 6;
-  shard_route_all(dia, ropt, ShardOptions{4, 16, 1});
+  shard_route_all(dia, ropt, ShardOptions{4, 1});
   return dia;
 }
 
