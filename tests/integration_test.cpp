@@ -11,10 +11,16 @@
 #include "gen/chain.hpp"
 #include "gen/controller.hpp"
 #include "gen/life.hpp"
+#include "gen/random_net.hpp"
+#include "gen/synth.hpp"
 #include "netlist/netlist_io.hpp"
+#include "place/columnar.hpp"
+#include "place/epitaxial.hpp"
+#include "place/mincut.hpp"
 #include "route/net_order.hpp"
 #include "route/net_task.hpp"
 #include "schematic/ascii_writer.hpp"
+#include "schematic/eps_writer.hpp"
 #include "schematic/escher_writer.hpp"
 #include "schematic/svg_writer.hpp"
 #include "schematic/validate.hpp"
@@ -262,6 +268,94 @@ TEST(Pipeline, LeeLifeMatchesPinnedDigest) {
   EXPECT_EQ(report.total_expansions, 2632309);
   EXPECT_EQ(bends, 420);
   EXPECT_EQ(crossings, 1692);
+}
+
+TEST(Pipeline, WritersMatchPinnedDigests) {
+  // The SVG and EPS writers' bytes on the fig 6.1 and fig 6.7 diagrams:
+  // scale, margin, palette, labels and terminal marks are all pinned here.
+  struct Figure {
+    const char* name;
+    Network net;
+    GeneratorOptions opt;
+    std::uint64_t svg;
+    std::uint64_t eps;
+  };
+  const Figure figures[] = {
+      {"fig6.1", gen::chain_network({}), bench::fig61_options(),
+       0xaa4a1b63bb9031f4ull, 0x5f7abe3bd91c40ecull},
+      {"fig6.7", gen::life_network(), bench::fig67_options(),
+       0x9f9a1ceecc66466cull, 0x19ded45cd0d2f0caull},
+  };
+  for (const Figure& f : figures) {
+    const Diagram dia = generate_diagram(f.net, f.opt);
+    const std::uint64_t svg = fnv1a(to_svg(dia));
+    const std::uint64_t eps = fnv1a(to_eps(dia));
+    EXPECT_EQ(svg, f.svg) << f.name << std::hex << " svg 0x" << svg;
+    EXPECT_EQ(eps, f.eps) << f.name << std::hex << " eps 0x" << eps;
+  }
+}
+
+TEST(Pipeline, PlacementBaselinesMatchPinnedDigests) {
+  // The min-cut, columnar and epitaxial placers' ESCHER bytes on the
+  // controller network: their spacing, sweep and pass counts are pinned.
+  const Network net = gen::controller_network();
+  struct Baseline {
+    const char* name;
+    void (*place)(Diagram&);
+    std::uint64_t digest;
+  };
+  const Baseline baselines[] = {
+      {"mincut", [](Diagram& d) { mincut_place(d); }, 0x3e83ff980d17458bull},
+      {"columnar", [](Diagram& d) { columnar_place(d); }, 0x098ccedca34abb15ull},
+      {"epitaxial", [](Diagram& d) { epitaxial_place(d); }, 0x0ffcfd7f12b1ea3eull},
+  };
+  for (const Baseline& b : baselines) {
+    Diagram dia(net);
+    b.place(dia);
+    const std::uint64_t digest = fnv1a(to_escher_diagram(dia, b.name));
+    EXPECT_EQ(digest, b.digest) << b.name << std::hex << " digest 0x" << digest;
+  }
+}
+
+/// FNV-1a of a network's three Appendix-A files, concatenated.
+std::uint64_t netlist_digest(const Network& net) {
+  const NetlistFiles f = write_network(net);
+  return fnv1a(f.call_file + f.io_file + f.netlist_file);
+}
+
+TEST(Pipeline, GeneratedNetworksMatchPinnedDigests) {
+  // The random and synthetic generators' netlists, system terminals and
+  // fan-out included.
+  const std::uint64_t random_pins[] = {0x881e1dc90278337cull,
+                                       0x034e0e3705eee7aeull,
+                                       0x9eb047c1910e2b75ull};
+  for (std::uint32_t seed = 41; seed <= 43; ++seed) {
+    gen::RandomNetOptions o;
+    o.modules = 24;
+    o.extra_nets = 10;
+    o.seed = seed;
+    const std::uint64_t digest = netlist_digest(gen::random_network(o));
+    EXPECT_EQ(digest, random_pins[seed - 41])
+        << "seed " << seed << std::hex << " digest 0x" << digest;
+  }
+  struct Synth {
+    gen::SynthTopology topology;
+    int modules;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  for (const Synth& s : {Synth{gen::SynthTopology::RandomDag, 300, 5,
+                               0xe294b18f30c200daull},
+                         Synth{gen::SynthTopology::GridMesh, 200, 3,
+                               0x2bde44e4ec875b5bull}}) {
+    gen::SynthOptions o;
+    o.topology = s.topology;
+    o.modules = s.modules;
+    o.seed = s.seed;
+    const std::uint64_t digest = netlist_digest(gen::synth_network(o));
+    EXPECT_EQ(digest, s.digest)
+        << gen::to_string(s.topology) << std::hex << " digest 0x" << digest;
+  }
 }
 
 TEST(Options, PabloFlags) {
