@@ -21,18 +21,12 @@ namespace {
 using namespace na;
 using namespace na::bench;
 
-RegenOptions life_session_options() {
-  RegenOptions opt;
-  opt.generator = fig67_options();
-  return opt;
-}
-
 /// The routed hand-placed LIFE diagram every LIFE scenario starts from.
 const Diagram& life_baseline() {
   static const Diagram dia = [] {
     Diagram d(life_net());
     gen::life_hand_placement(d);
-    route_all(d, life_session_options().generator.router);
+    route_all(d, fig67_options().router);
     require_valid(d, "LIFE baseline");
     return d;
   }();
@@ -84,7 +78,7 @@ void keep_best(Timing& best, const std::vector<obs::SpanStats>& spans) {
 Timing time_life_incremental(const Network& edited) {
   Timing best;
   for (int rep = 0; rep < 5; ++rep) {
-    RegenSession session(life_session_options());
+    RegenSession session(fig67_options());
     session.adopt(life_net(), life_baseline());
     keep_best(best, traced([&] {
                 NA_TRACE_SCOPE("bench.update");
@@ -107,8 +101,7 @@ Timing time_life_full(const Network& edited) {
                 NA_TRACE_SCOPE("bench.update");
                 gen::life_hand_placement(dia);
                 best.counters.nets_rerouted =
-                    generate(dia, life_session_options().generator)
-                        .route.nets_routed;
+                    generate(dia, fig67_options()).route.nets_routed;
               }));
     require_valid(dia, "from-scratch LIFE regen");
   }
@@ -135,7 +128,7 @@ void BM_LifeRepin_Incremental(benchmark::State& state) {
   int rerouted = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    RegenSession session(life_session_options());
+    RegenSession session(fig67_options());
     session.adopt(life_net(), life_baseline());
     state.ResumeTiming();
     session.update(edited);
@@ -149,7 +142,7 @@ void BM_LifeRepin_FullRegen(benchmark::State& state) {
   for (auto _ : state) {
     Diagram dia(edited);
     gen::life_hand_placement(dia);
-    benchmark::DoNotOptimize(route_all(dia, life_session_options().generator.router));
+    benchmark::DoNotOptimize(route_all(dia, fig67_options().router));
   }
 }
 
@@ -160,9 +153,9 @@ void BM_DatapathAddModule_Incremental(benchmark::State& state) {
   ed.add_module_terminal("probe", "i", TermType::In, {0, 2});
   ed.connect("b7_acc", "probe", "i");
   const Network edited = ed.build();
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 5;
-  opt.generator.placer.max_box_size = 3;
+  GeneratorOptions opt;
+  opt.placer.max_part_size = 5;
+  opt.placer.max_box_size = 3;
   int rerouted = 0;
   for (auto _ : state) {
     state.PauseTiming();

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/figures.hpp"
 #include "core/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,59 +17,18 @@
 #include "gen/controller.hpp"
 #include "gen/life.hpp"
 #include "gen/random_net.hpp"
-#include "route/net_order.hpp"
 #include "schematic/validate.hpp"
 
 namespace na::bench {
 
-/// The generator settings used for each of the paper's figures.
-inline GeneratorOptions fig61_options() {
-  GeneratorOptions opt;  // one partition, one string
-  opt.placer.max_part_size = 7;
-  opt.placer.max_box_size = 7;
-  return opt;
-}
-
-inline GeneratorOptions fig62_options() {
-  GeneratorOptions opt;  // -p 1 -b 1 (pure clustering)
-  opt.placer.max_part_size = 1;
-  opt.placer.max_box_size = 1;
-  opt.router.margin = 6;
-  return opt;
-}
-
-inline GeneratorOptions fig63_options() {
-  GeneratorOptions opt;  // -p 5 -b 1 (functional partitions, no strings)
-  opt.placer.max_part_size = 5;
-  opt.placer.max_box_size = 1;
-  opt.placer.max_connections = 8;
-  opt.router.margin = 6;
-  return opt;
-}
-
-inline GeneratorOptions fig64_options() {
-  GeneratorOptions opt;  // -p 7 -b 5 (partitions of strings)
-  opt.placer.max_part_size = 7;
-  opt.placer.max_box_size = 5;
-  opt.router.margin = 6;
-  return opt;
-}
-
-inline GeneratorOptions life_router_options() {
-  GeneratorOptions opt;
-  opt.router.margin = 12;
-  opt.router.order_criterion = static_cast<int>(NetOrderCriterion::LongestFirst);
-  return opt;
-}
-
-inline GeneratorOptions fig67_options() {
-  GeneratorOptions opt = life_router_options();  // automatic LIFE placement
-  opt.placer.max_part_size = 3;                  // one partition per cell
-  opt.placer.max_box_size = 3;
-  opt.placer.module_spacing = 1;
-  opt.placer.partition_spacing = 2;
-  return opt;
-}
+/// The paper's figure settings (core/figures.hpp), under their bench
+/// names.
+using na::fig61_options;
+using na::fig62_options;
+using na::fig63_options;
+using na::fig64_options;
+using na::fig67_options;
+using na::life_router_options;
 
 /// Aborts the bench when a reconstructed workload drifts from the paper's
 /// published size — the tables are meaningless otherwise.

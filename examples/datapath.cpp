@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
       std::cout << "PROBLEM: " << p << '\n';
       rc = 1;
     }
-    std::ofstream svg(out_dir + "/datapath_" + cfg.name + ".svg");
-    write_svg(svg, dia);
+    std::ofstream(out_dir + "/datapath_" + cfg.name + ".svg") << to_svg(dia);
   }
   std::cout << "SVGs written to " << out_dir << '\n';
   return rc;

@@ -14,12 +14,12 @@
 #include <iostream>
 #include <span>
 
+#include "core/figures.hpp"
 #include "core/generator.hpp"
 #include "core/options.hpp"
 #include "gen/life.hpp"
 #include "obs/stats_absorb.hpp"
 #include "obs/trace.hpp"
-#include "route/net_order.hpp"
 #include "schematic/metrics.hpp"
 #include "schematic/svg_writer.hpp"
 #include "schematic/validate.hpp"
@@ -53,19 +53,9 @@ int main(int argc, char** argv) {
   auto run = [&](const char* title, const char* file, bool hand_placed,
                  const char* prefix) {
     Diagram dia(net);
-    GeneratorOptions opt;
-    if (hand_placed) {
-      gen::life_hand_placement(dia);
-    } else {
-      opt.placer.max_part_size = 3;  // one partition per LIFE cell
-      opt.placer.max_box_size = 3;
-      opt.placer.module_spacing = 1;
-      opt.placer.partition_spacing = 2;
-    }
-    // A dense diagram needs ring space for the wrap-around nets, and long
-    // nets routed first (the ordering criterion section 7 recommends).
-    opt.router.margin = 12;
-    opt.router.order_criterion = static_cast<int>(NetOrderCriterion::LongestFirst);
+    if (hand_placed) gen::life_hand_placement(dia);
+    const GeneratorOptions opt =
+        hand_placed ? life_router_options() : fig67_options();
     const size_t first_event = obs::trace_events().size();
     const GeneratorResult result = generate(dia, opt);
     const std::vector<obs::TraceEventView> events = obs::trace_events();
@@ -89,8 +79,7 @@ int main(int argc, char** argv) {
     obs::absorb(one, spans);
     reg.merge_prefixed(one, prefix);
 
-    std::ofstream svg(out_dir + "/" + file);
-    write_svg(svg, dia);
+    std::ofstream(out_dir + "/" + file) << to_svg(dia);
     std::cout << "wrote " << out_dir << "/" << file << "\n\n";
   };
 

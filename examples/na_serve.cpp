@@ -30,15 +30,11 @@ void usage(const char* argv0) {
       "                    (default 2)\n"
       "  --state-dir PATH  session save/restore directory (default: off)\n"
       "  --max-line N      request line cap in bytes (default 1 MiB)\n"
-      "  --max-in-flight N pipelined-request cap per connection "
-      "(default 128)\n"
       "  --flight-recorder N  keep tracing always on in bounded memory:\n"
       "                    every thread retains its last N trace events in\n"
       "                    a ring; SIGUSR1 dumps them (see --flight-dump)\n"
       "  --flight-dump PATH  where a SIGUSR1 dump lands (default\n"
       "                    na_flight.json)\n"
-      "  --watchdog-ms N   event-loop lag probe interval (0 = off;\n"
-      "                    default 1000)\n"
       "  --stats text|json|off  emit service counters on exit\n"
       "                    (default off)\n",
       argv0);
@@ -103,12 +99,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr || !int_arg(s, "--max-line", 64, 1L << 28, &v)) return 2;
       opt.max_line = static_cast<size_t>(v);
-    } else if (flag == "--max-in-flight") {
-      const char* s = next();
-      if (s == nullptr || !int_arg(s, "--max-in-flight", 1, 1L << 20, &v)) {
-        return 2;
-      }
-      opt.max_in_flight = static_cast<size_t>(v);
     } else if (flag == "--flight-recorder") {
       const char* s = next();
       if (s == nullptr || !int_arg(s, "--flight-recorder", 16, 1L << 24, &v)) {
@@ -119,12 +109,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr) return 2;
       opt.flight_dump_path = s;
-    } else if (flag == "--watchdog-ms") {
-      const char* s = next();
-      if (s == nullptr || !int_arg(s, "--watchdog-ms", 0, 1L << 24, &v)) {
-        return 2;
-      }
-      opt.watchdog_ms = static_cast<int>(v);
     } else if (flag == "--stats") {
       const char* s = next();
       if (s == nullptr) return 2;

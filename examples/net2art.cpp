@@ -10,6 +10,8 @@
 // unknown templates can be supplied as Appendix-B descriptions via
 // `-lib <file>` (one module per file, repeatable).  `--synth` replaces the
 // input files with a seeded synthetic network (topology: grid, torus, dag).
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,26 +38,42 @@ std::string slurp(const std::string& path) {
 }
 
 /// Parses "<topology>:<modules>[:<seed>[:<fanout>]]", e.g. "grid:1000",
-/// "torus:256:7", "dag:5000:1:2.5".
+/// "torus:256:7", "dag:5000:1:2.5".  Every field must parse in full; a
+/// bad spec throws a message naming --synth.
 na::gen::SynthOptions parse_synth_spec(const std::string& spec) {
-  na::gen::SynthOptions o;
-  std::istringstream ss(spec);
-  std::string field;
-  if (!std::getline(ss, field, ':')) {
-    throw std::runtime_error("--synth: empty spec");
+  std::vector<std::string> fields;
+  for (size_t start = 0;;) {
+    const size_t colon = spec.find(':', start);
+    fields.push_back(spec.substr(start, colon - start));
+    if (colon == std::string::npos) break;
+    start = colon + 1;
   }
-  const auto topo = na::gen::parse_topology(field);
+  if (fields.size() < 2 || fields.size() > 4) {
+    throw std::runtime_error("bad value '" + spec + "' for --synth (want " +
+                             "<topology>:<modules>[:<seed>[:<fanout>]])");
+  }
+  na::gen::SynthOptions o;
+  const auto topo = na::gen::parse_topology(fields[0]);
   if (!topo) {
-    throw std::runtime_error("--synth: unknown topology '" + field +
+    throw std::runtime_error("--synth: unknown topology '" + fields[0] +
                              "' (grid, torus, dag)");
   }
   o.topology = *topo;
-  if (!std::getline(ss, field, ':')) {
-    throw std::runtime_error("--synth: missing module count");
+  o.modules = na::parse_int_arg(fields[1], "--synth module count", 1);
+  auto parse_full = [](const std::string& field, auto& value, const char* what) {
+    const char* last = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), last, value);
+    if (field.empty() || ec != std::errc{} || ptr != last) {
+      throw std::runtime_error("bad value '" + field + "' for --synth " + what);
+    }
+  };
+  if (fields.size() > 2) parse_full(fields[2], o.seed, "seed");
+  if (fields.size() > 3) {
+    parse_full(fields[3], o.fanout_mean, "fanout");
+    if (!std::isfinite(o.fanout_mean)) {
+      throw std::runtime_error("bad value '" + fields[3] + "' for --synth fanout");
+    }
   }
-  o.modules = std::stoi(field);
-  if (std::getline(ss, field, ':')) o.seed = std::stoull(field);
-  if (std::getline(ss, field, ':')) o.fanout_mean = std::stod(field);
   return o;
 }
 
@@ -83,8 +101,10 @@ int main(int argc, char** argv) {
   GeneratorOptions opt;
   obs::ObsOptions obs;
   std::vector<std::string> files;
+  gen::SynthOptions synth;
   try {
     files = parse_generator_args(args, opt, &obs);
+    if (!synth_spec.empty()) synth = parse_synth_spec(synth_spec);
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
     return 2;
@@ -105,7 +125,7 @@ int main(int argc, char** argv) {
     }
     Network net;
     if (!synth_spec.empty()) {
-      net = gen::synth_network(parse_synth_spec(synth_spec));
+      net = gen::synth_network(synth);
     } else {
       const std::string io = files.size() > 2 ? slurp(files[2]) : std::string{};
       net = parse_network(lib, slurp(files[0]), io, slurp(files[1]));

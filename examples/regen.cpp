@@ -6,15 +6,12 @@
 // routing actually recomputed.  This example walks a datapath through
 // three edits and prints what each update really cost.
 //
-//   $ ./regen [--validate region|off] [--trace <file>]
-//           [--stats text|json|off]
+//   $ ./regen [--trace <file>] [--stats text|json|off]
 //
-// --validate picks how each patched diagram is checked: "region"
-// (default) validates only the dirty hull and escalates to the whole
-// diagram on any issue, "off" skips the check entirely.  The printed
-// validation times are the regen.validate spans' rollup.  --trace writes
-// the regen.* stage spans of every update; --stats emits the session
-// totals and the span rollup.
+// Each patched diagram is validated over its dirty hull only, escalating
+// to the whole diagram on any issue; the printed validation times are the
+// regen.validate spans' rollup.  --trace writes the regen.* stage spans of
+// every update; --stats emits the session totals and the span rollup.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -32,11 +29,9 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: regen [--validate region|off] [--trace <file>]\n"
-    "             [--stats text|json|off]\n";
+    "usage: regen [--trace <file>] [--stats text|json|off]\n";
 
-void parse_args(int argc, char** argv, na::RegenOptions& opt,
-                na::obs::ObsOptions& obs) {
+void parse_args(int argc, char** argv, na::obs::ObsOptions& obs) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -47,15 +42,6 @@ void parse_args(int argc, char** argv, na::RegenOptions& opt,
       obs.trace_path = value();
     } else if (arg == "--stats") {
       obs.stats = na::obs::parse_stats_mode(value());
-    } else if (arg == "--validate") {
-      const std::string mode = value();
-      if (mode == "region") {
-        opt.validate = true;
-      } else if (mode == "off") {
-        opt.validate = false;
-      } else {
-        throw std::runtime_error("bad value '" + mode + "' for --validate");
-      }
     } else {
       throw std::runtime_error("unknown flag '" + arg + "'");
     }
@@ -67,12 +53,12 @@ void parse_args(int argc, char** argv, na::RegenOptions& opt,
 int main(int argc, char** argv) {
   using namespace na;
 
-  RegenOptions opt;
+  GeneratorOptions opt;
   obs::ObsOptions obs;
-  opt.generator.placer.max_part_size = 5;
-  opt.generator.placer.max_box_size = 3;
+  opt.placer.max_part_size = 5;
+  opt.placer.max_box_size = 3;
   try {
-    parse_args(argc, argv, opt, obs);
+    parse_args(argc, argv, obs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), kUsage);
     return 2;

@@ -65,7 +65,7 @@ Network random_network(const RandomNetOptions& opt) {
     const TermId src = outs[rng() % outs.size()];
     const NetId n = net.add_net("e" + std::to_string(e));
     net.connect(n, src);
-    const int fanout = 1 + static_cast<int>(rng() % opt.max_fanout);
+    const int fanout = 1 + static_cast<int>(rng() % 3);  // 1 to 3 sinks
     std::shuffle(ins.begin(), ins.end(), rng);
     int connected = 0;
     for (TermId t : ins) {
@@ -80,28 +80,26 @@ Network random_network(const RandomNetOptions& opt) {
     }
   }
 
-  if (opt.system_terms) {
-    // A couple of primary inputs and outputs on remaining free terminals.
-    int made = 0;
-    for (ModuleId m : mods) {
-      for (TermId t : free_terms(m, TermType::In)) {
-        if (made >= 3) break;
-        const NetId n = net.add_net("pi" + std::to_string(made));
-        net.connect(n, net.add_system_terminal("in" + std::to_string(made), TermType::In));
-        net.connect(n, t);
-        ++made;
-      }
+  // A couple of primary inputs and outputs on remaining free terminals.
+  int made = 0;
+  for (ModuleId m : mods) {
+    for (TermId t : free_terms(m, TermType::In)) {
       if (made >= 3) break;
-    }
-    made = 0;
-    for (auto it = mods.rbegin(); it != mods.rend() && made < 2; ++it) {
-      const auto outs = free_terms(*it, TermType::Out);
-      if (outs.empty()) continue;
-      const NetId n = net.add_net("po" + std::to_string(made));
-      net.connect(n, outs[0]);
-      net.connect(n, net.add_system_terminal("out" + std::to_string(made), TermType::Out));
+      const NetId n = net.add_net("pi" + std::to_string(made));
+      net.connect(n, net.add_system_terminal("in" + std::to_string(made), TermType::In));
+      net.connect(n, t);
       ++made;
     }
+    if (made >= 3) break;
+  }
+  made = 0;
+  for (auto it = mods.rbegin(); it != mods.rend() && made < 2; ++it) {
+    const auto outs = free_terms(*it, TermType::Out);
+    if (outs.empty()) continue;
+    const NetId n = net.add_net("po" + std::to_string(made));
+    net.connect(n, outs[0]);
+    net.connect(n, net.add_system_terminal("out" + std::to_string(made), TermType::Out));
+    ++made;
   }
   return net;
 }

@@ -11,9 +11,7 @@ namespace na::gen {
 
 struct RandomNetOptions {
   int modules = 10;
-  int extra_nets = 8;      ///< fan-out nets beyond the connecting spine
-  int max_fanout = 3;      ///< sinks per extra net
-  bool system_terms = true;
+  int extra_nets = 8;  ///< fan-out nets (1 to 3 sinks) beyond the spine
   std::uint32_t seed = 1;
 };
 

@@ -90,7 +90,7 @@ Network mesh_network(const SynthOptions& opt, bool wrap) {
     }
   }
 
-  if (opt.system_terms && !wrap) {
+  if (!wrap) {
     // A few board pins: the first west inputs and last east outputs that
     // stayed open.
     const int pins = std::min(rows, 4);
@@ -164,20 +164,18 @@ Network dag_network(const SynthOptions& opt) {
     for (int s : sinks[i]) net.connect(n, in_terms[s][next_in[s]++]);
   }
 
-  if (opt.system_terms) {
-    // The source module's open input and the final module's (possibly
-    // sink-less) output become the board pins.
-    {
-      const NetId n = net.add_net("sysin");
-      net.connect(n, net.add_system_terminal("IN", TermType::In));
-      net.connect(n, in_terms[0][next_in[0]++]);
-    }
-    const int last = count - 1;
-    if (sinks[last].empty()) {
-      const NetId n = net.add_net("sysout");
-      net.connect(n, out_term[last]);
-      net.connect(n, net.add_system_terminal("OUT", TermType::Out));
-    }
+  // The source module's open input and the final module's (possibly
+  // sink-less) output become the board pins.
+  {
+    const NetId n = net.add_net("sysin");
+    net.connect(n, net.add_system_terminal("IN", TermType::In));
+    net.connect(n, in_terms[0][next_in[0]++]);
+  }
+  const int last = count - 1;
+  if (sinks[last].empty()) {
+    const NetId n = net.add_net("sysout");
+    net.connect(n, out_term[last]);
+    net.connect(n, net.add_system_terminal("OUT", TermType::Out));
   }
   return net;
 }

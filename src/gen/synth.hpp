@@ -12,6 +12,9 @@
 //   * RandomDag — a connected random DAG whose per-net sink count targets
 //     `fanout_mean` (irregular structure, exercises partitioning).
 //
+// GridMesh and RandomDag attach a handful of system terminals at the
+// fabric edges; Torus has none, because its wrap nets leave no open pins.
+//
 // Every draw comes from a splitmix64 stream seeded by `seed` alone, so a
 // given option set produces byte-identical networks on every platform and
 // standard-library implementation (no std::uniform_* distributions).
@@ -40,9 +43,6 @@ struct SynthOptions {
   double fanout_mean = 2.0;
   /// Seeds every random draw (cell-size jitter, DAG edges).
   std::uint64_t seed = 1;
-  /// Attach a handful of system terminals at the fabric edges (ignored for
-  /// Torus, whose wrap nets leave no open pins).
-  bool system_terms = true;
 };
 
 /// Builds the network.  Deterministic: equal options => identical network,

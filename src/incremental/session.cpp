@@ -309,7 +309,7 @@ void RegenSession::restore(std::string_view text) {
   last_ = {};
 }
 
-RegenSession::RegenSession(RegenOptions opt) : opt_(std::move(opt)) {}
+RegenSession::RegenSession(GeneratorOptions opt) : opt_(std::move(opt)) {}
 RegenSession::~RegenSession() = default;
 RegenSession::RegenSession(RegenSession&&) noexcept = default;
 RegenSession& RegenSession::operator=(RegenSession&&) noexcept = default;
@@ -355,7 +355,7 @@ void RegenSession::full_regen(const Network& next) {
   span.arg("modules", next.module_count());
   auto net = std::make_unique<Network>(next);
   auto dia = std::make_unique<Diagram>(*net);
-  GeneratorResult result = generate(*dia, opt_.generator);
+  GeneratorResult result = generate(*dia, opt_);
   info_ = std::move(result.placement);
   net_ = std::move(net);
   dia_ = std::move(dia);
@@ -375,7 +375,7 @@ void RegenSession::full_regen(const Network& next) {
 void RegenSession::adopt(const Network& net, const Diagram& dia) {
   auto copy = std::make_unique<Network>(net);
   auto cloned = std::make_unique<Diagram>(clone_onto(*copy, dia));
-  info_ = derive_structure(*copy, opt_.generator.placer);
+  info_ = derive_structure(*copy, opt_.placer);
   net_ = std::move(copy);
   dia_ = std::move(cloned);
 }
@@ -415,7 +415,7 @@ const Diagram& RegenSession::update(const Network& next) {
   IncPlaceResult placed = [&] {
     NA_TRACE_SPAN(span, "regen.patch_place");
     IncPlaceResult r = incremental_place(*dia, *dia_, diff, dirty, info_,
-                                         opt_.generator.placer);
+                                         opt_.placer);
     span.arg("feasible", r.feasible ? 1 : 0);
     span.arg("modules_replaced", r.modules_replaced);
     span.arg("modules_frozen", r.modules_frozen);
@@ -427,7 +427,7 @@ const Diagram& RegenSession::update(const Network& next) {
   }
   PatchRouteResult routed = [&] {
     NA_TRACE_SPAN(span, "regen.patch_route");
-    PatchRouteResult r = patch_route(*dia, *dia_, diff, opt_.generator.router);
+    PatchRouteResult r = patch_route(*dia, *dia_, diff, opt_.router);
     span.arg("nets_kept", r.nets_kept);
     span.arg("nets_rerouted", r.nets_rerouted);
     span.arg("nets_extended", r.nets_extended);
@@ -439,17 +439,15 @@ const Diagram& RegenSession::update(const Network& next) {
   // and the moved-module footprints (the patch router's dirty_region) is
   // re-checked.  Any in-region issue escalates to the whole-diagram check
   // — the region verdict is trusted only when it is clean.
-  int region_validations = 0;
   int full_validations = 0;
-  if (opt_.validate) {
+  {
     NA_TRACE_SPAN(span, "regen.validate");
     std::vector<std::string> issues = validate_region(*dia, routed.dirty_region);
-    ++region_validations;
     if (!issues.empty()) {
       issues = validate_diagram(*dia);
       ++full_validations;
     }
-    span.arg("region", region_validations);
+    span.arg("region", 1);
     span.arg("full", full_validations);
     span.arg("issues", static_cast<long long>(issues.size()));
     if (!issues.empty()) {
@@ -475,7 +473,7 @@ const Diagram& RegenSession::update(const Network& next) {
   one.failed_searches = routed.report.failed_searches;
   one.failed_expansions = routed.report.failed_expansions;
   one.pocket_proofs = routed.report.pocket_proofs;
-  one.region_validations = region_validations;
+  one.region_validations = 1;
   one.full_validations = full_validations;
   one.dirty_region = routed.dirty_region;
   account(one);

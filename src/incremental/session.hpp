@@ -49,19 +49,14 @@ struct RegenCounters {
   RegenCounters& operator+=(const RegenCounters& o);
 };
 
-struct RegenOptions {
-  GeneratorOptions generator;
-  /// Check every patched result against the drawing rules and fall back to
-  /// a full regeneration when it reports problems.  The check is region-
-  /// scoped (validate_region over the patch's dirty hull, escalating to a
-  /// whole-diagram validate_diagram only when the region reports an
-  /// issue); disable only when the caller validates anyway.
-  bool validate = true;
-};
-
 class RegenSession {
  public:
-  explicit RegenSession(RegenOptions opt = {});
+  /// Every update places and routes with `opt`, and checks every patched
+  /// result against the drawing rules, falling back to a full regeneration
+  /// when it reports problems.  The check is region-scoped (validate_region
+  /// over the patch's dirty hull, escalating to a whole-diagram
+  /// validate_diagram only when the region reports an issue).
+  explicit RegenSession(GeneratorOptions opt = {});
   ~RegenSession();
   RegenSession(RegenSession&&) noexcept;
   RegenSession& operator=(RegenSession&&) noexcept;
@@ -111,7 +106,7 @@ class RegenSession {
   void full_regen(const Network& next);
   void account(const RegenCounters& one);
 
-  RegenOptions opt_;
+  GeneratorOptions opt_;
   std::unique_ptr<Network> net_;  ///< owned copy; dia_ points into it
   std::unique_ptr<Diagram> dia_;
   PlacementInfo info_;

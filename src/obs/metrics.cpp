@@ -7,9 +7,8 @@
 #endif
 
 namespace na::obs {
-namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -29,8 +28,6 @@ void append_escaped(std::string& out, std::string_view s) {
   }
 }
 
-}  // namespace
-
 // ----- JsonWriter ------------------------------------------------------------
 
 void JsonWriter::before_value() {
@@ -47,14 +44,12 @@ void JsonWriter::before_value() {
 JsonWriter& JsonWriter::begin_object() {
   before_value();
   out_ += '{';
-  stack_.push_back('{');
   has_items_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
   out_ += '}';
-  stack_.pop_back();
   has_items_.pop_back();
   return *this;
 }
@@ -62,14 +57,12 @@ JsonWriter& JsonWriter::end_object() {
 JsonWriter& JsonWriter::begin_array() {
   before_value();
   out_ += '[';
-  stack_.push_back('[');
   has_items_.push_back(false);
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
   out_ += ']';
-  stack_.pop_back();
   has_items_.pop_back();
   return *this;
 }
@@ -80,7 +73,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
     has_items_.back() = true;
   }
   out_ += '"';
-  append_escaped(out_, k);
+  append_json_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
   return *this;
@@ -111,7 +104,7 @@ JsonWriter& JsonWriter::value(double v) {
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
   out_ += '"';
-  append_escaped(out_, v);
+  append_json_escaped(out_, v);
   out_ += '"';
   return *this;
 }

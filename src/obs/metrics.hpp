@@ -37,6 +37,9 @@ struct MetricValue {
   MetricValue(double v) : is_int(false), d(v) {}              // NOLINT
 };
 
+/// Appends `s` to `out` escaped as the body of a JSON string.
+void append_json_escaped(std::string& out, std::string_view s);
+
 /// Incrementally built JSON document.  Handles commas, nesting and string
 /// escaping; numbers are emitted with a fixed format so output is
 /// byte-stable for a fixed input.
@@ -69,7 +72,6 @@ class JsonWriter {
  private:
   void before_value();
   std::string out_;
-  std::vector<char> stack_;   ///< '{' or '['
   bool after_key_ = false;
   std::vector<bool> has_items_;
 };

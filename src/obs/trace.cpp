@@ -112,27 +112,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Chrome trace `ts`/`dur` are microseconds; emit ns-precise decimals.
 void append_us(std::string& out, std::uint64_t ns) {
   char buf[32];
@@ -232,8 +211,6 @@ void trace_enable() {
 void trace_disable() {
   detail::g_enabled.store(false, std::memory_order_relaxed);
 }
-
-bool trace_enabled() { return detail::on(); }
 
 void trace_reset() {
   Registry& reg = Registry::instance();

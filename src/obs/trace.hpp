@@ -64,7 +64,6 @@ bool trace_compiled_in();
 /// continuous timeline.
 void trace_enable();
 void trace_disable();
-bool trace_enabled();
 
 /// Drops every recorded event and clears the epoch.  Buffers of live
 /// threads stay registered.

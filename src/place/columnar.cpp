@@ -7,6 +7,13 @@
 #include "place/terminal_place.hpp"
 
 namespace na {
+namespace {
+
+constexpr int kSweeps = 4;  ///< barycentre reordering passes
+constexpr int kGapX = 4;    ///< tracks between columns
+constexpr int kGapY = 2;    ///< tracks between symbols in a column
+
+}  // namespace
 
 std::vector<int> columnar_levels(const Network& net) {
   const int n = net.module_count();
@@ -30,7 +37,7 @@ std::vector<int> columnar_levels(const Network& net) {
   return level;
 }
 
-void columnar_place(Diagram& dia, const ColumnarOptions& opt) {
+void columnar_place(Diagram& dia) {
   const Network& net = dia.network();
   const int n = net.module_count();
   if (n == 0) {
@@ -53,7 +60,7 @@ void columnar_place(Diagram& dia, const ColumnarOptions& opt) {
     }
   };
   refresh_ranks();
-  for (int sweep = 0; sweep < opt.sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kSweeps; ++sweep) {
     const bool forward = sweep % 2 == 0;
     for (int ci = forward ? 1 : columns - 2; forward ? ci < columns : ci >= 0;
          ci += forward ? 1 : -1) {
@@ -84,7 +91,7 @@ void columnar_place(Diagram& dia, const ColumnarOptions& opt) {
   for (int c = 0; c < columns; ++c) {
     for (ModuleId m : column[c]) {
       col_width[c] = std::max(col_width[c], net.module(m).size.x);
-      col_height[c] += net.module(m).size.y + opt.gap_y;
+      col_height[c] += net.module(m).size.y + kGapY;
     }
   }
   const int max_height = *std::max_element(col_height.begin(), col_height.end());
@@ -93,9 +100,9 @@ void columnar_place(Diagram& dia, const ColumnarOptions& opt) {
     int y = (max_height - col_height[c]) / 2;
     for (ModuleId m : column[c]) {
       dia.place_module(m, {x, y});
-      y += net.module(m).size.y + opt.gap_y;
+      y += net.module(m).size.y + kGapY;
     }
-    x += col_width[c] + opt.gap_x;
+    x += col_width[c] + kGapX;
   }
 
   place_system_terminals(dia);

@@ -13,14 +13,10 @@
 
 namespace na {
 
-struct ColumnarOptions {
-  int sweeps = 4;   ///< barycentre reordering passes
-  int gap_x = 4;    ///< tracks between columns
-  int gap_y = 2;    ///< tracks between symbols in a column
-};
-
-/// Places every module of the diagram and the system terminals.
-void columnar_place(Diagram& dia, const ColumnarOptions& opt = {});
+/// Places every module of the diagram and the system terminals: four
+/// barycentre sweeps, four tracks between columns, two between the symbols
+/// of a column.
+void columnar_place(Diagram& dia);
 
 /// Exposed for tests: the column index (level) of each module; cycles are
 /// cut by capping relaxation at module-count iterations.

@@ -8,7 +8,7 @@
 
 namespace na {
 
-void epitaxial_place(Diagram& dia, const EpitaxialOptions& opt) {
+void epitaxial_place(Diagram& dia) {
   const Network& net = dia.network();
   const int n = net.module_count();
   if (n == 0) {
@@ -16,13 +16,14 @@ void epitaxial_place(Diagram& dia, const EpitaxialOptions& opt) {
     return;
   }
 
-  // Slot grid sized for the largest module.
+  // Slot grid sized for the largest module, with two empty tracks on each
+  // side and one more.
   geom::Point cell{0, 0};
   for (const Module& m : net.modules()) {
     cell.x = std::max(cell.x, m.size.x);
     cell.y = std::max(cell.y, m.size.y);
   }
-  cell += {2 * opt.gap + 1, 2 * opt.gap + 1};
+  cell += {2 * 2 + 1, 2 * 2 + 1};
   const int radius = static_cast<int>(std::ceil(std::sqrt(n))) + 1;
   const int side = 2 * radius + 1;
   std::vector<bool> slot_used(static_cast<size_t>(side) * side, false);

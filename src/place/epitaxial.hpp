@@ -12,11 +12,7 @@
 
 namespace na {
 
-struct EpitaxialOptions {
-  int gap = 2;  ///< empty tracks between slot boundaries
-};
-
 /// Places every module of the diagram and the system terminals.
-void epitaxial_place(Diagram& dia, const EpitaxialOptions& opt = {});
+void epitaxial_place(Diagram& dia);
 
 }  // namespace na

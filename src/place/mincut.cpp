@@ -8,6 +8,9 @@
 namespace na {
 namespace {
 
+constexpr int kSpacing = 2;            ///< empty tracks around each module
+constexpr int kImprovementPasses = 8;  ///< pairwise-swap passes per split
+
 struct SliceNode {
   std::vector<ModuleId> mods;  // leaf: exactly one
   bool vertical_cut = false;   // children side by side (split in x)
@@ -17,23 +20,22 @@ struct SliceNode {
 };
 
 std::unique_ptr<SliceNode> build_slices(const Network& net,
-                                        std::vector<ModuleId> mods, int depth,
-                                        const MincutOptions& opt) {
+                                        std::vector<ModuleId> mods, int depth) {
   auto node = std::make_unique<SliceNode>();
   if (mods.size() == 1) {
-    node->size = net.module(mods[0]).size + geom::Point{2 * opt.spacing, 2 * opt.spacing};
+    node->size = net.module(mods[0]).size + geom::Point{2 * kSpacing, 2 * kSpacing};
     node->mods = std::move(mods);
     return node;
   }
-  auto first = mincut_bipartition(net, mods, opt.improvement_passes);
+  auto first = mincut_bipartition(net, mods, kImprovementPasses);
   std::vector<ModuleId> second;
   for (ModuleId m : mods) {
     if (std::find(first.begin(), first.end(), m) == first.end()) second.push_back(m);
   }
   node->mods = std::move(mods);
   node->vertical_cut = depth % 2 == 0;  // alternate the cut-line direction
-  node->a = build_slices(net, std::move(first), depth + 1, opt);
-  node->b = build_slices(net, std::move(second), depth + 1, opt);
+  node->a = build_slices(net, std::move(first), depth + 1);
+  node->b = build_slices(net, std::move(second), depth + 1);
   if (node->vertical_cut) {
     node->size = {node->a->size.x + node->b->size.x,
                   std::max(node->a->size.y, node->b->size.y)};
@@ -44,16 +46,15 @@ std::unique_ptr<SliceNode> build_slices(const Network& net,
   return node;
 }
 
-void assign_positions(const Network& net, Diagram& dia, const SliceNode& node,
-                      geom::Point origin, int spacing) {
+void assign_positions(Diagram& dia, const SliceNode& node, geom::Point origin) {
   if (node.a == nullptr) {
-    dia.place_module(node.mods[0], origin + geom::Point{spacing, spacing});
+    dia.place_module(node.mods[0], origin + geom::Point{kSpacing, kSpacing});
     return;
   }
-  assign_positions(net, dia, *node.a, origin, spacing);
+  assign_positions(dia, *node.a, origin);
   const geom::Point shift = node.vertical_cut ? geom::Point{node.a->size.x, 0}
                                               : geom::Point{0, node.a->size.y};
-  assign_positions(net, dia, *node.b, origin + shift, spacing);
+  assign_positions(dia, *node.b, origin + shift);
 }
 
 }  // namespace
@@ -131,7 +132,7 @@ std::vector<ModuleId> mincut_bipartition(const Network& net,
   return a;
 }
 
-void mincut_place(Diagram& dia, const MincutOptions& opt) {
+void mincut_place(Diagram& dia) {
   const Network& net = dia.network();
   if (net.module_count() == 0) {
     place_system_terminals(dia);
@@ -139,8 +140,8 @@ void mincut_place(Diagram& dia, const MincutOptions& opt) {
   }
   std::vector<ModuleId> all(net.module_count());
   for (ModuleId m = 0; m < net.module_count(); ++m) all[m] = m;
-  const auto root = build_slices(net, std::move(all), 0, opt);
-  assign_positions(net, dia, *root, {0, 0}, opt.spacing);
+  const auto root = build_slices(net, std::move(all), 0);
+  assign_positions(dia, *root, {0, 0});
   place_system_terminals(dia);
   dia.normalize();
 }

@@ -16,14 +16,10 @@
 
 namespace na {
 
-struct MincutOptions {
-  int spacing = 2;            ///< empty tracks around each module
-  int improvement_passes = 8; ///< pairwise-swap refinement bound per split
-};
-
 /// Places every module of the diagram (ignores preplacement) and the
-/// system terminals.
-void mincut_place(Diagram& dia, const MincutOptions& opt = {});
+/// system terminals: two empty tracks around each module, at most eight
+/// pairwise-swap passes per split.
+void mincut_place(Diagram& dia);
 
 /// Exposed for tests: splits `mods` into two halves (|sizes| differ by at
 /// most one module) minimising the crossing net count; returns the first

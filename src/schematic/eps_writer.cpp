@@ -1,17 +1,11 @@
 #include "schematic/eps_writer.hpp"
 
-#include <ostream>
 #include <sstream>
 
 namespace na {
 
-std::string to_eps(const Diagram& dia, const EpsOptions& opt) {
+std::string to_eps(const Diagram& dia) {
   std::ostringstream os;
-  write_eps(os, dia, opt);
-  return os.str();
-}
-
-void write_eps(std::ostream& os, const Diagram& dia, const EpsOptions& opt) {
   const Network& net = dia.network();
   geom::Rect bounds = dia.placement_bounds();
   for (const NetRoute& r : dia.routes()) {
@@ -21,7 +15,7 @@ void write_eps(std::ostream& os, const Diagram& dia, const EpsOptions& opt) {
   }
   if (bounds.empty()) bounds = {{0, 0}, {1, 1}};
   bounds = bounds.expanded(2);
-  const double s = opt.track_pt;
+  const double s = 8.0;  // PostScript points per grid track
   auto X = [&](double x) { return (x - bounds.lo.x) * s; };
   auto Y = [&](double y) { return (y - bounds.lo.y) * s; };
 
@@ -51,11 +45,9 @@ void write_eps(std::ostream& os, const Diagram& dia, const EpsOptions& opt) {
     os << "newpath " << X(r.lo.x) << ' ' << Y(r.lo.y) << " m " << X(r.hi.x) << ' '
        << Y(r.lo.y) << " l " << X(r.hi.x) << ' ' << Y(r.hi.y) << " l " << X(r.lo.x)
        << ' ' << Y(r.hi.y) << " l closepath s\n";
-    if (opt.show_names) {
-      os << "/Courier findfont " << s << " scalefont setfont\n";
-      os << X(r.center().x) << ' ' << Y(r.center().y) << " m ("
-         << net.module(m).name << ") dup stringwidth pop 2 div neg 0 rmoveto show\n";
-    }
+    os << "/Courier findfont " << s << " scalefont setfont\n";
+    os << X(r.center().x) << ' ' << Y(r.center().y) << " m ("
+       << net.module(m).name << ") dup stringwidth pop 2 div neg 0 rmoveto show\n";
   }
   // Terminal marks.
   for (int t = 0; t < net.term_count(); ++t) {
@@ -69,6 +61,7 @@ void write_eps(std::ostream& os, const Diagram& dia, const EpsOptions& opt) {
        << " 0 360 arc fill\n";
   }
   os << "showpage\n%%EOF\n";
+  return os.str();
 }
 
 }  // namespace na

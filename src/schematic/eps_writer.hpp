@@ -1,22 +1,15 @@
 // Encapsulated PostScript output — the plotter format of the paper's era
 // (the figures in the original report are pen plots).  One grid track maps
-// to `track_pt` points; modules are outlined boxes with centred labels,
-// nets are polyline strokes, terminals small marks.
+// to 8 points; modules are outlined boxes with centred labels, nets are
+// polyline strokes, terminals small marks.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "schematic/diagram.hpp"
 
 namespace na {
 
-struct EpsOptions {
-  double track_pt = 8.0;  ///< PostScript points per grid track
-  bool show_names = true;
-};
-
-std::string to_eps(const Diagram& dia, const EpsOptions& opt = {});
-void write_eps(std::ostream& os, const Diagram& dia, const EpsOptions& opt = {});
+std::string to_eps(const Diagram& dia);
 
 }  // namespace na

@@ -1,7 +1,6 @@
 #include "schematic/svg_writer.hpp"
 
 #include <array>
-#include <ostream>
 #include <sstream>
 
 namespace na {
@@ -10,16 +9,13 @@ namespace {
 constexpr std::array<const char*, 8> kPalette = {
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22"};
+constexpr int kTrackPx = 12;      ///< pixels per grid track
+constexpr int kMarginTracks = 2;  ///< empty border
 
 }  // namespace
 
-std::string to_svg(const Diagram& dia, const SvgOptions& opt) {
+std::string to_svg(const Diagram& dia) {
   std::ostringstream os;
-  write_svg(os, dia, opt);
-  return os.str();
-}
-
-void write_svg(std::ostream& os, const Diagram& dia, const SvgOptions& opt) {
   const Network& net = dia.network();
   geom::Rect bounds = dia.placement_bounds();
   for (const NetRoute& r : dia.routes()) {
@@ -28,9 +24,9 @@ void write_svg(std::ostream& os, const Diagram& dia, const SvgOptions& opt) {
     }
   }
   if (bounds.empty()) bounds = {{0, 0}, {1, 1}};
-  bounds = bounds.expanded(opt.margin_tracks);
+  bounds = bounds.expanded(kMarginTracks);
 
-  const int s = opt.track_px;
+  const int s = kTrackPx;
   const int w = (bounds.width() + 1) * s;
   const int h = (bounds.height() + 1) * s;
   // SVG y grows downward; the diagram's y grows upward.
@@ -45,7 +41,7 @@ void write_svg(std::ostream& os, const Diagram& dia, const SvgOptions& opt) {
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
     if (r.polylines.empty()) continue;
-    const char* color = opt.color_nets ? kPalette[n % kPalette.size()] : "#333333";
+    const char* color = kPalette[n % kPalette.size()];
     for (const auto& pl : r.polylines) {
       if (pl.size() < 2) continue;
       os << "<polyline fill=\"none\" stroke=\"" << color
@@ -61,34 +57,31 @@ void write_svg(std::ostream& os, const Diagram& dia, const SvgOptions& opt) {
     os << "<rect x=\"" << X(r.lo.x) << "\" y=\"" << Y(r.hi.y) << "\" width=\""
        << (r.width()) * s << "\" height=\"" << (r.height()) * s
        << "\" fill=\"#f5f0e0\" stroke=\"black\" stroke-width=\"1.5\"/>\n";
-    if (opt.show_names) {
-      os << "<text x=\"" << X(r.center().x) << "\" y=\"" << Y(r.center().y)
-         << "\" font-size=\"" << s << "\" font-family=\"monospace\""
-         << " text-anchor=\"middle\" dominant-baseline=\"middle\">"
-         << net.module(m).name << "</text>\n";
-    }
+    os << "<text x=\"" << X(r.center().x) << "\" y=\"" << Y(r.center().y)
+       << "\" font-size=\"" << s << "\" font-family=\"monospace\""
+       << " text-anchor=\"middle\" dominant-baseline=\"middle\">"
+       << net.module(m).name << "</text>\n";
   }
 
-  if (opt.show_terminals) {
-    for (int t = 0; t < net.term_count(); ++t) {
-      const Terminal& term = net.term(t);
-      if (term.is_system()) {
-        if (!dia.system_term_placed(t)) continue;
-        const geom::Point p = dia.term_pos(t);
-        os << "<rect x=\"" << X(p.x) - s / 3 << "\" y=\"" << Y(p.y) - s / 3
-           << "\" width=\"" << 2 * s / 3 << "\" height=\"" << 2 * s / 3
-           << "\" fill=\"white\" stroke=\"black\"><title>" << term.name
-           << "</title></rect>\n";
-      } else {
-        if (term.net == kNone || !dia.module_placed(term.module)) continue;
-        const geom::Point p = dia.term_pos(t);
-        os << "<circle cx=\"" << X(p.x) << "\" cy=\"" << Y(p.y) << "\" r=\"" << s / 4
-           << "\" fill=\"black\"><title>" << net.module(term.module).name << '.'
-           << term.name << "</title></circle>\n";
-      }
+  for (int t = 0; t < net.term_count(); ++t) {
+    const Terminal& term = net.term(t);
+    if (term.is_system()) {
+      if (!dia.system_term_placed(t)) continue;
+      const geom::Point p = dia.term_pos(t);
+      os << "<rect x=\"" << X(p.x) - s / 3 << "\" y=\"" << Y(p.y) - s / 3
+         << "\" width=\"" << 2 * s / 3 << "\" height=\"" << 2 * s / 3
+         << "\" fill=\"white\" stroke=\"black\"><title>" << term.name
+         << "</title></rect>\n";
+    } else {
+      if (term.net == kNone || !dia.module_placed(term.module)) continue;
+      const geom::Point p = dia.term_pos(t);
+      os << "<circle cx=\"" << X(p.x) << "\" cy=\"" << Y(p.y) << "\" r=\"" << s / 4
+         << "\" fill=\"black\"><title>" << net.module(term.module).name << '.'
+         << term.name << "</title></circle>\n";
     }
   }
   os << "</svg>\n";
+  return os.str();
 }
 
 }  // namespace na

@@ -2,23 +2,15 @@
 // graphics terminal of the historical ESCHER editor.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "schematic/diagram.hpp"
 
 namespace na {
 
-struct SvgOptions {
-  int track_px = 12;        ///< pixels per grid track
-  int margin_tracks = 2;    ///< empty border
-  bool show_names = true;   ///< module instance names inside symbols
-  bool show_terminals = true;
-  bool color_nets = true;   ///< cycle a palette over net ids
-};
-
-/// Renders the diagram to SVG markup.
-std::string to_svg(const Diagram& dia, const SvgOptions& opt = {});
-void write_svg(std::ostream& os, const Diagram& dia, const SvgOptions& opt = {});
+/// Renders the diagram to SVG markup: 12 pixels per grid track, a
+/// two-track border, nets in an 8-colour palette cycled over net ids,
+/// module names inside the symbols and every placed terminal marked.
+std::string to_svg(const Diagram& dia);
 
 }  // namespace na

@@ -14,6 +14,9 @@
 namespace na::serve {
 namespace {
 
+/// Dispatched-but-unanswered requests per connection; further parsed lines
+/// wait in the pending queue.
+constexpr size_t kMaxInFlight = 128;
 /// Parsed-line backlog per connection before the socket stops being read.
 constexpr size_t kMaxPendingLines = 256;
 /// Write-buffer size above which the connection stops being read until
@@ -30,8 +33,8 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-EventLoop::EventLoop(int index, Options opt, Callbacks cb)
-    : index_(index), opt_(opt), cb_(std::move(cb)) {}
+EventLoop::EventLoop(int index, size_t max_line, Callbacks cb)
+    : index_(index), max_line_(max_line), cb_(std::move(cb)) {}
 
 EventLoop::~EventLoop() {
   if (thread_.joinable()) {
@@ -261,7 +264,7 @@ void EventLoop::split_lines(Conn& c) {
     }
     if (line.empty()) continue;
     PendingLine p;
-    if (line.size() > opt_.max_line) {
+    if (line.size() > max_line_) {
       p.oversized = true;  // complete but over the cap: reject in order
     } else {
       p.text.assign(line);
@@ -270,7 +273,7 @@ void EventLoop::split_lines(Conn& c) {
   }
   c.in.erase(0, start);
 
-  if (!c.discarding && c.in.size() > opt_.max_line) {
+  if (!c.discarding && c.in.size() > max_line_) {
     // No newline within the cap: queue the rejection now, then discard
     // the rest of the line as it streams in.  The connection survives.
     PendingLine p;
@@ -283,7 +286,7 @@ void EventLoop::split_lines(Conn& c) {
 
 void EventLoop::pump(uint64_t id, Conn& c) {
   while (!c.pending.empty() && !c.close_after_flush &&
-         c.in_flight < opt_.max_in_flight) {
+         c.in_flight < kMaxInFlight) {
     PendingLine p = std::move(c.pending.front());
     c.pending.pop_front();
     const uint64_t ticket = c.next_ticket++;

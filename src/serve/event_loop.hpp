@@ -33,15 +33,6 @@ namespace na::serve {
 
 class EventLoop {
  public:
-  struct Options {
-    /// Per-request line cap; longer lines get the oversized response.
-    size_t max_line = 1u << 20;
-    /// Dispatched-but-unanswered requests per connection; further parsed
-    /// lines wait in the pending queue (and, past kMaxPendingLines, the
-    /// socket stops being read).
-    size_t max_in_flight = 128;
-  };
-
   struct Callbacks {
     /// One complete request line, on the loop thread.  Exactly one
     /// complete(conn, ticket, ...) must eventually follow, from any
@@ -53,7 +44,9 @@ class EventLoop {
   };
 
   /// `index` namespaces connection ids: id >> 48 recovers the loop.
-  EventLoop(int index, Options opt, Callbacks cb);
+  /// `max_line` caps a request line; longer lines get the oversized
+  /// response.
+  EventLoop(int index, size_t max_line, Callbacks cb);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -129,7 +122,7 @@ class EventLoop {
   bool past_drain_deadline() const;
 
   const int index_;
-  const Options opt_;
+  const size_t max_line_;
   const Callbacks cb_;
 
   int epoll_fd_ = -1;

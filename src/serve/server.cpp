@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -24,8 +23,7 @@ Server::~Server() {
 bool Server::start(std::string* error) {
   // Degenerate options fail loudly at startup, naming the flag, instead
   // of silently misbehaving later (an io_threads of 0 used to be clamped
-  // deep inside run(); a max_line of 0 would reject every request; a
-  // zero in-flight window would deadlock every pipelined connection).
+  // deep inside run(); a max_line of 0 would reject every request).
   const auto reject = [error](const char* msg) {
     if (error != nullptr) *error = msg;
     return false;
@@ -39,14 +37,8 @@ bool Server::start(std::string* error) {
   if (opt_.max_line == 0) {
     return reject("bad value for --max-line: must be >= 1");
   }
-  if (opt_.max_in_flight == 0) {
-    return reject("bad value for --max-in-flight: must be >= 1");
-  }
   if (opt_.port < 0 || opt_.port > 65535) {
     return reject("bad value for --port: must be in [0, 65535]");
-  }
-  if (opt_.watchdog_ms < 0) {
-    return reject("bad value for --watchdog-ms: must be >= 0 (0 disables)");
   }
   started_at_ = std::chrono::steady_clock::now();
 
@@ -91,9 +83,6 @@ bool Server::start(std::string* error) {
 
 void Server::run() {
   const int io_threads = opt_.io_threads;  // start() validated >= 1
-  EventLoop::Options loop_opt;
-  loop_opt.max_line = opt_.max_line;
-  loop_opt.max_in_flight = opt_.max_in_flight;
   for (int i = 0; i < io_threads; ++i) {
     EventLoop::Callbacks cb;
     cb.on_line = [this](uint64_t conn, uint64_t ticket, std::string_view line) {
@@ -106,7 +95,7 @@ void Server::run() {
       note_request(r);
       return r;
     };
-    loops_.push_back(std::make_unique<EventLoop>(i, loop_opt, std::move(cb)));
+    loops_.push_back(std::make_unique<EventLoop>(i, opt_.max_line, std::move(cb)));
     std::string error;
     if (!loops_.back()->start(&error)) {
       // epoll/eventfd creation only fails on fd exhaustion; serve with
@@ -114,24 +103,24 @@ void Server::run() {
       loops_.pop_back();
     }
   }
-  // Accept loop with an admin tick (~100ms, or the watchdog interval if
-  // shorter): poll() wakes either for a new connection or to re-check the
-  // (signal-settable) stop flag, perform any requested flight-recorder
-  // dump off the signal handler, and post the due lag probes.
-  const int tick_ms = opt_.watchdog_ms > 0 ? std::min(100, opt_.watchdog_ms) : 100;
+  // Accept loop with a ~100ms admin tick: poll() wakes either for a new
+  // connection or to re-check the (signal-settable) stop flag, perform any
+  // requested flight-recorder dump off the signal handler, and post the
+  // due lag probes, once a second from startup on.
+  constexpr int kTickMs = 100;
+  constexpr std::chrono::milliseconds kWatchdogPeriod{1000};
   auto next_probe = std::chrono::steady_clock::now();
   size_t next_loop = 0;
   while (!stopping() && !loops_.empty()) {
     if (flight_dump_.exchange(false, std::memory_order_relaxed)) {
       dump_flight(opt_.flight_dump_path);
     }
-    if (opt_.watchdog_ms > 0 && std::chrono::steady_clock::now() >= next_probe) {
+    if (std::chrono::steady_clock::now() >= next_probe) {
       watchdog_tick();
-      next_probe = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(opt_.watchdog_ms);
+      next_probe = std::chrono::steady_clock::now() + kWatchdogPeriod;
     }
     pollfd p{listen_fd_, POLLIN, 0};
-    const int r = ::poll(&p, 1, tick_ms);
+    const int r = ::poll(&p, 1, kTickMs);
     if (r <= 0) continue;  // timeout, EINTR
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;

@@ -55,11 +55,6 @@ struct ServerOptions {
   /// Event-loop I/O threads of the connection plane.  Two comfortably
   /// saturate the loopback path; the pool does the heavy lifting.
   int io_threads = 2;
-  /// Pipelined-request cap per connection (event-loop in-flight window).
-  size_t max_in_flight = 128;
-  /// Watchdog interval: the accept loop posts a lag probe through each
-  /// event loop this often (serve.lat.loop_tick).  0 disables the probes.
-  int watchdog_ms = 1000;
   /// Where a SIGUSR1-triggered flight-recorder dump lands.
   std::string flight_dump_path = "na_flight.json";
 };

@@ -98,9 +98,7 @@ Network design_network(const std::string& design) {
 }
 
 SessionHost::SessionHost(HostOptions opt)
-    : opt_(std::move(opt)),
-      lib_(ModuleLibrary::standard_cells()),
-      pool_(opt_.threads) {
+    : opt_(std::move(opt)), pool_(opt_.threads) {
   pool_.set_queue_wait_histogram(&pool_wait_hist_);
   if (!opt_.state_dir.empty()) {
     std::error_code ec;
@@ -128,7 +126,7 @@ void SessionHost::submit(Request req, HostCallback done) {
       done(HostResult::error(err::kNoStateDir, "server runs without --state-dir"));
       return;
     }
-    session = std::make_shared<Session>(opt_.regen);
+    session = std::make_shared<Session>();
     bool inserted = false;
     {
       std::lock_guard lock(sessions_mu_);

@@ -1,5 +1,5 @@
-// SessionHost — the daemon's session table: many named RegenSessions, one
-// shared immutable ModuleLibrary, one FIFO worker pool.
+// SessionHost — the daemon's session table: many named RegenSessions, each
+// at the default generator options, and one FIFO worker pool.
 //
 // Concurrency model (DESIGN §10 argues determinism from it):
 //   * every session request (open, edit, get, save, close) enters through
@@ -52,18 +52,15 @@
 #include "core/thread_pool.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
-#include "netlist/module_library.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
 namespace na::serve {
 
 struct HostOptions {
-  /// Workers of the shared edit-dispatch pool.
-  int threads = 4;
-  /// Per-session generator/regen settings.  The service parallelises
+  /// Workers of the shared edit-dispatch pool.  The service parallelises
   /// across sessions; one session's regeneration runs on one worker.
-  RegenOptions regen;
+  int threads = 4;
   /// Directory for save/restore; empty disables persistence (save returns
   /// the blob inline, open+restore fails).
   std::string state_dir;
@@ -140,7 +137,6 @@ class SessionHost {
   int open_sessions() const;
   ThreadPool& pool() { return pool_; }
   const std::string& state_dir() const { return opt_.state_dir; }
-  const ModuleLibrary& library() const { return lib_; }
 
   /// The trace-flush quiescence gate: every op execution (and the
   /// server's inline request handling) holds it shared; a flight-recorder
@@ -169,8 +165,7 @@ class SessionHost {
     /// started when the close completes.  Guarded by sessions_mu_.
     std::shared_ptr<Session> successor;
 
-    explicit Session(RegenOptions opt)
-        : regen(std::move(opt)), pending(Network{}) {}
+    Session() : pending(Network{}) {}
   };
 
   std::string state_path(const std::string& name) const;
@@ -190,7 +185,6 @@ class SessionHost {
   int flush_pending(Session& s);
 
   HostOptions opt_;
-  const ModuleLibrary lib_;  ///< shared immutable template cache
   /// Declared before the pool: the pool's queue-wait probe records into
   /// it until the pool is torn down.
   obs::Histogram pool_wait_hist_;

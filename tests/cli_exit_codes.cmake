@@ -1,8 +1,9 @@
 # CLI exit-code check, run as the `cli_exit_codes` ctest: every binary that
 # parses flags exits 2 on an unknown flag or a bad flag value, never 0 or
 # 1.  The daemon flags and --stats value that were removed along with the
-# slow-request log and the Prometheus exposition, and regen's removed
-# whole-diagram validation mode, must stay rejected.
+# slow-request log and the Prometheus exposition, the daemon's removed
+# in-flight window and watchdog interval flags, and regen's removed
+# --validate flag must stay rejected, as must a malformed --synth spec.
 #
 # Usage: cmake -DEUREKA=<exe> -DPABLO=<exe> -DNET2ART=<exe> -DREGEN=<exe>
 #              -DLIFE_GAME=<exe> -DNA_SERVE=<exe> -P cli_exit_codes.cmake
@@ -29,10 +30,18 @@ foreach(exe IN ITEMS "${EUREKA}" "${PABLO}" "${NET2ART}" "${REGEN}"
 endforeach()
 expect_exit_2("${NA_SERVE}" --slow-ms 5)
 expect_exit_2("${NA_SERVE}" --prom-file x)
+expect_exit_2("${NA_SERVE}" --max-in-flight 8)
+expect_exit_2("${NA_SERVE}" --watchdog-ms 5)
 expect_exit_2("${REGEN}" --validate full)
+expect_exit_2("${REGEN}" --validate off)
+expect_exit_2("${REGEN}" --validate region)
 # A runnable input, so only the --stats value can make net2art fail; it
 # would otherwise write its diagram under the ctest working directory.
 expect_exit_2("${NET2ART}" --synth grid:4 --stats prom
+              -o "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes")
+expect_exit_2("${NET2ART}" --synth grid:12x
+              -o "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes")
+expect_exit_2("${NET2ART}" --synth ring:12
               -o "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes")
 
 if(failures)

@@ -11,13 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "core/figures.hpp"
 #include "gen/datapath.hpp"
 #include "gen/chain.hpp"
 #include "gen/life.hpp"
 #include "gen/synth.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
-#include "route/net_order.hpp"
 #include "route/router.hpp"
 #include "schematic/escher_writer.hpp"
 #include "schematic/metrics.hpp"
@@ -26,22 +26,10 @@
 namespace na {
 namespace {
 
-RegenOptions datapath_options() {
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 5;
-  opt.generator.placer.max_box_size = 3;
-  return opt;
-}
-
-RegenOptions life_options() {
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 3;  // one partition per LIFE cell
-  opt.generator.placer.max_box_size = 3;
-  opt.generator.placer.module_spacing = 1;
-  opt.generator.placer.partition_spacing = 2;
-  opt.generator.router.margin = 12;
-  opt.generator.router.order_criterion =
-      static_cast<int>(NetOrderCriterion::LongestFirst);
+GeneratorOptions datapath_options() {
+  GeneratorOptions opt;
+  opt.placer.max_part_size = 5;
+  opt.placer.max_box_size = 3;
   return opt;
 }
 
@@ -149,9 +137,9 @@ TEST(Incremental, LargeEditFallsBackToFullRegen) {
   // A 6-module chain under -p 7 is a single partition: any placement-
   // relevant edit dirties 100% of partitions and must trip the fallback.
   const Network net = gen::chain_network({});
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 7;
-  opt.generator.placer.max_box_size = 7;
+  GeneratorOptions opt;
+  opt.placer.max_part_size = 7;
+  opt.placer.max_box_size = 7;
   RegenSession session(opt);
   session.update(net);
 
@@ -168,10 +156,10 @@ TEST(Incremental, LargeEditFallsBackToFullRegen) {
 
 TEST(Incremental, AdoptSeedsTheSession) {
   const Network net = gen::life_network();
-  const RegenOptions opt = life_options();
+  const GeneratorOptions opt = fig67_options();
   Diagram hand(net);
   gen::life_hand_placement(hand);
-  ASSERT_EQ(route_all(hand, opt.generator.router).nets_failed, 0);
+  ASSERT_EQ(route_all(hand, opt.router).nets_failed, 0);
 
   RegenSession session(opt);
   session.adopt(net, hand);
@@ -191,10 +179,10 @@ TEST(Incremental, AdoptSeedsTheSession) {
 // 10% of a from-scratch regeneration of the same edited netlist.
 TEST(Incremental, LifeSingleModuleEditReroutesUnderQuarter) {
   const Network net = gen::life_network();
-  const RegenOptions opt = life_options();
+  const GeneratorOptions opt = fig67_options();
   Diagram hand(net);
   gen::life_hand_placement(hand);
-  ASSERT_EQ(route_all(hand, opt.generator.router).nets_failed, 0);
+  ASSERT_EQ(route_all(hand, opt.router).nets_failed, 0);
 
   RegenSession session(opt);
   session.adopt(net, hand);
@@ -218,7 +206,7 @@ TEST(Incremental, LifeSingleModuleEditReroutesUnderQuarter) {
   // edited netlist.
   Diagram scratch(edited);
   gen::life_hand_placement(scratch);
-  ASSERT_EQ(route_all(scratch, opt.generator.router).nets_failed, 0);
+  ASSERT_EQ(route_all(scratch, opt.router).nets_failed, 0);
   expect_within_10pct(compute_stats(inc), compute_stats(scratch));
 }
 
@@ -229,10 +217,10 @@ TEST(Incremental, LifeSingleModuleEditReroutesUnderQuarter) {
 // place instead of being scrubbed and re-searched across the plane.
 TEST(Incremental, AddedModulePlacesNearNetGravity) {
   const Network net = gen::life_network();
-  const RegenOptions opt = life_options();
+  const GeneratorOptions opt = fig67_options();
   Diagram hand(net);
   gen::life_hand_placement(hand);
-  ASSERT_EQ(route_all(hand, opt.generator.router).nets_failed, 0);
+  ASSERT_EQ(route_all(hand, opt.router).nets_failed, 0);
 
   RegenSession session(opt);
   session.adopt(net, hand);
@@ -381,7 +369,7 @@ std::vector<CorpusEdit> edit_corpus() {
 
 /// Runs the corpus through one session and checks every update against
 /// its pin.
-void expect_corpus_pins(const Network& base, const RegenOptions& opt,
+void expect_corpus_pins(const Network& base, const GeneratorOptions& opt,
                         std::uint64_t seed, const std::vector<CorpusPin>& pins) {
   const std::vector<CorpusEdit> corpus = edit_corpus();
   ASSERT_EQ(pins.size(), corpus.size());
@@ -416,7 +404,7 @@ void expect_corpus_pins(const Network& base, const RegenOptions& opt,
 // and the fall-through to partition placement — and both corpora take one
 // full regeneration.
 TEST(Incremental, EditCorpusMatchesPinnedDigests) {
-  expect_corpus_pins(gen::life_network(), life_options(), 5,
+  expect_corpus_pins(gen::life_network(), fig67_options(), 5,
                      {{0xae2d58dfe6557c79ull, 1, 27, 3, 3, 0},
                       {0xc50dfe74273032f0ull, 3, 25, 1, 1, 0},
                       {0xa960824937209b18ull, 3, 25, 35, 19, 0},
@@ -433,11 +421,11 @@ TEST(Incremental, EditCorpusMatchesPinnedDigests) {
 
   gen::SynthOptions mesh;
   mesh.modules = 300;
-  RegenOptions mesh_opt;
-  mesh_opt.generator.placer.max_part_size = 8;
-  mesh_opt.generator.placer.max_box_size = 4;
-  mesh_opt.generator.placer.max_connections = 16;
-  mesh_opt.generator.router.margin = 6;
+  GeneratorOptions mesh_opt;
+  mesh_opt.placer.max_part_size = 8;
+  mesh_opt.placer.max_box_size = 4;
+  mesh_opt.placer.max_connections = 16;
+  mesh_opt.router.margin = 6;
   expect_corpus_pins(gen::synth_network(mesh), mesh_opt, 5,
                      {{0xf9e39d624c96e38cull, 1, 300, 1, 1, 0},
                       {0x5a8c62321060971cull, 8, 293, 1, 1, 0},
@@ -454,9 +442,9 @@ TEST(Incremental, EditCorpusMatchesPinnedDigests) {
                       {0xed7b320120663c1dull, 1, 298, 1, 1, 0}});
 }
 
-// The daemon's LIFE path: `open life` regenerates with RegenOptions{}, which
-// leaves many nets unrouted, so every flush re-searches them and most of
-// those searches fail.  Eight updates alternate the editor loop's edit
+// The daemon's LIFE path: `open life` regenerates at the default
+// GeneratorOptions, which leave many nets unrouted, so every flush
+// re-searches them and most of those searches fail.  Eight updates alternate the editor loop's edit
 // (add a probe module whose terminal joins a seeded net) with its removal;
 // each update's ESCHER bytes and unrouted count are pinned.
 TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
@@ -468,7 +456,7 @@ TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
                       {0x151756578fa45e87ull, 85},  {0xbfbe6db1873e8501ull, 78},
                       {0xf70764b04b7244feull, 78},  {0x66f99a4fc98daadcull, 78},
                       {0x3d05d4ca69e643d8ull, 78},  {0xa312b543b83765e2ull, 78}};
-  RegenSession session{RegenOptions{}};
+  RegenSession session;
   Network net = gen::life_network();
   session.update(net);
   CorpusRng rng{11};
@@ -499,7 +487,7 @@ TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
 // whose next update() is byte-identical to the one the original session
 // would have produced.
 TEST(SessionPersistence, RoutedLifeSessionRoundTrips) {
-  const RegenOptions opt = life_options();
+  const GeneratorOptions opt = fig67_options();
   RegenSession original(opt);
   Network net = gen::life_network();
   original.update(net);

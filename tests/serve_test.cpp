@@ -139,7 +139,7 @@ std::string edit_line(const std::string& session, int i) {
 /// observed (a get/save between each): one RegenSession update per edit.
 std::string local_reference(const std::string& design,
                             const std::string& session, int edits) {
-  RegenSession regen{RegenOptions{}};
+  RegenSession regen;
   Network net = design_network(design);
   regen.update(net);
   for (int i = 0; i < edits; ++i) {
@@ -156,7 +156,7 @@ std::string local_reference(const std::string& design,
 /// flush — one diff, one update — at the observation point.
 std::string composed_reference(const std::string& design,
                                const std::string& session, int edits) {
-  RegenSession regen{RegenOptions{}};
+  RegenSession regen;
   regen.update(design_network(design));
   ScriptComposer pending(regen.network());
   for (int i = 0; i < edits; ++i) {
@@ -712,14 +712,12 @@ TEST(Serve, RemovedStatsOpAnswersUnknownOpAndKeepsConnection) {
 }
 
 TEST(Serve, WatchdogProbesLoopLag) {
-  ServerOptions opt;
-  opt.watchdog_ms = 20;
-  LiveServer live(opt);
+  LiveServer live;
   BlockingClient c = live.connect();
   ASSERT_TRUE(is_ok(c.request(R"({"op":"open","session":"w","design":"chain"})")));
 
   // Wait until a watchdog tick's loop-lag probes have run (generous
-  // bound; the interval is 20ms).
+  // bound; the first tick fires at startup).
   std::string r;
   for (int i = 0; i < 200; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -791,11 +789,6 @@ TEST(ServeOptions, DegenerateOptionsFailAtStartNamingTheFlag) {
   }
   {
     ServerOptions opt;
-    opt.max_in_flight = 0;
-    EXPECT_NE(start_error(opt).find("--max-in-flight"), std::string::npos);
-  }
-  {
-    ServerOptions opt;
     opt.host.threads = 0;
     EXPECT_NE(start_error(opt).find("--threads"), std::string::npos);
   }
@@ -859,7 +852,7 @@ TEST(MultiEdit, SaveBetweenEditsSnapshotsPrecedingEdit) {
 
   // Local reference with the same observation structure: flush after
   // edit 0 (the save), snapshot, flush after edit 1 (the get).
-  RegenSession regen{RegenOptions{}};
+  RegenSession regen;
   regen.update(design_network("chain"));
   ScriptComposer pending(regen.network());
   pending.apply([](NetworkEditor& ed) { ed.add_module("mod0", "", {4, 3}); });

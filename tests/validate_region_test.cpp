@@ -20,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/figures.hpp"
 #include "gen/datapath.hpp"
 #include "gen/life.hpp"
 #include "gen/synth.hpp"
@@ -27,7 +28,6 @@
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
 #include "place/placer.hpp"
-#include "route/net_order.hpp"
 #include "route/router.hpp"
 #include "route/shard_route.hpp"
 #include "schematic/validate.hpp"
@@ -35,22 +35,10 @@
 namespace na {
 namespace {
 
-RegenOptions life_options() {
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 3;
-  opt.generator.placer.max_box_size = 3;
-  opt.generator.placer.module_spacing = 1;
-  opt.generator.placer.partition_spacing = 2;
-  opt.generator.router.margin = 12;
-  opt.generator.router.order_criterion =
-      static_cast<int>(NetOrderCriterion::LongestFirst);
-  return opt;
-}
-
-RegenOptions datapath_options() {
-  RegenOptions opt;
-  opt.generator.placer.max_part_size = 5;
-  opt.generator.placer.max_box_size = 3;
+GeneratorOptions datapath_options() {
+  GeneratorOptions opt;
+  opt.placer.max_part_size = 5;
+  opt.placer.max_box_size = 3;
   return opt;
 }
 
@@ -67,8 +55,8 @@ constexpr geom::Rect kEverywhere{{-10000000, -10000000}, {10000000, 10000000}};
 Diagram routed_life(const Network& net) {
   Diagram dia(net);
   gen::life_hand_placement(dia);
-  const RegenOptions opt = life_options();
-  EXPECT_EQ(route_all(dia, opt.generator.router).nets_failed, 0);
+  const GeneratorOptions opt = fig67_options();
+  EXPECT_EQ(route_all(dia, opt.router).nets_failed, 0);
   return dia;
 }
 
@@ -162,7 +150,7 @@ TEST(ValidateRegion, UnroutedNetWithGeometryIsReported) {
 TEST(ValidateRegion, DirtyRegionAgreesWithFullAcrossEditCorpus) {
   struct Scenario {
     const char* name;
-    RegenOptions opt;
+    GeneratorOptions opt;
     Network base;
     Network edited;
     bool hand_placed;  ///< adopt the LIFE hand placement instead of generating
@@ -173,7 +161,7 @@ TEST(ValidateRegion, DirtyRegionAgreesWithFullAcrossEditCorpus) {
   {
     NetworkEditor ed(life);
     ed.move_terminal("rule11", "we", {6, 11});
-    corpus.push_back({"life_repin", life_options(), life, ed.build(), true});
+    corpus.push_back({"life_repin", fig67_options(), life, ed.build(), true});
   }
   {
     NetworkEditor ed(life);
@@ -181,13 +169,13 @@ TEST(ValidateRegion, DirtyRegionAgreesWithFullAcrossEditCorpus) {
     ed.add_module_terminal("probe", "i", TermType::In, {0, 2});
     ed.connect("mode", "probe", "i");
     corpus.push_back(
-        {"life_add_module", life_options(), life, ed.build(), true});
+        {"life_add_module", fig67_options(), life, ed.build(), true});
   }
   {
     NetworkEditor ed(life);
     ed.remove_net("alive0");
     corpus.push_back(
-        {"life_delete_net", life_options(), life, ed.build(), true});
+        {"life_delete_net", fig67_options(), life, ed.build(), true});
   }
   const Network dp = gen::datapath_network({8});
   {
@@ -211,7 +199,7 @@ TEST(ValidateRegion, DirtyRegionAgreesWithFullAcrossEditCorpus) {
     if (s.hand_placed) {
       Diagram hand(s.base);
       gen::life_hand_placement(hand);
-      ASSERT_EQ(route_all(hand, s.opt.generator.router).nets_failed, 0);
+      ASSERT_EQ(route_all(hand, s.opt.router).nets_failed, 0);
       session.adopt(s.base, hand);
     } else {
       session.update(s.base);
@@ -522,7 +510,7 @@ Diagram routed_life_with_spare(const Network& net) {
   Diagram dia(net);
   gen::life_hand_placement(dia);
   dia.place_system_term(spare_of(net), dia.placement_bounds().hi + geom::Point{3, 3});
-  EXPECT_EQ(route_all(dia, life_options().generator.router).nets_failed, 0);
+  EXPECT_EQ(route_all(dia, fig67_options().router).nets_failed, 0);
   return dia;
 }
 
