@@ -113,12 +113,11 @@ void report_scenario(const char* name, const Timing& inc, const Timing& full,
   std::printf(
       "    %-16s incremental %6.1fms  full %6.1fms  speedup %4.1fx  "
       "rerouted %d/%d kept %d extended %d scrubbed %d replaced %d frozen %d  "
-      "validate %.2fms (%s)\n",
+      "validate %.2fms\n",
       name, inc.ms, full.ms, full.ms / inc.ms, inc.counters.nets_rerouted,
       net_count, inc.counters.nets_kept, inc.counters.nets_extended,
       inc.counters.cells_scrubbed, inc.counters.modules_replaced,
-      inc.counters.modules_frozen, inc.validation_ms,
-      inc.counters.full_validations ? "full" : "region");
+      inc.counters.modules_frozen, inc.validation_ms);
 }
 
 // ----- google-benchmark entries ---------------------------------------------

@@ -8,11 +8,11 @@
 //   bit2' = bit2 ^ (bit1 & bit0)   (carry from bits 1..0)
 //
 //   $ ./counter [out_dir]
-#include <fstream>
 #include <iostream>
 
 #include "core/generator.hpp"
 #include "netlist/module_library.hpp"
+#include "netlist/text_io.hpp"
 #include "schematic/ascii_writer.hpp"
 #include "schematic/svg_writer.hpp"
 #include "schematic/validate.hpp"
@@ -79,7 +79,12 @@ int main(int argc, char** argv) {
     std::cout << "PROBLEM: " << p << '\n';
     rc = 1;
   }
-  std::ofstream(out_dir + "/counter.svg") << to_svg(dia);
+  try {
+    write_file(out_dir + "/counter.svg", to_svg(dia));
+  } catch (const std::exception& e) {
+    std::cerr << "counter: " << e.what() << '\n';
+    return 1;
+  }
 
   // Simulate the artwork: 8 ticks must count 0,1,2,...,7.
   sim::Simulator s(c.net);

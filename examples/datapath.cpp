@@ -8,11 +8,11 @@
 // the designer can pick the most readable diagram.
 //
 //   $ ./datapath [out_dir]
-#include <fstream>
 #include <iostream>
 
 #include "core/generator.hpp"
 #include "netlist/module_library.hpp"
+#include "netlist/text_io.hpp"
 #include "schematic/svg_writer.hpp"
 #include "schematic/validate.hpp"
 
@@ -82,7 +82,12 @@ int main(int argc, char** argv) {
       std::cout << "PROBLEM: " << p << '\n';
       rc = 1;
     }
-    std::ofstream(out_dir + "/datapath_" + cfg.name + ".svg") << to_svg(dia);
+    try {
+      write_file(out_dir + "/datapath_" + cfg.name + ".svg", to_svg(dia));
+    } catch (const std::exception& e) {
+      std::cerr << "datapath: " << e.what() << '\n';
+      return 1;
+    }
   }
   std::cout << "SVGs written to " << out_dir << '\n';
   return rc;

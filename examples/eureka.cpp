@@ -6,29 +6,16 @@
 //   $ ./eureka [-s] [-L|-H] [-m n] [-noclaim] [-noretry] [-u -d -l -r]
 //              <graphic-file.es> <call-file> <netlist-file> [io-file]
 //              [-o out.es]
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/options.hpp"
 #include "netlist/netlist_io.hpp"
+#include "netlist/text_io.hpp"
 #include "obs/stats_absorb.hpp"
 #include "schematic/escher_reader.hpp"
 #include "schematic/escher_writer.hpp"
 #include "schematic/metrics.hpp"
 #include "schematic/validate.hpp"
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace na;
@@ -59,9 +46,9 @@ int main(int argc, char** argv) {
   }
   try {
     const ModuleLibrary lib = ModuleLibrary::standard_cells();
-    const std::string io = files.size() > 3 ? slurp(files[3]) : std::string{};
-    const Network net = parse_network(lib, slurp(files[1]), io, slurp(files[2]));
-    Diagram dia = parse_escher_diagram(net, slurp(files[0]));
+    const std::string io = files.size() > 3 ? read_file(files[3]) : std::string{};
+    const Network net = parse_network(lib, read_file(files[1]), io, read_file(files[2]));
+    Diagram dia = parse_escher_diagram(net, read_file(files[0]));
 
     obs::obs_begin(obs);
     const RouteReport report = route_all(dia, opt.router);
@@ -71,7 +58,7 @@ int main(int argc, char** argv) {
     const DiagramStats stats = compute_stats(dia);
     std::cout << stats.summary() << '\n';
     for (const auto& p : validate_diagram(dia)) std::cerr << "PROBLEM: " << p << '\n';
-    std::ofstream(out_path) << to_escher_diagram(dia, "eureka");
+    write_file(out_path, to_escher_diagram(dia, "eureka"));
     std::cout << "wrote " << out_path << '\n';
 
     obs::MetricsRegistry reg;

@@ -10,14 +10,14 @@
 // With --stats json the emission holds both figures' counters and span
 // rollups under the fig66./fig67. prefixes — the breakdown behind the
 // paper's Table 6.1.
-#include <fstream>
 #include <iostream>
 #include <span>
 
 #include "core/figures.hpp"
 #include "core/generator.hpp"
-#include "core/options.hpp"
 #include "gen/life.hpp"
+#include "netlist/text_io.hpp"
+#include "obs/obs_options.hpp"
 #include "obs/stats_absorb.hpp"
 #include "obs/trace.hpp"
 #include "schematic/metrics.hpp"
@@ -28,12 +28,10 @@
 int main(int argc, char** argv) {
   using namespace na;
   obs::ObsOptions obs;
-  GeneratorOptions cli;  // the figures keep their published options
   std::string out_dir = ".";
   try {
-    std::vector<std::string> args(argv + 1, argv + argc);
     const std::vector<std::string> positional =
-        parse_generator_args(args, cli, &obs);
+        obs::parse_obs_args({argv + 1, argv + argc}, obs);
     if (!positional.empty()) out_dir = positional[0];
   } catch (const std::exception& e) {
     std::cerr << "life_game: " << e.what() << '\n';
@@ -79,14 +77,19 @@ int main(int argc, char** argv) {
     obs::absorb(one, spans);
     reg.merge_prefixed(one, prefix);
 
-    std::ofstream(out_dir + "/" + file) << to_svg(dia);
+    write_file(out_dir + "/" + file, to_svg(dia));
     std::cout << "wrote " << out_dir << "/" << file << "\n\n";
   };
 
-  run("figure 6.6: hand placement, automatic routing", "life_hand.svg", true,
-      "fig66.");
-  run("figure 6.7: fully automatic generation", "life_auto.svg", false,
-      "fig67.");
+  try {
+    run("figure 6.6: hand placement, automatic routing", "life_hand.svg", true,
+        "fig66.");
+    run("figure 6.7: fully automatic generation", "life_auto.svg", false,
+        "fig67.");
+  } catch (const std::exception& e) {
+    std::cerr << "life_game: " << e.what() << '\n';
+    return 1;
+  }
 
   // The paper's acceptance test: "the schematic diagram has been simulated
   // ... the results were positive."  The validator above proved the drawn

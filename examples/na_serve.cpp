@@ -11,9 +11,10 @@
 // With --port 0 the kernel picks the port; --port-file writes the bound
 // port so scripts (examples/serve_demo.sh) can find it.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "netlist/text_io.hpp"
 #include "obs/obs_options.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -41,14 +42,13 @@ void usage(const char* argv0) {
 }
 
 bool int_arg(const char* value, const char* flag, long lo, long hi, long* out) {
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr, "na_serve: bad value for %s: '%s'\n", flag, value);
+  try {
+    *out = static_cast<long>(na::parse_int(value, lo, hi));
+    return true;
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "na_serve: bad value for %s: %s\n", flag, e.what());
     return false;
   }
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -144,13 +144,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!port_file.empty()) {
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "na_serve: cannot write %s\n", port_file.c_str());
+    try {
+      write_file(port_file, std::to_string(server.port()) + "\n");
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "na_serve: %s\n", e.what());
       return 1;
     }
-    std::fprintf(f, "%d\n", server.port());
-    std::fclose(f);
   }
   serve::install_signal_handlers(server);
   std::fprintf(stderr,

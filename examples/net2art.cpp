@@ -12,14 +12,13 @@
 // input files with a seeded synthetic network (topology: grid, torus, dag).
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/generator.hpp"
 #include "core/options.hpp"
 #include "gen/synth.hpp"
 #include "netlist/netlist_io.hpp"
+#include "netlist/text_io.hpp"
 #include "obs/stats_absorb.hpp"
 #include "schematic/ascii_writer.hpp"
 #include "schematic/eps_writer.hpp"
@@ -28,14 +27,6 @@
 #include "schematic/validate.hpp"
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 /// Parses "<topology>:<modules>[:<seed>[:<fanout>]]", e.g. "grid:1000",
 /// "torus:256:7", "dag:5000:1:2.5".  Every field must parse in full; a
@@ -121,14 +112,14 @@ int main(int argc, char** argv) {
   try {
     ModuleLibrary lib = ModuleLibrary::standard_cells();
     for (const std::string& f : lib_files) {
-      lib.add(parse_module_description(slurp(f)));
+      lib.add(parse_module_description(read_file(f)));
     }
     Network net;
     if (!synth_spec.empty()) {
       net = gen::synth_network(synth);
     } else {
-      const std::string io = files.size() > 2 ? slurp(files[2]) : std::string{};
-      net = parse_network(lib, slurp(files[0]), io, slurp(files[1]));
+      const std::string io = files.size() > 2 ? read_file(files[2]) : std::string{};
+      net = parse_network(lib, read_file(files[0]), io, read_file(files[1]));
     }
 
     obs::obs_begin(obs);
@@ -140,10 +131,10 @@ int main(int argc, char** argv) {
     }
     for (const auto& p : validate_diagram(dia)) std::cout << "PROBLEM: " << p << '\n';
 
-    std::ofstream(out_prefix + ".svg") << to_svg(dia);
-    std::ofstream(out_prefix + ".txt") << to_ascii(dia);
-    std::ofstream(out_prefix + ".es") << to_escher_diagram(dia, out_prefix);
-    std::ofstream(out_prefix + ".eps") << to_eps(dia);
+    write_file(out_prefix + ".svg", to_svg(dia));
+    write_file(out_prefix + ".txt", to_ascii(dia));
+    write_file(out_prefix + ".es", to_escher_diagram(dia, out_prefix));
+    write_file(out_prefix + ".eps", to_eps(dia));
     std::cout << "wrote " << out_prefix << ".svg/.txt/.es/.eps\n";
 
     obs::MetricsRegistry reg;

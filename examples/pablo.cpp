@@ -8,29 +8,16 @@
 //
 // The -g option reads a preplaced (possibly prerouted) partial diagram;
 // the preplaced part forms a partition of its own and stays put.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/options.hpp"
 #include "netlist/netlist_io.hpp"
+#include "netlist/text_io.hpp"
 #include "obs/stats_absorb.hpp"
 #include "schematic/escher_reader.hpp"
 #include "schematic/escher_writer.hpp"
 #include "schematic/metrics.hpp"
 #include "schematic/validate.hpp"
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace na;
@@ -64,19 +51,19 @@ int main(int argc, char** argv) {
   }
   try {
     const ModuleLibrary lib = ModuleLibrary::standard_cells();
-    const std::string io = files.size() > 2 ? slurp(files[2]) : std::string{};
-    const Network net = parse_network(lib, slurp(files[0]), io, slurp(files[1]));
+    const std::string io = files.size() > 2 ? read_file(files[2]) : std::string{};
+    const Network net = parse_network(lib, read_file(files[0]), io, read_file(files[1]));
 
     Diagram dia(net);
     if (!preplaced_path.empty()) {
-      dia = parse_escher_diagram(net, slurp(preplaced_path));
+      dia = parse_escher_diagram(net, read_file(preplaced_path));
     }
     obs::obs_begin(obs);
     const PlacementInfo info = place(dia, opt.placer);
     std::cout << "placed " << net.module_count() << " modules in "
               << info.partitions.size() << " partitions\n";
     for (const auto& p : validate_diagram(dia)) std::cerr << "PROBLEM: " << p << '\n';
-    std::ofstream(out_path) << to_escher_diagram(dia, "pablo");
+    write_file(out_path, to_escher_diagram(dia, "pablo"));
     std::cout << "wrote " << out_path << '\n';
 
     obs::MetricsRegistry reg;

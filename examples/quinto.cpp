@@ -5,11 +5,12 @@
 //
 //   $ ./quinto [file]          reads stdin when no file is given
 //   $ ./quinto -pitch 10 file  historical files with pitch-10 coordinates
-#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "core/options.hpp"
 #include "netlist/module_library.hpp"
+#include "netlist/text_io.hpp"
 #include "schematic/escher_writer.hpp"
 
 int main(int argc, char** argv) {
@@ -25,14 +26,10 @@ int main(int argc, char** argv) {
         path = a;
       }
     }
-    ModuleTemplate tmpl;
-    if (path.empty()) {
-      tmpl = parse_module_description(std::cin, pitch);
-    } else {
-      std::ifstream in(path);
-      if (!in) throw std::runtime_error("cannot open '" + path + "'");
-      tmpl = parse_module_description(in, pitch);
-    }
+    const std::string text =
+        path.empty() ? std::string(std::istreambuf_iterator<char>(std::cin), {})
+                     : read_file(path);
+    const ModuleTemplate tmpl = parse_module_description(text, pitch);
     std::cout << to_escher_template(tmpl);
     std::cerr << "module '" << tmpl.name << "' (" << tmpl.size.x << "x"
               << tmpl.size.y << ", " << tmpl.terms.size()

@@ -8,19 +8,20 @@
 //
 //   $ ./regen [--trace <file>] [--stats text|json|off]
 //
-// Each patched diagram is validated over its dirty hull only, escalating
-// to the whole diagram on any issue; the printed validation times are the
-// regen.validate spans' rollup.  --trace writes the regen.* stage spans of
-// every update; --stats emits the session totals and the span rollup.
+// Each patched diagram is validated over its dirty hull only, falling
+// back to a full regeneration on any issue; the printed validation times
+// are the regen.validate spans' rollup.  --trace writes the regen.* stage
+// spans of every update; --stats emits the session totals and the span
+// rollup.
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-#include "core/options.hpp"
 #include "gen/datapath.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
+#include "obs/obs_options.hpp"
 #include "obs/stats_absorb.hpp"
 #include "obs/trace.hpp"
 #include "schematic/metrics.hpp"
@@ -30,23 +31,6 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: regen [--trace <file>] [--stats text|json|off]\n";
-
-void parse_args(int argc, char** argv, na::obs::ObsOptions& obs) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for " + arg);
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      obs.trace_path = value();
-    } else if (arg == "--stats") {
-      obs.stats = na::obs::parse_stats_mode(value());
-    } else {
-      throw std::runtime_error("unknown flag '" + arg + "'");
-    }
-  }
-}
 
 }  // namespace
 
@@ -58,7 +42,11 @@ int main(int argc, char** argv) {
   opt.placer.max_part_size = 5;
   opt.placer.max_box_size = 3;
   try {
-    parse_args(argc, argv, obs);
+    const std::vector<std::string> rest =
+        obs::parse_obs_args({argv + 1, argv + argc}, obs);
+    if (!rest.empty()) {
+      throw std::runtime_error("unexpected argument '" + rest[0] + "'");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), kUsage);
     return 2;
@@ -119,8 +107,8 @@ int main(int argc, char** argv) {
   const RegenCounters& t = session.totals();
   std::printf("totals: %d updates, %d incremental, %d full regenerations\n",
               t.updates, t.incremental, t.full_regens);
-  std::printf("validation: %d region-scoped, %d whole-diagram, %.2f ms\n",
-              t.region_validations, t.full_validations, validated_ms);
+  std::printf("validation: %d region-scoped, %.2f ms\n",
+              t.region_validations, validated_ms);
 
   obs::MetricsRegistry reg;
   obs::absorb(reg, t);

@@ -1,25 +1,21 @@
 #include "core/options.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <stdexcept>
+
+#include "netlist/text_io.hpp"
 
 namespace na {
 
 int parse_int_arg(const std::string& value, const std::string& flag,
                   int min_value) {
-  int v = 0;
-  const char* first = value.data();
-  const char* last = first + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last || value.empty()) {
-    throw std::runtime_error("bad value '" + value + "' for " + flag);
+  try {
+    return static_cast<int>(
+        parse_int(value, min_value, std::numeric_limits<int>::max()));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("bad value '" + value + "' for " + flag + " (" +
+                             e.what() + ")");
   }
-  if (v < min_value) {
-    throw std::runtime_error("bad value '" + value + "' for " + flag +
-                             " (must be >= " + std::to_string(min_value) + ")");
-  }
-  return v;
 }
 
 std::vector<std::string> parse_generator_args(const std::vector<std::string>& args,

@@ -28,10 +28,9 @@ std::vector<std::string> parse_generator_args(const std::vector<std::string>& ar
                                               GeneratorOptions& opt,
                                               obs::ObsOptions* obs = nullptr);
 
-/// Strict full-string integer parse for a flag value: rejects empty
-/// strings, trailing garbage ("5x"), overflow, and — when `min_value` is
-/// given — anything below it.  Throws std::runtime_error with a one-line
-/// diagnostic naming `flag` and the offending text.
+/// A flag value under parse_int's grammar (text_io.hpp), at least
+/// `min_value`.  Throws std::runtime_error with a one-line diagnostic
+/// naming `flag` and the offending text.
 int parse_int_arg(const std::string& value, const std::string& flag,
                   int min_value = std::numeric_limits<int>::min());
 

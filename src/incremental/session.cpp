@@ -1,6 +1,6 @@
 #include "incremental/session.hpp"
 
-#include <charconv>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -9,6 +9,7 @@
 #include "incremental/dirty.hpp"
 #include "incremental/inc_place.hpp"
 #include "incremental/inc_route.hpp"
+#include "netlist/text_io.hpp"
 #include "obs/trace.hpp"
 #include "place/partition.hpp"
 #include "place/boxes.hpp"
@@ -68,42 +69,10 @@ constexpr const char* kSessionHeader = "#NA-SESSION-1";
 constexpr const char* kSessionStateEnd = "end-session-state";
 
 void check_name(const std::string& s, const char* what) {
-  if (s.empty() || s.find_first_of(" \t\r\n") != std::string::npos) {
+  if (s.empty() || s.find_first_of(" \t\r\n\f\v") != std::string::npos) {
     throw std::runtime_error(std::string("RegenSession::save: unsupported ") +
                              what + " name '" + s + "'");
   }
-}
-
-[[noreturn]] void restore_fail(int line, const std::string& why) {
-  throw std::runtime_error("RegenSession::restore: line " +
-                           std::to_string(line) + ": " + why);
-}
-
-int restore_int(std::string_view tok, int line, const char* what, int lo,
-                int hi) {
-  int v = 0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    restore_fail(line, std::string("bad ") + what + " '" + std::string(tok) + "'");
-  }
-  if (v < lo || v > hi) {
-    restore_fail(line, std::string(what) + " " + std::to_string(v) +
-                           " out of range");
-  }
-  return v;
-}
-
-std::vector<std::string_view> split_tokens(std::string_view line) {
-  std::vector<std::string_view> toks;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) toks.push_back(line.substr(i, j - i));
-    i = j;
-  }
-  return toks;
 }
 
 }  // namespace
@@ -185,80 +154,58 @@ void RegenSession::restore(std::string_view text) {
   Network net;
   PlacementInfo info;
   std::vector<int> fixed, routed, prerouted;
-  size_t pos = 0;
-  int lineno = 0;
-  bool saw_header = false;
-  size_t diagram_off = std::string_view::npos;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    const size_t next = eol + 1;
-    ++lineno;
-    if (!saw_header) {
-      if (line != kSessionHeader) restore_fail(lineno, "missing #NA-SESSION-1 header");
-      saw_header = true;
-      pos = next;
-      continue;
-    }
-    const std::vector<std::string_view> toks = split_tokens(line);
-    if (toks.empty()) {
-      if (pos >= text.size()) break;
-      pos = next;
-      continue;
-    }
-    const std::string_view kind = toks[0];
+  RecordReader r(text, "RegenSession::restore:");
+  if (!r.next() || r.size() != 1 || r[0] != kSessionHeader) {
+    r.fail("missing #NA-SESSION-1 header");
+  }
+  std::optional<std::string_view> diagram;
+  while (!diagram && r.next()) {
+    const std::string_view kind = r[0];
     if (kind == kSessionStateEnd) {
-      diagram_off = next;
-      break;
-    }
-    if (kind == "module") {
-      if (toks.size() != 4 && toks.size() != 5) restore_fail(lineno, "module record needs 4 or 5 fields");
-      const int w = restore_int(toks[1], lineno, "module width", 0, 1 << 24);
-      const int h = restore_int(toks[2], lineno, "module height", 0, 1 << 24);
-      net.add_module(std::string(toks[3]),
-                     toks.size() == 5 ? std::string(toks[4]) : std::string(),
-                     {w, h});
+      diagram = r.rest();
+    } else if (kind == "module") {
+      if (r.size() != 4 && r.size() != 5) r.fail("module record needs 4 or 5 fields");
+      const int w = r.int_field(1, 0, kMaxCoord);
+      const int h = r.int_field(2, 0, kMaxCoord);
+      net.add_module(std::string(r[3]),
+                     r.size() == 5 ? std::string(r[4]) : std::string(), {w, h});
     } else if (kind == "term") {
-      if (toks.size() != 6) restore_fail(lineno, "term record needs 6 fields");
-      const int m = restore_int(toks[1], lineno, "module id", 0,
-                                net.module_count() - 1);
-      const auto type = parse_term_type(toks[2]);
-      if (!type) restore_fail(lineno, "bad terminal type '" + std::string(toks[2]) + "'");
-      const int x = restore_int(toks[3], lineno, "terminal x", -(1 << 24), 1 << 24);
-      const int y = restore_int(toks[4], lineno, "terminal y", -(1 << 24), 1 << 24);
-      net.add_terminal(m, std::string(toks[5]), *type, {x, y});
+      if (r.size() != 6) r.fail("term record needs 6 fields");
+      const int m = r.int_field(1, 0, net.module_count() - 1);
+      const auto type = parse_term_type(r[2]);
+      if (!type) r.fail("bad terminal type '" + std::string(r[2]) + "'");
+      const int x = r.int_field(3, -kMaxCoord, kMaxCoord);
+      const int y = r.int_field(4, -kMaxCoord, kMaxCoord);
+      net.add_terminal(m, std::string(r[5]), *type, {x, y});
     } else if (kind == "systerm") {
-      if (toks.size() != 3) restore_fail(lineno, "systerm record needs 3 fields");
-      const auto type = parse_term_type(toks[1]);
-      if (!type) restore_fail(lineno, "bad terminal type '" + std::string(toks[1]) + "'");
-      net.add_system_terminal(std::string(toks[2]), *type);
+      if (r.size() != 3) r.fail("systerm record needs 3 fields");
+      const auto type = parse_term_type(r[1]);
+      if (!type) r.fail("bad terminal type '" + std::string(r[1]) + "'");
+      net.add_system_terminal(std::string(r[2]), *type);
     } else if (kind == "net") {
-      if (toks.size() != 2) restore_fail(lineno, "net record needs 2 fields");
-      net.add_net(std::string(toks[1]));
+      if (r.size() != 2) r.fail("net record needs 2 fields");
+      net.add_net(std::string(r[1]));
     } else if (kind == "conn") {
-      if (toks.size() != 3) restore_fail(lineno, "conn record needs 3 fields");
-      const int n = restore_int(toks[1], lineno, "net id", 0, net.net_count() - 1);
-      const int t = restore_int(toks[2], lineno, "term id", 0, net.term_count() - 1);
+      if (r.size() != 3) r.fail("conn record needs 3 fields");
+      const int n = r.int_field(1, 0, net.net_count() - 1);
+      const int t = r.int_field(2, 0, net.term_count() - 1);
       net.connect(n, t);
     } else if (kind == "part") {
       std::vector<ModuleId> part;
-      for (size_t i = 1; i < toks.size(); ++i) {
-        part.push_back(restore_int(toks[i], lineno, "module id", 0,
-                                   net.module_count() - 1));
+      for (size_t i = 1; i < r.size(); ++i) {
+        part.push_back(r.int_field(i, 0, net.module_count() - 1));
       }
       info.partitions.push_back(std::move(part));
     } else if (kind == "box") {
-      if (toks.size() < 2) restore_fail(lineno, "box record needs a partition id");
-      const int p = restore_int(toks[1], lineno, "partition id", 0,
-                                static_cast<int>(info.partitions.size()) - 1);
+      if (r.size() < 2) r.fail("box record needs a partition id");
+      const int p =
+          r.int_field(1, 0, static_cast<int>(info.partitions.size()) - 1);
       if (info.boxes.size() < info.partitions.size()) {
         info.boxes.resize(info.partitions.size());
       }
       Box box;
-      for (size_t i = 2; i < toks.size(); ++i) {
-        box.push_back(restore_int(toks[i], lineno, "module id", 0,
-                                  net.module_count() - 1));
+      for (size_t i = 2; i < r.size(); ++i) {
+        box.push_back(r.int_field(i, 0, net.module_count() - 1));
       }
       info.boxes[p].push_back(std::move(box));
     } else if (kind == "fixed" || kind == "routed" || kind == "prerouted") {
@@ -267,27 +214,18 @@ void RegenSession::restore(std::string_view text) {
                                                  : prerouted;
       const int hi = kind == "fixed" ? net.module_count() - 1
                                      : net.net_count() - 1;
-      for (size_t i = 1; i < toks.size(); ++i) {
-        out.push_back(restore_int(toks[i], lineno,
-                                  kind == "fixed" ? "module id" : "net id", 0,
-                                  hi));
-      }
+      for (size_t i = 1; i < r.size(); ++i) out.push_back(r.int_field(i, 0, hi));
     } else {
-      restore_fail(lineno, "unknown record '" + std::string(kind) + "'");
+      r.fail("unknown record '" + std::string(kind) + "'");
     }
-    if (pos >= text.size()) break;
-    pos = next;
   }
-  if (!saw_header) restore_fail(lineno, "missing #NA-SESSION-1 header");
-  if (diagram_off == std::string_view::npos) {
-    restore_fail(lineno, "missing end-session-state record");
-  }
-  if (diagram_off >= text.size()) restore_fail(lineno, "missing embedded diagram");
+  if (!diagram) r.fail("missing end-session-state record");
+  if (diagram->empty()) r.fail("missing embedded diagram");
   info.boxes.resize(info.partitions.size());
 
   auto copy = std::make_unique<Network>(std::move(net));
   auto dia = std::make_unique<Diagram>(
-      parse_escher_diagram(*copy, text.substr(diagram_off)));
+      parse_escher_diagram(*copy, *diagram));
   // Override the reader's editor-handoff flags (everything fixed and
   // prerouted) with the session's recorded ones.
   for (ModuleId m = 0; m < copy->module_count(); ++m) {
@@ -340,7 +278,6 @@ RegenCounters& RegenCounters::operator+=(const RegenCounters& o) {
   failed_expansions += o.failed_expansions;
   pocket_proofs += o.pocket_proofs;
   region_validations += o.region_validations;
-  full_validations += o.full_validations;
   dirty_region = dirty_region.hull(o.dirty_region);
   return *this;
 }
@@ -437,18 +374,13 @@ const Diagram& RegenSession::update(const Network& next) {
 
   // Region-scoped validity check: only the union of the patched-net hulls
   // and the moved-module footprints (the patch router's dirty_region) is
-  // re-checked.  Any in-region issue escalates to the whole-diagram check
-  // — the region verdict is trusted only when it is clean.
-  int full_validations = 0;
+  // re-checked.  Region issues are a subset of the whole diagram's
+  // (DESIGN §7), so any issue goes straight to a full regeneration.
   {
     NA_TRACE_SPAN(span, "regen.validate");
-    std::vector<std::string> issues = validate_region(*dia, routed.dirty_region);
-    if (!issues.empty()) {
-      issues = validate_diagram(*dia);
-      ++full_validations;
-    }
+    const std::vector<std::string> issues =
+        validate_region(*dia, routed.dirty_region);
     span.arg("region", 1);
-    span.arg("full", full_validations);
     span.arg("issues", static_cast<long long>(issues.size()));
     if (!issues.empty()) {
       full_regen(next);  // patched diagram broke a drawing rule
@@ -474,7 +406,6 @@ const Diagram& RegenSession::update(const Network& next) {
   one.failed_expansions = routed.report.failed_expansions;
   one.pocket_proofs = routed.report.pocket_proofs;
   one.region_validations = 1;
-  one.full_validations = full_validations;
   one.dirty_region = routed.dirty_region;
   account(one);
   return *dia_;

@@ -38,8 +38,7 @@ struct RegenCounters {
   int failed_searches = 0;    ///< that pass's searches that found no path
   long failed_expansions = 0; ///< states those searches expanded
   int pocket_proofs = 0;      ///< failed searches ended by the pocket proof
-  int region_validations = 0;  ///< patches checked by validate_region only
-  int full_validations = 0;    ///< whole-diagram checks after a region issue
+  int region_validations = 0;  ///< patches checked by validate_region
   /// Dirty hull the last patch validated (empty for full regens and no-op
   /// updates); in totals() the hull of every patch's region.
   geom::Rect dirty_region;
@@ -53,9 +52,8 @@ class RegenSession {
  public:
   /// Every update places and routes with `opt`, and checks every patched
   /// result against the drawing rules, falling back to a full regeneration
-  /// when it reports problems.  The check is region-scoped (validate_region
-  /// over the patch's dirty hull, escalating to a whole-diagram
-  /// validate_diagram only when the region reports an issue).
+  /// when it reports problems.  The check is region-scoped: validate_region
+  /// over the patch's dirty hull.
   explicit RegenSession(GeneratorOptions opt = {});
   ~RegenSession();
   RegenSession(RegenSession&&) noexcept;

@@ -1,8 +1,9 @@
 #include "netlist/module_library.hpp"
 
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
+
+#include "netlist/text_io.hpp"
 
 namespace na {
 
@@ -114,80 +115,36 @@ ModuleLibrary ModuleLibrary::standard_cells() {
   return lib;
 }
 
-namespace {
-
-/// Splits a line into whitespace-separated fields (Appendix A record rules).
-std::vector<std::string> fields_of(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream iss(line);
-  std::string f;
-  while (iss >> f) out.push_back(f);
-  return out;
-}
-
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  throw std::runtime_error("module description line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-/// Strict full-string integer parse: corrupted descriptions produce a
-/// line/token diagnostic instead of a crash, and trailing garbage ("5x")
-/// is rejected rather than silently truncated to 5.
-int parse_coord(const std::string& s, int pitch, int line_no) {
-  int v = 0;
-  const char* first = s.data();
-  const char* last = first + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last || s.empty()) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  }
-  if (pitch > 1) {
-    if (v % pitch != 0) {
-      fail(line_no, "coordinate " + s + " not divisible by pitch " +
-                        std::to_string(pitch));
-    }
-    v /= pitch;
-  }
-  return v;
-}
-
-}  // namespace
-
-ModuleTemplate parse_module_description(std::istream& in, int pitch) {
-  ModuleTemplate t;
-  std::string line;
-  int line_no = 0;
-  bool have_heading = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    auto f = fields_of(line);
-    if (f.empty()) continue;
-    if (!have_heading) {
-      if (f.size() != 4 || f[0] != "module") {
-        fail(line_no, "expected 'module <name> <width> <height>'");
-      }
-      t.name = f[1];
-      t.size = {parse_coord(f[2], pitch, line_no), parse_coord(f[3], pitch, line_no)};
-      if (t.size.x <= 0 || t.size.y <= 0) fail(line_no, "non-positive module size");
-      have_heading = true;
-      continue;
-    }
-    if (f.size() != 4) fail(line_no, "expected '<type> <name> <x> <y>'");
-    auto type = parse_term_type(f[0]);
-    if (!type) fail(line_no, "bad terminal type '" + f[0] + "'");
-    geom::Point pos{parse_coord(f[2], pitch, line_no), parse_coord(f[3], pitch, line_no)};
-    if (!geom::on_perimeter(pos, t.size)) {
-      fail(line_no, "terminal '" + f[1] + "' not on the module outline");
-    }
-    t.terms.push_back({f[1], *type, pos});
-  }
-  if (!have_heading) throw std::runtime_error("module description: empty input");
-  return t;
-}
-
 ModuleTemplate parse_module_description(std::string_view text, int pitch) {
-  std::istringstream iss{std::string(text)};
-  return parse_module_description(iss, pitch);
+  RecordReader r(text, "module description");
+  // Appendix B coordinates are multiples of the drawing pitch.
+  auto coord = [&](size_t i) {
+    const int v = r.int_field(i, -kMaxCoord, kMaxCoord);
+    if (v % pitch != 0) {
+      r.fail("coordinate " + std::string(r[i]) + " not divisible by pitch " +
+             std::to_string(pitch));
+    }
+    return v / pitch;
+  };
+  if (!r.next()) throw std::runtime_error("module description: empty input");
+  if (r.size() != 4 || r[0] != "module") {
+    r.fail("expected 'module <name> <width> <height>'");
+  }
+  ModuleTemplate t;
+  t.name = r[1];
+  t.size = {coord(2), coord(3)};
+  if (t.size.x <= 0 || t.size.y <= 0) r.fail("non-positive module size");
+  while (r.next()) {
+    if (r.size() != 4) r.fail("expected '<type> <name> <x> <y>'");
+    auto type = parse_term_type(r[0]);
+    if (!type) r.fail("bad terminal type '" + std::string(r[0]) + "'");
+    const geom::Point pos{coord(2), coord(3)};
+    if (!geom::on_perimeter(pos, t.size)) {
+      r.fail("terminal '" + std::string(r[1]) + "' not on the module outline");
+    }
+    t.terms.push_back({std::string(r[1]), *type, pos});
+  }
+  return t;
 }
 
 std::string format_module_description(const ModuleTemplate& t) {

@@ -15,7 +15,6 @@
 // pitch divisor when parsing legacy files.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -66,7 +65,6 @@ class ModuleLibrary {
 /// Parses one Appendix-B module description.  `pitch` divides all file
 /// coordinates (pass 10 for historical ESCHER-era files, 1 for track units).
 /// Throws std::runtime_error with a line-numbered message on bad input.
-ModuleTemplate parse_module_description(std::istream& in, int pitch = 1);
 ModuleTemplate parse_module_description(std::string_view text, int pitch = 1);
 
 /// Emits the Appendix-B description (inverse of the parser, pitch 1).

@@ -2,105 +2,74 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+
+#include "netlist/text_io.hpp"
 
 namespace na {
 namespace {
 
-std::vector<std::string> fields_of(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream iss(line);
-  std::string f;
-  while (iss >> f) {
-    if (f.starts_with('#')) break;  // comment extension
-    out.push_back(f);
-  }
-  return out;
-}
-
-[[noreturn]] void fail(std::string_view file, int line_no, const std::string& why) {
-  throw std::runtime_error(std::string(file) + " line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-/// Calls `record` for each non-empty record of `in`.
+/// Calls `record(r, n)` for each line of `text` with fields before its
+/// first '#'-led one (the comment extension); `n` counts those fields.
 template <typename Fn>
-void for_each_record(std::istream& in, std::string_view file_name, Fn record) {
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    auto f = fields_of(line);
-    if (f.empty()) continue;
-    record(f, line_no);
+void for_each_record(std::string_view text, const char* label, Fn record) {
+  RecordReader r(text, label);
+  while (r.next()) {
+    size_t n = 0;
+    while (n < r.size() && !r[n].starts_with('#')) ++n;
+    if (n > 0) record(r, n);
   }
-  (void)file_name;
 }
 
 }  // namespace
 
-Network parse_network(const ModuleLibrary& lib, std::istream& call_file,
-                      std::istream& io_file, std::istream& netlist_file) {
+Network parse_network(const ModuleLibrary& lib, std::string_view call_file,
+                      std::string_view io_file, std::string_view netlist_file) {
   Network net;
 
-  for_each_record(call_file, "call-file",
-                  [&](const std::vector<std::string>& f, int line_no) {
-    if (f.size() != 2) fail("call-file", line_no, "expected '<instance> <template>'");
-    if (f[0] == "root") fail("call-file", line_no, "'root' is a reserved instance name");
-    if (net.module_by_name(f[0])) {
-      fail("call-file", line_no, "duplicate instance '" + f[0] + "'");
-    }
+  for_each_record(call_file, "call-file", [&](const RecordReader& r, size_t n) {
+    if (n != 2) r.fail("expected '<instance> <template>'");
+    const std::string inst(r[0]);
+    if (inst == "root") r.fail("'root' is a reserved instance name");
+    if (net.module_by_name(inst)) r.fail("duplicate instance '" + inst + "'");
     try {
-      lib.instantiate(net, f[1], f[0]);
+      lib.instantiate(net, r[1], inst);
     } catch (const std::exception& e) {
-      fail("call-file", line_no, e.what());
+      r.fail(e.what());
     }
   });
 
-  for_each_record(io_file, "io-file",
-                  [&](const std::vector<std::string>& f, int line_no) {
-    if (f.size() != 2) fail("io-file", line_no, "expected '<terminal> <type>'");
-    auto type = parse_term_type(f[1]);
-    if (!type) fail("io-file", line_no, "bad terminal type '" + f[1] + "'");
-    if (net.term_by_name(kNone, f[0])) {
-      fail("io-file", line_no, "duplicate system terminal '" + f[0] + "'");
+  for_each_record(io_file, "io-file", [&](const RecordReader& r, size_t n) {
+    if (n != 2) r.fail("expected '<terminal> <type>'");
+    const std::string name(r[0]);
+    auto type = parse_term_type(r[1]);
+    if (!type) r.fail("bad terminal type '" + std::string(r[1]) + "'");
+    if (net.term_by_name(kNone, name)) {
+      r.fail("duplicate system terminal '" + name + "'");
     }
-    net.add_system_terminal(f[0], *type);
+    net.add_system_terminal(name, *type);
   });
 
   for_each_record(netlist_file, "net-list-file",
-                  [&](const std::vector<std::string>& f, int line_no) {
-    if (f.size() != 3) {
-      fail("net-list-file", line_no, "expected '<net> <instance> <terminal>'");
-    }
-    const NetId n = net.get_or_add_net(f[0]);
+                  [&](const RecordReader& r, size_t n) {
+    if (n != 3) r.fail("expected '<net> <instance> <terminal>'");
+    const NetId net_id = net.get_or_add_net(r[0]);
+    const std::string inst(r[1]);
     ModuleId m = kNone;
-    if (f[1] != "root") {
-      auto found = net.module_by_name(f[1]);
-      if (!found) fail("net-list-file", line_no, "unknown instance '" + f[1] + "'");
+    if (inst != "root") {
+      auto found = net.module_by_name(inst);
+      if (!found) r.fail("unknown instance '" + inst + "'");
       m = *found;
     }
-    auto t = net.term_by_name(m, f[2]);
-    if (!t) {
-      fail("net-list-file", line_no,
-           "unknown terminal '" + f[2] + "' of '" + f[1] + "'");
-    }
+    auto t = net.term_by_name(m, r[2]);
+    if (!t) r.fail("unknown terminal '" + std::string(r[2]) + "' of '" + inst + "'");
     try {
-      net.connect(n, *t);
+      net.connect(net_id, *t);
     } catch (const std::exception& e) {
-      fail("net-list-file", line_no, e.what());
+      r.fail(e.what());
     }
   });
 
   return net;
-}
-
-Network parse_network(const ModuleLibrary& lib, std::string_view call_file,
-                      std::string_view io_file, std::string_view netlist_file) {
-  std::istringstream call{std::string(call_file)};
-  std::istringstream io{std::string(io_file)};
-  std::istringstream nl{std::string(netlist_file)};
-  return parse_network(lib, call, io, nl);
 }
 
 NetlistFiles write_network(const Network& net) {

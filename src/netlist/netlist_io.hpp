@@ -10,7 +10,6 @@
 // historical format had no comments).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -31,8 +30,6 @@ struct NetlistFiles {
 /// appears in the network then the io-file may be omitted").
 /// Throws std::runtime_error with file/line context on malformed input or
 /// unknown template / instance / terminal names.
-Network parse_network(const ModuleLibrary& lib, std::istream& call_file,
-                      std::istream& io_file, std::istream& netlist_file);
 Network parse_network(const ModuleLibrary& lib, std::string_view call_file,
                       std::string_view io_file, std::string_view netlist_file);
 

@@ -15,6 +15,27 @@ ObsOptions::Stats parse_stats_mode(const std::string& value) {
                            "' for --stats (use text, json or off)");
 }
 
+std::vector<std::string> parse_obs_args(const std::vector<std::string>& args,
+                                        ObsOptions& opt) {
+  std::vector<std::string> positional;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if ((a == "--trace" || a == "--stats") && i + 1 == args.size()) {
+      throw std::runtime_error("missing value after " + a);
+    }
+    if (a == "--trace") {
+      opt.trace_path = args[++i];
+    } else if (a == "--stats") {
+      opt.stats = parse_stats_mode(args[++i]);
+    } else if (a.starts_with('-')) {
+      throw std::runtime_error("unknown flag '" + a + "'");
+    } else {
+      positional.push_back(a);
+    }
+  }
+  return positional;
+}
+
 namespace {
 
 /// obs_begin turned the recorder on: obs_finish rolls up only then, so a

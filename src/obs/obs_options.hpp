@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -26,6 +27,13 @@ struct ObsOptions {
 /// Parses a --stats value; throws std::runtime_error naming the flag on
 /// anything but "text", "json" or "off".
 ObsOptions::Stats parse_stats_mode(const std::string& value);
+
+/// Parses `--trace <file>` and `--stats <mode>` out of `args` into `opt`
+/// and returns the other arguments, for the binaries that take no other
+/// flag.  Throws std::runtime_error naming any other flag (an argument
+/// that starts with '-') or a flag whose value is missing.
+std::vector<std::string> parse_obs_args(const std::vector<std::string>& args,
+                                        ObsOptions& opt);
 
 /// Enables the trace recorder when a trace or stats were requested.  Warns
 /// on stderr (and keeps going) when a trace was requested but tracing was

@@ -61,7 +61,6 @@ inline void absorb(MetricsRegistry& reg, const RegenCounters& c) {
   reg.set("regen.failed_expansions", c.failed_expansions);
   reg.set("regen.pocket_proofs", c.pocket_proofs);
   reg.set("regen.region_validations", c.region_validations);
-  reg.set("regen.full_validations", c.full_validations);
 }
 
 /// Counters of one generator run; its phase times are the place and

@@ -5,6 +5,8 @@
 namespace na {
 namespace {
 
+constexpr int kMaxPasses = 10;  ///< full sweeps over all module pairs
+
 /// Does placing module `m` at `pos` (with its current rotation) collide
 /// with any other placed module?
 bool collides(const Diagram& dia, ModuleId m, geom::Point pos) {
@@ -41,7 +43,7 @@ ImproveReport improve_by_exchange(Diagram& dia, const ImproveOptions& opt) {
   report.initial_length = estimate_wire_length(dia);
   long current = report.initial_length;
 
-  for (int pass = 0; pass < opt.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool improved = false;
     for (ModuleId a = 0; a < net.module_count(); ++a) {
       if (!dia.module_placed(a) || dia.placed(a).fixed) continue;

@@ -18,7 +18,6 @@
 namespace na {
 
 struct ImproveOptions {
-  int max_passes = 10;      ///< full sweeps over all module pairs
   long max_trials = 500000; ///< absolute bound on evaluated swaps
 };
 

@@ -7,6 +7,8 @@
 namespace na {
 namespace {
 
+constexpr int kMargin = 4;  ///< empty ring around the placement
+
 struct QueueEntry {
   double cost;
   int cell;
@@ -20,7 +22,7 @@ GlobalRouteResult global_route(const Diagram& dia, const GlobalRouteOptions& opt
   GlobalRouteResult result;
   geom::Rect bounds = dia.placement_bounds();
   if (bounds.empty()) return result;
-  result.area = bounds.expanded(opt.margin);
+  result.area = bounds.expanded(kMargin);
   const int g = std::max(opt.gcell_size, 2);
   result.cols = (result.area.width() + g) / g;
   result.rows = (result.area.height() + g) / g;

@@ -25,7 +25,6 @@ namespace na {
 
 struct GlobalRouteOptions {
   int gcell_size = 8;       ///< tracks per gcell edge
-  int margin = 4;           ///< empty ring around the placement
   double overflow_cost = 8; ///< extra cost per unit demand beyond capacity
 };
 

@@ -1,9 +1,9 @@
 #include "schematic/escher_reader.hpp"
 
-#include <charconv>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "netlist/text_io.hpp"
 
 namespace na {
 namespace {
@@ -14,63 +14,29 @@ struct NodeRec {
   std::string net_name;
 };
 
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  throw std::runtime_error("escher diagram line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-std::vector<std::string> fields_of(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream iss(line);
-  std::string f;
-  while (iss >> f) out.push_back(f);
-  return out;
-}
-
-/// Strict full-string integer parse: a malformed or truncated file yields
-/// a diagnostic naming the line and token, never a crash, and trailing
-/// garbage ("5x") is rejected rather than silently truncated.
-int to_int(const std::string& s, int line_no) {
-  int v = 0;
-  const char* first = s.data();
-  const char* last = first + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last || s.empty()) {
-    fail(line_no, "expected integer, got '" + s + "'");
-  }
-  return v;
-}
-
 }  // namespace
 
 Diagram parse_escher_diagram(const Network& net, std::string_view text) {
   Diagram dia(net);
-  std::istringstream in{std::string(text)};
-  std::string line;
-  int line_no = 0;
+  RecordReader r(text, "escher diagram");
   bool have_header = false;
 
-  auto next_line = [&]() -> bool {
-    if (!std::getline(in, line)) return false;
-    ++line_no;
-    return true;
-  };
+  auto coord = [&](size_t i) { return r.int_field(i, -kMaxCoord, kMaxCoord); };
+  // A segment spans at most two coordinate bounds.
+  auto length = [&](size_t i) { return r.int_field(i, 0, 2 * kMaxCoord); };
   auto expect_tag = [&](const char* tag) -> std::string {
-    if (!next_line()) fail(line_no, std::string("expected ") + tag);
-    const auto f = fields_of(line);
-    if (f.size() < 2 || f[0] != tag) {
-      fail(line_no, std::string("expected ") + tag + " record");
+    if (!r.next()) r.fail(std::string("expected ") + tag);
+    if (r.size() < 2 || r[0] != tag) {
+      r.fail(std::string("expected ") + tag + " record");
     }
-    return f[1];
+    return std::string(r[1]);
   };
 
   std::vector<NodeRec> nodes;
   std::optional<geom::Point> pending_contact;
 
-  while (next_line()) {
-    const auto f = fields_of(line);
-    if (f.empty()) continue;
-    const std::string& tag = f[0];
+  while (r.next()) {
+    const std::string tag(r[0]);
     if (tag == "#TUE-ES-871") {
       have_header = true;
     } else if (tag == "temp:" || tag == "tname:" || tag == "lname:" ||
@@ -79,42 +45,42 @@ Diagram parse_escher_diagram(const Network& net, std::string_view text) {
       // structural records without per-element payload we need
     } else if (tag == "contact:") {
       // contact: b0 b1 t1 lb hb x y n t2 a  -> position at tokens 6,7
-      if (f.size() < 9) fail(line_no, "short contact record");
-      pending_contact = geom::Point{to_int(f[6], line_no), to_int(f[7], line_no)};
+      if (r.size() < 9) r.fail("short contact record");
+      pending_contact = geom::Point{coord(6), coord(7)};
     } else if (tag == "cname:" && pending_contact) {
-      const auto st = net.term_by_name(kNone, f.size() > 1 ? f[1] : "");
-      if (!st) fail(line_no, "unknown system terminal '" + (f.size() > 1 ? f[1] : "") + "'");
+      const std::string name(r.size() > 1 ? r[1] : "");
+      const auto st = net.term_by_name(kNone, name);
+      if (!st) r.fail("unknown system terminal '" + name + "'");
       dia.place_system_term(*st, *pending_contact);
       pending_contact.reset();
     } else if (tag == "subsys:") {
       // subsys: b0..b4 x y x1 y1 x2 y2 o t  -> lower-left at fields 7,8
-      if (f.size() < 14) fail(line_no, "short subsys record");
-      const geom::Point lower_left{to_int(f[8], line_no), to_int(f[9], line_no)};
-      const int rot = to_int(f[12], line_no);
-      if (rot < 0 || rot > 3) fail(line_no, "bad orientation");
+      if (r.size() < 14) r.fail("short subsys record");
+      const geom::Point lower_left{coord(8), coord(9)};
+      const int rot = r.int_field(12, 0, 3);
       const std::string inst = expect_tag("instname:");
       expect_tag("tempname:");
       expect_tag("libname:");
       const auto m = net.module_by_name(inst);
-      if (!m) fail(line_no, "unknown instance '" + inst + "'");
+      if (!m) r.fail("unknown instance '" + inst + "'");
       dia.place_module(*m, lower_left, static_cast<geom::Rot>(rot),
                        /*fixed=*/true);
     } else if (tag == "node:") {
-      if (f.size() < 29) fail(line_no, "short node record");
+      if (r.size() < 29) r.fail("short node record");
       NodeRec rec;
-      rec.pos = {to_int(f[6], line_no), to_int(f[7], line_no)};
-      rec.up = to_int(f[11], line_no);
-      rec.down = to_int(f[15], line_no);
-      rec.left = to_int(f[19], line_no);
-      rec.right = to_int(f[23], line_no);
+      rec.pos = {coord(6), coord(7)};
+      rec.up = length(11);
+      rec.down = length(15);
+      rec.left = length(19);
+      rec.right = length(23);
       rec.net_name = expect_tag("oname:");
       expect_tag("cname:");
       nodes.push_back(std::move(rec));
     } else if (tag == "cname:" || tag == "oname:" || tag == "instname:" ||
                tag == "tempname:" || tag == "libname:") {
-      fail(line_no, "stray " + tag + " record");
+      r.fail("stray " + tag + " record");
     } else {
-      fail(line_no, "unknown record '" + tag + "'");
+      r.fail("unknown record '" + tag + "'");
     }
   }
   if (!have_header) throw std::runtime_error("escher diagram: missing #TUE-ES-871");

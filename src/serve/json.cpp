@@ -1,9 +1,11 @@
 #include "serve/json.hpp"
 
 #include <cctype>
-#include <charconv>
+#include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "netlist/text_io.hpp"
 
 namespace na::serve {
 namespace {
@@ -243,11 +245,12 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 bool JsonValue::as_int(long long* out) const {
   if (kind != kNumber) return false;
-  long long v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-  *out = v;
+  try {
+    *out = parse_int(text, std::numeric_limits<long long>::min(),
+                     std::numeric_limits<long long>::max());
+  } catch (const std::runtime_error&) {
+    return false;
+  }
   return true;
 }
 

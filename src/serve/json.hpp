@@ -8,7 +8,7 @@
 //
 // Numbers keep their source text: protocol fields are integers and a
 // round-trip through double would corrupt large ids; as_int() re-parses
-// with std::from_chars under the same strictness rules as the CLI flags.
+// with parse_int (netlist/text_io.hpp), the grammar of the CLI flags.
 #pragma once
 
 #include <string>

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include "netlist/text_io.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
 
@@ -34,7 +35,7 @@ int required_coord(const JsonValue& obj, const char* key) {
   if (v == nullptr || !v->as_int(&n)) {
     bad(std::string("missing integer field '") + key + "'");
   }
-  if (n < -(1 << 24) || n > (1 << 24)) {
+  if (n < -kMaxCoord || n > kMaxCoord) {
     bad(std::string("field '") + key + "' out of range");
   }
   return static_cast<int>(n);

@@ -1,18 +1,16 @@
 #include "serve/session_host.hpp"
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <future>
-#include <sstream>
 
 #include "gen/chain.hpp"
 #include "gen/controller.hpp"
 #include "gen/datapath.hpp"
 #include "gen/life.hpp"
 #include "incremental/edit.hpp"
+#include "netlist/text_io.hpp"
 #include "obs/stats_absorb.hpp"
 #include "obs/trace.hpp"
 #include "schematic/ascii_writer.hpp"
@@ -81,15 +79,12 @@ Network design_network(const std::string& design) {
     if (const size_t colon = design.find(':'); colon != std::string::npos) {
       const std::string_view bits(design.data() + colon + 1,
                                   design.size() - colon - 1);
-      int v = 0;
-      const auto [ptr, ec] =
-          std::from_chars(bits.data(), bits.data() + bits.size(), v);
-      if (ec != std::errc{} || ptr != bits.data() + bits.size() || v < 1 ||
-          v > 64) {
+      try {
+        opt.bits = static_cast<int>(parse_int(bits, 1, 64));
+      } catch (const std::runtime_error& e) {
         throw ProtocolError(err::kBadDesign,
-                            "bad datapath bit count '" + std::string(bits) + "'");
+                            std::string("bad datapath bit count: ") + e.what());
       }
-      opt.bits = v;
     }
     return gen::datapath_network(opt);
   }
@@ -275,14 +270,14 @@ HostResult SessionHost::exec_open(Session& s, const Request& req) {
   NA_TRACE_SPAN(span, "serve.open");
   span.arg("restore", req.restore ? 1 : 0);
   if (req.restore) {
-    std::ifstream in(state_path(req.session));
-    if (!in) {
+    std::string text;
+    try {
+      text = read_file(state_path(req.session));
+    } catch (const std::runtime_error&) {
       return HostResult::error(err::kNoSuchSession,
                                "no saved session '" + req.session + "'");
     }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    s.regen.restore(ss.str());
+    s.regen.restore(text);
   } else {
     s.regen.update(design_network(req.design));
   }
@@ -374,13 +369,14 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
   // good save in place, never a torn file.
   const std::string path = state_path(name);
   const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::trunc);
-  const bool created = out.is_open();
-  out << text;
-  out.close();
-  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (created) std::remove(tmp.c_str());
-    return HostResult::error(err::kInternal, "cannot write " + path);
+  try {
+    write_file(tmp, text);
+  } catch (const std::runtime_error& e) {
+    return HostResult::error(err::kInternal, e.what());
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return HostResult::error(err::kInternal, "cannot write '" + path + "'");
   }
   s.dirty = false;
   r.seq = s.seq;

@@ -109,7 +109,6 @@ TEST(GlobalRoute, ModuleWallsReduceCapacity) {
   dia.place_module(0, {20, 0});
   GlobalRouteOptions opt;
   opt.gcell_size = 8;
-  opt.margin = 4;
   const GlobalRouteResult r = global_route(dia, opt);
   // Vertical boundaries at the wall's x range have less capacity than the
   // open ones.

@@ -105,6 +105,28 @@ TEST(EscherRobustness, TrailingGarbageIntegerIsADiagnosedError) {
   }
 }
 
+TEST(EscherRobustness, CoordinatesBeyondTheBoundAreDiagnosed) {
+  // Two vertices of one net at the ends of the int range: reassembling the
+  // polyline would subtract them and overflow.  The coordinate bound must
+  // reject the first one, naming its line.
+  const Network& net = chain();
+  const std::string name = net.net(0).name;
+  auto node = [&](const char* x) {
+    return std::string("node: 1 0 1 1 1 ") + x +
+           " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0\n"
+           "oname: " + name + "\ncname: " + name + "\n";
+  };
+  try {
+    parse_escher_diagram(net, "#TUE-ES-871\n" + node("2147483647") +
+                                  node("-2147483648"));
+    FAIL() << "out-of-range coordinates accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("2147483647"), std::string::npos) << msg;
+  }
+}
+
 TEST(EscherRobustness, StrayAndShortRecords) {
   const Network& net = chain();
   const std::vector<std::string> corpus = {
@@ -148,6 +170,16 @@ TEST(ModuleLibraryRobustness, CorruptedDescriptions) {
   for (const std::string& text : corpus) {
     expect_graceful([&] { parse_module_description(text); }, text);
     EXPECT_THROW(parse_module_description(text), std::runtime_error) << text;
+  }
+}
+
+TEST(ModuleLibraryRobustness, SizeBeyondTheCoordinateBoundIsRejected) {
+  try {
+    parse_module_description("module m 2147483647 4\n");
+    FAIL() << "module width 2147483647 accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
   }
 }
 
