@@ -446,16 +446,20 @@ TEST(Incremental, EditCorpusMatchesPinnedDigests) {
 // GeneratorOptions, which leave many nets unrouted, so every flush
 // re-searches them and most of those searches fail.  Eight updates alternate the editor loop's edit
 // (add a probe module whose terminal joins a seeded net) with its removal;
-// each update's ESCHER bytes and unrouted count are pinned.
+// each update's ESCHER bytes, unrouted count and failed searches are
+// pinned (a change to how a failure is found must not change how many
+// searches fail).
 TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
   struct Pin {
     std::uint64_t digest;
     int unrouted;
+    int failed_searches;
   };
-  const Pin pins[] = {{0x09bca4d4dd9884a3ull, 104}, {0x3faaebab2c18dd85ull, 93},
-                      {0x151756578fa45e87ull, 85},  {0xbfbe6db1873e8501ull, 78},
-                      {0xf70764b04b7244feull, 78},  {0x66f99a4fc98daadcull, 78},
-                      {0x3d05d4ca69e643d8ull, 78},  {0xa312b543b83765e2ull, 78}};
+  const Pin pins[] = {
+      {0x09bca4d4dd9884a3ull, 104, 244}, {0x3faaebab2c18dd85ull, 93, 222},
+      {0x151756578fa45e87ull, 85, 212},  {0xbfbe6db1873e8501ull, 78, 190},
+      {0xf70764b04b7244feull, 78, 186},  {0x66f99a4fc98daadcull, 78, 186},
+      {0x3d05d4ca69e643d8ull, 78, 186},  {0xa312b543b83765e2ull, 78, 186}};
   RegenSession session;
   Network net = gen::life_network();
   session.update(net);
@@ -473,10 +477,11 @@ TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
     const Diagram& dia = session.update(net);
     EXPECT_EQ(session.last().full_regens, 0) << "update " << i;
     const Pin got{fnv1a(to_escher_diagram(dia, "replay")),
-                  compute_stats(dia).unrouted};
+                  compute_stats(dia).unrouted, session.last().failed_searches};
     EXPECT_EQ(got.digest, pins[i].digest)
         << "update " << i << std::hex << " digest 0x" << got.digest;
     EXPECT_EQ(got.unrouted, pins[i].unrouted) << "update " << i;
+    EXPECT_EQ(got.failed_searches, pins[i].failed_searches) << "update " << i;
   }
 }
 
