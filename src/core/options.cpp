@@ -30,12 +30,6 @@ std::vector<std::string> parse_generator_args(const std::vector<std::string>& ar
     }
     return parse_int_arg(args[++i], flag, min_value);
   };
-  auto next_str = [&](size_t& i, const std::string& flag) -> const std::string& {
-    if (i + 1 >= args.size()) {
-      throw std::runtime_error("missing value after " + flag);
-    }
-    return args[++i];
-  };
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.empty() || a[0] != '-') {
@@ -70,10 +64,8 @@ std::vector<std::string> parse_generator_args(const std::vector<std::string>& ar
       opt.router.engine = Engine::SegmentExpansion;
     } else if (a == "-m") {
       opt.router.margin = next_int(i, a);
-    } else if (obs != nullptr && a == "--trace") {
-      obs->trace_path = next_str(i, a);
-    } else if (obs != nullptr && a == "--stats") {
-      obs->stats = obs::parse_stats_mode(next_str(i, a));
+    } else if (obs != nullptr && obs::take_obs_flag(args, i, *obs)) {
+      // --trace / --stats, matched by the obs layer's one parser.
     } else if (a == "-u" || a == "-d" || a == "-l" || a == "-r") {
       // Border-pinning flags of Appendix F; the grid always reserves a
       // margin on all four sides, so these are accepted no-ops.

@@ -183,16 +183,19 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
   // terminals (join_own_net), so e.g. a global net that gained one pin is
   // extended near that pin instead of being re-searched across the plane.
   std::vector<int> carried(net.net_count(), 0);  // kept polylines per net
+  std::vector<bool> known_failed(net.net_count(), false);
   for (NetId n = 0; n < net.net_count(); ++n) {
     if (kept[n]) continue;
     const NetId on = diff.net_to_old[n];
     if (on == kNone) continue;
     if (!old_dia.route(on).routed) {
       // A net that had failed before is re-searched whole; its partial old
-      // geometry (if any) is scrubbed and belongs to the dirty region.
+      // geometry (if any) is scrubbed and belongs to the dirty region.  Its
+      // searches carry the known-failed hint: most fail again.
       for (const auto& pl : old_dia.route(on).polylines) {
         region = polyline_hull(region, pl);
       }
+      known_failed[n] = true;
       continue;
     }
 
@@ -253,7 +256,7 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
   result.cells_scrubbed = old_cells - kept_cells;
 
   // ----- route everything still open against the preserved plane -------------
-  result.report = route_all(dia, opt);
+  result.report = route_all(dia, opt, known_failed);
   for (NetId n = 0; n < net.net_count(); ++n) {
     if (kept[n] || dia.route(n).polylines.empty()) continue;
     ++result.nets_rerouted;

@@ -15,19 +15,27 @@ ObsOptions::Stats parse_stats_mode(const std::string& value) {
                            "' for --stats (use text, json or off)");
 }
 
+bool take_obs_flag(const std::vector<std::string>& args, size_t& i,
+                   ObsOptions& opt) {
+  const std::string& a = args[i];
+  if (a != "--trace" && a != "--stats") return false;
+  if (i + 1 == args.size()) throw std::runtime_error("missing value after " + a);
+  const std::string& value = args[++i];
+  if (a == "--trace") {
+    opt.trace_path = value;
+  } else {
+    opt.stats = parse_stats_mode(value);
+  }
+  return true;
+}
+
 std::vector<std::string> parse_obs_args(const std::vector<std::string>& args,
                                         ObsOptions& opt) {
   std::vector<std::string> positional;
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if ((a == "--trace" || a == "--stats") && i + 1 == args.size()) {
-      throw std::runtime_error("missing value after " + a);
-    }
-    if (a == "--trace") {
-      opt.trace_path = args[++i];
-    } else if (a == "--stats") {
-      opt.stats = parse_stats_mode(args[++i]);
-    } else if (a.starts_with('-')) {
+    if (take_obs_flag(args, i, opt)) continue;
+    if (a.starts_with('-')) {
       throw std::runtime_error("unknown flag '" + a + "'");
     } else {
       positional.push_back(a);

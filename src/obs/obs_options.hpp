@@ -28,6 +28,13 @@ struct ObsOptions {
 /// anything but "text", "json" or "off".
 ObsOptions::Stats parse_stats_mode(const std::string& value);
 
+/// The one matcher of the two flags: when `args[i]` is `--trace` or
+/// `--stats`, stores its value into `opt`, moves `i` onto the value and
+/// returns true; returns false for any other argument.  Throws
+/// std::runtime_error when the value is missing or not a --stats mode.
+bool take_obs_flag(const std::vector<std::string>& args, size_t& i,
+                   ObsOptions& opt);
+
 /// Parses `--trace <file>` and `--stats <mode>` out of `args` into `opt`
 /// and returns the other arguments, for the binaries that take no other
 /// flag.  Throws std::runtime_error naming any other flag (an argument

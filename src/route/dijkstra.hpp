@@ -26,9 +26,10 @@ enum class CostMode {
 
 /// The pop at which a search checks once whether its destination can be
 /// reached at all (the pocket proof in line_expansion.cpp), and how many
-/// states the proof's backward walk may visit before it gives up.  A
-/// search that pops this many states without finding a path is usually
-/// flooding the plane around a destination that is sealed off.
+/// states the proof's backward walk, and the forward flood of a
+/// known-failed search's proof, may visit before giving up.  A search
+/// that pops this many states without finding a path is usually flooding
+/// the plane around a destination that is sealed off.
 inline constexpr long kPocketCheckAt = 4096;
 inline constexpr long kPocketBudget = 4096;
 

@@ -25,7 +25,11 @@
 // starts reach, which on a large plane means flooding it.  So at its
 // kPocketCheckAt-th pop a search checks once, with a short backward walk
 // from the destination, whether the destination sits in a pocket that no
-// start reaches (pocket_sealed).  The proof only stops searches the
+// start reaches (pocket_sealed).  A search whose net is known to have
+// failed before (SearchProblem::known_failed) tries the proof before its
+// first pop instead: a heap-free forward flood over the search's own moves
+// (failure_proved), and when that runs out of budget, the backward walk
+// against the flooded states.  Either proof only stops searches the
 // exhaustive loop would also fail, so every result is unchanged.
 #include "route/dijkstra.hpp"
 
@@ -87,6 +91,64 @@ struct StateIndex {
   static geom::Dir dir(int state) { return static_cast<geom::Dir>(state % 4); }
 };
 
+/// Calls `f(state)` for every start state of `prob`: each start whose
+/// point is in the extent and may become a node of the net, in its forced
+/// direction or in all four.
+template <class F>
+inline void for_each_start_state(const RoutingGrid& grid,
+                                 const SearchProblem& prob,
+                                 const StateIndex& ix, F&& f) {
+  for (const SearchStart& s : prob.starts) {
+    // The start point becomes a node of this net as well.
+    if (!ix.ext.contains(s.p) || !grid.node_free(s.p, prob.net)) continue;
+    if (s.dir) {
+      f(ix.of(s.p, *s.dir));
+    } else {
+      for (geom::Dir d : geom::kAllDirs) f(ix.of(s.p, d));
+    }
+  }
+}
+
+/// Where the straight step of state (p, d) leads: nowhere, onto the
+/// destination, or into (q, d), crossing the foreign net `across` (kNone
+/// for none).  The search and the forward flood both step through here,
+/// so the move rule exists once.
+struct Step {
+  enum Kind { Blocked, Arrive, Enter } kind;
+  geom::Point q;
+  NetId across;
+};
+
+[[gnu::always_inline]] inline Step straight_step(const RoutingGrid& grid,
+                                                 const SearchProblem& prob,
+                                                 const geom::Rect& ext,
+                                                 geom::Point p, geom::Dir d) {
+  // Every predicate is false outside the plane, so the extent test stands
+  // in for the bounds checks and the rest derive from one load of q's cell.
+  const NetId net = prob.net;
+  const geom::Point q = p + geom::delta(d);
+  if (!ext.contains(q)) return {Step::Blocked, q, kNone};
+  const RoutingGrid::Cell& cell = grid.cell(q);
+  if (!cell.enterable(net)) return {Step::Blocked, q, kNone};
+  const bool horiz = geom::is_horizontal(d);
+  const NetId along = horiz ? cell.h : cell.v;
+  const NetId across = horiz ? cell.v : cell.h;
+  const bool own = along == net || across == net;
+  // Destination tests come first: a terminal cell is enterable only by its
+  // own net and join cells are occupied, so the passability test would
+  // veto them.  Arrival makes q a node of this net, so no foreign net may
+  // touch q.
+  const bool arrivable = cell.node_free(net);
+  const bool is_target = prob.target && q == prob.target->p &&
+                         (!prob.target->facing ||
+                          d == geom::opposite(*prob.target->facing)) &&
+                         arrivable;
+  const bool is_join = prob.join_own_net && arrivable && own;
+  if (is_target || is_join) return {Step::Arrive, q, across};
+  if (along == kNone && !own) return {Step::Enter, q, across};
+  return {Step::Blocked, q, kNone};
+}
+
 /// The pocket proof: true when no state that steps into the destination
 /// can be reached from a start, so the search may stop with nullopt.
 ///
@@ -104,9 +166,13 @@ struct StateIndex {
 /// kPocketBudget states.  It marks the states it walks in the forward
 /// search's own slots with marks the search reads as unvisited, so a
 /// walk that gives up leaves the search exactly as it was.
+///
+/// Before the first pop nothing is recorded; there the walk gives up on
+/// the states the forward flood marked with walk id `flood` instead (0:
+/// no flood), which hold every start state.
 bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
                    const StateIndex& ix, const SearchWorkspace::View& visited,
-                   SearchWorkspace& ws) {
+                   SearchWorkspace& ws, std::uint64_t flood = 0) {
   const NetId net = prob.net;
   const std::uint64_t walk = ws.next_walk();
   std::vector<int>& stack = ws.walk_stack();
@@ -116,6 +182,7 @@ bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
   auto visit = [&](int state) {
     if (visited.walked(state, walk)) return;
     if (visited.best(state) != SearchWorkspace::kUnvisited ||
+        (flood != 0 && visited.walked(state, flood)) ||
         ++walked > kPocketBudget) {
       open = true;
       return;
@@ -176,6 +243,65 @@ bool pocket_sealed(const RoutingGrid& grid, const SearchProblem& prob,
   return !open;
 }
 
+/// The known-failed gate: true when the search provably finds no path, so
+/// it may return nullopt before seeding its starts.
+///
+/// First a forward flood walks the search's own moves (straight steps
+/// through straight_step, turns) depth-first from the start states.  If
+/// it runs out of states without an arrival move, having marked at most
+/// kPocketBudget of them, nothing the search could pop reaches the
+/// destination.  An arrival move means a path exists.  A flood that runs
+/// out of budget leaves its marks, every start state among them, and the
+/// backward walk of pocket_sealed then tries to close around the
+/// destination without touching one.  Both walks mark the slots with
+/// unstamped walk marks, so a proof that gives up leaves the search
+/// exactly as it was; it must run before the starts are recorded.
+bool failure_proved(const RoutingGrid& grid, const SearchProblem& prob,
+                    const StateIndex& ix, const SearchWorkspace::View& visited,
+                    SearchWorkspace& ws) {
+  const NetId net = prob.net;
+  const std::uint64_t flood = ws.next_walk();
+  std::vector<int>& stack = ws.walk_stack();
+  stack.clear();
+  long walked = 0;
+  bool open = false;  // the flood ran out of budget
+  auto mark = [&](int state) {
+    visited.mark_walked(state, flood);
+    stack.push_back(state);
+    ++walked;
+  };
+  for_each_start_state(grid, prob, ix, [&](int state) {
+    if (!visited.walked(state, flood)) mark(state);
+  });
+  auto visit = [&](int state) {
+    if (visited.walked(state, flood)) return;
+    if (walked >= kPocketBudget) {
+      open = true;
+      return;
+    }
+    mark(state);
+  };
+  while (!open && !stack.empty()) {
+    const int state = stack.back();
+    stack.pop_back();
+    const geom::Point p = ix.point(state);
+    const geom::Dir d = StateIndex::dir(state);
+    // As in the backward walk, the straight step goes on the stack last,
+    // so the flood runs along lines first.
+    if (grid.cell(p).can_turn(net)) {
+      for (geom::Dir nd : geom::kAllDirs) {
+        if (geom::is_horizontal(nd) != geom::is_horizontal(d)) {
+          visit(ix.of(p, nd));
+        }
+      }
+    }
+    const Step step = straight_step(grid, prob, ix.ext, p, d);
+    if (step.kind == Step::Arrive) return false;
+    if (step.kind == Step::Enter) visit(ix.of(step.q, d));
+  }
+  return !open || pocket_sealed(grid, prob, ix, visited, ws, flood);
+}
+
 }  // namespace
 
 // Deliberately one function with runtime checks for the window and the
@@ -229,15 +355,12 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     return c;
   };
 
-  for (const SearchStart& s : prob.starts) {
-    // The start point becomes a node of this net as well.
-    if (!ext.contains(s.p) || !grid.node_free(s.p, prob.net)) continue;
-    if (s.dir) {
-      relax(ix.of(s.p, *s.dir), -1, {});
-    } else {
-      for (geom::Dir d : geom::kAllDirs) relax(ix.of(s.p, d), -1, {});
-    }
+  if (prob.known_failed && failure_proved(grid, prob, ix, visited, *ws)) {
+    ws->last_failure() = {0, true};
+    return std::nullopt;
   }
+  for_each_start_state(grid, prob, ix,
+                       [&](int state) { relax(state, -1, {}); });
 
   const NetId net = prob.net;
   long expansions = 0;
@@ -263,35 +386,16 @@ std::optional<SearchResult> grid_search(const RoutingGrid& grid,
     const geom::Dir d = ix.dir(e.state);
     const SearchCosts costs = costs_of(e);
 
-    // Straight step: extend the escape line one track.  Every predicate is
-    // false outside the plane, so the extent test stands in for the bounds
-    // checks and the rest derive from one load of q's cell.
-    const geom::Point q = p + geom::delta(d);
-    if (ext.contains(q)) {
-      const RoutingGrid::Cell& cell = grid.cell(q);
-      if (cell.enterable(net)) {
-        const bool horiz = geom::is_horizontal(d);
-        const NetId along = horiz ? cell.h : cell.v;
-        const NetId across = horiz ? cell.v : cell.h;
-        const bool own = along == net || across == net;
-        SearchCosts c = costs;
-        c.length += 1;
-        // Destination tests come first: a terminal cell is enterable only
-        // by its own net and join cells are occupied, so the passability
-        // test would veto them.  Arrival makes q a node of this net, so no
-        // foreign net may touch q.
-        const bool arrivable = cell.node_free(net);
-        const bool is_target = prob.target && q == prob.target->p &&
-                               (!prob.target->facing ||
-                                d == geom::opposite(*prob.target->facing)) &&
-                               arrivable;
-        const bool is_join = prob.join_own_net && arrivable && own;
-        if (is_target || is_join) {
-          relax(goal_state, e.state, c);
-        } else if (along == kNone && !own) {
-          c.crossings += across != kNone ? 1 : 0;
-          relax(ix.of(q, d), e.state, c);
-        }
+    // Straight step: extend the escape line one track.
+    const Step step = straight_step(grid, prob, ext, p, d);
+    if (step.kind != Step::Blocked) {
+      SearchCosts c = costs;
+      c.length += 1;
+      if (step.kind == Step::Arrive) {
+        relax(goal_state, e.state, c);
+      } else {
+        c.crossings += step.across != kNone ? 1 : 0;
+        relax(ix.of(step.q, d), e.state, c);
       }
     }
     // Turns: start a perpendicular expansion wave (one bend deeper).  The

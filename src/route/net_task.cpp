@@ -77,7 +77,7 @@ std::optional<SearchResult> find_path_ws(Engine e, const RoutingGrid& grid,
 NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId n,
                                     std::vector<TermId> todo, const RouterOptions& opt,
                                     bool has_geometry, SearchWorkspace& ws,
-                                    int window) {
+                                    int window, bool known_failed) {
   NetTaskResult out;
   if (todo.empty()) return out;
 
@@ -142,6 +142,7 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
       prob.starts = {start_for(dia, pair.a)};
       prob.target = target_for(dia, pair.b);
       prob.order = opt.order;
+      prob.known_failed = known_failed;
       // Straight-line fast path (paper STRAIGHT_LINE) for fixed destinations.
       const geom::Point pa = prob.starts[0].p;
       const geom::Point pb = prob.target->p;
@@ -196,6 +197,7 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
     prob.starts = {start_for(dia, t)};
     prob.join_own_net = true;
     prob.order = opt.order;
+    prob.known_failed = known_failed;
     if (auto res = engine_search(prob, net_bbox.hull(prob.starts[0].p))) {
       for (size_t i = 0; i < todo.size(); ++i) {
         for (geom::Point p : res->path) {
@@ -215,12 +217,13 @@ NetTaskResult route_single_net_impl(RoutingGrid& grid, const Diagram& dia, NetId
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
                                bool has_geometry, SearchWorkspace& ws,
-                               int window) {
+                               int window, bool known_failed) {
   // Per-net telemetry span shared by every driver: route_all, the shard
   // jobs (worker >= 0) and the stitch pass all funnel through here.
   NA_TRACE_SPAN(span, "route.net");
   NetTaskResult out = route_single_net_impl(grid, dia, n, std::move(todo), opt,
-                                            has_geometry, ws, window);
+                                            has_geometry, ws, window,
+                                            known_failed);
   span.arg("net", n);
   span.arg("worker", ThreadPool::worker_index());
   long long expansions = 0;
@@ -258,9 +261,12 @@ void restore_claim(RoutingGrid& grid, const Diagram& dia,
   }
 }
 
-DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt) {
+DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt,
+                           const std::vector<bool>& known_failed) {
   const Network& net = dia.network();
   DriverSetup setup(build_grid(dia, opt.margin));
+  setup.known_failed = known_failed;
+  setup.known_failed.resize(net.net_count(), false);
 
   // Terminals of each net that still need connecting.  With prerouted
   // geometry, terminals already covered by it count as connected.
@@ -325,7 +331,8 @@ void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
     setup.release_claims(n);
     NetTaskResult res =
         route_single_net(setup.grid, dia, n, std::move(setup.pending[n]), opt,
-                         setup.has_geometry[n], ws, window);
+                         setup.has_geometry[n], ws, window,
+                         setup.known_failed[n]);
     commit_connections(dia, n, res, setup, report);
     setup.pending[n] = std::move(res.failed);
     for (TermId t : setup.pending[n]) {
@@ -345,9 +352,11 @@ void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
   for (NetId n : order) {
     if (setup.pending[n].empty()) continue;
     const int before = static_cast<int>(setup.pending[n].size());
+    // Pass 1 left the net unconnected, so its searches carry the hint.
     NetTaskResult res =
         route_single_net(setup.grid, dia, n, std::move(setup.pending[n]), opt,
-                         setup.has_geometry[n], ws);
+                         setup.has_geometry[n], ws, /*window=*/-1,
+                         /*known_failed=*/true);
     commit_connections(dia, n, res, setup, report);
     setup.pending[n] = std::move(res.failed);
     report.retried_connections +=

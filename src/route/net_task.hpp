@@ -38,10 +38,12 @@ struct NetTaskResult {
 /// `window >= 0` each connection of a grid-search engine first searches
 /// inside the hull of its endpoints (or of the net's geometry) inflated by
 /// `window` tracks, and falls back to the whole grid when that fails.
+/// `known_failed` goes onto every search problem of the net
+/// (SearchProblem::known_failed).
 NetTaskResult route_single_net(RoutingGrid& grid, const Diagram& dia, NetId n,
                                std::vector<TermId> todo, const RouterOptions& opt,
                                bool has_geometry, SearchWorkspace& ws,
-                               int window = -1);
+                               int window = -1, bool known_failed = false);
 
 /// Driver state shared by route_all and the sharded driver.
 struct DriverSetup {
@@ -50,6 +52,10 @@ struct DriverSetup {
   std::vector<bool> has_geometry;
   /// Per net, the cells it holds a live claimpoint on.
   std::vector<std::vector<geom::Point>> claims;
+  /// Per net, whether its routing is known to have failed before this
+  /// run (route_all's `known_failed`); read by pass 1 (the retry pass
+  /// hints every net it searches).
+  std::vector<bool> known_failed;
 
   explicit DriverSetup(RoutingGrid g) : grid(std::move(g)) {}
 
@@ -68,7 +74,8 @@ void restore_claim(RoutingGrid& grid, const Diagram& dia,
 
 /// Builds the routing plane, the pending lists and the claimpoint table
 /// for a placed diagram (the common preamble of both drivers).
-DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt);
+DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt,
+                           const std::vector<bool>& known_failed = {});
 
 /// Net processing order: the configured criterion.
 std::vector<NetId> ordered_nets(const Diagram& dia, const RouterOptions& opt);
@@ -79,15 +86,17 @@ void commit_connections(Diagram& dia, NetId n, NetTaskResult& res,
                         DriverSetup& setup, RouteReport& report);
 
 /// The pass-1 loop: routes `nets` one at a time, in order, on the live
-/// plane, searching with `window` as route_single_net does.  Each net's
-/// claims are released when its routing starts and the escape tracks of
-/// its still-unconnected terminals are re-claimed after.
+/// plane, searching with `window` and each net's `known_failed` as
+/// route_single_net does.  Each net's claims are released when its
+/// routing starts and the escape tracks of its still-unconnected
+/// terminals are re-claimed after.
 void route_nets(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& nets, RouteReport& report,
                 SearchWorkspace& ws, int window = -1);
 
 /// The section-5.7 retry pass: all remaining claims released, failed nets
-/// re-tried in order on the live plane.
+/// re-tried in order on the live plane.  Every net it searches failed in
+/// pass 1, so its searches carry the known-failed hint.
 void retry_pass(Diagram& dia, const RouterOptions& opt, DriverSetup& setup,
                 const std::vector<NetId>& order, RouteReport& report,
                 SearchWorkspace& ws);

@@ -58,6 +58,12 @@ struct SearchProblem {
   /// searches on large planes from touching O(W*H) state, retrying without
   /// the window on failure.
   std::optional<geom::Rect> window;
+  /// Set when this net is already known to have failed (the retry pass,
+  /// or a patch re-searching a net the cached diagram left unrouted): the
+  /// grid-search engines then first try to prove the connection
+  /// unreachable without a heap (line_expansion.cpp).  Results are the
+  /// same either way; only a proved failure's effort differs.
+  bool known_failed = false;
 };
 
 /// Cost of a found path, in the lexicographic objective's terms.
@@ -107,8 +113,13 @@ struct RouteReport {
 };
 
 /// Routes every unrouted net of a placed diagram in place (defined with
-/// the sharded driver, of which it is the one-shard case).
-RouteReport route_all(Diagram& dia, const RouterOptions& opt = {});
+/// the sharded driver, of which it is the one-shard case).  `known_failed`,
+/// indexed by net (missing entries false), names the nets whose routing
+/// is known to have failed before; their searches carry the hint
+/// (SearchProblem::known_failed).  The diagram and report are the same
+/// with or without it, apart from the failed searches' effort.
+RouteReport route_all(Diagram& dia, const RouterOptions& opt = {},
+                      const std::vector<bool>& known_failed = {});
 
 /// Single-connection searches (exposed for tests and benches).
 std::optional<SearchResult> line_expansion_search(const RoutingGrid& grid,

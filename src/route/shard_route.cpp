@@ -61,7 +61,8 @@ void run_shard(ShardJob& job, const DriverSetup& setup, const Diagram& dia,
     // at merge.
     for (geom::Point cell : setup.claims[n]) local.clear_claim(cell);
     r.res = detail::route_single_net(local, dia, n, setup.pending[n], opt,
-                                     setup.has_geometry[n], ws, window);
+                                     setup.has_geometry[n], ws, window,
+                                     setup.known_failed[n]);
     // The live claim lists are patched at merge from `new_claims`.
     for (TermId t : r.res.failed) {
       detail::restore_claim(local, dia, opt, t, n, r.new_claims);
@@ -237,14 +238,16 @@ std::vector<geom::Rect> offset_regions(const std::vector<geom::Rect>& strips) {
   return out;
 }
 
-RouteReport route_all(Diagram& dia, const RouterOptions& opt) {
-  return shard_route_all(dia, opt, {});
+RouteReport route_all(Diagram& dia, const RouterOptions& opt,
+                      const std::vector<bool>& known_failed) {
+  return shard_route_all(dia, opt, {}, nullptr, known_failed);
 }
 
 RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
-                            const ShardOptions& sopt, ShardRouteStats* stats) {
+                            const ShardOptions& sopt, ShardRouteStats* stats,
+                            const std::vector<bool>& known_failed) {
   if (stats) *stats = {};
-  DriverSetup setup = detail::prepare_driver(dia, opt);
+  DriverSetup setup = detail::prepare_driver(dia, opt, known_failed);
   const std::vector<NetId> order = detail::ordered_nets(dia, opt);
   RouteReport report;
   detail::SearchWorkspace ws;

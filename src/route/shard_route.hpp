@@ -69,9 +69,11 @@ std::vector<geom::Rect> shard_regions(geom::Rect area, int shards);
 /// so no offset strip is empty.
 std::vector<geom::Rect> offset_regions(const std::vector<geom::Rect>& strips);
 
-/// Routes every unrouted net of a placed diagram in place, sharded.
+/// Routes every unrouted net of a placed diagram in place, sharded
+/// (`known_failed` as for route_all).
 RouteReport shard_route_all(Diagram& dia, const RouterOptions& opt,
                             const ShardOptions& sopt,
-                            ShardRouteStats* stats = nullptr);
+                            ShardRouteStats* stats = nullptr,
+                            const std::vector<bool>& known_failed = {});
 
 }  // namespace na

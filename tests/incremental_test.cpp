@@ -464,6 +464,7 @@ TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
   Network net = gen::life_network();
   session.update(net);
   CorpusRng rng{11};
+  int proved_first = 0;  // updates whose failed searches expanded nothing
   for (int i = 0; i < 8; ++i) {
     NetworkEditor ed(net);
     if (i % 2 == 0) {
@@ -482,7 +483,14 @@ TEST(Incremental, LifeProbeReplayMatchesPinnedDigest) {
         << "update " << i << std::hex << " digest 0x" << got.digest;
     EXPECT_EQ(got.unrouted, pins[i].unrouted) << "update " << i;
     EXPECT_EQ(got.failed_searches, pins[i].failed_searches) << "update " << i;
+    if (got.failed_searches > 0 && session.last().failed_expansions == 0) {
+      ++proved_first;
+    }
   }
+  // Once the patch starts from a diagram whose failures are known, the
+  // known-failed gate proves every one of them before its search pops a
+  // state.
+  EXPECT_GT(proved_first, 0);
 }
 
 // ----- session save/restore --------------------------------------------------

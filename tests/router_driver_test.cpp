@@ -294,8 +294,9 @@ TEST(RouteAll, LengthFirstOrderShortens) {
 
 /// route_all's passes with pass 1 searching inside `window` tracks around
 /// each connection's hull, the way the sharded driver's residual pass does.
-RouteReport route_windowed(Diagram& dia, const RouterOptions& opt, int window) {
-  detail::DriverSetup setup = detail::prepare_driver(dia, opt);
+RouteReport route_windowed(Diagram& dia, const RouterOptions& opt, int window,
+                           const std::vector<bool>& known_failed = {}) {
+  detail::DriverSetup setup = detail::prepare_driver(dia, opt, known_failed);
   const std::vector<NetId> order = detail::ordered_nets(dia, opt);
   RouteReport report;
   detail::SearchWorkspace ws;
@@ -344,6 +345,51 @@ TEST(WindowedSearch, LifeStillRoutesEverything) {
   // lose nets: the full-plane fallback guarantees completeness.
   EXPECT_EQ(r.nets_routed, base.nets_routed);
   EXPECT_TRUE(validate_diagram(dia, true).empty());
+}
+
+
+// ----- the known-failed hint ------------------------------------------------------
+
+TEST(KnownFailed, HintKeepsTheDiagramAndTheSearches) {
+  // The hand-placed LIFE at a narrow margin leaves nets unrouted.  Marking
+  // every net known-failed, with the sequential driver and with windowed
+  // pass-1 searches, changes no polyline and no search count: only the
+  // failed searches' effort may drop.
+  const Network net = gen::life_network();
+  Diagram placed(net);
+  gen::life_hand_placement(placed);
+  RouterOptions opt;
+  opt.margin = 1;
+  const std::vector<bool> all(net.net_count(), true);
+  for (int window : {-1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    Diagram plain = placed;
+    Diagram hinted = placed;
+    const RouteReport a = route_windowed(plain, opt, window);
+    const RouteReport b = route_windowed(hinted, opt, window, all);
+    ASSERT_GT(a.failed_searches, 0);
+    for (NetId n = 0; n < net.net_count(); ++n) {
+      EXPECT_EQ(hinted.route(n).polylines, plain.route(n).polylines) << n;
+    }
+    EXPECT_EQ(b.nets_routed, a.nets_routed);
+    EXPECT_EQ(b.connections_made, a.connections_made);
+    EXPECT_EQ(b.retried_connections, a.retried_connections);
+    EXPECT_EQ(b.total_expansions, a.total_expansions);
+    EXPECT_EQ(b.failed_searches, a.failed_searches);
+    EXPECT_EQ(b.failed_nets, a.failed_nets);
+    EXPECT_LT(b.failed_expansions, a.failed_expansions);
+    EXPECT_GT(b.pocket_proofs, a.pocket_proofs);
+  }
+  // route_all takes the same hint, indexed by net.
+  Diagram plain = placed;
+  Diagram hinted = placed;
+  const RouteReport a = route_all(plain, opt);
+  const RouteReport b = route_all(hinted, opt, all);
+  for (NetId n = 0; n < net.net_count(); ++n) {
+    EXPECT_EQ(hinted.route(n).polylines, plain.route(n).polylines) << n;
+  }
+  EXPECT_EQ(b.failed_searches, a.failed_searches);
+  EXPECT_EQ(b.total_expansions, a.total_expansions);
 }
 
 }  // namespace

@@ -868,5 +868,175 @@ TEST(PocketProof, JoinThroughACrossedDoorStillRoutes) {
   }
 }
 
+TEST(PocketProof, ProvedFirstMatchesSearch) {
+  // The known-failed gate is exact: on seeded 64x64 planes with wall rings
+  // (one side of some made of the net's own wire), module terminals and
+  // foreign wires, every target and join problem, windowed and not, gives
+  // the same optional, path, cost and expansion count with the hint as
+  // without it in every mode.  A hinted failure either is proved before
+  // the first pop (no expansions) or searches exactly as before, and every
+  // failure whose starts reach at most kPocketBudget states is proved.
+  int start_sealed = 0;  // proved, the starts reaching <= kPocketBudget states
+  int dest_sealed = 0;   // proved, the starts reaching more than that
+  int open = 0;          // the proof gave up and the search ran...
+  int open_failed = 0;   // ...and failed
+  int found = 0;
+  detail::SearchWorkspace ws;
+  for (unsigned seed = 1; seed <= 12; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const NetId own = 0;
+    RoutingGrid g({{0, 0}, {63, 63}});
+    std::vector<geom::Point> points;  // one cell inside each ring first
+    for (int i = 0; i < 3; ++i) {
+      const geom::Point lo{pick(2, 40), pick(2, 40)};
+      const geom::Rect ring{lo, {lo.x + pick(6, 20), lo.y + pick(6, 20)}};
+      const int side = pick(0, 2);  // 0: a door, 1: own-wire top, 2: closed
+      for (int x = ring.lo.x; x <= ring.hi.x; ++x) {
+        if (!(side == 0 && x == ring.center().x) && side != 1) {
+          g.block({x, ring.lo.y});
+        }
+        g.block({x, ring.hi.y});
+      }
+      for (int y = ring.lo.y; y <= ring.hi.y; ++y) {
+        g.block({ring.lo.x, y});
+        g.block({ring.hi.x, y});
+      }
+      const geom::Point top[] = {{ring.lo.x + 1, ring.lo.y},
+                                 {ring.hi.x - 1, ring.lo.y}};
+      if (side == 1 && g.passable(top[0], own, true) &&
+          g.passable(top[1], own, true)) {
+        g.occupy_polyline(own, top);
+      }
+      points.push_back(ring.center());
+    }
+    for (int i = 0; i < 6; ++i) {
+      const geom::Point a{pick(1, 60), pick(1, 60)};
+      g.block_rect({a, {a.x + pick(0, 2), a.y + pick(0, 2)}});
+    }
+    // Every third plane is cut in two halves, each too large for either
+    // walk, so some failures stay unproved and search.
+    if (seed % 3 == 0) g.block_rect({{31, 0}, {31, 63}});
+    // A foreign wire from `p` along `d` over free cells.
+    NetId next_net = 100;
+    auto wire = [&](geom::Point p, geom::Dir d, int len) {
+      std::vector<geom::Point> run;
+      for (geom::Point q = p; run.size() < static_cast<size_t>(len);
+           q += geom::delta(d)) {
+        if (!g.in_bounds(q) || g.blocked(q) || g.h_net(q) != kNone ||
+            g.v_net(q) != kNone) {
+          break;
+        }
+        run.push_back(q);
+      }
+      if (run.size() >= 2) {
+        g.occupy_polyline(next_net++, std::vector{run.front(), run.back()});
+      }
+    };
+    for (int i = 0; i < 3; ++i) {
+      const bool horizontal = pick(0, 1) == 1;
+      const int at = pick(1, 62);
+      wire(horizontal ? geom::Point{0, at} : geom::Point{at, 0},
+           horizontal ? geom::Dir::Right : geom::Dir::Up, 64);
+    }
+    while (points.size() < 7) points.push_back({pick(0, 63), pick(0, 63)});
+    // Module terminals (faced: walls on the other three sides), half of
+    // them with a foreign wire along the front, and system terminals.
+    std::vector<std::optional<geom::Dir>> facing;
+    for (const geom::Point& p : points) {
+      const int d = pick(-1, 3);
+      facing.push_back(d < 0 ? std::nullopt
+                             : std::optional(static_cast<geom::Dir>(d)));
+      if (g.blocked(p) || g.h_net(p) != kNone || g.v_net(p) != kNone) continue;
+      make_terminal(g, p, own, facing.back());
+      if (facing.back() && pick(0, 1) == 1) {
+        wire(p + geom::delta(*facing.back()), *facing.back(), pick(2, 12));
+      }
+    }
+    // Own geometry for the joins, inside the first ring.
+    const geom::Point own_at = points.front() + geom::Point{-2, 1};
+    const geom::Point own_run[] = {own_at, own_at + geom::Point{1, 0}};
+    const bool joinable = !g.blocked(own_run[0]) && !g.blocked(own_run[1]) &&
+                          g.passable(own_run[0], own, true) &&
+                          g.passable(own_run[1], own, true);
+    if (joinable) g.occupy_polyline(own, own_run);
+
+    auto compare = [&](SearchProblem prob, detail::CostMode mode) {
+      prob.known_failed = false;
+      const auto plain = detail::grid_search(g, prob, mode, &ws);
+      const detail::SearchWorkspace::Failure plain_fail = ws.last_failure();
+      prob.known_failed = true;
+      const auto hinted = detail::grid_search(g, prob, mode, &ws);
+      const detail::SearchWorkspace::Failure hinted_fail = ws.last_failure();
+      ASSERT_EQ(plain.has_value(), hinted.has_value());
+      if (plain) {
+        ++found;
+        ++open;
+        EXPECT_EQ(hinted->path, plain->path);
+        EXPECT_EQ(hinted->cost.bends, plain->cost.bends);
+        EXPECT_EQ(hinted->cost.crossings, plain->cost.crossings);
+        EXPECT_EQ(hinted->cost.length, plain->cost.length);
+        EXPECT_EQ(hinted->expansions, plain->expansions);
+        return;
+      }
+      const bool exhausted_early = !plain_fail.pocket_proof &&
+                                   plain_fail.expansions <= detail::kPocketBudget;
+      if (hinted_fail.expansions == 0 && hinted_fail.pocket_proof) {
+        ++(exhausted_early ? start_sealed : dest_sealed);
+        return;
+      }
+      ++open;
+      ++open_failed;
+      EXPECT_FALSE(exhausted_early) << "unproved with "
+                                    << plain_fail.expansions << " states";
+      EXPECT_EQ(hinted_fail.expansions, plain_fail.expansions);
+      EXPECT_EQ(hinted_fail.pocket_proof, plain_fail.pocket_proof);
+    };
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (g.terminal_owner(points[i]) != own) continue;
+      std::vector<SearchProblem> problems;
+      for (size_t j = 0; j < points.size(); ++j) {
+        if (j == i || points[j] == points[i] ||
+            g.terminal_owner(points[j]) != own) {
+          continue;
+        }
+        problems.push_back(
+            p2p(own, points[i], facing[i], points[j], facing[j]));
+      }
+      if (joinable) {
+        SearchProblem join;
+        join.net = own;
+        join.starts = {{points[i], facing[i]}};
+        join.join_own_net = true;
+        problems.push_back(join);
+      }
+      for (SearchProblem& prob : problems) {
+        for (bool windowed : {false, true}) {
+          prob.window.reset();
+          if (windowed) {
+            prob.window = geom::Rect{points[i], points[i]}.expanded(pick(6, 20));
+          }
+          for (const detail::CostMode mode : kAllModes) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " from "
+                         << geom::to_string(points[i])
+                         << (prob.join_own_net ? " join" : " target")
+                         << (windowed ? " windowed" : "") << " mode "
+                         << static_cast<int>(mode));
+            compare(prob, mode);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(start_sealed, 0);
+  EXPECT_GT(dest_sealed, 0);
+  EXPECT_GT(open, 0);
+  EXPECT_GT(open_failed, 0);
+  EXPECT_GT(found, 0);
+}
+
 }  // namespace
 }  // namespace na
