@@ -1,11 +1,9 @@
 #include "incremental/inc_route.hpp"
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "geom/point_table.hpp"
 #include "geom/polyline.hpp"
 
 namespace na {
@@ -53,32 +51,36 @@ int geometry_cells(const NetRoute& r) {
 /// Of the polylines in `pls`, the indices forming the largest connected
 /// figure (unit adjacency over occupied points — the same notion the
 /// validator's connectivity check uses, so whatever survives here is one
-/// figure by its rules).
+/// figure by its rules).  Figures are numbered in the order their first
+/// point was drawn, so a tie in size keeps the figure holding the earliest
+/// polyline.
 std::vector<size_t> largest_figure(
     const std::vector<std::vector<geom::Point>>& pls) {
-  std::unordered_map<std::uint64_t, int> comp;  // point -> component id
-  std::unordered_set<std::uint64_t> points;
+  size_t bound = 0;
+  for (const auto& pl : pls) bound += static_cast<size_t>(polyline_cells(pl));
+  geom::PointTable<int> comp(bound);  // point -> figure id, -1 until reached
   for (const auto& pl : pls) {
-    geom::for_each_cell(pl, [&](geom::Point p) { points.insert(geom::point_key(p)); });
+    geom::for_each_cell(pl, [&](geom::Point p) { comp[comp.insert(p)] = -1; });
   }
   int next_comp = 0;
   std::vector<int> comp_cells;
-  for (const std::uint64_t seed : points) {
-    if (comp.contains(seed)) continue;
+  std::vector<std::uint32_t> frontier;
+  for (std::uint32_t seed = 0; seed < comp.size(); ++seed) {
+    if (comp[seed] >= 0) continue;
     const int id = next_comp++;
-    comp_cells.push_back(0);
-    std::queue<std::uint64_t> frontier;
-    frontier.push(seed);
-    comp.emplace(seed, id);
-    while (!frontier.empty()) {
-      const geom::Point p = geom::point_of_key(frontier.front());
-      frontier.pop();
-      ++comp_cells[id];
+    comp[seed] = id;
+    frontier.assign(1, seed);
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      const geom::Point p = comp.point(frontier[head]);
       for (geom::Dir d : geom::kAllDirs) {
-        const std::uint64_t q = geom::point_key(p + geom::delta(d));
-        if (points.contains(q) && comp.emplace(q, id).second) frontier.push(q);
+        const std::uint32_t q = comp.find(p + geom::delta(d));
+        if (q != comp.npos && comp[q] < 0) {
+          comp[q] = id;
+          frontier.push_back(q);
+        }
       }
     }
+    comp_cells.push_back(static_cast<int>(frontier.size()));
   }
   int best = 0;
   for (int id = 1; id < next_comp; ++id) {
@@ -86,7 +88,8 @@ std::vector<size_t> largest_figure(
   }
   std::vector<size_t> kept;
   for (size_t i = 0; i < pls.size(); ++i) {
-    if (!pls[i].empty() && comp.at(geom::point_key(pls[i][0])) == best) kept.push_back(i);
+    const std::uint32_t at = pls[i].empty() ? comp.npos : comp.find(pls[i][0]);
+    if (at != comp.npos && comp[at] == best) kept.push_back(i);
   }
   return kept;
 }

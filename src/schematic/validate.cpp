@@ -1,23 +1,41 @@
 #include "schematic/validate.hpp"
 
+#include "geom/point_table.hpp"
+#include "geom/polyline.hpp"
 #include "geom/rect_index.hpp"
 #include "obs/trace.hpp"
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace na {
 namespace {
+
+/// One point the checker examined.  `h`/`v`: the first net to run through
+/// it horizontally/vertically; `node`: the last net with a corner, branch
+/// or endpoint there; `term`: the net of the last terminal there; `sys`:
+/// the scoped system terminal there; `mark`/`seen`: connectivity stamps.
+struct Cell {
+  NetId h = kNone;
+  NetId v = kNone;
+  NetId node = kNone;
+  NetId term = kNone;
+  TermId sys = kNone;
+  NetId mark = kNone;
+  NetId seen = kNone;
+};
 
 /// Shared checker body.  `region == nullptr` validates the whole diagram;
 /// otherwise only geometry intersecting `*region` is examined (see the
 /// scope rules on validate_region in the header).  The per-point work is
 /// identical in both modes, so an in-region violation produces the same
-/// message either way.
+/// message either way.  A call that reaches the routing checks gives `span`
+/// the distinct points it examined (`cells`), the nets whose connectivity
+/// ran (`nets_checked`) and its point table's capacity (`slots`).
+template <class Span>
 std::vector<std::string> validate_impl(const Diagram& dia,
                                        bool require_all_routed,
-                                       const geom::Rect* region) {
+                                       const geom::Rect* region, Span& span) {
   const Network& net = dia.network();
   std::vector<std::string> problems;
   auto report = [&](std::string msg) { problems.push_back(std::move(msg)); };
@@ -81,21 +99,24 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   }
   if (!problems.empty()) return problems;  // routing checks need full placement
 
-  // --- per-net terminal cells ------------------------------------------------
-  std::unordered_map<std::uint64_t, NetId> term_cell;  // point -> owning net
-  for (int t = 0; t < net.term_count(); ++t) {
-    const Terminal& term = net.term(t);
-    if (term.net == kNone) continue;
-    if (!in_scope(dia.term_pos(t))) continue;
-    term_cell[geom::point_key(dia.term_pos(t))] = term.net;
-  }
-
   // --- routing geometry -------------------------------------------------------
-  std::unordered_map<std::uint64_t, NetId> h_occ;
-  std::unordered_map<std::uint64_t, NetId> v_occ;
-  // Points where a net has a corner, branch, or endpoint ("nodes"): no other
-  // net may touch these at all.
-  std::unordered_map<std::uint64_t, NetId> node_of;
+  // One table holds every point examined, records in first-touch order.  It
+  // is sized from the cells and vertices of the nets whose geometry meets
+  // the scope: every point the walk and the connectivity pass can touch.
+  size_t bound = 0;
+  for (NetId n = 0; n < net.net_count(); ++n) {
+    geom::Rect hull;
+    size_t count = 0;
+    for (const auto& pl : dia.route(n).polylines) {
+      for (size_t i = 0; i < pl.size(); ++i) {
+        hull = hull.hull(pl[i]);
+        count += 1 + (i > 0 ? geom::manhattan(pl[i - 1], pl[i]) : 0);
+      }
+    }
+    if (!region || hull.overlaps(*region)) bound += count;
+  }
+  geom::PointTable<Cell> cells(bound);
+  auto cell = [&](geom::Point p) -> Cell& { return cells[cells.insert(p)]; };
   std::vector<bool> touches(net.net_count(), region == nullptr);
 
   for (NetId n = 0; n < net.net_count(); ++n) {
@@ -109,7 +130,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         // A single point is only meaningful when joining at a terminal that
         // already lies on the net; treat as node.
         if (!pl.empty() && in_scope(pl[0])) {
-          node_of[geom::point_key(pl[0])] = n;
+          cell(pl[0]).node = n;
           touches[n] = true;
         }
         continue;
@@ -126,7 +147,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         }
         if (a == b) continue;
         // Clip the segment to the scope, preserving its walk direction so
-        // overlap reports come out in the same order as a full validation.
+        // reports come out in the same order as a full validation.
         geom::Point from = a;
         geom::Point to = b;
         if (region) {
@@ -146,19 +167,20 @@ std::vector<std::string> validate_impl(const Diagram& dia,
         const geom::Point step = {(to.x > from.x) - (to.x < from.x),
                                   (to.y > from.y) - (to.y < from.y)};
         for (geom::Point p = from;; p += step) {
-          auto& occ = horizontal ? h_occ : v_occ;
-          auto [it, inserted] = occ.emplace(geom::point_key(p), n);
-          if (!inserted && it->second != n) {
-            report("nets '" + net.net(n).name + "' and '" + net.net(it->second).name +
+          NetId& occ = horizontal ? cell(p).h : cell(p).v;
+          if (occ == kNone) {
+            occ = n;
+          } else if (occ != n) {
+            report("nets '" + net.net(n).name + "' and '" + net.net(occ).name +
                    "' overlap at " + geom::to_string(p));
           }
           if (p == to) break;
         }
       }
-      if (in_scope(pl.front())) node_of[geom::point_key(pl.front())] = n;
-      if (in_scope(pl.back())) node_of[geom::point_key(pl.back())] = n;
+      if (in_scope(pl.front())) cell(pl.front()).node = n;
+      if (in_scope(pl.back())) cell(pl.back()).node = n;
       for (size_t i = 1; i + 1 < pl.size(); ++i) {
-        if (in_scope(pl[i])) node_of[geom::point_key(pl[i])] = n;  // corner
+        if (in_scope(pl[i])) cell(pl[i]).node = n;  // corner
       }
     }
     if (require_all_routed && region != nullptr && !r.routed && touches[n] &&
@@ -167,16 +189,33 @@ std::vector<std::string> validate_impl(const Diagram& dia,
     }
   }
 
-  // --- nets vs module symbols and foreign terminals ---------------------------
-  auto check_point = [&](geom::Point p, NetId n) {
-    const auto tc = term_cell.find(geom::point_key(p));
-    const bool own_terminal = tc != term_cell.end() && tc->second == n;
-    if (tc != term_cell.end() && tc->second != n) {
-      report("net '" + net.net(n).name + "' touches a foreign terminal at " +
-             geom::to_string(p));
+  // --- terminals on wire cells ------------------------------------------------
+  // Only the walked cells are checked against terminals, so a terminal off
+  // every wire needs no record.  The placement checks above returned on any
+  // coincidence, so a cell holds at most one scoped system terminal.
+  for (int t = 0; t < net.term_count(); ++t) {
+    if (net.term(t).net == kNone || !in_scope(dia.term_pos(t))) continue;
+    if (const auto i = cells.find(dia.term_pos(t)); i != cells.npos) {
+      cells[i].term = net.term(t).net;
+    }
+  }
+  for (const TermId t : scoped_terms) {
+    if (const auto i = cells.find(dia.term_pos(t)); i != cells.npos) cells[i].sys = t;
+  }
+
+  // --- per-cell checks, in first-touch order ----------------------------------
+  // At each cell: its horizontal net, then a different vertical net, against
+  // symbols and terminals; then the node contact rule (a corner/endpoint of
+  // net A may not be touched by any other net: crossing requires both
+  // straight through).
+  auto check_point = [&](geom::Point p, const Cell& c, NetId n) {
+    if (c.term != kNone) {
+      if (c.term != n) {
+        report("net '" + net.net(n).name + "' touches a foreign terminal at " +
+               geom::to_string(p));
+      }
       return;
     }
-    if (own_terminal) return;
     bool entered = false;
     mod_index.containing(p, [&](int k) {
       report("net '" + net.net(n).name + "' enters module '" +
@@ -184,32 +223,21 @@ std::vector<std::string> validate_impl(const Diagram& dia,
       entered = true;
       return true;
     });
-    if (entered) return;
-    const auto at = terms_at.find(geom::point_key(p));
-    if (at == terms_at.end()) return;
-    for (const size_t k : at->second) {
-      const TermId t = scoped_terms[k];
-      if (net.term(t).net != n) {
-        report("net '" + net.net(n).name + "' covers system terminal '" +
-               net.term(t).name + "'");
-      }
+    if (!entered && c.sys != kNone && net.term(c.sys).net != n) {
+      report("net '" + net.net(n).name + "' covers system terminal '" +
+             net.term(c.sys).name + "'");
     }
   };
-  for (const auto& [pt, n] : h_occ) check_point(geom::point_of_key(pt), n);
-  for (const auto& [pt, n] : v_occ) {
-    if (auto it = h_occ.find(pt); it == h_occ.end() || it->second != n) {
-      check_point(geom::point_of_key(pt), n);
-    }
-  }
-
-  // --- node contact rule: a corner/endpoint of net A may not be touched by
-  // any other net (crossing requires both straight through).
-  for (const auto& [pt, n] : node_of) {
-    for (const auto* occ : {&h_occ, &v_occ}) {
-      auto it = occ->find(pt);
-      if (it != occ->end() && it->second != n) {
-        report("net '" + net.net(it->second).name + "' touches a node of net '" +
-               net.net(n).name + "' at " + geom::to_string(geom::point_of_key(pt)));
+  for (std::uint32_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    const geom::Point p = cells.point(i);
+    if (c.h != kNone) check_point(p, c, c.h);
+    if (c.v != kNone && c.v != c.h) check_point(p, c, c.v);
+    if (c.node == kNone) continue;
+    for (const NetId other : {c.h, c.v}) {
+      if (other != kNone && other != c.node) {
+        report("net '" + net.net(other).name + "' touches a node of net '" +
+               net.net(c.node).name + "' at " + geom::to_string(p));
       }
     }
   }
@@ -218,55 +246,73 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   // In region mode only the nets with in-scope geometry are re-checked, but
   // always over their *full* geometry: being one figure is not a local
   // property, and a patch can only disconnect a net at an edited point.
-  // The per-net sets and the BFS queue are reused across nets; clearing
-  // changes which point the BFS starts from, and reachability does not
-  // depend on that.
-  std::unordered_set<std::uint64_t> points;
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::uint64_t> frontier;
+  // A net's points are the cells stamped `mark == n`.  Orthogonal polylines
+  // that each start or end on the ones before them form one figure; only a
+  // net not drawn that way runs the BFS, which stamps the points it reaches
+  // `seen = n`.  The queue is reused across nets.
+  std::vector<std::uint32_t> frontier;
+  long long nets_checked = 0;
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
     if (!r.routed || !touches[n]) continue;
-    points.clear();
+    ++nets_checked;
+    size_t points = 0;
+    std::uint32_t first = cells.npos;
+    std::uint32_t last = cells.npos;
+    auto mark = [&](geom::Point p) {
+      last = cells.find_near(p, last);
+      if (last == cells.npos) last = cells.insert(p);
+      if (cells[last].mark == n) return;
+      cells[last].mark = n;
+      if (points++ == 0) first = last;
+    };
+    auto on_net = [&](geom::Point p) {
+      const std::uint32_t i = cells.find(p);
+      return i != cells.npos && cells[i].mark == n;
+    };
+    bool chained = true;
     for (const auto& pl : r.polylines) {
+      if (pl.empty()) continue;
+      if (points > 0 && !on_net(pl.front()) && !on_net(pl.back())) chained = false;
       for (size_t i = 1; i < pl.size(); ++i) {
-        const geom::Point a = pl[i - 1];
-        const geom::Point b = pl[i];
-        if (a.x != b.x && a.y != b.y) continue;
-        const geom::Point step = {(b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)};
-        for (geom::Point p = a;; p += step) {
-          points.insert(geom::point_key(p));
-          if (p == b) break;
-        }
+        if (pl[i - 1].x != pl[i].x && pl[i - 1].y != pl[i].y) chained = false;
       }
-      if (!pl.empty()) points.insert(geom::point_key(pl.front()));
+      geom::for_each_cell(pl, mark);
+      mark(pl.front());
     }
-    if (points.empty()) {
+    if (points == 0) {
       report("net '" + net.net(n).name + "' marked routed but has no geometry");
       continue;
     }
-    // BFS over unit adjacency within the point set.
-    seen.clear();
-    frontier.clear();
-    frontier.push_back(*points.begin());
-    seen.insert(*points.begin());
-    for (size_t head = 0; head < frontier.size(); ++head) {
-      const geom::Point p = geom::point_of_key(frontier[head]);
-      for (geom::Dir d : geom::kAllDirs) {
-        const std::uint64_t q = geom::point_key(p + geom::delta(d));
-        if (points.contains(q) && seen.insert(q).second) frontier.push_back(q);
+    if (!chained) {
+      // BFS over unit adjacency within the net's points.
+      frontier.assign(1, first);
+      cells[first].seen = n;
+      for (size_t head = 0; head < frontier.size(); ++head) {
+        const std::uint32_t i = frontier[head];
+        const geom::Point p = cells.point(i);
+        for (geom::Dir d : geom::kAllDirs) {
+          const std::uint32_t q = cells.find_near(p + geom::delta(d), i);
+          if (q != cells.npos && cells[q].mark == n && cells[q].seen != n) {
+            cells[q].seen = n;
+            frontier.push_back(q);
+          }
+        }
+      }
+      if (frontier.size() != points) {
+        report("net '" + net.net(n).name + "' geometry is disconnected");
       }
     }
-    if (seen.size() != points.size()) {
-      report("net '" + net.net(n).name + "' geometry is disconnected");
-    }
     for (TermId t : net.net(n).terms) {
-      if (!points.contains(geom::point_key(dia.term_pos(t)))) {
+      if (!on_net(dia.term_pos(t))) {
         report("net '" + net.net(n).name + "' does not reach terminal '" +
                net.term(t).name + "'");
       }
     }
   }
+  span.arg("cells", static_cast<long long>(cells.size()));
+  span.arg("nets_checked", nets_checked);
+  span.arg("slots", static_cast<long long>(cells.capacity()));
 
   return problems;
 }
@@ -275,7 +321,7 @@ std::vector<std::string> validate_impl(const Diagram& dia,
 
 std::vector<std::string> validate_diagram(const Diagram& dia, bool require_all_routed) {
   NA_TRACE_SPAN(span, "validate.full");
-  auto problems = validate_impl(dia, require_all_routed, nullptr);
+  auto problems = validate_impl(dia, require_all_routed, nullptr, span);
   span.arg("issues", static_cast<long long>(problems.size()));
   return problems;
 }
@@ -284,7 +330,7 @@ std::vector<std::string> validate_region(const Diagram& dia, geom::Rect region,
                                          bool require_all_routed) {
   NA_TRACE_SPAN(span, "validate.region");
   if (region.empty()) return {};
-  auto problems = validate_impl(dia, require_all_routed, &region);
+  auto problems = validate_impl(dia, require_all_routed, &region, span);
   span.arg("issues", static_cast<long long>(problems.size()));
   return problems;
 }

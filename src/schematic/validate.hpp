@@ -16,10 +16,20 @@
 //   * every routed net's polylines form one connected figure containing
 //     all of the net's terminal positions.
 //
-// The checker is implemented independently of RoutingGrid (hash maps over
-// drawn geometry, a geom::RectIndex over the symbol rectangles) so it can
-// serve as an oracle for the router.  Expected cost is O(wire cells +
-// symbols) per call.
+// The checker is implemented independently of RoutingGrid (one
+// geom::PointTable over the drawn geometry, a geom::RectIndex over the
+// symbol rectangles) so it can serve as an oracle for the router.  Expected
+// cost is O(wire cells + symbols) per call, and so is memory: the point
+// table is sized once from the cell count of the nets in scope, never from
+// the diagram's extent.
+//
+// Report order: placement issues; then the walk's reports (unrouted nets,
+// non-orthogonal segments, overlaps) net by net in id order; then the per-cell
+// reports in the order the net walk first touched each cell (nets by id,
+// polylines in order, each segment from its first point to its last).  At
+// a cell: its horizontal net's symbol/terminal report, a different
+// vertical net's, then any net touching another's node there.  Last, the
+// connectivity reports, per net in id order.
 #pragma once
 
 #include <string>

@@ -3,12 +3,13 @@
 // full validate_diagram reports — on clean patched diagrams (both empty),
 // on deliberately corrupted diagrams (both the same non-empty set), and
 // across the incremental engine's edit-scenario corpus where the region is
-// the patch router's dirty hull.  Issue lists are compared sorted: the
-// checker walks hash maps, so report order is not part of the contract.
+// the patch router's dirty hull.  Issue lists are compared sorted there:
+// region and full mode differ in which nets' unrouted reports come first.
 //
 // The differential tests further down pin the indexed symbol checks against
-// a copy of the linear-scan checker: there the messages must match exactly
-// and in order, because both walk the same hash maps in the same way.
+// a copy of the linear-scan checker on hash maps: there the messages must
+// match exactly and in order, because the per-cell reports follow the
+// documented first-touch order (validate.hpp) in both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,8 @@
 #include "geom/rect_index.hpp"
 #include "incremental/edit.hpp"
 #include "incremental/session.hpp"
+#include "netlist/text_io.hpp"
+#include "obs/trace.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "route/shard_route.hpp"
@@ -306,6 +309,15 @@ std::vector<std::string> validate(const Diagram& dia,
   // Points where a net has a corner, branch, or endpoint ("nodes"): no other
   // net may touch these at all.
   std::unordered_map<std::uint64_t, NetId> node_of;
+  // Every key of the three maps, in the order the walk first touched it:
+  // the documented order of the per-cell reports.
+  std::vector<std::uint64_t> first_touch;
+  auto touch = [&](std::uint64_t k) {
+    if (!h_occ.contains(k) && !v_occ.contains(k) && !node_of.contains(k)) {
+      first_touch.push_back(k);
+    }
+    return k;
+  };
   std::vector<bool> touches(net.net_count(), region == nullptr);
 
   for (NetId n = 0; n < net.net_count(); ++n) {
@@ -319,7 +331,7 @@ std::vector<std::string> validate(const Diagram& dia,
         // A single point is only meaningful when joining at a terminal that
         // already lies on the net; treat as node.
         if (!pl.empty() && in_scope(pl[0])) {
-          node_of[key_of(pl[0])] = n;
+          node_of[touch(key_of(pl[0]))] = n;
           touches[n] = true;
         }
         continue;
@@ -362,7 +374,7 @@ std::vector<std::string> validate(const Diagram& dia,
                                   (to.y > from.y) - (to.y < from.y)};
         for (geom::Point p = from;; p += step) {
           auto& occ = horizontal ? h_occ : v_occ;
-          auto [it, inserted] = occ.emplace(key_of(p), n);
+          auto [it, inserted] = occ.emplace(touch(key_of(p)), n);
           if (!inserted && it->second != n) {
             report("nets '" + net.net(n).name + "' and '" + net.net(it->second).name +
                    "' overlap at " + geom::to_string(p));
@@ -370,10 +382,10 @@ std::vector<std::string> validate(const Diagram& dia,
           if (p == to) break;
         }
       }
-      if (in_scope(pl.front())) node_of[key_of(pl.front())] = n;
-      if (in_scope(pl.back())) node_of[key_of(pl.back())] = n;
+      if (in_scope(pl.front())) node_of[touch(key_of(pl.front()))] = n;
+      if (in_scope(pl.back())) node_of[touch(key_of(pl.back()))] = n;
       for (size_t i = 1; i + 1 < pl.size(); ++i) {
-        if (in_scope(pl[i])) node_of[key_of(pl[i])] = n;  // corner
+        if (in_scope(pl[i])) node_of[touch(key_of(pl[i]))] = n;  // corner
       }
     }
     if (require_all_routed && region != nullptr && !r.routed && touches[n] &&
@@ -406,21 +418,24 @@ std::vector<std::string> validate(const Diagram& dia,
       }
     }
   };
-  for (const auto& [pt, n] : h_occ) check_point(point_of(pt), n);
-  for (const auto& [pt, n] : v_occ) {
-    if (auto it = h_occ.find(pt); it == h_occ.end() || it->second != n) {
-      check_point(point_of(pt), n);
+  // At each cell, in first-touch order: the horizontal net, a different
+  // vertical net, then the node contact rule (a corner/endpoint of net A
+  // may not be touched by any other net: crossing requires both straight
+  // through).
+  for (const std::uint64_t pt : first_touch) {
+    const auto h = h_occ.find(pt);
+    const auto v = v_occ.find(pt);
+    if (h != h_occ.end()) check_point(point_of(pt), h->second);
+    if (v != v_occ.end() && (h == h_occ.end() || h->second != v->second)) {
+      check_point(point_of(pt), v->second);
     }
-  }
-
-  // --- node contact rule: a corner/endpoint of net A may not be touched by
-  // any other net (crossing requires both straight through).
-  for (const auto& [pt, n] : node_of) {
-    for (const auto* occ : {&h_occ, &v_occ}) {
-      auto it = occ->find(pt);
-      if (it != occ->end() && it->second != n) {
-        report("net '" + net.net(it->second).name + "' touches a node of net '" +
-               net.net(n).name + "' at " + geom::to_string(point_of(pt)));
+    const auto node = node_of.find(pt);
+    if (node == node_of.end()) continue;
+    for (const NetId other : {h != h_occ.end() ? h->second : kNone,
+                              v != v_occ.end() ? v->second : kNone}) {
+      if (other != kNone && other != node->second) {
+        report("net '" + net.net(other).name + "' touches a node of net '" +
+               net.net(node->second).name + "' at " + geom::to_string(point_of(pt)));
       }
     }
   }
@@ -619,6 +634,38 @@ TEST(ValidateDifferential, LifeMatchesLinearScan) {
   run_differential(routed_life_with_spare(net));
 }
 
+// Four kinds of per-cell violation, each at a cell a different net touched
+// first: the reports follow the cells' first-touch order (nets by id, each
+// polyline from its first point), not the nets' order or the rule's kind.
+// "third" is walked last, but its endpoint lies on "first"'s wire, so that
+// node contact is reported first.
+TEST(ValidateOrder, PerCellReportsFollowFirstTouch) {
+  Network net;
+  const ModuleId m = net.add_module("m", "cell", {4, 4});
+  const TermId pin = net.add_terminal(m, "a", TermType::In, {0, 2});
+  const TermId spare = net.add_system_terminal("spare", TermType::In);
+  const NetId first = net.add_net("first");
+  const NetId second = net.add_net("second");
+  const NetId third = net.add_net("third");
+  net.connect(net.add_net("owner"), pin);
+  Diagram dia(net);
+  dia.place_module(m, {10, 10});
+  dia.place_system_term(spare, {0, 5});
+  ASSERT_EQ(dia.term_pos(pin), (geom::Point{10, 12}));
+  dia.route(first).polylines = {{{0, 0}, {0, 8}}};
+  dia.route(second).polylines = {{{5, 12}, {11, 12}}};
+  dia.route(third).polylines = {{{3, 1}, {0, 1}}};
+  const std::vector<std::string> expected{
+      "net 'first' touches a node of net 'third' at (0,1)",
+      "net 'first' covers system terminal 'spare'",
+      "net 'second' touches a foreign terminal at (10,12)",
+      "net 'second' enters module 'm' at (11,12)",
+  };
+  EXPECT_EQ(validate_diagram(dia), expected);
+  EXPECT_EQ(validate_region(dia, kEverywhere), expected);
+  EXPECT_EQ(reference::validate(dia, false, nullptr), expected);
+}
+
 TEST(ValidateDifferential, Mesh1kMatchesLinearScan) {
   gen::SynthOptions o;
   o.topology = gen::SynthTopology::GridMesh;
@@ -662,6 +709,53 @@ TEST(ValidateDifferential, SparseExtentStaysSmallAndCorrect) {
   const std::vector<std::string> expected{"modules 'far_b' and 'huge' overlap"};
   EXPECT_EQ(validate_diagram(dia), expected);
   EXPECT_EQ(validate_region(dia, kEverywhere), expected);
+
+  // Two short routed nets in opposite corners of the coordinate range, each
+  // between two system terminals: the point table holds their cells, never
+  // the extent between them.
+  for (const char* name : {"lo", "hi"}) {
+    const NetId n = net.add_net(name);
+    net.connect(n, net.add_system_terminal(std::string(name) + "_in", TermType::In));
+    net.connect(n, net.add_system_terminal(std::string(name) + "_out", TermType::Out));
+  }
+  Diagram routed(net);
+  routed.place_module(far_a, {-1000000, -3});
+  routed.place_module(far_b, {1000000, 5});
+  routed.place_module(huge, {-50000, 200000});
+  const geom::Point corner[] = {{-kMaxCoord, -kMaxCoord}, {kMaxCoord - 5, kMaxCoord}};
+  for (NetId n = 0; n < 2; ++n) {
+    const geom::Point to = corner[n] + geom::Point{5, 0};
+    routed.place_system_term(net.net(n).terms[0], corner[n]);
+    routed.place_system_term(net.net(n).terms[1], to);
+    routed.route(n).polylines = {{corner[n], to}};
+    routed.route(n).routed = true;
+  }
+  const geom::Rect range{{-kMaxCoord, -kMaxCoord}, {kMaxCoord, kMaxCoord}};
+  obs::trace_reset();
+  obs::trace_enable();
+  EXPECT_TRUE(validate_diagram(routed).empty());
+  obs::trace_disable();
+  EXPECT_TRUE(validate_region(routed, range).empty());
+  if (obs::trace_compiled_in()) {
+    long long cells = -1;
+    long long slots = -1;
+    for (const obs::TraceEventView& ev : obs::trace_events()) {
+      if (std::string(ev.name) != "validate.full") continue;
+      for (const obs::TraceArg& arg : ev.args) {
+        if (std::string(arg.key) == "cells") cells = arg.value;
+        if (std::string(arg.key) == "slots") slots = arg.value;
+      }
+    }
+    EXPECT_EQ(cells, 12);  // 6 cells per net
+    EXPECT_GT(slots, cells);
+    EXPECT_LE(slots, 4 * cells);
+  }
+  obs::trace_reset();
+  // A stray point of "hi" in the "lo" corner splits its figure.
+  routed.route(1).polylines.push_back({{-kMaxCoord, -kMaxCoord + 3}});
+  const std::vector<std::string> split{"net 'hi' geometry is disconnected"};
+  EXPECT_EQ(validate_diagram(routed), split);
+  EXPECT_EQ(validate_region(routed, range), split);
 }
 
 }  // namespace
