@@ -92,8 +92,7 @@ inline void require_valid(const Diagram& dia, const char* what) {
 /// Runs `work` with the trace recorder on and returns the span rollup of
 /// what it recorded — the benches' one timing source (a bench may open
 /// its own span around a phase).  The recorder is reset on both sides, so
-/// each call rolls up only its own events.  Under NA_TRACE=OFF the rollup
-/// is empty and every time reads 0.
+/// each call rolls up only its own events.
 template <typename Work>
 std::vector<obs::SpanStats> traced(Work&& work) {
   obs::trace_reset();

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   std::string port_file;
   obs::ObsOptions::Stats stats = obs::ObsOptions::Stats::kOff;
   long flight_events = 0;
+  bool flight_dump = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -109,6 +110,7 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (s == nullptr) return 2;
       opt.flight_dump_path = s;
+      flight_dump = true;
     } else if (flag == "--stats") {
       const char* s = next();
       if (s == nullptr) return 2;
@@ -125,16 +127,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (flight_dump && flight_events == 0) {
+    std::fprintf(stderr,
+                 "na_serve: --flight-dump needs --flight-recorder N\n");
+    return 2;
+  }
+
   // Flight-recorder mode: recorder on, every thread buffer bounded.
   if (flight_events > 0) {
-    if (!obs::trace_compiled_in()) {
-      std::fprintf(stderr,
-                   "na_serve: --flight-recorder requested but tracing was "
-                   "compiled out (NA_TRACE=OFF); continuing without\n");
-    } else {
-      obs::trace_flight_enable(static_cast<size_t>(flight_events));
-      obs::trace_enable();
-    }
+    obs::trace_flight_enable(static_cast<size_t>(flight_events));
+    obs::trace_enable();
   }
 
   serve::Server server(opt);

@@ -158,6 +158,15 @@ void RegenSession::restore(std::string_view text) {
   if (!r.next() || r.size() != 1 || r[0] != kSessionHeader) {
     r.fail("missing #NA-SESSION-1 header");
   }
+  // Network's own checks (positive size, terminal on the perimeter, one
+  // net per terminal) throw std::invalid_argument: fail the record's line.
+  const auto checked = [&r](auto&& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      r.fail(e.what());
+    }
+  };
   std::optional<std::string_view> diagram;
   while (!diagram && r.next()) {
     const std::string_view kind = r[0];
@@ -167,8 +176,11 @@ void RegenSession::restore(std::string_view text) {
       if (r.size() != 4 && r.size() != 5) r.fail("module record needs 4 or 5 fields");
       const int w = r.int_field(1, 0, kMaxCoord);
       const int h = r.int_field(2, 0, kMaxCoord);
-      net.add_module(std::string(r[3]),
-                     r.size() == 5 ? std::string(r[4]) : std::string(), {w, h});
+      checked([&] {
+        net.add_module(std::string(r[3]),
+                       r.size() == 5 ? std::string(r[4]) : std::string(),
+                       {w, h});
+      });
     } else if (kind == "term") {
       if (r.size() != 6) r.fail("term record needs 6 fields");
       const int m = r.int_field(1, 0, net.module_count() - 1);
@@ -176,7 +188,7 @@ void RegenSession::restore(std::string_view text) {
       if (!type) r.fail("bad terminal type '" + std::string(r[2]) + "'");
       const int x = r.int_field(3, -kMaxCoord, kMaxCoord);
       const int y = r.int_field(4, -kMaxCoord, kMaxCoord);
-      net.add_terminal(m, std::string(r[5]), *type, {x, y});
+      checked([&] { net.add_terminal(m, std::string(r[5]), *type, {x, y}); });
     } else if (kind == "systerm") {
       if (r.size() != 3) r.fail("systerm record needs 3 fields");
       const auto type = parse_term_type(r[1]);
@@ -189,7 +201,7 @@ void RegenSession::restore(std::string_view text) {
       if (r.size() != 3) r.fail("conn record needs 3 fields");
       const int n = r.int_field(1, 0, net.net_count() - 1);
       const int t = r.int_field(2, 0, net.term_count() - 1);
-      net.connect(n, t);
+      checked([&] { net.connect(n, t); });
     } else if (kind == "part") {
       std::vector<ModuleId> part;
       for (size_t i = 1; i < r.size(); ++i) {

@@ -54,11 +54,6 @@ bool g_began = false;
 
 void obs_begin(const ObsOptions& opt) {
   if (opt.trace_path.empty() && opt.stats == ObsOptions::Stats::kOff) return;
-  if (!opt.trace_path.empty() && !trace_compiled_in()) {
-    std::fprintf(stderr,
-                 "na[obs] --trace requested but tracing was compiled out "
-                 "(NA_TRACE=OFF); the trace file will contain no events\n");
-  }
   trace_enable();
   g_began = true;
 }

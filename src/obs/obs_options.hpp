@@ -42,9 +42,7 @@ bool take_obs_flag(const std::vector<std::string>& args, size_t& i,
 std::vector<std::string> parse_obs_args(const std::vector<std::string>& args,
                                         ObsOptions& opt);
 
-/// Enables the trace recorder when a trace or stats were requested.  Warns
-/// on stderr (and keeps going) when a trace was requested but tracing was
-/// compiled out (NA_TRACE=OFF).
+/// Enables the trace recorder when a trace or stats were requested.
 void obs_begin(const ObsOptions& opt);
 
 /// Writes the trace file (when requested) and emits the registry to

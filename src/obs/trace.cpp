@@ -197,8 +197,6 @@ void record_counter(const char* name, const char* series, long long value) {
 
 }  // namespace detail
 
-bool trace_compiled_in() { return NA_TRACE_ENABLED != 0; }
-
 void trace_enable() {
   Registry& reg = Registry::instance();
   {

@@ -15,13 +15,10 @@
 //     the recorder was enabled.
 //
 // Cost model:
-//   * NA_TRACE=OFF (CMake): the macros expand to nothing — zero code in
-//     the instrumented functions; the recorder API itself stays linkable
-//     so CLI wiring compiles unchanged (it just records nothing).
-//   * compiled in, tracing disabled (the default at runtime): one relaxed
-//     atomic load and a predictable branch per span or counter.
-//   * compiled in and enabled: a steady_clock read per span edge plus one
-//     vector push_back on the thread's private buffer.
+//   * tracing disabled (the default at runtime): one relaxed atomic load
+//     and a predictable branch per span or counter.
+//   * enabled: a steady_clock read per span edge plus one vector
+//     push_back on the thread's private buffer.
 //
 // Thread-safety contract: recording is safe from any number of threads
 // concurrently; trace_to_json()/trace_write()/trace_reset() must be called
@@ -35,10 +32,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef NA_TRACE_ENABLED
-#define NA_TRACE_ENABLED 1
-#endif
 
 namespace na::obs {
 
@@ -55,9 +48,6 @@ struct TraceArg {
   constexpr TraceArg(const char* k, int v) : key(k), value(v), str(nullptr) {}
   constexpr TraceArg(const char* k, const char* s) : key(k), value(0), str(s) {}
 };
-
-/// True when the tracing macros were compiled in (NA_TRACE=ON).
-bool trace_compiled_in();
 
 /// Runtime switch.  Enabling (re)sets the trace epoch only on the first
 /// enable or after trace_reset(), so disable/enable pairs keep one
@@ -177,8 +167,6 @@ void record_counter(const char* name, const char* series, long long value);
 /// Maximum arguments one span can carry.
 inline constexpr int kMaxTraceArgs = 6;
 
-#if NA_TRACE_ENABLED
-
 /// RAII span: records one complete ("X") event covering its lifetime.
 /// When tracing is disabled at construction the span is inert (one branch
 /// per method).  Arguments added via arg() land on the event.
@@ -238,26 +226,5 @@ class TraceSpan {
                                         static_cast<long long>(value));  \
     }                                                                    \
   } while (0)
-
-#else  // !NA_TRACE_ENABLED — every macro compiles to nothing.
-
-/// Inert stand-in so `NA_TRACE_SPAN(span, ...); span.arg(...)` still
-/// compiles; the optimiser erases it entirely.
-struct NullTraceSpan {
-  void arg(const char*, long long) {}
-  void arg(const char*, int) {}
-  void arg(const char*, long) {}
-  void arg(const char*, unsigned) {}
-  void arg(const char*, size_t) {}
-  void arg(const char*, const char*) {}
-};
-
-#define NA_TRACE_SCOPE(name) ((void)0)
-#define NA_TRACE_SPAN(var, name) \
-  ::na::obs::NullTraceSpan var;  \
-  (void)var
-#define NA_TRACE_COUNTER(name, series, value) ((void)0)
-
-#endif  // NA_TRACE_ENABLED
 
 }  // namespace na::obs

@@ -300,6 +300,8 @@ void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
             static_cast<long long>(obs::trace_flight_capacity()));
     reg.set("serve.flight.dropped",
             static_cast<long long>(obs::trace_flight_dropped()));
+    reg.set("serve.flight.dump_failures",
+            flight_dump_failures_.load(std::memory_order_relaxed));
   }
 }
 
@@ -314,7 +316,9 @@ bool Server::dump_flight(const std::string& path) {
   // Exclusive side of the flush gate: no request is mid-record, so the
   // rings are quiescent and the dump is byte-stable (DESIGN §11).
   std::unique_lock gate(host_.flush_gate());
-  return obs::trace_flight_dump(path);
+  if (obs::trace_flight_dump(path)) return true;
+  flight_dump_failures_.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 void Server::watchdog_tick() {

@@ -111,7 +111,8 @@ class Server {
 
   /// Dumps the flight-recorder rings to `path` under the exclusive side
   /// of the flush gate (recorder quiescent, dump byte-stable).  False
-  /// when the flight recorder is off or the file cannot be written.
+  /// when the flight recorder is off or the file cannot be written; the
+  /// latter counts as serve.flight.dump_failures.
   bool dump_flight(const std::string& path);
 
  private:
@@ -137,6 +138,7 @@ class Server {
   int port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<bool> flight_dump_{false};
+  std::atomic<long long> flight_dump_failures_{0};
   std::chrono::steady_clock::time_point started_at_{};
 
   std::vector<std::unique_ptr<EventLoop>> loops_;

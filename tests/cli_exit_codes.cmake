@@ -4,7 +4,8 @@
 # slow-request log and the Prometheus exposition, the daemon's removed
 # in-flight window and watchdog interval flags, and regen's removed
 # --validate flag must stay rejected, as must a malformed --synth spec,
-# a '+'-signed number and the placement flags life_game does not take.
+# a '+'-signed number, the placement flags life_game does not take and a
+# --flight-dump path without the --flight-recorder that would fill it.
 # A binary that cannot write an output exits 1 and names the file.
 #
 # Usage: cmake -DEUREKA=<exe> -DPABLO=<exe> -DNET2ART=<exe> -DREGEN=<exe>
@@ -46,6 +47,7 @@ expect_exit_2("${NET2ART}" --synth grid:12x
 expect_exit_2("${NET2ART}" --synth ring:12
               -o "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes")
 expect_exit_2("${NA_SERVE}" --threads +4)
+expect_exit_2("${NA_SERVE}" --flight-dump x.json)
 expect_exit_2("${LIFE_GAME}" out -p 5)
 expect_exit_2("${LIFE_GAME}" out -b 2)
 

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/figures.hpp"
@@ -560,6 +561,26 @@ TEST(SessionPersistence, SaveRequiresDiagramAndRestoreIsStrict) {
     RegenSession scratch;
     EXPECT_THROW(scratch.restore(text), std::runtime_error)
         << "input: " << text;
+  }
+  // Records the Network itself rejects fail on their own line too.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"#NA-SESSION-1\nmodule 0 4 m\n",
+       "line 2: module 'm' must have positive size"},
+      {"#NA-SESSION-1\nmodule 4 4 m\nterm 0 in 1 1 t\n",
+       "line 3: terminal 't' of module 'm' not on module perimeter"},
+      {"#NA-SESSION-1\nmodule 4 4 m\nterm 0 in 0 1 t\nnet a\nnet b\n"
+       "conn 0 0\nconn 1 0\n",
+       "line 7: terminal 't' already connected"},
+  };
+  for (const auto& [text, why] : rejected) {
+    RegenSession scratch;
+    try {
+      scratch.restore(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
   }
 
   // Corrupting a structural line inside a valid blob must also throw, not

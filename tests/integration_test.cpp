@@ -406,10 +406,8 @@ TEST(Generator, TimingsPopulated) {
   const auto spans =
       bench::traced([&] { generate_diagram(net, {}, &result); });
   EXPECT_EQ(result.stats.modules, 6);
-  if (obs::trace_compiled_in()) {
-    EXPECT_EQ(span_count(spans, "place"), 1);
-    EXPECT_EQ(span_count(spans, "route"), 1);
-  }
+  EXPECT_EQ(span_count(spans, "place"), 1);
+  EXPECT_EQ(span_count(spans, "route"), 1);
 }
 
 TEST(Generator, SkipsPlacementWhenFullyPlaced) {
@@ -422,9 +420,7 @@ TEST(Generator, SkipsPlacementWhenFullyPlaced) {
   const auto spans = bench::traced([&] { result = generate(dia, opt); });
   EXPECT_TRUE(result.placement.partitions.empty());
   EXPECT_EQ(span_count(spans, "place"), 0);
-  if (obs::trace_compiled_in()) {
-    EXPECT_EQ(span_count(spans, "route"), 1);
-  }
+  EXPECT_EQ(span_count(spans, "route"), 1);
 }
 
 }  // namespace

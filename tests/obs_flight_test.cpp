@@ -2,9 +2,6 @@
 // geometry, quantile error bound, merge, concurrent recording), the
 // flight-recorder ring in the trace layer (wrap-around retention, memory
 // held at the cap, byte-stable dumps).
-//
-// With the tracing macros compiled out (NA_TRACE=OFF) the flight suite
-// flips around: the APIs must stay linkable and record nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -232,8 +229,6 @@ void fresh_trace(size_t flight_capacity = 0) {
   obs::trace_enable();
 }
 
-#if NA_TRACE_ENABLED
-
 TEST(Flight, RingRetainsExactlyTheLastN) {
   constexpr size_t kCap = 32;
   constexpr int kTotal = 100;
@@ -316,30 +311,6 @@ TEST(Flight, DumpIsByteStableAndRequiresFlightMode) {
   std::remove(p2.c_str());
   fresh_trace();
 }
-
-#else  // !NA_TRACE_ENABLED
-
-TEST(FlightOff, ApisLinkAndRecordNothing) {
-  // NA_TRACE=OFF: the macros compile to nothing, but the flight wiring in
-  // na_serve still links and the rings simply stay empty.
-  fresh_trace(32);
-  EXPECT_TRUE(obs::trace_flight_enabled());
-  for (int i = 0; i < 100; ++i) {
-    NA_TRACE_SCOPE("gone");
-    NA_TRACE_COUNTER("also.gone", "i", i);
-  }
-  obs::trace_disable();
-  EXPECT_TRUE(obs::trace_events().empty());
-  EXPECT_EQ(obs::trace_buffered_events(), 0u);
-  EXPECT_EQ(obs::trace_flight_dropped(), 0u);
-  const std::string path = temp_path("flight_off_dump.json");
-  EXPECT_TRUE(obs::trace_flight_dump(path));  // valid empty document
-  EXPECT_NE(slurp(path).find("\"traceEvents\""), std::string::npos);
-  std::remove(path.c_str());
-  fresh_trace();
-}
-
-#endif  // NA_TRACE_ENABLED
 
 }  // namespace
 }  // namespace na

@@ -3,9 +3,6 @@
 // round-trip), metrics registry + JSON writer, span rollup, and the guard
 // that a traced pipeline run produces a byte-identical diagram and report
 // to an untraced one.
-//
-// When the tracing macros are compiled out (NA_TRACE=OFF) the recorder
-// tests flip around: the same instrumented code must record nothing.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -215,10 +212,6 @@ void fresh_trace() {
 }
 
 // ----- trace recorder --------------------------------------------------------
-
-#if NA_TRACE_ENABLED
-
-TEST(Trace, CompiledIn) { EXPECT_TRUE(obs::trace_compiled_in()); }
 
 TEST(Trace, SpanNesting) {
   fresh_trace();
@@ -461,29 +454,6 @@ TEST(Trace, WriteProducesParsableFile) {
   std::remove(path.c_str());
 }
 
-#else  // !NA_TRACE_ENABLED
-
-TEST(Trace, CompiledOut) { EXPECT_FALSE(obs::trace_compiled_in()); }
-
-TEST(Trace, MacrosCompileToNothing) {
-  // The instrumentation macros must vanish: even with the recorder
-  // enabled, spans and counters record no events.
-  obs::trace_reset();
-  obs::trace_enable();
-  {
-    NA_TRACE_SCOPE("gone");
-    NA_TRACE_SPAN(span, "also_gone");
-    span.arg("n", 1);
-    NA_TRACE_COUNTER("gone_too", "x", 2);
-  }
-  obs::trace_disable();
-  EXPECT_TRUE(obs::trace_events().empty());
-  // The emitter still produces a valid (empty) document for CLI wiring.
-  EXPECT_NO_THROW(JsonParser(obs::trace_to_json()).parse());
-}
-
-#endif  // NA_TRACE_ENABLED
-
 // ----- metrics registry + JSON writer ---------------------------------------
 
 TEST(Metrics, RegistryOrderAndLookup) {
@@ -629,11 +599,7 @@ TEST(TraceGuard, TracedRunByteIdenticalToUntraced) {
   EXPECT_EQ(r0.retried_connections, r1.retried_connections);
   EXPECT_EQ(r0.total_expansions, r1.total_expansions);
   EXPECT_EQ(r0.failed_nets, r1.failed_nets);
-  if (obs::trace_compiled_in()) {
-    EXPECT_FALSE(obs::trace_events().empty());
-  } else {
-    EXPECT_TRUE(obs::trace_events().empty());
-  }
+  EXPECT_FALSE(obs::trace_events().empty());
   obs::trace_reset();
 }
 
@@ -641,9 +607,6 @@ TEST(TraceGuard, TracedRunByteIdenticalToUntraced) {
 /// that parses and whose spans cover the six placement phases, routing,
 /// and validation.
 TEST(TraceGuard, TracedLifeRunCoversPipelinePhases) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (NA_TRACE=OFF)";
-  }
   const Network net = gen::life_network();
   Diagram dia(net);
   GeneratorOptions opt;  // the fig-6.7 automatic LIFE settings

@@ -734,7 +734,6 @@ TEST(Serve, WatchdogProbesLoopLag) {
 }
 
 TEST(Serve, FlightDumpWritesTheRetainedRings) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "NA_TRACE=OFF build";
   const std::string path = testing::TempDir() + "serve_flight_test.json";
   std::remove(path.c_str());
   obs::trace_disable();
@@ -755,6 +754,12 @@ TEST(Serve, FlightDumpWritesTheRetainedRings) {
     // On-demand dump takes the flush gate exclusive, so it can run while
     // the server is live.
     ASSERT_TRUE(live.server.dump_flight(path));
+    // A dump that cannot be written fails and is counted.
+    EXPECT_FALSE(live.server.dump_flight(testing::TempDir() +
+                                         "serve_flight_missing/x.json"));
+    EXPECT_EQ(metric_value(c.request(R"({"op":"metrics"})"),
+                           "serve.flight.dump_failures"),
+              1);
   }
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;

@@ -736,20 +736,18 @@ TEST(ValidateDifferential, SparseExtentStaysSmallAndCorrect) {
   EXPECT_TRUE(validate_diagram(routed).empty());
   obs::trace_disable();
   EXPECT_TRUE(validate_region(routed, range).empty());
-  if (obs::trace_compiled_in()) {
-    long long cells = -1;
-    long long slots = -1;
-    for (const obs::TraceEventView& ev : obs::trace_events()) {
-      if (std::string(ev.name) != "validate.full") continue;
-      for (const obs::TraceArg& arg : ev.args) {
-        if (std::string(arg.key) == "cells") cells = arg.value;
-        if (std::string(arg.key) == "slots") slots = arg.value;
-      }
+  long long cells = -1;
+  long long slots = -1;
+  for (const obs::TraceEventView& ev : obs::trace_events()) {
+    if (std::string(ev.name) != "validate.full") continue;
+    for (const obs::TraceArg& arg : ev.args) {
+      if (std::string(arg.key) == "cells") cells = arg.value;
+      if (std::string(arg.key) == "slots") slots = arg.value;
     }
-    EXPECT_EQ(cells, 12);  // 6 cells per net
-    EXPECT_GT(slots, cells);
-    EXPECT_LE(slots, 4 * cells);
   }
+  EXPECT_EQ(cells, 12);  // 6 cells per net
+  EXPECT_GT(slots, cells);
+  EXPECT_LE(slots, 4 * cells);
   obs::trace_reset();
   // A stray point of "hi" in the "lo" corner splits its figure.
   routed.route(1).polylines.push_back({{-kMaxCoord, -kMaxCoord + 3}});
