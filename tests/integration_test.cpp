@@ -214,6 +214,88 @@ TEST(Pipeline, PaperFiguresMatchPinnedDigests) {
   }
 }
 
+/// A hand-drawn diagram scoring every counter: two nets share one track,
+/// crossings where the last net drawn on a point differs per orientation,
+/// branch nodes of one net only, a flow violation and unplaced terminals.
+DiagramStats overlapping_tracks_stats() {
+  Network net;
+  const ModuleId a = net.add_module("a", "", {2, 2});
+  const ModuleId b = net.add_module("b", "", {2, 2});
+  const ModuleId c = net.add_module("c", "", {2, 2});
+  const NetId n0 = net.add_net("n0");
+  const NetId n1 = net.add_net("n1");
+  net.add_net("n2");
+  net.add_net("n3");
+  net.connect(n0, net.add_terminal(a, "y", TermType::Out, {2, 1}));
+  net.connect(n0, net.add_terminal(b, "a", TermType::In, {0, 1}));
+  net.connect(n0, net.add_terminal(c, "a", TermType::In, {0, 1}));
+  net.connect(n1, net.add_system_terminal("si", TermType::InOut));
+  net.connect(n1, net.add_system_terminal("so", TermType::In));
+  net.connect(n1, net.add_terminal(b, "y", TermType::Out, {2, 1}));
+  Diagram dia(net);
+  dia.place_module(a, {12, 0});
+  dia.place_module(b, {0, 0});  // c stays unplaced
+  dia.place_system_term(net.system_terms()[0], {14, 9});
+  dia.add_polyline(0, {{0, 5}, {10, 5}});
+  dia.add_polyline(0, {{2, 0}, {2, 10}});  // own crossing: a branch node
+  dia.add_polyline(1, {{4, 5}, {8, 5}});   // overlaps net 0 along y = 5
+  dia.add_polyline(1, {{6, 2}, {6, 5}});
+  dia.add_polyline(2, {{5, 0}, {5, 9}, {5, 9}});
+  dia.add_polyline(2, {{9, 0}, {9, 9}, {11, 9}});
+  dia.add_polyline(3, {{6, 4}, {6, 8}});  // takes (6,5)'s vertical from net 1
+  dia.add_polyline(3, {{3, 3}});
+  dia.route(0).routed = true;
+  return compute_stats(dia);
+}
+
+TEST(Pipeline, DiagramStatsMatchPinnedValues) {
+  // Every DiagramStats field on the diagrams the digest pins draw, one
+  // random network and a hand-drawn overlap.
+  struct Figure {
+    const char* name;
+    Network net;
+    GeneratorOptions opt;
+    bool hand_placed;
+    const char* stats;
+  };
+  gen::RandomNetOptions random;
+  random.modules = 24;
+  random.extra_nets = 10;
+  random.seed = 41;
+  const Figure figures[] = {
+      {"fig6.1", gen::chain_network({}), bench::fig61_options(), false,
+       "6 modules, 6 nets (6 routed, 0 unrouted),"
+       " len=21 bends=0 cross=0 branch=0 area=49x6 flow-viol=0"},
+      {"fig6.2", gen::controller_network(), bench::fig62_options(), false,
+       "16 modules, 24 nets (24 routed, 0 unrouted),"
+       " len=484 bends=69 cross=20 branch=0 area=46x50 flow-viol=8"},
+      {"fig6.3", gen::controller_network(), bench::fig63_options(), false,
+       "16 modules, 24 nets (24 routed, 0 unrouted),"
+       " len=652 bends=73 cross=15 branch=0 area=62x46 flow-viol=12"},
+      {"fig6.4", gen::controller_network(), bench::fig64_options(), false,
+       "16 modules, 24 nets (24 routed, 0 unrouted),"
+       " len=675 bends=49 cross=18 branch=0 area=56x41 flow-viol=9"},
+      {"fig6.6", gen::life_network(), bench::life_router_options(), true,
+       "27 modules, 222 nets (222 routed, 0 unrouted),"
+       " len=12038 bends=346 cross=1186 branch=21 area=139x99 flow-viol=54"},
+      {"fig6.7", gen::life_network(), bench::fig67_options(), false,
+       "27 modules, 222 nets (220 routed, 2 unrouted),"
+       " len=16241 bends=356 cross=1379 branch=24 area=145x123 flow-viol=61"},
+      {"random41", gen::random_network(random), GeneratorOptions{}, false,
+       "24 modules, 29 nets (29 routed, 0 unrouted),"
+       " len=1227 bends=132 cross=81 branch=22 area=55x60 flow-viol=19"},
+  };
+  for (const Figure& f : figures) {
+    Diagram dia(f.net);
+    if (f.hand_placed) gen::life_hand_placement(dia);
+    generate(dia, f.opt);
+    EXPECT_EQ(compute_stats(dia).summary(), f.stats) << f.name;
+  }
+  EXPECT_EQ(overlapping_tracks_stats().summary(),
+            "3 modules, 4 nets (1 routed, 3 unrouted), len=51 bends=1 cross=3 "
+            "branch=2 area=14x9 flow-viol=1");
+}
+
 TEST(Pipeline, LeeLifeMatchesPinnedDigest) {
   // The Lee baseline on the hand-placed LIFE (the fig 6.6 plane): its
   // ESCHER bytes, its expansion count and the bends and crossings its
