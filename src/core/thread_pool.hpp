@@ -7,9 +7,7 @@
 // simple scheme stays ThreadSanitizer-clean.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -17,11 +15,6 @@
 #include <vector>
 
 namespace na {
-
-namespace obs {
-class Histogram;
-}  // namespace obs
-
 
 class ThreadPool {
  public:
@@ -45,14 +38,6 @@ class ThreadPool {
   };
   Stats stats() const;
 
-  /// Routes per-task queue-wait samples (submit to dequeue, microseconds)
-  /// into `h`; nullptr (the default) turns the probe off — then submit and
-  /// dequeue skip the clock reads entirely.  `h` must outlive the pool or
-  /// a later set_queue_wait_histogram(nullptr).  Histogram recording is
-  /// wait-free, so the sample happens under the pool lock without adding
-  /// contention beyond the two steady_clock reads.
-  void set_queue_wait_histogram(obs::Histogram* h);
-
   /// Tasks currently waiting in the queue — the live gauge the daemon's
   /// watchdog samples.
   int queue_depth() const;
@@ -64,18 +49,9 @@ class ThreadPool {
   static int worker_index();
 
  private:
-  /// A queued task plus its submission timestamp (0 when the queue-wait
-  /// probe was off at submit time — such tasks are not sampled).
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;
-  };
-
   void worker_loop(int index);
-  void sample_wait(const Task& task) const;
 
-  std::deque<Task> queue_;
-  std::atomic<obs::Histogram*> wait_hist_{nullptr};
+  std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;

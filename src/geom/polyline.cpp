@@ -2,6 +2,12 @@
 
 namespace na::geom {
 
+size_t cell_bound(const Polyline& pl) {
+  size_t bound = pl.size();
+  for (size_t i = 1; i < pl.size(); ++i) bound += manhattan(pl[i - 1], pl[i]);
+  return bound;
+}
+
 std::vector<Polyline> split_polyline(
     const Polyline& pl, const std::function<bool(const Segment&)>& keep) {
   std::vector<Polyline> out;

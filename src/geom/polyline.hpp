@@ -39,6 +39,11 @@ void for_each_cell(const Polyline& pl, F&& f) {
   }
 }
 
+/// Point count plus Manhattan length: an upper bound on the distinct
+/// points for_each_cell visits, which sizes every geom::PointTable over
+/// drawn geometry.
+size_t cell_bound(const Polyline& pl);
+
 /// Splits `pl` into the maximal sub-chains whose every segment satisfies
 /// `keep`.  Cuts happen only at existing corner points; pieces that
 /// degenerate to a single point are dropped.  A chain with fewer than two

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <unordered_set>
 
+#include "geom/point_table.hpp"
 #include "geom/polyline.hpp"
 #include "geom/rect_index.hpp"
 #include "place/gravity.hpp"
@@ -39,12 +40,10 @@ std::optional<geom::Point> net_gravity_center(
       geom::Point p;
       if (term.is_system()) {
         const TermId ot = diff.term_to_old[t];
-        if (ot == kNone || !old_dia.system_term_placed(ot)) continue;
+        if (ot == kNone || !old_dia.term_placed(ot)) continue;
         p = old_dia.term_pos(ot);
       } else {
-        if (members.contains(term.module) || !dia.module_placed(term.module)) {
-          continue;
-        }
+        if (members.contains(term.module) || !dia.term_placed(t)) continue;
         p = dia.term_pos(t);
       }
       sx += p.x;
@@ -58,29 +57,31 @@ std::optional<geom::Point> net_gravity_center(
 
 /// Grid points occupied by the cached diagram's routed nets — the "is this
 /// vacancy really vacant" oracle for the gravity-seeded insertion below.
-struct RoutedCells {
-  std::unordered_set<std::uint64_t> cells;
+using RoutedCells = geom::PointTable<char>;  // presence only: records unused
 
-  explicit RoutedCells(const Diagram& dia) {
-    for (NetId n = 0; n < dia.network().net_count(); ++n) {
-      for (const auto& pl : dia.route(n).polylines) {
-        geom::for_each_cell(pl, [&](geom::Point p) { cells.insert(geom::point_key(p)); });
-      }
+RoutedCells routed_cells(const Diagram& dia) {
+  size_t bound = 0;
+  for (const NetRoute& r : dia.routes()) bound += r.cell_bound();
+  RoutedCells cells(bound);
+  for (const NetRoute& r : dia.routes()) {
+    for (const auto& pl : r.polylines) {
+      geom::for_each_cell(pl, [&](geom::Point p) { cells.insert(p); });
     }
   }
+  return cells;
+}
 
-  /// Routed track cells under `r` — each one a net the insertion would
-  /// displace (scrub + re-route) if a symbol landed here.
-  int covered(geom::Rect r) const {
-    int hits = 0;
-    for (int x = r.lo.x; x <= r.hi.x; ++x) {
-      for (int y = r.lo.y; y <= r.hi.y; ++y) {
-        hits += cells.contains(geom::point_key({x, y})) ? 1 : 0;
-      }
+/// Routed track cells under `r` — each one a net the insertion would
+/// displace (scrub + re-route) if a symbol landed here.
+int covered(const RoutedCells& cells, geom::Rect r) {
+  int hits = 0;
+  for (int x = r.lo.x; x <= r.hi.x; ++x) {
+    for (int y = r.lo.y; y <= r.hi.y; ++y) {
+      hits += cells.find({x, y}) != cells.npos ? 1 : 0;
     }
-    return hits;
   }
-};
+  return hits;
+}
 
 }  // namespace
 
@@ -132,7 +133,7 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
     }
 
     std::vector<geom::Rect> pinned;  // holes already promised to a partition
-    std::optional<RoutedCells> routed_cells;  // built on first gravity seed
+    std::optional<RoutedCells> old_cells;  // built on first gravity seed
     for (size_t pi = 0; pi < new_partitions.size(); ++pi) {
       const std::vector<ModuleId>& partition = new_partitions[pi];
       // In-place refresh: when the partition's membership and module sizes
@@ -238,7 +239,7 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
           obstacles.reserve(frozen.size() + pinned.size());
           for (ModuleId m : frozen) obstacles.push_back(dia.module_rect(m));
           obstacles.insert(obstacles.end(), pinned.begin(), pinned.end());
-          if (!routed_cells) routed_cells.emplace(old_dia);
+          if (!old_cells) old_cells.emplace(routed_cells(old_dia));
           // One displaced routed cell weighs like four extra tracks of
           // distance: proximity still dominates, but dense channels repel
           // the insertion.
@@ -255,7 +256,7 @@ IncPlaceResult incremental_place(Diagram& dia, const Diagram& old_dia,
               },
               [&](geom::Point pos) {
                 return kCellPenalty *
-                       routed_cells->covered(geom::Rect::from_size(pos, size));
+                       covered(*old_cells, geom::Rect::from_size(pos, size));
               });
           if (spot) {
             pin = *spot;

@@ -20,32 +20,10 @@ bool is_clean(const Diagram& dia, const Diagram& old_dia, const NetlistDiff& dif
   const Network& net = dia.network();
   for (TermId t : net.net(n).terms) {
     const TermId ot = diff.term_to_old[t];
-    if (ot == kNone) return false;
-    const Terminal& term = net.term(t);
-    const bool placed = term.is_system() ? dia.system_term_placed(t)
-                                         : dia.module_placed(term.module);
-    const Terminal& old_term = old_dia.network().term(ot);
-    const bool old_placed = old_term.is_system()
-                                ? old_dia.system_term_placed(ot)
-                                : old_dia.module_placed(old_term.module);
-    if (!placed || !old_placed) return false;
+    if (ot == kNone || !dia.term_placed(t) || !old_dia.term_placed(ot)) return false;
     if (dia.term_pos(t) != old_dia.term_pos(ot)) return false;
   }
   return true;
-}
-
-int polyline_cells(const std::vector<geom::Point>& pl) {
-  int length = 0;
-  for (size_t i = 1; i < pl.size(); ++i) {
-    length += geom::manhattan(pl[i - 1], pl[i]);
-  }
-  return length + static_cast<int>(pl.size());
-}
-
-int geometry_cells(const NetRoute& r) {
-  int cells = 0;
-  for (const auto& pl : r.polylines) cells += polyline_cells(pl);
-  return cells;
 }
 
 /// Of the polylines in `pls`, the indices forming the largest connected
@@ -57,7 +35,7 @@ int geometry_cells(const NetRoute& r) {
 std::vector<size_t> largest_figure(
     const std::vector<std::vector<geom::Point>>& pls) {
   size_t bound = 0;
-  for (const auto& pl : pls) bound += static_cast<size_t>(polyline_cells(pl));
+  for (const auto& pl : pls) bound += geom::cell_bound(pl);
   geom::PointTable<int> comp(bound);  // point -> figure id, -1 until reached
   for (const auto& pl : pls) {
     geom::for_each_cell(pl, [&](geom::Point p) { comp[comp.insert(p)] = -1; });
@@ -157,7 +135,7 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
   // ----- carry clean geometry over verbatim ----------------------------------
   int old_cells = 0;
   for (NetId on = 0; on < old_net.net_count(); ++on) {
-    old_cells += geometry_cells(old_dia.route(on));
+    old_cells += static_cast<int>(old_dia.route(on).cell_bound());
   }
   int kept_cells = 0;
   std::vector<bool> kept(net.net_count(), false);
@@ -175,7 +153,7 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
     r.routed = true;
     kept[n] = true;
     ++result.nets_kept;
-    kept_cells += geometry_cells(old_route);
+    kept_cells += static_cast<int>(old_route.cell_bound());
   }
 
   // ----- partial keep: surviving figures of the nets to be (re)routed --------
@@ -208,13 +186,8 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
     std::vector<geom::Point> stale;
     for (TermId ot : old_net.net(on).terms) {
       const TermId t = diff.term_to_new[ot];
-      bool survives = t != kNone && net.term(t).net == n;
-      if (survives) {
-        const Terminal& term = net.term(t);
-        const bool placed = term.is_system() ? dia.system_term_placed(t)
-                                             : dia.module_placed(term.module);
-        survives = placed && dia.term_pos(t) == old_dia.term_pos(ot);
-      }
+      const bool survives = t != kNone && net.term(t).net == n && dia.term_placed(t) &&
+                            dia.term_pos(t) == old_dia.term_pos(ot);
       if (!survives) stale.push_back(old_dia.term_pos(ot));
     }
 
@@ -249,7 +222,7 @@ PatchRouteResult patch_route(Diagram& dia, const Diagram& old_dia,
         region = polyline_hull(region, candidates[i]);
         continue;
       }
-      kept_cells += polyline_cells(candidates[i]);
+      kept_cells += static_cast<int>(geom::cell_bound(candidates[i]));
       r.polylines.push_back(std::move(candidates[i]));
       ++carried[n];
     }

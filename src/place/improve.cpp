@@ -27,10 +27,7 @@ long estimate_wire_length(const Diagram& dia) {
   for (const Net& n : net.nets()) {
     geom::Rect box;
     for (TermId t : n.terms) {
-      const Terminal& term = net.term(t);
-      const bool placeable = term.is_system() ? dia.system_term_placed(t)
-                                              : dia.module_placed(term.module);
-      if (placeable) box = box.hull(dia.term_pos(t));
+      if (dia.term_placed(t)) box = box.hull(dia.term_pos(t));
     }
     if (!box.empty()) total += box.width() + box.height();
   }

@@ -30,11 +30,7 @@ void place_system_terminals(Diagram& dia) {
     std::int64_t sx = 0, sy = 0, cnt = 0;
     if (term.net != kNone) {
       for (TermId t : net.net(term.net).terms) {
-        if (t == st) continue;
-        const Terminal& other = net.term(t);
-        const bool placeable = other.is_system() ? dia.system_term_placed(t)
-                                                 : dia.module_placed(other.module);
-        if (!placeable) continue;
+        if (t == st || !dia.term_placed(t)) continue;
         const geom::Point p = dia.term_pos(t);
         sx += p.x;
         sy += p.y;

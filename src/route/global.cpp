@@ -104,10 +104,7 @@ GlobalRouteResult global_route(const Diagram& dia, const GlobalRouteOptions& opt
     Job job{n, {}, 0};
     geom::Rect box;
     for (TermId t : net.net(n).terms) {
-      const Terminal& term = net.term(t);
-      const bool placeable = term.is_system() ? dia.system_term_placed(t)
-                                              : dia.module_placed(term.module);
-      if (!placeable) continue;
+      if (!dia.term_placed(t)) continue;
       const geom::Point cell = gcell_of(dia.term_pos(t));
       box = box.hull(cell);
       if (std::find(job.pins.begin(), job.pins.end(), cell) == job.pins.end()) {

@@ -276,10 +276,7 @@ DriverSetup prepare_driver(const Diagram& dia, const RouterOptions& opt,
   for (NetId n = 0; n < net.net_count(); ++n) {
     setup.has_geometry[n] = !dia.route(n).polylines.empty();
     for (TermId t : net.net(n).terms) {
-      const Terminal& term = net.term(t);
-      const bool placeable = term.is_system() ? dia.system_term_placed(t)
-                                              : dia.module_placed(term.module);
-      if (!placeable) continue;
+      if (!dia.term_placed(t)) continue;
       if (setup.has_geometry[n] && setup.grid.occupied_by(dia.term_pos(t), n)) {
         continue;
       }
@@ -368,13 +365,7 @@ void finish_report(Diagram& dia, DriverSetup& setup, RouteReport& report) {
   const Network& net = dia.network();
   for (NetId n = 0; n < net.net_count(); ++n) {
     int placeable = 0;
-    for (TermId t : net.net(n).terms) {
-      const Terminal& term = net.term(t);
-      placeable += (term.is_system() ? dia.system_term_placed(t)
-                                     : dia.module_placed(term.module))
-                       ? 1
-                       : 0;
-    }
+    for (TermId t : net.net(n).terms) placeable += dia.term_placed(t) ? 1 : 0;
     if (placeable < 2) continue;  // not a routable net
     if (setup.pending[n].empty() && setup.has_geometry[n]) {
       dia.route(n).routed = true;

@@ -7,12 +7,7 @@ namespace na {
 
 std::string to_ascii(const Diagram& dia) {
   const Network& net = dia.network();
-  geom::Rect bounds = dia.placement_bounds();
-  for (const NetRoute& r : dia.routes()) {
-    for (const auto& pl : r.polylines) {
-      for (geom::Point p : pl) bounds = bounds.hull(p);
-    }
-  }
+  geom::Rect bounds = dia.drawing_bounds();
   if (bounds.empty()) return "(empty diagram)\n";
   bounds = bounds.expanded(1);
 
@@ -79,10 +74,8 @@ std::string to_ascii(const Diagram& dia) {
 
   for (int t = 0; t < net.term_count(); ++t) {
     const Terminal& term = net.term(t);
-    if (term.is_system()) {
-      if (dia.system_term_placed(t)) put(dia.term_pos(t), 'O');
-    } else if (term.net != kNone && dia.module_placed(term.module)) {
-      put(dia.term_pos(t), 'o');
+    if (dia.term_placed(t) && (term.is_system() || term.net != kNone)) {
+      put(dia.term_pos(t), term.is_system() ? 'O' : 'o');
     }
   }
 

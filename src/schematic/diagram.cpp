@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "geom/polyline.hpp"
+
 namespace na {
 
 int NetRoute::total_length() const {
@@ -24,6 +26,12 @@ int NetRoute::bend_count() const {
   return bends;
 }
 
+size_t NetRoute::cell_bound() const {
+  size_t bound = 0;
+  for (const auto& pl : polylines) bound += geom::cell_bound(pl);
+  return bound;
+}
+
 Diagram::Diagram(const Network& net)
     : net_(&net),
       modules_(net.module_count()),
@@ -44,6 +52,11 @@ void Diagram::place_system_term(TermId t, geom::Point pos, bool fixed) {
 
 bool Diagram::system_term_placed(TermId t) const {
   return system_terms_.at(t).placed;
+}
+
+bool Diagram::term_placed(TermId t) const {
+  const Terminal& term = net_->term(t);
+  return term.is_system() ? system_terms_.at(t).placed : modules_.at(term.module).placed;
 }
 
 bool Diagram::all_placed() const {
@@ -90,6 +103,16 @@ geom::Rect Diagram::placement_bounds() const {
   }
   for (TermId t : net_->system_terms()) {
     if (system_terms_[t].placed) bounds = bounds.hull(system_terms_[t].pos);
+  }
+  return bounds;
+}
+
+geom::Rect Diagram::drawing_bounds() const {
+  geom::Rect bounds = placement_bounds();
+  for (const NetRoute& r : routes_) {
+    for (const auto& pl : r.polylines) {
+      for (geom::Point p : pl) bounds = bounds.hull(p);
+    }
   }
   return bounds;
 }

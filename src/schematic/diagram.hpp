@@ -40,6 +40,9 @@ struct NetRoute {
 
   int total_length() const;
   int bend_count() const;
+  /// Sum of geom::cell_bound over the polylines: an upper bound on the
+  /// distinct points they cover.
+  size_t cell_bound() const;
 };
 
 class Diagram {
@@ -54,6 +57,9 @@ class Diagram {
   void place_system_term(TermId t, geom::Point pos, bool fixed = false);
   bool module_placed(ModuleId m) const { return modules_.at(m).placed; }
   bool system_term_placed(TermId t) const;
+  /// Whether any terminal has a position: a system terminal placed, or a
+  /// subsystem terminal's module placed.
+  bool term_placed(TermId t) const;
   bool all_placed() const;
   const PlacedModule& placed(ModuleId m) const { return modules_.at(m); }
 
@@ -70,6 +76,8 @@ class Diagram {
 
   /// Hull of all placed modules and system terminals.
   geom::Rect placement_bounds() const;
+  /// placement_bounds() grown over every routed point: the drawing's extent.
+  geom::Rect drawing_bounds() const;
   /// Shifts every placed element (and every route) by `d`.
   void translate(geom::Point d);
   /// Translates so placement_bounds().lo becomes `origin` (default (0,0)).

@@ -7,12 +7,7 @@ namespace na {
 std::string to_eps(const Diagram& dia) {
   std::ostringstream os;
   const Network& net = dia.network();
-  geom::Rect bounds = dia.placement_bounds();
-  for (const NetRoute& r : dia.routes()) {
-    for (const auto& pl : r.polylines) {
-      for (geom::Point p : pl) bounds = bounds.hull(p);
-    }
-  }
+  geom::Rect bounds = dia.drawing_bounds();
   if (bounds.empty()) bounds = {{0, 0}, {1, 1}};
   bounds = bounds.expanded(2);
   const double s = 8.0;  // PostScript points per grid track
@@ -52,10 +47,7 @@ std::string to_eps(const Diagram& dia) {
   // Terminal marks.
   for (int t = 0; t < net.term_count(); ++t) {
     const Terminal& term = net.term(t);
-    const bool placeable = term.is_system() ? dia.system_term_placed(t)
-                                            : (term.net != kNone &&
-                                               dia.module_placed(term.module));
-    if (!placeable) continue;
+    if (!dia.term_placed(t) || (!term.is_system() && term.net == kNone)) continue;
     const geom::Point p = dia.term_pos(t);
     os << "newpath " << X(p.x) << ' ' << Y(p.y) << ' ' << s / 4
        << " 0 360 arc fill\n";

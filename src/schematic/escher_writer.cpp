@@ -45,12 +45,7 @@ std::string to_escher_diagram(const Diagram& dia, const std::string& template_na
                               long creation_time) {
   const Network& net = dia.network();
   std::ostringstream os;
-  geom::Rect bounds = dia.placement_bounds();
-  for (const NetRoute& r : dia.routes()) {
-    for (const auto& pl : r.polylines) {
-      for (geom::Point p : pl) bounds = bounds.hull(p);
-    }
-  }
+  const geom::Rect bounds = dia.drawing_bounds();
   os << kHeader;
   os << "temp: 0 1 1 1 1\n";
   os << "tname: " << template_name << '\n';

@@ -87,25 +87,13 @@ RoutingGrid RoutingGrid::clipped(geom::Rect sub) const {
   return g;
 }
 
-int RoutingGrid::crossing_count() const {
-  int count = 0;
-  for (const Cell& c : cells_) {
-    if (c.h != kNone && c.v != kNone && c.h != c.v) ++count;
-  }
-  return count;
-}
-
 RoutingGrid build_grid(const Diagram& dia, int margin) {
   const Network& net = dia.network();
-  geom::Rect bounds = dia.placement_bounds();
-  if (bounds.empty()) throw std::invalid_argument("diagram has no placed elements");
-  // Include prerouted geometry in the plane.
-  for (const NetRoute& r : dia.routes()) {
-    for (const auto& pl : r.polylines) {
-      for (geom::Point p : pl) bounds = bounds.hull(p);
-    }
+  if (dia.placement_bounds().empty()) {
+    throw std::invalid_argument("diagram has no placed elements");
   }
-  RoutingGrid grid(bounds.expanded(margin));
+  // Prerouted geometry is part of the plane.
+  RoutingGrid grid(dia.drawing_bounds().expanded(margin));
 
   for (int m = 0; m < net.module_count(); ++m) {
     if (dia.module_placed(m)) grid.block_rect(dia.module_rect(m));
@@ -116,11 +104,8 @@ RoutingGrid build_grid(const Diagram& dia, int margin) {
   // but their own.
   for (int t = 0; t < net.term_count(); ++t) {
     const Terminal& term = net.term(t);
-    if (term.is_system()) {
-      if (!dia.system_term_placed(t)) continue;
+    if (dia.term_placed(t) && (term.is_system() || term.net != kNone)) {
       grid.set_terminal(dia.term_pos(t), term.net);  // kNone => pure obstacle
-    } else if (term.net != kNone && dia.module_placed(term.module)) {
-      grid.set_terminal(dia.term_pos(t), term.net);
     }
   }
   // Prerouted nets are obstacles from the start.

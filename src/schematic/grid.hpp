@@ -143,10 +143,6 @@ class RoutingGrid {
                                                              : geom::Rect{};
   }
 
-  /// Statistics helper: number of grid points where two different nets
-  /// cross (one horizontal, one vertical).
-  int crossing_count() const;
-
   /// A standalone sub-grid covering the intersection of `sub` with this
   /// grid's area; every covered cell is copied verbatim.  Points outside
   /// the sub-area are out of bounds — the clip boundary acts blocked, so

@@ -3,16 +3,24 @@
 #include <bit>
 #include <cstdint>
 #include <sstream>
-#include <unordered_map>
+
+#include "geom/point_table.hpp"
 
 namespace na {
 namespace {
 
-/// Direction bits for the degree map (1 = a unit edge leaves this point in
+/// Direction bits for the degree mask (1 = a unit edge leaves this point in
 /// that direction).
 constexpr std::uint8_t dir_bit(geom::Dir d) {
   return static_cast<std::uint8_t>(1u << static_cast<int>(d));
 }
+
+struct Occupancy {
+  NetId h = kNone;         ///< last net through the point horizontally
+  NetId v = kNone;         ///< last net through the point vertically
+  NetId mask_net = kNone;  ///< the net `mask` belongs to
+  std::uint8_t mask = 0;   ///< dir_bit of each unit edge mask_net has here
+};
 
 }  // namespace
 
@@ -30,16 +38,10 @@ int flow_violations(const Diagram& dia) {
   int violations = 0;
   for (const Net& n : net.nets()) {
     for (TermId from : n.terms) {
-      const Terminal& tf = net.term(from);
-      if (tf.module != kNone && !dia.module_placed(tf.module)) continue;
-      if (tf.is_system() && !dia.system_term_placed(from)) continue;
-      if (tf.type == TermType::In) continue;
+      if (net.term(from).type == TermType::In || !dia.term_placed(from)) continue;
       for (TermId to : n.terms) {
-        if (to == from) continue;
-        const Terminal& tt = net.term(to);
-        if (tt.type != TermType::In) continue;
-        if (tt.module != kNone && !dia.module_placed(tt.module)) continue;
-        if (tt.is_system() && !dia.system_term_placed(to)) continue;
+        if (to == from || net.term(to).type != TermType::In) continue;
+        if (!dia.term_placed(to)) continue;
         if (dia.term_pos(from).x > dia.term_pos(to).x) ++violations;
       }
     }
@@ -60,42 +62,41 @@ DiagramStats compute_stats(const Diagram& dia) {
   s.height = bounds.height();
   s.flow_violations = flow_violations(dia);
 
-  // Occupancy maps (point -> occupying net per orientation) for crossings,
-  // and per-net degree masks for branch points.
-  std::unordered_map<std::uint64_t, NetId> h_occ;
-  std::unordered_map<std::uint64_t, NetId> v_occ;
-
+  // One record per drawn point: the last net through it per orientation
+  // (for crossings), and the degree mask of the last net to reach it (for
+  // branch points, counted once per net when its mask reaches three bits).
+  size_t bound = 0;
+  for (const NetRoute& r : dia.routes()) bound += r.cell_bound();
+  geom::PointTable<Occupancy> cells(bound);
   for (NetId n = 0; n < net.net_count(); ++n) {
     const NetRoute& r = dia.route(n);
     s.wire_length += r.total_length();
     s.bends += r.bend_count();
-    std::unordered_map<std::uint64_t, std::uint8_t> degree;
     for (const auto& pl : r.polylines) {
       for (size_t i = 1; i < pl.size(); ++i) {
         const geom::Point a = pl[i - 1];
         const geom::Point b = pl[i];
-        if (a == b) continue;
-        const bool horizontal = a.y == b.y;
-        const geom::Dir d = geom::step_dir(a, {a.x + (b.x > a.x) - (b.x < a.x),
-                                               a.y + (b.y > a.y) - (b.y < a.y)});
-        const geom::Point step = geom::delta(d);
-        for (geom::Point p = a; p != b; p += step) {
-          const geom::Point q = p + step;
-          degree[geom::point_key(p)] |= dir_bit(d);
-          degree[geom::point_key(q)] |= dir_bit(geom::opposite(d));
-          (horizontal ? h_occ : v_occ)[geom::point_key(p)] = n;
-          (horizontal ? h_occ : v_occ)[geom::point_key(q)] = n;
+        if (a == b || (a.x != b.x && a.y != b.y)) continue;
+        const geom::Dir d = geom::step_dir(a, b);
+        for (geom::Point p = a;; p += geom::delta(d)) {
+          Occupancy& c = cells[cells.insert(p)];
+          (geom::is_horizontal(d) ? c.h : c.v) = n;
+          if (c.mask_net != n) {
+            c.mask_net = n;
+            c.mask = 0;
+          }
+          const int degree = std::popcount(c.mask);
+          if (p != a) c.mask |= dir_bit(geom::opposite(d));
+          if (p != b) c.mask |= dir_bit(d);
+          if (degree < 3 && std::popcount(c.mask) >= 3) ++s.branch_points;
+          if (p == b) break;
         }
       }
     }
-    for (const auto& [pt, mask] : degree) {
-      if (std::popcount(mask) >= 3) ++s.branch_points;
-    }
   }
-
-  for (const auto& [pt, hn] : h_occ) {
-    auto it = v_occ.find(pt);
-    if (it != v_occ.end() && it->second != hn) ++s.crossings;
+  for (std::uint32_t i = 0; i < cells.size(); ++i) {
+    const Occupancy& c = cells[i];
+    if (c.h != kNone && c.v != kNone && c.h != c.v) ++s.crossings;
   }
   return s;
 }

@@ -17,12 +17,7 @@ constexpr int kMarginTracks = 2;  ///< empty border
 std::string to_svg(const Diagram& dia) {
   std::ostringstream os;
   const Network& net = dia.network();
-  geom::Rect bounds = dia.placement_bounds();
-  for (const NetRoute& r : dia.routes()) {
-    for (const auto& pl : r.polylines) {
-      for (geom::Point p : pl) bounds = bounds.hull(p);
-    }
-  }
+  geom::Rect bounds = dia.drawing_bounds();
   if (bounds.empty()) bounds = {{0, 0}, {1, 1}};
   bounds = bounds.expanded(kMarginTracks);
 
@@ -65,16 +60,14 @@ std::string to_svg(const Diagram& dia) {
 
   for (int t = 0; t < net.term_count(); ++t) {
     const Terminal& term = net.term(t);
+    if (!dia.term_placed(t) || (!term.is_system() && term.net == kNone)) continue;
+    const geom::Point p = dia.term_pos(t);
     if (term.is_system()) {
-      if (!dia.system_term_placed(t)) continue;
-      const geom::Point p = dia.term_pos(t);
       os << "<rect x=\"" << X(p.x) - s / 3 << "\" y=\"" << Y(p.y) - s / 3
          << "\" width=\"" << 2 * s / 3 << "\" height=\"" << 2 * s / 3
          << "\" fill=\"white\" stroke=\"black\"><title>" << term.name
          << "</title></rect>\n";
     } else {
-      if (term.net == kNone || !dia.module_placed(term.module)) continue;
-      const geom::Point p = dia.term_pos(t);
       os << "<circle cx=\"" << X(p.x) << "\" cy=\"" << Y(p.y) << "\" r=\"" << s / 4
          << "\" fill=\"black\"><title>" << net.module(term.module).name << '.'
          << term.name << "</title></circle>\n";

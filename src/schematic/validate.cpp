@@ -106,14 +106,10 @@ std::vector<std::string> validate_impl(const Diagram& dia,
   size_t bound = 0;
   for (NetId n = 0; n < net.net_count(); ++n) {
     geom::Rect hull;
-    size_t count = 0;
     for (const auto& pl : dia.route(n).polylines) {
-      for (size_t i = 0; i < pl.size(); ++i) {
-        hull = hull.hull(pl[i]);
-        count += 1 + (i > 0 ? geom::manhattan(pl[i - 1], pl[i]) : 0);
-      }
+      for (geom::Point p : pl) hull = hull.hull(p);
     }
-    if (!region || hull.overlaps(*region)) bound += count;
+    if (!region || hull.overlaps(*region)) bound += dia.route(n).cell_bound();
   }
   geom::PointTable<Cell> cells(bound);
   auto cell = [&](geom::Point p) -> Cell& { return cells[cells.insert(p)]; };

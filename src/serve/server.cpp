@@ -295,13 +295,13 @@ void Server::absorb_metrics(obs::MetricsRegistry& reg) const {
               std::chrono::duration_cast<std::chrono::milliseconds>(
                   std::chrono::steady_clock::now() - started_at_)
                   .count()));
+  reg.set("serve.flight.dump_failures",
+          flight_dump_failures_.load(std::memory_order_relaxed));
   if (obs::trace_flight_enabled()) {
     reg.set("serve.flight.capacity",
             static_cast<long long>(obs::trace_flight_capacity()));
     reg.set("serve.flight.dropped",
             static_cast<long long>(obs::trace_flight_dropped()));
-    reg.set("serve.flight.dump_failures",
-            flight_dump_failures_.load(std::memory_order_relaxed));
   }
 }
 
@@ -312,11 +312,12 @@ std::string Server::build_metrics_response(long long id) {
 }
 
 bool Server::dump_flight(const std::string& path) {
-  if (!obs::trace_flight_enabled()) return false;
-  // Exclusive side of the flush gate: no request is mid-record, so the
-  // rings are quiescent and the dump is byte-stable (DESIGN §11).
-  std::unique_lock gate(host_.flush_gate());
-  if (obs::trace_flight_dump(path)) return true;
+  if (obs::trace_flight_enabled()) {
+    // Exclusive side of the flush gate: no request is mid-record, so the
+    // rings are quiescent and the dump is byte-stable (DESIGN §11).
+    std::unique_lock gate(host_.flush_gate());
+    if (obs::trace_flight_dump(path)) return true;
+  }
   flight_dump_failures_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }

@@ -110,9 +110,9 @@ class Server {
   }
 
   /// Dumps the flight-recorder rings to `path` under the exclusive side
-  /// of the flush gate (recorder quiescent, dump byte-stable).  False
-  /// when the flight recorder is off or the file cannot be written; the
-  /// latter counts as serve.flight.dump_failures.
+  /// of the flush gate (recorder quiescent, dump byte-stable).  False,
+  /// counted as serve.flight.dump_failures, when the flight recorder is
+  /// off or the file cannot be written.
   bool dump_flight(const std::string& path);
 
  private:

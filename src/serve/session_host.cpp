@@ -94,7 +94,6 @@ Network design_network(const std::string& design) {
 
 SessionHost::SessionHost(HostOptions opt)
     : opt_(std::move(opt)), pool_(opt_.threads) {
-  pool_.set_queue_wait_histogram(&pool_wait_hist_);
   if (!opt_.state_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opt_.state_dir, ec);  // best effort
@@ -174,7 +173,9 @@ void SessionHost::submit(Request req, HostCallback done) {
     }
   }
   if (start_job) {
-    pool_.submit([this, session] { drain(session); });
+    pool_.submit([this, session, t0 = std::chrono::steady_clock::now()] {
+      drain(session, t0);
+    });
   }
 }
 
@@ -186,7 +187,11 @@ HostResult SessionHost::call(Request req) {
   return fut.get();
 }
 
-void SessionHost::drain(const std::shared_ptr<Session>& session) {
+void SessionHost::drain(const std::shared_ptr<Session>& session,
+                        std::chrono::steady_clock::time_point submitted) {
+  pool_wait_hist_.record(std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - submitted)
+                             .count());
   // Reused across turns: the swap hands the queue the previous turn's
   // emptied buffer, so a busy session stops allocating queue storage.
   std::vector<PendingOp> turn;
@@ -233,7 +238,8 @@ void SessionHost::closed(const std::shared_ptr<Session>& session,
     if (it != closing_.end() && it->second == session) closing_.erase(it);
     next = std::move(session->successor);
   }
-  if (next != nullptr) pool_.submit([this, next] { drain(next); });
+  if (next == nullptr) return;
+  pool_.submit([this, next, t0 = std::chrono::steady_clock::now()] { drain(next, t0); });
 }
 
 // ----- op bodies (run on the pool, session->mu held) -------------------------

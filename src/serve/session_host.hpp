@@ -41,6 +41,7 @@
 // sessions.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -131,7 +132,7 @@ class SessionHost {
   /// Service-level counters, per-session regen totals (aggregated), the
   /// pool queue depth and the host-side latency histograms (µs):
   /// serve.lat.flush (the deferred regen a get/save/close triggered) and
-  /// serve.pool.queue_wait (submit-to-dequeue wait of the shared pool).
+  /// serve.pool.queue_wait (submit-to-start wait of each drain job).
   void absorb_metrics(obs::MetricsRegistry& reg) const;
 
   int open_sessions() const;
@@ -169,8 +170,10 @@ class SessionHost {
   };
 
   std::string state_path(const std::string& name) const;
-  /// The per-session pool job: runs the queue turn by turn.
-  void drain(const std::shared_ptr<Session>& session);
+  /// The per-session pool job: records its queue wait since `submitted`
+  /// as serve.pool.queue_wait, then runs the queue turn by turn.
+  void drain(const std::shared_ptr<Session>& session,
+             std::chrono::steady_clock::time_point submitted);
   /// After `session`'s close answered: starts its successor's drain job.
   void closed(const std::shared_ptr<Session>& session, const std::string& name);
   /// One op body, session->mu held; every throw becomes an error result.
@@ -185,8 +188,8 @@ class SessionHost {
   int flush_pending(Session& s);
 
   HostOptions opt_;
-  /// Declared before the pool: the pool's queue-wait probe records into
-  /// it until the pool is torn down.
+  /// Declared before the pool: drain jobs record their queue wait into it
+  /// until the pool is torn down.
   obs::Histogram pool_wait_hist_;
   obs::Histogram flush_hist_;  ///< update_composed time per flush, µs
   ThreadPool pool_;

@@ -97,7 +97,8 @@ TEST(RoutingGrid, OverlapThrows) {
   // Crossing is fine.
   const geom::Point c[] = {{4, 2}, {4, 8}};
   g.occupy_polyline(1, c);
-  EXPECT_EQ(g.crossing_count(), 1);
+  EXPECT_EQ(g.h_net({4, 5}), 0);
+  EXPECT_EQ(g.v_net({4, 5}), 1);
 }
 
 TEST(RoutingGrid, NonOrthogonalPolylineThrows) {
@@ -114,7 +115,10 @@ TEST(RoutingGrid, CrossingCount) {
   g.occupy_polyline(0, h);
   g.occupy_polyline(1, v1);
   g.occupy_polyline(2, v2);
-  EXPECT_EQ(g.crossing_count(), 2);
+  for (const geom::Point p : {geom::Point{2, 4}, geom::Point{7, 4}}) {
+    EXPECT_EQ(g.h_net(p), 0);
+    EXPECT_EQ(g.v_net(p), p.x == 2 ? 1 : 2);
+  }
 }
 
 /// The grid's obstacle model kept as five separate fields per point, with

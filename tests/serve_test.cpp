@@ -774,6 +774,21 @@ TEST(Serve, FlightDumpWritesTheRetainedRings) {
   std::remove(path.c_str());
 }
 
+TEST(Serve, FlightDumpWithoutTheRecorderIsCounted) {
+  // SIGUSR1 on a daemon started without --flight-recorder: nothing can be
+  // written, and the metrics op says so; the ring counters stay absent.
+  const std::string path = testing::TempDir() + "serve_flight_off.json";
+  std::remove(path.c_str());
+  obs::trace_flight_enable(0);
+  LiveServer live;
+  BlockingClient c = live.connect();
+  EXPECT_FALSE(live.server.dump_flight(path));
+  const std::string r = c.request(R"({"op":"metrics"})");
+  EXPECT_EQ(metric_value(r, "serve.flight.dump_failures"), 1);
+  EXPECT_EQ(r.find("serve.flight.capacity"), std::string::npos);
+  EXPECT_FALSE(std::ifstream(path).good());
+}
+
 TEST(ServeOptions, DegenerateOptionsFailAtStartNamingTheFlag) {
   const auto start_error = [](ServerOptions opt) {
     opt.port = opt.port == -1 ? -1 : 0;
