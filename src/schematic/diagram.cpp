@@ -42,12 +42,11 @@ void Diagram::place_module(ModuleId m, geom::Point pos, geom::Rot rot, bool fixe
   modules_.at(m) = {true, pos, rot, fixed};
 }
 
-void Diagram::place_system_term(TermId t, geom::Point pos, bool fixed) {
+void Diagram::place_system_term(TermId t, geom::Point pos) {
   if (!net_->term(t).is_system()) {
     throw std::invalid_argument("place_system_term on a subsystem terminal");
   }
   system_terms_.at(t) = {true, pos};
-  (void)fixed;
 }
 
 bool Diagram::system_term_placed(TermId t) const {

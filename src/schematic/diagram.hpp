@@ -54,7 +54,7 @@ class Diagram {
   // ----- placement ----------------------------------------------------------
   void place_module(ModuleId m, geom::Point pos, geom::Rot rot = geom::Rot::R0,
                     bool fixed = false);
-  void place_system_term(TermId t, geom::Point pos, bool fixed = false);
+  void place_system_term(TermId t, geom::Point pos);
   bool module_placed(ModuleId m) const { return modules_.at(m).placed; }
   bool system_term_placed(TermId t) const;
   /// Whether any terminal has a position: a system terminal placed, or a

@@ -106,75 +106,40 @@ std::string SessionHost::state_path(const std::string& name) const {
   return opt_.state_dir + "/" + name + ".session";
 }
 
-// ----- the per-session op queue ---------------------------------------------
+// ----- the per-name op queue -------------------------------------------------
 
 void SessionHost::submit(Request req, HostCallback done) {
-  const std::string& name = req.session;
-  std::shared_ptr<Session> session;
-  if (req.op == Op::kOpen) {
-    if (!valid_session_name(name)) {
-      done(HostResult::error(err::kBadRequest, "bad session name '" + name + "'"));
-      return;
-    }
-    if (req.restore && opt_.state_dir.empty()) {
-      done(HostResult::error(err::kNoStateDir, "server runs without --state-dir"));
-      return;
-    }
-    session = std::make_shared<Session>();
-    bool inserted = false;
-    {
-      std::lock_guard lock(sessions_mu_);
-      inserted = sessions_.emplace(name, session).second;
-      // A pending close of this name starts our job once it completed.
-      if (const auto it = closing_.find(name); inserted && it != closing_.end()) {
-        it->second->successor = session;
-        session->running = true;
-      }
-    }
-    if (!inserted) {
-      done(HostResult::error(err::kSessionExists,
-                             "session '" + name + "' already open"));
-      return;
-    }
-    // Bad design / corrupt state file: drop the table entry again — but
-    // only if it is still ours (a close+reopen may have replaced it).
-    done = [this, name, session, done = std::move(done)](HostResult r) {
-      if (!r.ok) {
-        std::lock_guard lock(sessions_mu_);
-        const auto it = sessions_.find(name);
-        if (it != sessions_.end() && it->second == session) sessions_.erase(it);
-      }
-      done(std::move(r));
-    };
-  } else {
+  const std::string name = req.session;
+  if (req.op == Op::kOpen && !valid_session_name(name)) {
+    done(HostResult::error(err::kBadRequest, "bad session name '" + name + "'"));
+    return;
+  }
+  if (req.op == Op::kOpen && req.restore && opt_.state_dir.empty()) {
+    done(HostResult::error(err::kNoStateDir, "server runs without --state-dir"));
+    return;
+  }
+  std::shared_ptr<Slot> slot;
+  bool start_job = false;
+  {
     std::lock_guard lock(sessions_mu_);
-    const auto it = sessions_.find(name);
+    auto it = sessions_.find(name);
+    if (it == sessions_.end() && req.op == Op::kOpen) {
+      it = sessions_.emplace(name, std::make_shared<Slot>()).first;
+    }
     if (it != sessions_.end()) {
-      session = it->second;
-      // A close leaves the table now; its op runs after every op queued
-      // before it, then saves final state.
-      if (req.op == Op::kClose) {
-        sessions_.erase(it);
-        closing_[name] = session;
-      }
+      slot = it->second;
+      slot->queue.push_back({std::move(req), std::move(done)});
+      start_job = !slot->running;
+      slot->running = true;
     }
   }
-  if (session == nullptr) {
+  if (slot == nullptr) {
     done(HostResult::error(err::kNoSuchSession, "no open session '" + name + "'"));
     return;
   }
-  bool start_job = false;
-  {
-    std::lock_guard lock(session->qmu);
-    session->queue.push_back({std::move(req), std::move(done)});
-    if (!session->running) {
-      session->running = true;
-      start_job = true;
-    }
-  }
   if (start_job) {
-    pool_.submit([this, session, t0 = std::chrono::steady_clock::now()] {
-      drain(session, t0);
+    pool_.submit([this, name, slot, t0 = std::chrono::steady_clock::now()] {
+      drain(name, slot, t0);
     });
   }
 }
@@ -187,7 +152,8 @@ HostResult SessionHost::call(Request req) {
   return fut.get();
 }
 
-void SessionHost::drain(const std::shared_ptr<Session>& session,
+void SessionHost::drain(const std::string& name,
+                        const std::shared_ptr<Slot>& slot,
                         std::chrono::steady_clock::time_point submitted) {
   pool_wait_hist_.record(std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - submitted)
@@ -202,65 +168,58 @@ void SessionHost::drain(const std::shared_ptr<Session>& session,
     turn.clear();
     results.clear();
     {
-      std::lock_guard lock(session->qmu);
-      if (session->queue.empty()) {
-        session->running = false;
+      std::lock_guard lock(sessions_mu_);
+      if (slot->queue.empty()) {
+        slot->running = false;
+        // Only this job writes slot->session.  A name with neither ops nor
+        // a session leaves the table, so failed opens cannot grow it.
+        if (slot->session == nullptr) sessions_.erase(name);
         return;
       }
-      turn.swap(session->queue);
+      turn.swap(slot->queue);
     }
 
     {
       // Shared side of the trace-flush gate: a flight dump only runs when
       // no op body is emitting trace events.
       std::shared_lock gate(flush_gate_);
-      std::lock_guard lock(session->mu);
+      std::lock_guard lock(slot->mu);
       for (const PendingOp& op : turn) {
-        results.push_back(execute(*session, op.req));
+        results.push_back(execute(*slot, op.req));
       }
     }
     for (size_t i = 0; i < turn.size(); ++i) {
       turn[i].done(std::move(results[i]));
     }
-    // A same-name open waiting on a close of this turn can start now.
-    for (const PendingOp& op : turn) {
-      if (op.req.op == Op::kClose) closed(session, op.req.session);
-    }
   }
 }
 
-void SessionHost::closed(const std::shared_ptr<Session>& session,
-                         const std::string& name) {
-  std::shared_ptr<Session> next;
-  {
-    std::lock_guard lock(sessions_mu_);
-    const auto it = closing_.find(name);
-    if (it != closing_.end() && it->second == session) closing_.erase(it);
-    next = std::move(session->successor);
-  }
-  if (next == nullptr) return;
-  pool_.submit([this, next, t0 = std::chrono::steady_clock::now()] { drain(next, t0); });
-}
+// ----- op bodies (run on the pool, slot.mu held) -----------------------------
 
-// ----- op bodies (run on the pool, session->mu held) -------------------------
-
-HostResult SessionHost::execute(Session& s, const Request& req) {
+HostResult SessionHost::execute(Slot& slot, const Request& req) {
   try {
+    if (req.op == Op::kOpen) return exec_open(slot, req);
+    if (slot.session == nullptr) {
+      return HostResult::error(err::kNoSuchSession,
+                               "no open session '" + req.session + "'");
+    }
+    Session& s = *slot.session;
     switch (req.op) {
-      case Op::kOpen:
-        return exec_open(s, req);
       case Op::kEdit:
         return exec_edit(s, req.edits);
       case Op::kGet:
         return exec_get(s, req);
       case Op::kSave:
         return save_locked(s, req.session);
-      case Op::kClose:
-        // Close saves unsaved edits when a state dir can keep them.
+      case Op::kClose: {
+        // Close saves unsaved edits when a state dir can keep them, and
+        // ends the session whatever the save answers.
+        const std::unique_ptr<Session> closing = std::move(slot.session);
         if (s.dirty && !opt_.state_dir.empty()) {
           return save_locked(s, req.session);
         }
         return HostResult{};
+      }
       default:
         break;
     }
@@ -272,9 +231,16 @@ HostResult SessionHost::execute(Session& s, const Request& req) {
   return HostResult::error(err::kInternal, "not a session op");
 }
 
-HostResult SessionHost::exec_open(Session& s, const Request& req) {
+HostResult SessionHost::exec_open(Slot& slot, const Request& req) {
+  if (slot.session != nullptr) {
+    return HostResult::error(err::kSessionExists,
+                             "session '" + req.session + "' already open");
+  }
   NA_TRACE_SPAN(span, "serve.open");
   span.arg("restore", req.restore ? 1 : 0);
+  // Built aside and installed only once complete: a failed or throwing
+  // open leaves the slot empty.
+  auto s = std::make_unique<Session>();
   if (req.restore) {
     std::string text;
     try {
@@ -283,15 +249,16 @@ HostResult SessionHost::exec_open(Session& s, const Request& req) {
       return HostResult::error(err::kNoSuchSession,
                                "no saved session '" + req.session + "'");
     }
-    s.regen.restore(text);
+    s->regen.restore(text);
   } else {
-    s.regen.update(design_network(req.design));
+    s->regen.update(design_network(req.design));
   }
-  s.pending.rebase(s.regen.network());
+  s->pending.rebase(s->regen.network());
   HostResult ok;
   ok.full_regen = !req.restore;
-  ok.nets_rerouted = s.regen.last().nets_rerouted;
-  ok.nets_kept = s.pending.network().net_count();
+  ok.nets_rerouted = s->regen.last().nets_rerouted;
+  ok.nets_kept = s->pending.network().net_count();
+  slot.session = std::move(s);
   return ok;
 }
 
@@ -339,9 +306,6 @@ int SessionHost::flush_pending(Session& s) {
 
 HostResult SessionHost::exec_get(Session& s, const Request& req) {
   const int flushed = flush_pending(s);
-  if (!s.regen.has_diagram()) {
-    return HostResult::error(err::kInternal, "session has no diagram");
-  }
   HostResult r;
   r.flushed_edits = flushed;
   if (req.format == "svg") {
@@ -391,46 +355,51 @@ HostResult SessionHost::save_locked(Session& s, const std::string& name) {
 
 // ----- shutdown and metrics --------------------------------------------------
 
+std::vector<std::pair<std::string, std::shared_ptr<SessionHost::Slot>>>
+SessionHost::slots() const {
+  std::lock_guard lock(sessions_mu_);
+  return {sessions_.begin(), sessions_.end()};
+}
+
 int SessionHost::save_dirty_sessions() {
   if (opt_.state_dir.empty()) return 0;
-  std::vector<std::pair<std::string, std::shared_ptr<Session>>> all;
-  {
-    std::lock_guard lock(sessions_mu_);
-    all.assign(sessions_.begin(), sessions_.end());
-  }
   int saved = 0;
   // Shutdown saves flush pending compositions (regen + trace spans), so
   // hold the flush gate shared like any other op body.
   std::shared_lock gate(flush_gate_);
-  for (auto& [name, session] : all) {
-    std::lock_guard lock(session->mu);
-    if (session->dirty && save_locked(*session, name).ok) ++saved;
+  for (const auto& [name, slot] : slots()) {
+    std::lock_guard lock(slot->mu);
+    if (slot->session != nullptr && slot->session->dirty &&
+        save_locked(*slot->session, name).ok) {
+      ++saved;
+    }
   }
   return saved;
 }
 
 int SessionHost::open_sessions() const {
-  std::lock_guard lock(sessions_mu_);
-  return static_cast<int>(sessions_.size());
+  int open = 0;
+  for (const auto& [name, slot] : slots()) {
+    std::lock_guard lock(slot->mu);
+    open += slot->session != nullptr;
+  }
+  return open;
 }
 
 void SessionHost::absorb_metrics(obs::MetricsRegistry& reg) const {
-  std::vector<std::shared_ptr<Session>> all;
-  {
-    std::lock_guard lock(sessions_mu_);
-    all.reserve(sessions_.size());
-    for (const auto& [name, session] : sessions_) all.push_back(session);
-  }
-  reg.set("serve.sessions_open", static_cast<long long>(all.size()));
+  long long open = 0;
   long long edits = 0;
   long long pending = 0;
   RegenCounters sum;
-  for (const auto& session : all) {
-    std::lock_guard lock(session->mu);
-    edits += session->seq;
-    pending += session->pending.steps();
-    sum += session->regen.totals();
+  for (const auto& [name, slot] : slots()) {
+    std::lock_guard lock(slot->mu);
+    if (slot->session == nullptr) continue;
+    ++open;
+    edits += slot->session->seq;
+    pending += slot->session->pending.steps();
+    sum += slot->session->regen.totals();
   }
+  reg.set("serve.sessions_open", open);
   reg.set("serve.edits_applied", edits);
   reg.set("serve.pending_edits", pending);
   {

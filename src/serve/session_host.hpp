@@ -4,14 +4,15 @@
 // Concurrency model (DESIGN §10 argues determinism from it):
 //   * every session request (open, edit, get, save, close) enters through
 //     one asynchronous `submit(Request, HostCallback)`: it is queued on the
-//     session's op queue and a single pool job per session drains that
-//     queue, so the I/O threads of the event-loop connection plane never
-//     block on placement/routing work;
-//   * the queue serialises operations touching one session — edits to one
-//     session are totally ordered (the response's `seq` is the order),
-//     edits to different sessions run concurrently on the pool;
+//     op queue of its session *name* and a single pool job per name drains
+//     that queue, so the I/O threads of the event-loop connection plane
+//     never block on placement/routing work;
+//   * the queue serialises operations touching one name — edits to one
+//     session are totally ordered (the response's `seq` is the order), a
+//     close runs before a same-name reopen queued after it, and edits to
+//     different sessions run concurrently on the pool;
 //   * the drain job works in *turns*: each turn takes everything queued,
-//     runs it in queue order under one flush-gate hold and one session-
+//     runs it in queue order under one flush-gate hold and one slot-
 //     mutex hold, then answers in order; requests that arrive meanwhile
 //     form the next turn;
 //   * regeneration is *deferred to observation points*: an edit request
@@ -21,11 +22,9 @@
 //     point — get, save, close-with-save, shutdown save — covering every
 //     edit composed since the previous flush (`serve.batch.regens` counts
 //     flushes, `serve.batch.composed` the edits they covered);
-//   * the session table itself is a short-hold mutex (lookup and insert
-//     only — never held while a session works);
-//   * a same-name open submitted while a close is pending gets a session
-//     whose drain job that close starts when it completes, so a restore
-//     reads the close's save and later saves land after it.
+//   * the table of names, with every queue and running flag, sits behind
+//     one short-hold mutex (lookup, enqueue, turn swap — never held while
+//     a session works).
 //
 // Why deferral preserves byte-identity where eager composition cannot:
 // the incremental engine is path-dependent (gravity placement scores
@@ -104,21 +103,23 @@ class SessionHost {
   SessionHost& operator=(const SessionHost&) = delete;
 
   /// Queues one session request — open, edit, get, save or close — on
-  /// its session's op queue; `done` runs exactly once, inline for a
-  /// request rejected up front, else from a pool worker after its turn.
+  /// the op queue of `req.session`; `done` runs exactly once, inline for a
+  /// request rejected up front (a bad name or a restore without a state
+  /// dir on open, or any other op on a name with no queue), else from a
+  /// pool worker after its turn.
   ///   * open creates session `req.session` from a design string ("life",
   ///     "controller", "chain", "datapath[:bits]"), or reloads it from the
   ///     state dir when `req.restore` is set; the initial full generation
-  ///     runs on the pool, and a failed open drops the table entry again;
+  ///     runs on the pool, and a failed open leaves no session behind, so
+  ///     the ops queued after it answer no_such_session;
   ///   * edit composes `req.edits` into the pending network;
   ///   * get flushes pending edits and renders the diagram in
   ///     `req.format` ("escher", "svg", "ascii");
   ///   * save flushes and persists into `<state_dir>/<name>.session`, or
   ///     inline in the result payload without a state dir;
-  ///   * close drops the session from the table at once and, after every
-  ///     op queued before it, saves it when a state dir is configured and
-  ///     it has unsaved edits.  A same-name open submitted before that
-  ///     close completes runs after it.
+  ///   * close, after every op queued before it, saves the session when a
+  ///     state dir is configured and it has unsaved edits, then ends it.
+  ///     A same-name open queued after it opens a new session.
   void submit(Request req, HostCallback done);
 
   /// Blocking `submit`, for tests, demos and benches driving the host
@@ -130,7 +131,9 @@ class SessionHost {
   int save_dirty_sessions();
 
   /// Service-level counters, per-session regen totals (aggregated), the
-  /// pool queue depth and the host-side latency histograms (µs):
+  /// pool queue depth and the host-side latency histograms (µs).
+  /// serve.sessions_open, like open_sessions(), counts the sessions whose
+  /// open has run and whose close has not.  Histograms:
   /// serve.lat.flush (the deferred regen a get/save/close triggered) and
   /// serve.pool.queue_wait (submit-to-start wait of each drain job).
   void absorb_metrics(obs::MetricsRegistry& reg) const;
@@ -151,7 +154,6 @@ class SessionHost {
     HostCallback done;
   };
   struct Session {
-    std::mutex mu;  ///< state access: the drain job and metrics readers
     RegenSession regen;
     /// Edits since the last flush, composed netlist-only; regenerated
     /// from at the next observation point.
@@ -159,33 +161,36 @@ class SessionHost {
     long long seq = 0;   ///< applied edits
     bool dirty = false;  ///< has edits not yet saved
 
-    std::mutex qmu;  ///< op queue + running flag (short hold)
-    std::vector<PendingOp> queue;
-    bool running = false;  ///< a drain job is on the pool, or waits on a close
-    /// Opened under this name while this session's close was pending;
-    /// started when the close completes.  Guarded by sessions_mu_.
-    std::shared_ptr<Session> successor;
-
     Session() : pending(Network{}) {}
+  };
+  /// One session name: its op queue and, between a successful open and
+  /// its close, its session.
+  struct Slot {
+    std::vector<PendingOp> queue;  ///< guarded by sessions_mu_
+    bool running = false;  ///< a drain job is on the pool; sessions_mu_
+    std::mutex mu;  ///< guards `session`: the drain job and metrics readers
+    /// Written only by the slot's drain job.
+    std::unique_ptr<Session> session;
   };
 
   std::string state_path(const std::string& name) const;
-  /// The per-session pool job: records its queue wait since `submitted`
-  /// as serve.pool.queue_wait, then runs the queue turn by turn.
-  void drain(const std::shared_ptr<Session>& session,
+  /// The per-name pool job: records its queue wait since `submitted` as
+  /// serve.pool.queue_wait, then runs the queue turn by turn; erases the
+  /// slot when its queue empties with no session left.
+  void drain(const std::string& name, const std::shared_ptr<Slot>& slot,
              std::chrono::steady_clock::time_point submitted);
-  /// After `session`'s close answered: starts its successor's drain job.
-  void closed(const std::shared_ptr<Session>& session, const std::string& name);
-  /// One op body, session->mu held; every throw becomes an error result.
-  HostResult execute(Session& s, const Request& req);
-  HostResult exec_open(Session& s, const Request& req);
+  /// One op body, slot.mu held; every throw becomes an error result.
+  HostResult execute(Slot& slot, const Request& req);
+  HostResult exec_open(Slot& slot, const Request& req);
   HostResult exec_edit(Session& s, const std::vector<EditCmd>& cmds);
   HostResult exec_get(Session& s, const Request& req);
   HostResult save_locked(Session& s, const std::string& name);
   /// Regenerates from the pending composition (one diff, one update for
   /// however many edits are pending); returns how many it flushed.  Called
-  /// at every observation point, session->mu held.
+  /// at every observation point, slot.mu held.
   int flush_pending(Session& s);
+  /// Every slot, copied out under sessions_mu_.
+  std::vector<std::pair<std::string, std::shared_ptr<Slot>>> slots() const;
 
   HostOptions opt_;
   /// Declared before the pool: drain jobs record their queue wait into it
@@ -194,9 +199,7 @@ class SessionHost {
   obs::Histogram flush_hist_;  ///< update_composed time per flush, µs
   ThreadPool pool_;
   mutable std::mutex sessions_mu_;
-  std::map<std::string, std::shared_ptr<Session>> sessions_;
-  /// Sessions whose close is queued but not yet completed, by name.
-  std::map<std::string, std::shared_ptr<Session>> closing_;
+  std::map<std::string, std::shared_ptr<Slot>> sessions_;
   mutable std::mutex flush_mu_;
   long long flush_regens_ = 0;    ///< serve.batch.regens: flushes run
   long long flush_composed_ = 0;  ///< serve.batch.composed: edits covered

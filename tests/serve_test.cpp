@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <sstream>
 #include <random>
@@ -354,6 +355,29 @@ TEST(Serve, SaveLeavesNoTempFile) {
   EXPECT_FALSE(std::filesystem::exists(h.state + "/a.session.tmp"));
 }
 
+namespace {
+
+/// Submits `burst` to `host` in one go, nothing awaited, runs `then`, and
+/// returns the results in submission order.
+std::vector<HostResult> submit_burst(
+    SessionHost& host, const std::vector<std::string>& burst,
+    const std::function<void()>& then = [] {}) {
+  std::vector<std::promise<HostResult>> done(burst.size());
+  std::vector<std::future<HostResult>> results;
+  for (size_t i = 0; i < burst.size(); ++i) {
+    results.push_back(done[i].get_future());
+    host.submit(parse_request(burst[i]), [&done, i](HostResult r) {
+      done[i].set_value(std::move(r));
+    });
+  }
+  then();
+  std::vector<HostResult> out;
+  for (auto& r : results) out.push_back(r.get());
+  return out;
+}
+
+}  // namespace
+
 TEST(Serve, CloseThenRestoreInOneBurstRestoresClosedState) {
   // One burst, nothing awaited: an edit, a close that must save it, and a
   // same-name open+restore followed by a get.  The restore has to read
@@ -361,27 +385,66 @@ TEST(Serve, CloseThenRestoreInOneBurstRestoresClosedState) {
   const std::string want = local_reference("chain", "a", 2);
   for (int run = 0; run < 10; ++run) {
     SavedHost h(4);
-    const std::string burst[] = {
+    const std::vector<std::string> burst = {
         edit_line("a", 1), R"({"op":"close","session":"a"})",
         R"({"op":"open","session":"a","restore":true})",
         R"({"op":"get","session":"a"})"};
-    std::promise<HostResult> done[4];
-    std::future<HostResult> results[4];
-    for (int i = 0; i < 4; ++i) {
-      results[i] = done[i].get_future();
-      h.host.submit(parse_request(burst[i]), [&done, i](HostResult r) {
-        done[i].set_value(std::move(r));
-      });
-    }
+    const std::vector<HostResult> r = submit_burst(h.host, burst);
     for (int i = 0; i < 3; ++i) {
-      const HostResult r = results[i].get();
-      ASSERT_TRUE(r.ok) << burst[i] << ": " << r.message;
+      ASSERT_TRUE(r[i].ok) << burst[i] << ": " << r[i].message;
     }
-    const HostResult got = results[3].get();
-    ASSERT_TRUE(got.ok) << got.message;
-    EXPECT_EQ(got.payload, want)
+    ASSERT_TRUE(r[3].ok) << r[3].message;
+    EXPECT_EQ(r[3].payload, want)
         << "run " << run << ": the restore read the save before the close";
+
+    // A plain reopen in the same kind of burst starts a new session: its
+    // first edit is seq 1.
+    const std::vector<std::string> reopen = {
+        edit_line("a", 2), R"({"op":"close","session":"a"})",
+        R"({"op":"open","session":"a","design":"chain"})", edit_line("a", 0)};
+    const std::vector<HostResult> r2 = submit_burst(h.host, reopen);
+    for (size_t i = 0; i < reopen.size(); ++i) {
+      ASSERT_TRUE(r2[i].ok) << reopen[i] << ": " << r2[i].message;
+    }
+    EXPECT_EQ(r2[3].seq, 1) << "run " << run;
   }
+}
+
+TEST(Serve, FailedOpenLeavesNoSessionForTheOpsQueuedBehindIt) {
+  // The host's only worker is held while a burst queues behind an open
+  // that fails: the ops behind it must find no session, and nothing may
+  // be served or saved under the name.
+  const std::string state =
+      (std::filesystem::temp_directory_path() /
+       ("na_serve_failed_open_test_" + std::to_string(::getpid())))
+          .string();
+  SessionHost host(SavedHost::options(state, 1));
+  const std::pair<std::string, const char*> opens[] = {
+      {R"({"op":"open","session":"s","design":"nosuchdesign"})", err::kBadDesign},
+      {R"({"op":"open","session":"r","restore":true})", err::kNoSuchSession}};
+  for (const auto& [open, code] : opens) {
+    const std::string name = parse_request(open).session;
+    const std::string on = R"(","session":")" + name + R"("})";
+    const std::vector<std::string> burst = {
+        open, edit_line(name, 0), R"({"op":"get)" + on, R"({"op":"save)" + on};
+    std::promise<void> release;
+    host.pool().submit(
+        [held = release.get_future().share()] { held.wait(); });
+    const std::vector<HostResult> r =
+        submit_burst(host, burst, [&] { release.set_value(); });
+    EXPECT_STREQ(r[0].error_code, code) << open;
+    for (size_t i = 1; i < burst.size(); ++i) {
+      EXPECT_STREQ(r[i].error_code, err::kNoSuchSession)
+          << burst[i] << " answered after " << open;
+    }
+    EXPECT_FALSE(std::filesystem::exists(state + "/" + name + ".session"));
+    EXPECT_EQ(host.open_sessions(), 0) << open;
+    EXPECT_TRUE(host.call(parse_request(R"({"op":"open","session":")" + name +
+                                        R"(","design":"chain"})"))
+                    .ok);
+    EXPECT_TRUE(host.call(parse_request(R"({"op":"close)" + on)).ok);
+  }
+  std::filesystem::remove_all(state);
 }
 
 TEST(Serve, MalformedTrafficKeepsConnectionAlive) {
